@@ -4,10 +4,14 @@ A seller holds a good worth v1 to her; a buyer values it at v2. Both values
 are private, drawn from independent discrete priors. Efficiency demands trade
 exactly when the buyer's value is higher. The functions here ask whether any
 direct mechanism can be simultaneously efficient, budget-balanced, Bayes-Nash
-incentive compatible and interim individually rational on a given grid, by
-solving a linear program over interim transfers. Infeasibility comes with a
-Farkas certificate that is re-verified arithmetically, and a companion LP
-reports the smallest pointwise subsidy that restores feasibility.
+incentive compatible and interim individually rational on a given grid.
+Incentive and participation constraints see transfers only through their
+interim means, and under budget balance any interim pair with zero expected
+sum is realised ex post by x_ij = a_i + b_j (Myerson & Satterthwaite 1983),
+so the linear programs run over interim transfers: ns + nb columns, not
+ns * nb. Infeasibility comes with a Farkas certificate read from the margin
+LP's duals and re-verified arithmetically against the ex-post system, and a
+companion LP reports the smallest pointwise subsidy that restores feasibility.
 
 The same trade problem embeds into a one-way game (the seller's payoff does
 not depend on the buyer's single dummy action), and the property checks can
@@ -31,6 +35,11 @@ PROB_TOL = 1e-12
 MARGIN_TOL = 1e-7
 CERT_TOL = 1e-7
 MARGIN_CAP = 1e9
+# HiGHS accepts a basis whose rows are violated by up to its feasibility
+# tolerances (1e-7 by default). The interim rows have unit coefficients, so
+# such a basis can shift the margin by that much; tighter tolerances keep the
+# interim optima within 1e-9 of the ex-post ones.
+_HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9}
 
 
 def _canonical_side(values: Sequence[float], probs: Sequence[float], side: str):
@@ -320,11 +329,13 @@ def check_one_way_properties(
     return PropertyReport(efficient, budget_balanced, ic, ir, tuple(witnesses))
 
 
-def _constraint_system(
+def _interim_system(
     instance: BilateralTradeInstance, include_ir: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (A, b) of A x <= b over x = seller transfers, with budget balance
-    substituted (the buyer pays exactly what the seller receives)."""
+    """Rows (A, b) of A z <= b over z = (X_s, Y): the seller's expected
+    receipt per seller type, then the buyer's expected payment per buyer
+    type. Rows run seller IC, buyer IC, seller IR, buyer IR; IC rows are
+    ordered (true type, report) with the report varying fastest."""
     sv = np.asarray(instance.seller_values)
     bv = np.asarray(instance.buyer_values)
     f1 = np.asarray(instance.seller_probs)
@@ -333,49 +344,18 @@ def _constraint_system(
     sigma = efficient_allocation(instance)
     K = (1.0 - sigma) @ f2
     G = f1 @ sigma
-    nvar = ns * nb
-
-    def var(i: int, j: int) -> int:
-        return i * nb + j
-
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    for i in range(ns):
-        for k in range(ns):
-            if i == k:
-                continue
-            row = np.zeros(nvar)
-            for j in range(nb):
-                row[var(k, j)] += f2[j]
-                row[var(i, j)] -= f2[j]
-            rows.append(row)
-            rhs.append(float(sv[i] * (K[i] - K[k])))
-    for j in range(nb):
-        for k in range(nb):
-            if j == k:
-                continue
-            row = np.zeros(nvar)
-            for i in range(ns):
-                row[var(i, j)] += f1[i]
-                row[var(i, k)] -= f1[i]
-            rows.append(row)
-            rhs.append(float(bv[j] * (G[j] - G[k])))
+    eye_s, eye_b = np.eye(ns), np.eye(nb)
+    i, k = np.nonzero(~np.eye(ns, dtype=bool))
+    j, l = np.nonzero(~np.eye(nb, dtype=bool))
+    rows = [
+        np.hstack([eye_s[k] - eye_s[i], np.zeros((len(i), nb))]),
+        np.hstack([np.zeros((len(j), ns)), eye_b[j] - eye_b[l]]),
+    ]
+    rhs = [sv[i] * (K[i] - K[k]), bv[j] * (G[j] - G[l])]
     if include_ir:
-        for i in range(ns):
-            row = np.zeros(nvar)
-            for j in range(nb):
-                row[var(i, j)] -= f2[j]
-            rows.append(row)
-            rhs.append(float(sv[i] * (K[i] - 1.0)))
-        for j in range(nb):
-            row = np.zeros(nvar)
-            for i in range(ns):
-                row[var(i, j)] += f1[i]
-            rows.append(row)
-            rhs.append(float(bv[j] * G[j]))
-    if not rows:
-        return np.zeros((0, nvar)), np.zeros(0)
-    return np.asarray(rows), np.asarray(rhs)
+        rows += [np.hstack([-eye_s, np.zeros((ns, nb))]), np.hstack([np.zeros((nb, ns)), eye_b])]
+        rhs += [sv * (K - 1.0), bv * G]
+    return np.vstack(rows), np.concatenate(rhs)
 
 
 @dataclass(frozen=True)
@@ -392,41 +372,52 @@ class FeasibilityResult:
 def feasibility_lp(instance: BilateralTradeInstance, include_ir: bool = True) -> FeasibilityResult:
     """Decide whether an efficient, balanced, IC and IR mechanism exists.
 
-    Maximizes the common slack margin of all constraints. A margin above
-    1e-7 is feasible and the maximizing transfers are returned as a concrete
-    mechanism; below -1e-7 is infeasible and a Farkas certificate (y >= 0,
-    A'y = 0, b'y < 0) is computed and re-verified with plain arithmetic;
-    in between the verdict is "marginal" and deliberately unsigned.
+    Maximizes the common slack margin m of all IC and IR rows over the
+    interim transfers (X_s, Y) subject to f1 . X_s = f2 . Y. Any such pair
+    is realised ex post by x_ij = X_s_i + Y_j - f1 . X_s (the buyer pays
+    the seller x), so this is the ex-post LP in ns + nb columns.
+
+    A margin above 1e-7 is feasible and the realising transfers are
+    returned as a concrete mechanism; in [-1e-7, 1e-7] the verdict is
+    "marginal" and deliberately unsigned. Below -1e-7 it is infeasible, and
+    the LP's inequality duals y >= 0 (scaled to max 1) are a Farkas
+    certificate for the ex-post system A x <= b: dual feasibility makes the
+    interim rows' y-combination a multiple of the balance row (f1, -f2),
+    which lifts to zero ex post, so A'y = 0, and b'y has the margin's sign.
+    Both are re-checked with plain arithmetic.
     """
-    A, b = _constraint_system(instance, include_ir=include_ir)
-    nrows, nvar = A.shape
-    A_margin = np.hstack([A, np.ones((nrows, 1))])
-    c = np.zeros(nvar + 1)
+    A, b = _interim_system(instance, include_ir=include_ir)
+    f1 = np.asarray(instance.seller_probs)
+    f2 = np.asarray(instance.buyer_probs)
+    ns, nrows = len(f1), len(b)
+    c = np.zeros(A.shape[1] + 1)
     c[-1] = -1.0
-    bounds = [(None, None)] * nvar + [(None, MARGIN_CAP)]
-    res = linprog(c, A_ub=A_margin, b_ub=b, bounds=bounds, method="highs")
+    res = linprog(
+        c,
+        A_ub=np.hstack([A, np.ones((nrows, 1))]),
+        b_ub=b,
+        A_eq=np.concatenate([f1, -f2, [0.0]])[None, :],
+        b_eq=[0.0],
+        bounds=[(None, None)] * A.shape[1] + [(None, MARGIN_CAP)],
+        method="highs",
+        options=_HIGHS_OPTIONS,
+    )
     if res.status != 0:
         raise RuntimeError(f"margin LP failed: {res.message}")
     margin = float(res.x[-1])
-    sigma = efficient_allocation(instance)
-    if margin > MARGIN_TOL:
-        x = res.x[:nvar].reshape(len(instance.seller_values), len(instance.buyer_values))
-        mech = DirectMechanism(allocation=sigma, t_seller=x, t_buyer=-x)
-        return FeasibilityResult("feasible", margin, nrows, mech, None, None, None)
     if margin >= -MARGIN_TOL:
-        x = res.x[:nvar].reshape(len(instance.seller_values), len(instance.buyer_values))
-        mech = DirectMechanism(allocation=sigma, t_seller=x, t_buyer=-x)
-        return FeasibilityResult("marginal", margin, nrows, mech, None, None, None)
-    far = linprog(b, A_eq=A.T, b_eq=np.zeros(nvar), bounds=[(0.0, 1.0)] * nrows, method="highs")
-    if far.status != 0:
-        raise RuntimeError(f"certificate LP failed: {far.message}")
-    y = np.asarray(far.x)
-    scale = float(np.max(np.abs(y)))
-    if scale > 0.0:
-        y = y / scale
-    residual = float(np.max(np.abs(A.T @ y)))
-    value = float(b @ y)
-    return FeasibilityResult("infeasible", margin, nrows, None, y, residual, value)
+        X_s, Y = res.x[:ns], res.x[ns:-1]
+        x = X_s[:, None] + Y[None, :] - f1 @ X_s
+        mech = DirectMechanism(allocation=efficient_allocation(instance), t_seller=x, t_buyer=-x)
+        verdict = "feasible" if margin > MARGIN_TOL else "marginal"
+        return FeasibilityResult(verdict, margin, nrows, mech, None, None, None)
+    y = np.maximum(-res.ineqlin.marginals, 0.0)
+    y = y / np.max(y)
+    # the ex-post row of pair (i, j) is f2_j times seller column i plus
+    # f1_i times buyer column j, so (A'y)_ij = f2_j u_i + f1_i v_j
+    u, v = np.split(A.T @ y, [ns])
+    residual = float(np.max(np.abs(u[:, None] * f2[None, :] + f1[:, None] * v[None, :])))
+    return FeasibilityResult("infeasible", margin, nrows, None, y, residual, float(b @ y))
 
 
 def certificate_is_valid(result: FeasibilityResult, tol: float = CERT_TOL) -> bool:
@@ -454,81 +445,32 @@ def min_subsidy(instance: BilateralTradeInstance) -> SubsidyResult:
     """Smallest pointwise budget deficit making an efficient IC + IR mechanism
     possible. Budget balance is relaxed to t_seller + t_buyer <= d everywhere;
     a feasible instance yields d <= 0 and the reported subsidy clamps at 0.
+
+    The pointwise bound can never beat the expected deficit f1 . X_s + f2 . X_b
+    (X_b = -Y is the buyer's expected receipt), and it meets it: the
+    transfers t_s = X_s_i + f2 . X_b - X_b_j and t_b = X_b_j + f1 . X_s - X_s_i
+    have those interim means and sum to the expected deficit everywhere. So
+    one LP over the interim rows, minimizing f1 . X_s - f2 . Y, gives d.
     """
-    sv = np.asarray(instance.seller_values)
-    bv = np.asarray(instance.buyer_values)
+    A, b = _interim_system(instance)
     f1 = np.asarray(instance.seller_probs)
     f2 = np.asarray(instance.buyer_probs)
-    ns, nb = len(sv), len(bv)
-    sigma = efficient_allocation(instance)
-    K = (1.0 - sigma) @ f2
-    G = f1 @ sigma
-    nv = ns * nb
-
-    def vs(i: int, j: int) -> int:
-        return i * nb + j
-
-    def vb(i: int, j: int) -> int:
-        return nv + i * nb + j
-
-    d_col = 2 * nv
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    for i in range(ns):
-        for k in range(ns):
-            if i == k:
-                continue
-            row = np.zeros(2 * nv + 1)
-            for j in range(nb):
-                row[vs(k, j)] += f2[j]
-                row[vs(i, j)] -= f2[j]
-            rows.append(row)
-            rhs.append(float(sv[i] * (K[i] - K[k])))
-    for j in range(nb):
-        for k in range(nb):
-            if j == k:
-                continue
-            row = np.zeros(2 * nv + 1)
-            for i in range(ns):
-                row[vb(i, k)] += f1[i]
-                row[vb(i, j)] -= f1[i]
-            rows.append(row)
-            rhs.append(float(bv[j] * (G[j] - G[k])))
-    for i in range(ns):
-        row = np.zeros(2 * nv + 1)
-        for j in range(nb):
-            row[vs(i, j)] -= f2[j]
-        rows.append(row)
-        rhs.append(float(sv[i] * (K[i] - 1.0)))
-    for j in range(nb):
-        row = np.zeros(2 * nv + 1)
-        for i in range(ns):
-            row[vb(i, j)] -= f1[i]
-        rows.append(row)
-        rhs.append(float(bv[j] * G[j]))
-    for i in range(ns):
-        for j in range(nb):
-            row = np.zeros(2 * nv + 1)
-            row[vs(i, j)] = 1.0
-            row[vb(i, j)] = 1.0
-            row[d_col] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-    c = np.zeros(2 * nv + 1)
-    c[d_col] = 1.0
+    ns = len(f1)
     res = linprog(
-        c,
-        A_ub=np.asarray(rows),
-        b_ub=np.asarray(rhs),
-        bounds=[(None, None)] * (2 * nv + 1),
+        np.concatenate([f1, -f2]),
+        A_ub=A,
+        b_ub=b,
+        bounds=[(None, None)] * A.shape[1],
         method="highs",
+        options=_HIGHS_OPTIONS,
     )
     if res.status != 0:
         raise RuntimeError(f"subsidy LP failed: {res.message}")
-    d_star = float(res.x[d_col])
-    t_s = res.x[:nv].reshape(ns, nb)
-    t_b = res.x[nv : 2 * nv].reshape(ns, nb)
-    mech = DirectMechanism(allocation=sigma, t_seller=t_s, t_buyer=t_b)
+    X_s, X_b = res.x[:ns], -res.x[ns:]
+    d_star = float(f1 @ X_s + f2 @ X_b)
+    t_s = X_s[:, None] + (f2 @ X_b - X_b)[None, :]
+    t_b = X_b[None, :] + (f1 @ X_s - X_s)[:, None]
+    mech = DirectMechanism(allocation=efficient_allocation(instance), t_seller=t_s, t_buyer=t_b)
     return SubsidyResult(subsidy=max(0.0, d_star), raw_min_deficit=d_star, mechanism=mech)
 
 

@@ -10,6 +10,7 @@ success, 1 when an input fails validation or a computation cannot proceed,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -238,15 +239,14 @@ def cmd_multi_offer(args: argparse.Namespace) -> int:
     return 0
 
 
-def _ms_columns() -> list[str]:
-    return [
-        "k",
-        "verdict",
-        "margin",
-        "min_subsidy",
-        "certificate_ok",
-        "certificate_residual",
-    ]
+def _emit_ms(args: argparse.Namespace, subcommand: str, config: dict, rows) -> int:
+    """Write a trade-feasibility report. Each row is (k, verdict, margin,
+    subsidy, certificate_ok, certificate_residual), the field order of
+    ``bilateral.RefinementRow``; None leaves its cell blank."""
+    columns = ["k", "verdict", "margin", "min_subsidy", "certificate_ok", "certificate_residual"]
+    cells = [["" if v is None else v for v in row] for row in rows]
+    _emit(args, subcommand, config, columns, cells)
+    return 0
 
 
 def cmd_ms_check(args: argparse.Namespace) -> int:
@@ -254,41 +254,17 @@ def cmd_ms_check(args: argparse.Namespace) -> int:
         inst = io.load_bilateral(args.instance)
         feas = bilateral.feasibility_lp(inst)
         sub = bilateral.min_subsidy(inst)
-        cert_ok = (
-            bilateral.certificate_is_valid(feas) if feas.verdict == "infeasible" else ""
-        )
-        rows = [
-            [
-                "",
-                feas.verdict,
-                feas.margin,
-                sub.subsidy,
-                cert_ok,
-                feas.certificate_residual if feas.certificate_residual is not None else "",
-            ]
-        ]
+        cert_ok = bilateral.certificate_is_valid(feas) if feas.verdict == "infeasible" else None
+        row = (None, feas.verdict, feas.margin, sub.subsidy, cert_ok, feas.certificate_residual)
         config = {"instance": args.instance, "tolerance": bilateral.MARGIN_TOL}
-        _emit(args, "ms-check", config, _ms_columns(), rows)
-        return 0
+        return _emit_ms(args, "ms-check", config, [row])
     ks = list(range(2, args.refine + 1))
     if not ks:
         print("error: --refine must be at least 2", file=sys.stderr)
         return 1
-    rows = []
-    for row in bilateral.refinement_sweep(ks):
-        rows.append(
-            [
-                row.k,
-                row.verdict,
-                row.margin,
-                row.subsidy,
-                row.certificate_ok if row.certificate_ok is not None else "",
-                row.certificate_residual if row.certificate_residual is not None else "",
-            ]
-        )
     config = {"refine": args.refine, "tolerance": bilateral.MARGIN_TOL}
-    _emit(args, "ms-check", config, _ms_columns(), rows)
-    return 0
+    rows = map(dataclasses.astuple, bilateral.refinement_sweep(ks))
+    return _emit_ms(args, "ms-check", config, rows)
 
 
 def cmd_examples(args: argparse.Namespace) -> int:
@@ -423,22 +399,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if stop < 2:
             print("error: grid sweep needs --to of at least 2", file=sys.stderr)
             return 1
-        columns = _ms_columns()
-        rows = []
-        for row in bilateral.refinement_sweep(range(2, stop + 1)):
-            rows.append(
-                [
-                    row.k,
-                    row.verdict,
-                    row.margin,
-                    row.subsidy,
-                    row.certificate_ok if row.certificate_ok is not None else "",
-                    row.certificate_residual if row.certificate_residual is not None else "",
-                ]
-            )
         config = {"param": "grid", "to": stop, "tolerance": bilateral.MARGIN_TOL}
-        _emit(args, "sweep", config, columns, rows)
-        return 0
+        rows = map(dataclasses.astuple, bilateral.refinement_sweep(range(2, stop + 1)))
+        return _emit_ms(args, "sweep", config, rows)
     config = {
         "param": param,
         "from": start,

@@ -1,0 +1,107 @@
+"""The interim trade LPs against the dense ex-post LPs they replace.
+
+``trade_oracle`` keeps the original builders over ex-post transfers. Both
+forms must give the same verdicts, constraint counts, margins and minimum
+deficits; every certificate read from the interim LP's duals must be a
+Farkas certificate for the dense ex-post system, checked here on the dense
+matrix itself rather than through ``certificate_residual``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oneway as ow
+from oneway.bilateral import CERT_TOL
+import trade_oracle
+
+VALUE_TOL = 1e-9
+
+
+def _random_instance(seed: int) -> ow.BilateralTradeInstance:
+    rng = np.random.default_rng(seed)
+    ns, nb = rng.integers(1, 21, size=2)
+    return ow.BilateralTradeInstance(
+        rng.random(ns), rng.dirichlet(np.ones(ns)), rng.random(nb), rng.dirichlet(np.ones(nb))
+    )
+
+
+def _assert_dense_certificate(inst, res, include_ir):
+    A, b = trade_oracle._constraint_system(inst, include_ir=include_ir)
+    y = res.certificate
+    assert y.shape == (A.shape[0],)
+    assert np.all(y >= 0.0)
+    assert float(np.max(np.abs(A.T @ y))) <= CERT_TOL
+    assert float(b @ y) < 0.0
+
+
+def _assert_feasibility_agrees(inst, include_ir=True):
+    res = ow.feasibility_lp(inst, include_ir=include_ir)
+    dense = trade_oracle.feasibility_lp(inst, include_ir=include_ir)
+    assert res.verdict == dense.verdict
+    assert res.constraints == dense.constraints
+    assert res.margin == pytest.approx(dense.margin, abs=VALUE_TOL)
+    if res.verdict == "infeasible":
+        assert ow.certificate_is_valid(res)
+        _assert_dense_certificate(inst, res, include_ir)
+    else:
+        rep = ow.check_properties(inst, res.mechanism)
+        assert rep.efficient and rep.budget_balanced
+        if res.verdict == "feasible":
+            assert rep.incentive_compatible
+            assert rep.individually_rational or not include_ir
+
+
+def _assert_subsidy_agrees(inst):
+    sub = ow.min_subsidy(inst)
+    dense = trade_oracle.min_subsidy(inst)
+    assert sub.raw_min_deficit == pytest.approx(dense.raw_min_deficit, abs=VALUE_TOL)
+    assert sub.subsidy == pytest.approx(dense.subsidy, abs=VALUE_TOL)
+    mech = sub.mechanism
+    assert float(np.max(mech.t_seller + mech.t_buyer)) <= sub.raw_min_deficit + VALUE_TOL
+    rep = ow.check_properties(inst, mech)
+    assert rep.efficient and rep.incentive_compatible and rep.individually_rational
+
+
+@pytest.mark.parametrize("k", range(2, 26))
+def test_uniform_grid_matches_dense_oracle(k):
+    inst = ow.uniform_grid_instance(k)
+    _assert_feasibility_agrees(inst)
+    _assert_subsidy_agrees(inst)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_random_instance_matches_dense_oracle(seed):
+    inst = _random_instance(seed)
+    _assert_feasibility_agrees(inst)
+    _assert_subsidy_agrees(inst)
+
+
+def test_certificate_residual_matches_dense_product():
+    inst = _random_instance(3)
+    res = ow.feasibility_lp(inst)
+    assert res.verdict == "infeasible"
+    A, b = trade_oracle._constraint_system(inst)
+    dense = float(np.max(np.abs(A.T @ res.certificate)))
+    assert res.certificate_residual == pytest.approx(dense, abs=1e-15)
+    assert res.certificate_value == pytest.approx(float(b @ res.certificate), abs=1e-15)
+
+
+# Small grids with ties in value and types of probability zero: weights are
+# small integers, so equal values and zero weights are both common.
+_side = st.lists(
+    st.tuples(st.integers(0, 8), st.integers(0, 3)), min_size=1, max_size=6
+).filter(lambda pairs: any(w for _, w in pairs))
+
+
+def _side_args(pairs):
+    total = sum(w for _, w in pairs)
+    return [v / 8.0 for v, _ in pairs], [w / total for _, w in pairs]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(seller=_side, buyer=_side, include_ir=st.booleans())
+def test_interim_and_dense_verdicts_agree(seller, buyer, include_ir):
+    inst = ow.BilateralTradeInstance(*_side_args(seller), *_side_args(buyer))
+    _assert_feasibility_agrees(inst, include_ir)
