@@ -28,9 +28,8 @@ import numpy as np
 
 from . import streams
 from .game import OneWayGame, make_game
-from .single_offer import Offer, acceptance_prob, delta_a, delta_b, outside_option
-
-Z99 = 2.5758293035489004
+from .single_offer import Offer, _settle, _terms
+from .streams import Z99
 
 
 @dataclass(frozen=True)
@@ -252,13 +251,12 @@ def scenario_game(scenario: SingleOfferScenario, k: int) -> OneWayGame:
 def aggregate_accounting_welfare(game: OneWayGame, offer: Offer, type_b: str) -> float:
     """Expected welfare of an offer with the mean sacrifice booked against
     accepted trades (the closed-form curves' convention)."""
-    out = outside_option(game, offer.action_a, type_b)
-    db = delta_b(game, offer.action_a, type_b)
-    da = delta_a(game, offer.action_a)
-    p = acceptance_prob(game, offer, type_b)
-    e_ua_nash = float(game.prior_a @ np.max(game.payoff_a, axis=1))
-    e_da = float(game.prior_a @ da)
-    return e_ua_nash + out.payoff + p * (db - e_da)
+    terms = _terms(game, offer.action_a, type_b)
+    _, reach, _ = _settle(terms, (offer.gamma,), (1.0,), (offer.gamma,))
+    p = float(game.prior_a @ reach)
+    e_ua_nash = float(game.prior_a @ terms.ua_selfish)
+    e_da = float(game.prior_a @ terms.sacrifice)
+    return e_ua_nash + terms.outside.payoff + p * (terms.gain - e_da)
 
 
 @dataclass(frozen=True)
@@ -298,8 +296,7 @@ def mc_single_offer(
     p_model = spec.cdf(thr)
     base = scenario.a_default + scenario.b_outside
     transfer = scenario.gamma * scenario.delta_b
-    sums = np.zeros(4)  # u_a, u_b, sw, poa
-    sq = np.zeros(4)
+    moments = streams.Moments(4)  # u_a, u_b, sw, poa
     max_poa = 0.0
     accepted = 0
     for index, size in enumerate(streams.batch_sizes(samples)):
@@ -320,12 +317,9 @@ def mc_single_offer(
         poa = opt / sw
         accepted += int(np.count_nonzero(accept))
         max_poa = max(max_poa, float(np.max(poa)))
-        for j, arr in enumerate((ua, ub, sw, poa)):
-            sums[j] += float(np.sum(arr))
-            sq[j] += float(np.sum(arr * arr))
-    means = sums / samples
-    var = np.maximum(sq / samples - means**2, 0.0)
-    ci = Z99 * np.sqrt(var / samples)
+        moments.add(ua, ub, sw, poa)
+    means = moments.means()
+    ci = Z99 * moments.standard_errors()
     ex_ante_opt = max(base, base - spec.mean() + scenario.delta_b)
     return MCResult(
         samples=samples,

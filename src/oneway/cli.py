@@ -366,48 +366,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    param = args.param
-    if param == "x":
-        start = args.start if args.start is not None else 0.0
-        stop = args.stop if args.stop is not None else 400.0
-        step = args.step if args.step is not None else 1.0
-        columns = ["x", "threshold", "expected_welfare", "optimal_welfare", "poa"]
-        rows = [
-            [x, p.threshold, p.expected_welfare, p.optimal_welfare, p.poa]
-            for x, p in ((x, analytics.example1b(x)) for x in _frange(start, stop, step))
-        ]
-    elif param == "mu1":
-        start = args.start if args.start is not None else 0.0
-        stop = args.stop if args.stop is not None else 4.0
-        step = args.step if args.step is not None else 0.01
-        columns = ["mu1", "threshold", "expected_welfare", "optimal_welfare", "poa"]
-        rows = [
-            [m, p.threshold, p.expected_welfare, p.optimal_welfare, p.poa]
-            for m, p in ((m, analytics.example2(m)) for m in _frange(start, stop, step))
-        ]
-    elif param == "beta":
-        start = args.start if args.start is not None else 0.1
-        stop = args.stop if args.stop is not None else 2.0
-        step = args.step if args.step is not None else 0.05
-        columns = ["beta", "gamma_star", "poa_bound"]
-        rows = []
-        for b in _frange(start, stop, step):
-            gamma_star, bound = single_offer.corollary_bound(b)
-            rows.append([b, gamma_star, bound])
-    else:  # grid
-        stop = int(args.stop) if args.stop is not None else 20
-        if stop < 2:
-            print("error: grid sweep needs --to of at least 2", file=sys.stderr)
-            return 1
-        config = {"param": "grid", "to": stop, "tolerance": bilateral.MARGIN_TOL}
-        rows = map(dataclasses.astuple, bilateral.refinement_sweep(range(2, stop + 1)))
-        return _emit_ms(args, "sweep", config, rows)
-    config = {
-        "param": param,
-        "from": start,
-        "to": stop,
-        "step": step,
-    }
+    start = args.start if args.start is not None else 0.1
+    stop = args.stop if args.stop is not None else 2.0
+    step = args.step if args.step is not None else 0.05
+    columns = ["beta", "gamma_star", "poa_bound"]
+    rows = [[b, *single_offer.corollary_bound(b)] for b in _frange(start, stop, step)]
+    config = {"param": args.param, "from": start, "to": stop, "step": step}
     _emit(args, "sweep", config, columns, rows)
     return 0
 
@@ -488,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("sweep", help="parameter sweeps as CSV")
-    p.add_argument("--param", choices=["x", "mu1", "beta", "grid"], required=True)
+    p.add_argument("--param", choices=["beta"], required=True)
     p.add_argument("--from", dest="start", type=float, default=None)
     p.add_argument("--to", dest="stop", type=float, default=None)
     p.add_argument("--step", type=float, default=None)

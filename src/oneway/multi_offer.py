@@ -12,28 +12,32 @@ and a rational A accepts at the first step whose S_i covers her sacrifice
 ratio. Every schedule's value to B is a convex combination of single-offer
 values, so the best schedule recovers exactly the best single offer; the
 functions here make both the equivalence and the simulation checkable.
+
+The acceptance rule and the per-type terms are those of ``single_offer``
+(a single offer is the one-step schedule), so the equivalence gap of the
+optimizer is exactly zero rather than float noise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
 from . import streams
-from .game import OneWayGame, StrategyProfile, best_response_B
+from .game import OneWayGame, StrategyProfile
 from .single_offer import (
     Offer,
-    delta_a,
+    _settle,
+    _terms,
+    delta_a,  # noqa: F401  unused here; perfbench's tracer and self-test wrap this binding
     gamma_candidates,
     optimal_offer,
-    outside_option,
 )
-
-# 99.5th percentile of the standard normal: half-width multiplier for a
-# two-sided 99 percent confidence interval.
-Z99 = 2.5758293035489004
+from .streams import Z99
 
 
 def schedule_errors(action_a: str, gammas: tuple[float, ...], probs: tuple[float, ...]) -> list[str]:
@@ -93,40 +97,25 @@ def s_values(schedule: Schedule) -> tuple[float, ...]:
     simply means nobody accepts early.
     """
     g, p = schedule.gammas, schedule.probs
-    n = schedule.n
-    out = [0.0]
-    for i in range(1, n):
-        out.append((g[i - 1] - p[i] * g[i]) / (1.0 - p[i]))
-    out.append(g[n - 1])
-    return tuple(out)
+    interior = [(g[i - 1] - p[i] * g[i]) / (1.0 - p[i]) for i in range(1, schedule.n)]
+    return (0.0, *interior, g[-1])
 
 
 def reach_probs(schedule: Schedule) -> tuple[float, ...]:
     """R_i: probability step i is reached at all (R_1 = 1)."""
-    out = []
-    acc = 1.0
-    for p in schedule.probs:
-        acc *= p
-        out.append(acc)
-    return tuple(out)
+    return tuple(accumulate(schedule.probs, mul))
 
 
-def acceptance_step(
-    game: OneWayGame, schedule: Schedule, type_a: str, type_b: str
-) -> int | None:
+def _settled(game: OneWayGame, schedule: Schedule, type_b: str):
+    """The schedule's terms and, per A type, its accepting step, reach and transfer."""
+    terms = _terms(game, schedule.action_a, type_b)
+    return (terms, *_settle(terms, s_values(schedule)[1:], reach_probs(schedule), schedule.gammas))
+
+
+def acceptance_step(game: OneWayGame, schedule: Schedule, type_a: str, type_b: str) -> int | None:
     """First step (1-indexed) whose threshold covers A's sacrifice, else None."""
-    from .single_offer import delta_b as _delta_b
-
-    db = _delta_b(game, schedule.action_a, type_b)
-    ita = game.type_a_index(type_a)
-    da = float(
-        np.max(game.payoff_a[ita]) - game.payoff_a[ita, game.action_a_index(schedule.action_a)]
-    )
-    s = s_values(schedule)
-    for i in range(1, schedule.n + 1):
-        if da <= s[i] * db:
-            return i
-    return None
+    _, step, _, _ = _settled(game, schedule, type_b)
+    return int(step[game.type_a_index(type_a)]) or None
 
 
 def expected_utility_B(game: OneWayGame, schedule: Schedule, type_b: str) -> float:
@@ -137,23 +126,8 @@ def expected_utility_B(game: OneWayGame, schedule: Schedule, type_b: str) -> flo
     process survives to step i. Types that never accept contribute the
     fallback value alone.
     """
-    from .single_offer import delta_b as _delta_b
-
-    out = outside_option(game, schedule.action_a, type_b)
-    db = _delta_b(game, schedule.action_a, type_b)
-    da = delta_a(game, schedule.action_a)
-    s = s_values(schedule)
-    reach = reach_probs(schedule)
-    total = 0.0
-    for i in range(len(game.types_a)):
-        f = float(game.prior_a[i])
-        contrib = out.payoff
-        for step in range(1, schedule.n + 1):
-            if float(da[i]) <= s[step] * db:
-                contrib += reach[step - 1] * (1.0 - schedule.gammas[step - 1]) * db
-                break
-        total += f * contrib
-    return total
+    terms, _, reach, transfer = _settled(game, schedule, type_b)
+    return terms.expected(game, reach, transfer).u_b_planning
 
 
 @dataclass(frozen=True)
@@ -177,50 +151,16 @@ def expected_outcome(game: OneWayGame, schedule: Schedule, type_b: str) -> Multi
     value she planned around. Both are reported so simulations can be checked
     against the estimand they actually sample.
     """
-    from .single_offer import delta_b as _delta_b
-
-    out = outside_option(game, schedule.action_a, type_b)
-    db = _delta_b(game, schedule.action_a, type_b)
-    da = delta_a(game, schedule.action_a)
-    s = s_values(schedule)
-    reach = reach_probs(schedule)
-    br = best_response_B(game, schedule.action_a, type_b)
-    ub_accept = float(game.u_b((schedule.action_a, br), type_b))
-    ia = game.action_a_index(schedule.action_a)
-    nash_idx = np.argmax(game.payoff_a, axis=1)
-    e_ua = e_ub = e_sw = 0.0
-    p_accept = 0.0
-    steps: dict[str, int | None] = {}
-    for i, ta in enumerate(game.types_a):
-        f = float(game.prior_a[i])
-        step = None
-        for k in range(1, schedule.n + 1):
-            if float(da[i]) <= s[k] * db:
-                step = k
-                break
-        steps[ta] = step
-        ua_nash = float(np.max(game.payoff_a[i]))
-        ub_reject = float(game.u_b((game.actions_a[int(nash_idx[i])], out.action_b), type_b))
-        if step is None:
-            e_ua += f * ua_nash
-            e_ub += f * ub_reject
-            e_sw += f * (ua_nash + ub_reject)
-            continue
-        r = reach[step - 1]
-        transfer = schedule.gammas[step - 1] * db
-        ua_accept = float(game.payoff_a[i, ia])
-        p_accept += f * r
-        e_ua += f * (r * (ua_accept + transfer) + (1.0 - r) * ua_nash)
-        e_ub += f * (r * (ub_accept - transfer) + (1.0 - r) * ub_reject)
-        e_sw += f * (r * (ua_accept + ub_accept) + (1.0 - r) * (ua_nash + ub_reject))
+    terms, step, reach, transfer = _settled(game, schedule, type_b)
+    e = terms.expected(game, reach, transfer)
     return MultiOfferEvaluation(
         schedule=schedule,
         type_b=type_b,
-        expected_u_a=e_ua,
-        expected_u_b=e_ub,
-        expected_sw=e_sw,
-        acceptance_prob=p_accept,
-        step_of_type=steps,
+        expected_u_a=e.u_a,
+        expected_u_b=e.u_b,
+        expected_sw=e.welfare,
+        acceptance_prob=e.acceptance,
+        step_of_type=dict(zip(game.types_a, [k or None for k in step.tolist()])),
     )
 
 
@@ -244,30 +184,15 @@ def run_multi_offer(
     stream_index: int = 0,
 ) -> MultiOfferOutcome:
     """Play one schedule to completion; only continuation lotteries are random."""
-    from .single_offer import delta_b as _delta_b
-
     rng = streams.stream(seed, stream_index)
-    out = outside_option(game, schedule.action_a, type_b)
-    db = _delta_b(game, schedule.action_a, type_b)
+    terms, step, _, transfer = _settled(game, schedule, type_b)
     ita = game.type_a_index(type_a)
-    ia = game.action_a_index(schedule.action_a)
-    da = float(np.max(game.payoff_a[ita]) - game.payoff_a[ita, ia])
-    s = s_values(schedule)
-    for i in range(1, schedule.n + 1):
-        if da <= s[i] * db:
-            br = best_response_B(game, schedule.action_a, type_b)
-            profile = StrategyProfile(schedule.action_a, br)
-            transfer = schedule.gammas[i - 1] * db
-            pa = float(game.payoff_a[ita, ia]) + transfer
-            pb = float(game.u_b(profile, type_b)) - transfer
-            return MultiOfferOutcome(True, i, profile, transfer, pa, pb, pa + pb)
-        if i < schedule.n and not rng.uniform() < schedule.probs[i]:
-            break
-    nash_a = game.actions_a[int(np.argmax(game.payoff_a[ita]))]
-    profile = StrategyProfile(nash_a, out.action_b)
-    pa = float(np.max(game.payoff_a[ita]))
-    pb = float(game.u_b(profile, type_b))
-    return MultiOfferOutcome(False, None, profile, 0.0, pa, pb, pa + pb)
+    k = int(step[ita])
+    # The process must survive each continuation lottery before step k.
+    accepted = k > 0 and all(rng.uniform() < p for p in schedule.probs[1:k])
+    paid = float(transfer[ita]) if accepted else 0.0
+    profile, pa, pb = terms.realized(game, ita, accepted, paid)
+    return MultiOfferOutcome(accepted, k if accepted else None, profile, paid, pa, pb, pa + pb)
 
 
 @dataclass(frozen=True)
@@ -294,40 +219,14 @@ def simulate_schedule(
     (matching expected_utility_B). Batches use counter-based streams keyed by
     (seed, batch index), so results are independent of batching and threads.
     """
-    from .single_offer import delta_b as _delta_b
-
     if samples <= 0:
         raise ValueError("samples must be positive")
-    out = outside_option(game, schedule.action_a, type_b)
-    db = _delta_b(game, schedule.action_a, type_b)
-    da = delta_a(game, schedule.action_a)
-    s = s_values(schedule)
-    reach = reach_probs(schedule)
-    br = best_response_B(game, schedule.action_a, type_b)
-    ub_accept = float(game.u_b((schedule.action_a, br), type_b))
-    ia = game.action_a_index(schedule.action_a)
-    nash_idx = np.argmax(game.payoff_a, axis=1)
+    terms, _, reach, transfer = _settled(game, schedule, type_b)
+    ua_deal = game.payoff_a[:, terms.ia]
     n_types = len(game.types_a)
-
-    # per-type constants
-    step_of_type = np.zeros(n_types, dtype=np.int64)  # 0 means never accepts
-    reach_of_type = np.zeros(n_types)
-    transfer_of_type = np.zeros(n_types)
-    for i in range(n_types):
-        for k in range(1, schedule.n + 1):
-            if float(da[i]) <= s[k] * db:
-                step_of_type[i] = k
-                reach_of_type[i] = reach[k - 1]
-                transfer_of_type[i] = schedule.gammas[k - 1] * db
-                break
-    ua_nash = np.max(game.payoff_a, axis=1)
-    ua_accept = game.payoff_a[:, ia]
-    itb = game.type_b_index(type_b)
-    ub_reject = game.payoff_b[itb, nash_idx, game.action_b_index(out.action_b)]
     cdf = np.cumsum(game.prior_a)
 
-    sums = np.zeros(4)  # u_a, u_b, sw, u_b planning view
-    sq = np.zeros(4)
+    moments = streams.Moments(4)  # u_a, u_b, sw, u_b planning view
     accepted_total = 0
     for index, size in enumerate(streams.batch_sizes(samples)):
         rng = streams.stream(seed, index)
@@ -335,19 +234,16 @@ def simulate_schedule(
         u_cont = rng.uniform(size=size)
         types = np.searchsorted(cdf, u_type, side="right")
         np.clip(types, 0, n_types - 1, out=types)
-        accept = (step_of_type[types] > 0) & (u_cont < reach_of_type[types])
-        t = transfer_of_type[types]
-        pa = np.where(accept, ua_accept[types] + t, ua_nash[types])
-        pb = np.where(accept, ub_accept - t, ub_reject[types])
-        pb_plan = np.where(accept, ub_accept - t, out.payoff)
-        sw = pa + pb
+        accept = u_cont < reach[types]  # reach is 0 for types that never accept
+        t = transfer[types]
+        pa = np.where(accept, ua_deal[types] + t, terms.ua_selfish[types])
+        pb_deal = terms.ub_accept - t
+        pb = np.where(accept, pb_deal, terms.ub_reject[types])
+        pb_plan = np.where(accept, pb_deal, terms.outside.payoff)
         accepted_total += int(np.count_nonzero(accept))
-        for j, arr in enumerate((pa, pb, sw, pb_plan)):
-            sums[j] += float(np.sum(arr))
-            sq[j] += float(np.sum(arr * arr))
-    means = sums / samples
-    var = np.maximum(sq / samples - means**2, 0.0)
-    ci = Z99 * np.sqrt(var / samples)
+        moments.add(pa, pb, pa + pb, pb_plan)
+    means = moments.means()
+    ci = Z99 * moments.standard_errors()
     return SimulationResult(
         samples=samples,
         acceptance_rate=accepted_total / samples,

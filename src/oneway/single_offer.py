@@ -5,17 +5,25 @@ of B's gain over her fallback. The fallback is what B can secure by replying
 optimally to the equilibrium play of the types that would ever decline, so
 the offer is evaluated against a rational threat point rather than a fixed
 one. A accepts exactly when the shared gain covers her own sacrifice.
+
+A single offer is the one-step schedule of ``multi_offer``: threshold and
+share gamma, reached with certainty. Every evaluator here and there reads
+the same per-type terms (``_terms``) and settles them with the same
+acceptance rule (``_settle``), so a single offer and its one-step schedule
+evaluate to identical floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
 
-from .game import OneWayGame, StrategyProfile, best_response_B, optimal_welfare
+from .equilibrium import nash_action_B
+from .game import OneWayGame, StrategyProfile, best_response_B
 
 VALUE_TOL = 1e-9
 
@@ -81,11 +89,7 @@ class SingleOfferOutcome:
 
 def restricted_types(game: OneWayGame, action_a: str) -> tuple[str, ...]:
     """Types of A for which ``action_a`` is not among her selfish optima."""
-    ia = game.action_a_index(action_a)
-    best = np.max(game.payoff_a, axis=1)
-    return tuple(
-        t for i, t in enumerate(game.types_a) if game.payoff_a[i, ia] != best[i]
-    )
+    return tuple(compress(game.types_a, (delta_a(game, action_a) > 0.0).tolist()))
 
 
 def delta_a(game: OneWayGame, action_a: str) -> np.ndarray:
@@ -95,31 +99,121 @@ def delta_a(game: OneWayGame, action_a: str) -> np.ndarray:
 
 
 def outside_option(game: OneWayGame, action_a: str, type_b: str) -> OutsideOption:
-    restricted = restricted_types(game, action_a)
-    idx = [game.type_a_index(t) for t in restricted]
-    mass = float(np.sum(game.prior_a[idx])) if idx else 0.0
+    mask = delta_a(game, action_a) > 0.0
+    restricted = tuple(compress(game.types_a, mask.tolist()))
+    mass = float(np.sum(game.prior_a[mask])) if restricted else 0.0
     itb = game.type_b_index(type_b)
-    if not idx or mass <= 0.0:
+    if not restricted or mass <= 0.0:
         ab = best_response_B(game, action_a, type_b)
         return OutsideOption(ab, float(game.u_b((action_a, ab), type_b)), restricted, mass)
-    weights = game.prior_a[idx] / mass
+    weights = game.prior_a[mask] / mass
     nash_actions = np.argmax(game.payoff_a, axis=1)
-    vals = weights @ game.payoff_b[itb, nash_actions[idx], :]
+    vals = weights @ game.payoff_b[itb, nash_actions[mask], :]
     ib = int(np.argmax(vals))
     return OutsideOption(game.actions_b[ib], float(vals[ib]), restricted, mass)
 
 
+class _Expected(NamedTuple):
+    acceptance: float
+    u_a: float
+    u_b: float
+    welfare: float
+    u_b_planning: float
+
+
+@dataclass(frozen=True)
+class _Terms:
+    """What offering one action means to one type of B.
+
+    ``reply`` is B's best reply to the offered action, ``ub_accept`` its
+    payoff and ``gain`` that payoff over the fallback. The arrays run over
+    A's types: the sacrifice of playing the action, the selfish payoff, and
+    B's realized payoff when A plays selfishly and B falls back.
+    """
+
+    ia: int
+    outside: OutsideOption
+    reply: str
+    ub_accept: float
+    gain: float
+    sacrifice: np.ndarray
+    ua_selfish: np.ndarray
+    ub_reject: np.ndarray
+
+    def expected(self, game: OneWayGame, reach: np.ndarray, transfer: np.ndarray) -> _Expected:
+        """Prior expectations when each type strikes the deal with probability
+        ``reach`` at ``transfer`` and otherwise plays selfishly.
+
+        Realized accounting pays B her actual reply to selfish play; the
+        planning view books the fallback value instead.
+        """
+        f = game.prior_a
+        miss = 1.0 - reach
+        ua_deal = game.payoff_a[:, self.ia]
+        ub_deal = self.ub_accept - transfer
+        return _Expected(
+            acceptance=float(f @ reach),
+            u_a=float(f @ (reach * (ua_deal + transfer) + miss * self.ua_selfish)),
+            u_b=float(f @ (reach * ub_deal + miss * self.ub_reject)),
+            welfare=float(
+                f @ (reach * (ua_deal + self.ub_accept) + miss * (self.ua_selfish + self.ub_reject))
+            ),
+            u_b_planning=self.outside.payoff + float(f @ (reach * (self.gain - transfer))),
+        )
+
+    def realized(
+        self, game: OneWayGame, ita: int, accepted: bool, transfer: float
+    ) -> tuple[StrategyProfile, float, float]:
+        """Profile and payoffs of A type ``ita`` after the deal or its refusal."""
+        if accepted:
+            profile = StrategyProfile(game.actions_a[self.ia], self.reply)
+            return profile, float(game.payoff_a[ita, self.ia]) + transfer, self.ub_accept - transfer
+        selfish = game.actions_a[int(np.argmax(game.payoff_a[ita]))]
+        profile = StrategyProfile(selfish, self.outside.action_b)
+        return profile, float(self.ua_selfish[ita]), float(self.ub_reject[ita])
+
+
+def _terms(game: OneWayGame, action_a: str, type_b: str) -> _Terms:
+    ia = game.action_a_index(action_a)
+    itb = game.type_b_index(type_b)
+    out = outside_option(game, action_a, type_b)
+    reply = best_response_B(game, action_a, type_b)
+    ub_accept = float(game.payoff_b[itb, ia, game.action_b_index(reply)])
+    ib_out = game.action_b_index(out.action_b)
+    ub_reject = game.payoff_b[itb, np.argmax(game.payoff_a, axis=1), ib_out]
+    sacrifice, ua_selfish = delta_a(game, action_a), np.max(game.payoff_a, axis=1)
+    gain = ub_accept - out.payoff
+    return _Terms(ia, out, reply, ub_accept, gain, sacrifice, ua_selfish, ub_reject)
+
+
+def _settle(terms: _Terms, thresholds, reach, shares) -> tuple[np.ndarray, ...]:
+    """The acceptance rule: each type of A accepts at the first step whose
+    threshold times B's gain covers her sacrifice.
+
+    Returns, per A type, the accepting step (1-indexed, 0 for never), the
+    probability that step is reached and the transfer paid there (both 0
+    for types that never accept). A single offer (a, gamma) is the one-step
+    schedule: thresholds and shares (gamma,), reach (1.0,).
+    """
+    shares = np.asarray(shares, dtype=np.float64)
+    covers = terms.sacrifice[:, None] <= np.asarray(thresholds, dtype=np.float64) * terms.gain
+    step = np.where(covers.any(axis=1), covers.argmax(axis=1) + 1, 0)
+    accepted = step > 0
+    reach_of = np.where(accepted, np.asarray(reach, dtype=np.float64)[step - 1], 0.0)
+    transfer = np.where(accepted, shares[step - 1] * terms.gain, 0.0)
+    return step, reach_of, transfer
+
+
 def delta_b(game: OneWayGame, action_a: str, type_b: str) -> float:
     """B's gain from the offered action over her fallback (may be negative)."""
-    br = best_response_B(game, action_a, type_b)
-    return float(game.u_b((action_a, br), type_b)) - outside_option(game, action_a, type_b).payoff
+    return _terms(game, action_a, type_b).gain
 
 
 def acceptance_prob(game: OneWayGame, offer: Offer, type_b: str) -> float:
     """Prior mass of A types accepting: sacrifice at most gamma * gain."""
-    db = delta_b(game, offer.action_a, type_b)
-    da = delta_a(game, offer.action_a)
-    return float(np.sum(game.prior_a[da <= offer.gamma * db]))
+    terms = _terms(game, offer.action_a, type_b)
+    _, reach, _ = _settle(terms, (offer.gamma,), (1.0,), (offer.gamma,))
+    return float(game.prior_a @ reach)
 
 
 def _minimal_share(da: float, db: float) -> float:
@@ -169,66 +263,31 @@ def evaluate_offer(game: OneWayGame, offer: Offer, type_b: str) -> OfferEvaluati
     are computed per type from realized play (accept: the offered profile
     with the transfer; reject: A's selfish action against B's fallback reply).
     """
-    action, gamma = offer
-    out = outside_option(game, action, type_b)
-    br = best_response_B(game, action, type_b)
-    ub_accept = float(game.u_b((action, br), type_b))
-    db = ub_accept - out.payoff
-    da = delta_a(game, action)
-    accept_mask = da <= gamma * db
-    p = float(np.sum(game.prior_a[accept_mask]))
-    e_ub = out.payoff + p * (1.0 - gamma) * db
-    ia = game.action_a_index(action)
-    nash_idx = np.argmax(game.payoff_a, axis=1)
-    e_ua = 0.0
-    e_sw = 0.0
-    for i in range(len(game.types_a)):
-        f = float(game.prior_a[i])
-        if accept_mask[i]:
-            ua = float(game.payoff_a[i, ia])
-            e_ua += f * (ua + gamma * db)
-            e_sw += f * (ua + ub_accept)
-        else:
-            ua = float(np.max(game.payoff_a[i]))
-            e_ua += f * ua
-            e_sw += f * (ua + float(game.u_b((game.actions_a[int(nash_idx[i])], out.action_b), type_b)))
+    terms = _terms(game, offer.action_a, type_b)
+    step, reach, transfer = _settle(terms, (offer.gamma,), (1.0,), (offer.gamma,))
+    e = terms.expected(game, reach, transfer)
     return OfferEvaluation(
         offer=offer,
         type_b=type_b,
-        acceptance_prob=p,
-        delta_b=db,
-        outside=out,
-        expected_u_a=e_ua,
-        expected_u_b=float(e_ub),
-        expected_sw=e_sw,
-        accepting_types=tuple(t for i, t in enumerate(game.types_a) if accept_mask[i]),
+        acceptance_prob=e.acceptance,
+        delta_b=terms.gain,
+        outside=terms.outside,
+        expected_u_a=e.u_a,
+        expected_u_b=e.u_b_planning,
+        expected_sw=e.welfare,
+        accepting_types=tuple(compress(game.types_a, (step > 0).tolist())),
     )
 
 
 def _nash_evaluation(game: OneWayGame, offer: Offer, type_b: str) -> OfferEvaluation:
     """Evaluation describing plain equilibrium play, used for null offers."""
-    from .equilibrium import nash_action_B
-
-    out = outside_option(game, offer.action_a, type_b)
-    db = delta_b(game, offer.action_a, type_b)
-    da = delta_a(game, offer.action_a)
-    accept_mask = da <= 0.0 * db if db <= 0.0 else da <= offer.gamma * db
     itb = game.type_b_index(type_b)
     nash_idx = np.argmax(game.payoff_a, axis=1)
     ib = game.action_b_index(nash_action_B(game, type_b))
     e_ub = float(game.prior_a @ game.payoff_b[itb, nash_idx, ib])
     e_ua = float(game.prior_a @ np.max(game.payoff_a, axis=1))
-    return OfferEvaluation(
-        offer=offer,
-        type_b=type_b,
-        acceptance_prob=float(np.sum(game.prior_a[accept_mask])),
-        delta_b=db,
-        outside=out,
-        expected_u_a=e_ua,
-        expected_u_b=e_ub,
-        expected_sw=e_ua + e_ub,
-        accepting_types=tuple(t for i, t in enumerate(game.types_a) if accept_mask[i]),
-    )
+    ev = evaluate_offer(game, offer, type_b)
+    return replace(ev, expected_u_a=e_ua, expected_u_b=e_ub, expected_sw=e_ua + e_ub)
 
 
 def optimal_offer(game: OneWayGame, type_b: str) -> OfferSearchResult:
@@ -282,23 +341,13 @@ def run_single_offer(
     game: OneWayGame, offer: Offer, type_a: str, type_b: str
 ) -> SingleOfferOutcome:
     """Resolve one interaction deterministically (ties accept)."""
-    action, gamma = offer
-    out = outside_option(game, action, type_b)
-    br = best_response_B(game, action, type_b)
-    db = float(game.u_b((action, br), type_b)) - out.payoff
+    terms = _terms(game, offer.action_a, type_b)
+    step, _, transfer = _settle(terms, (offer.gamma,), (1.0,), (offer.gamma,))
     ita = game.type_a_index(type_a)
-    da = float(np.max(game.payoff_a[ita]) - game.payoff_a[ita, game.action_a_index(action)])
-    if da <= gamma * db:
-        profile = StrategyProfile(action, br)
-        transfer = gamma * db
-        pa = float(game.payoff_a[ita, game.action_a_index(action)]) + transfer
-        pb = float(game.u_b(profile, type_b)) - transfer
-        return SingleOfferOutcome(True, profile, transfer, pa, pb, pa + pb)
-    nash_a = game.actions_a[int(np.argmax(game.payoff_a[ita]))]
-    profile = StrategyProfile(nash_a, out.action_b)
-    pa = float(np.max(game.payoff_a[ita]))
-    pb = float(game.u_b(profile, type_b))
-    return SingleOfferOutcome(False, profile, 0.0, pa, pb, pa + pb)
+    accepted = bool(step[ita])
+    paid = float(transfer[ita])
+    profile, pa, pb = terms.realized(game, ita, accepted, paid)
+    return SingleOfferOutcome(accepted, profile, paid, pa, pb, pa + pb)
 
 
 def accept_reject_poa(gamma: float) -> tuple[float, float]:
@@ -368,42 +417,30 @@ class SimplifiedReport:
 def simplified_strategy_report(game: OneWayGame) -> dict[str, SimplifiedReport]:
     """Per-B-type audit of the simplified offer against its guarantees."""
     reports: dict[str, SimplifiedReport] = {}
-    for tb in game.types_b:
+    live = game.prior_a > 0.0
+    for itb, tb in enumerate(game.types_b):
         res = simplified_offer(game, tb)
-        action, gamma = res.offer
-        ev = res.evaluation
-        accept_bound, reject_bound = accept_reject_poa(gamma)
-        br = best_response_B(game, action, tb)
-        ub_accept = float(game.u_b((action, br), tb))
-        db = ev.delta_b
-        ia = game.action_a_index(action)
-        records = []
-        expected = 0.0
-        for i, ta in enumerate(game.types_a):
-            f = float(game.prior_a[i])
-            da = float(np.max(game.payoff_a[i]) - game.payoff_a[i, ia])
-            accepted = da <= gamma * db
-            if accepted:
-                w = float(game.payoff_a[i, ia]) + ub_accept
-                bound = accept_bound
-            else:
-                w = float(np.max(game.payoff_a[i])) + ev.outside.payoff
-                bound = reject_bound
-            opt = optimal_welfare(game, (ta, tb))[1]
-            if w == 0.0:
-                poa = 1.0 if opt == 0.0 else math.inf
-            else:
-                poa = opt / w
-            records.append(OutcomeRecord(ta, accepted, w, opt, poa, bound))
-            if f > 0.0:
-                expected += f * poa
-        bound_total = math.inf if gamma == 0.0 else theorem_bound(gamma, ev.acceptance_prob)
+        gamma = res.offer.gamma
+        terms = _terms(game, res.offer.action_a, tb)
+        step, _, _ = _settle(terms, (gamma,), (1.0,), (gamma,))
+        accepted = step > 0
+        deal = game.payoff_a[:, terms.ia] + terms.ub_accept
+        welfare = np.where(accepted, deal, terms.ua_selfish + terms.outside.payoff)
+        optimal = np.max(game.payoff_a[:, :, None] + game.payoff_b[itb], axis=(1, 2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            poa = np.where(
+                welfare == 0.0, np.where(optimal == 0.0, 1.0, math.inf), optimal / welfare
+            )
+        bounds = np.where(accepted, *accept_reject_poa(gamma))
+        columns = (accepted, welfare, optimal, poa, bounds)
+        records = map(OutcomeRecord, game.types_a, *(c.tolist() for c in columns))
+        p = res.evaluation.acceptance_prob
         reports[tb] = SimplifiedReport(
             type_b=tb,
             offer=res.offer,
-            acceptance_prob=ev.acceptance_prob,
+            acceptance_prob=p,
             records=tuple(records),
-            expected_poa=float(expected),
-            poa_bound=bound_total,
+            expected_poa=float(game.prior_a[live] @ poa[live]),
+            poa_bound=math.inf if gamma == 0.0 else theorem_bound(gamma, p),
         )
     return reports

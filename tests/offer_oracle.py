@@ -1,0 +1,204 @@
+"""The offer and schedule evaluators as they stood before the shared
+acceptance rule, kept verbatim as a test-only oracle.
+
+``evaluate_offer``, ``expected_utility_B`` and ``expected_outcome`` are the
+per-type-loop implementations; ``restricted_types``, ``delta_a``,
+``outside_option`` and ``delta_b`` come along so the oracle shares no code
+with the evaluators it checks beyond the game model, ``best_response_B``
+and the result types; so do ``s_values`` and ``reach_probs``. Only the
+imports differ from the originals: the schedule evaluators' function-local
+``delta_b`` import is the module-level one here.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from oneway.game import OneWayGame, best_response_B
+from oneway.multi_offer import MultiOfferEvaluation, Schedule
+from oneway.single_offer import Offer, OfferEvaluation, OutsideOption
+
+
+def restricted_types(game: OneWayGame, action_a: str) -> tuple[str, ...]:
+    """Types of A for which ``action_a`` is not among her selfish optima."""
+    ia = game.action_a_index(action_a)
+    best = np.max(game.payoff_a, axis=1)
+    return tuple(
+        t for i, t in enumerate(game.types_a) if game.payoff_a[i, ia] != best[i]
+    )
+
+
+def delta_a(game: OneWayGame, action_a: str) -> np.ndarray:
+    """A's sacrifice for playing ``action_a``, per type (aligned with types_a)."""
+    ia = game.action_a_index(action_a)
+    return np.max(game.payoff_a, axis=1) - game.payoff_a[:, ia]
+
+
+def outside_option(game: OneWayGame, action_a: str, type_b: str) -> OutsideOption:
+    restricted = restricted_types(game, action_a)
+    idx = [game.type_a_index(t) for t in restricted]
+    mass = float(np.sum(game.prior_a[idx])) if idx else 0.0
+    itb = game.type_b_index(type_b)
+    if not idx or mass <= 0.0:
+        ab = best_response_B(game, action_a, type_b)
+        return OutsideOption(ab, float(game.u_b((action_a, ab), type_b)), restricted, mass)
+    weights = game.prior_a[idx] / mass
+    nash_actions = np.argmax(game.payoff_a, axis=1)
+    vals = weights @ game.payoff_b[itb, nash_actions[idx], :]
+    ib = int(np.argmax(vals))
+    return OutsideOption(game.actions_b[ib], float(vals[ib]), restricted, mass)
+
+
+def delta_b(game: OneWayGame, action_a: str, type_b: str) -> float:
+    """B's gain from the offered action over her fallback (may be negative)."""
+    br = best_response_B(game, action_a, type_b)
+    return float(game.u_b((action_a, br), type_b)) - outside_option(game, action_a, type_b).payoff
+
+
+def evaluate_offer(game: OneWayGame, offer: Offer, type_b: str) -> OfferEvaluation:
+    """Expected utilities and welfare of an offer, exact per-type accounting.
+
+    B's utility uses her planning view: the fallback value on rejection plus
+    the retained share of the gain on acceptance. A's utility and welfare
+    are computed per type from realized play (accept: the offered profile
+    with the transfer; reject: A's selfish action against B's fallback reply).
+    """
+    action, gamma = offer
+    out = outside_option(game, action, type_b)
+    br = best_response_B(game, action, type_b)
+    ub_accept = float(game.u_b((action, br), type_b))
+    db = ub_accept - out.payoff
+    da = delta_a(game, action)
+    accept_mask = da <= gamma * db
+    p = float(np.sum(game.prior_a[accept_mask]))
+    e_ub = out.payoff + p * (1.0 - gamma) * db
+    ia = game.action_a_index(action)
+    nash_idx = np.argmax(game.payoff_a, axis=1)
+    e_ua = 0.0
+    e_sw = 0.0
+    for i in range(len(game.types_a)):
+        f = float(game.prior_a[i])
+        if accept_mask[i]:
+            ua = float(game.payoff_a[i, ia])
+            e_ua += f * (ua + gamma * db)
+            e_sw += f * (ua + ub_accept)
+        else:
+            ua = float(np.max(game.payoff_a[i]))
+            e_ua += f * ua
+            e_sw += f * (ua + float(game.u_b((game.actions_a[int(nash_idx[i])], out.action_b), type_b)))
+    return OfferEvaluation(
+        offer=offer,
+        type_b=type_b,
+        acceptance_prob=p,
+        delta_b=db,
+        outside=out,
+        expected_u_a=e_ua,
+        expected_u_b=float(e_ub),
+        expected_sw=e_sw,
+        accepting_types=tuple(t for i, t in enumerate(game.types_a) if accept_mask[i]),
+    )
+
+
+def s_values(schedule: Schedule) -> tuple[float, ...]:
+    """Effective thresholds (S_0, S_1, ..., S_n) with S_0 = 0 by convention.
+
+    Interior steps discount the next offer by its continuation probability;
+    the last step has nothing after it, so S_n is gamma_n itself. Interior
+    values can be negative when the next offer is attractive enough, which
+    simply means nobody accepts early.
+    """
+    g, p = schedule.gammas, schedule.probs
+    n = schedule.n
+    out = [0.0]
+    for i in range(1, n):
+        out.append((g[i - 1] - p[i] * g[i]) / (1.0 - p[i]))
+    out.append(g[n - 1])
+    return tuple(out)
+
+
+def reach_probs(schedule: Schedule) -> tuple[float, ...]:
+    """R_i: probability step i is reached at all (R_1 = 1)."""
+    out = []
+    acc = 1.0
+    for p in schedule.probs:
+        acc *= p
+        out.append(acc)
+    return tuple(out)
+
+
+def expected_utility_B(game: OneWayGame, schedule: Schedule, type_b: str) -> float:
+    """B's planning-view expected utility of committing to the schedule.
+
+    Each type of A contributes the fallback value plus, if she accepts at
+    step i, the retained share of the gain weighted by the probability the
+    process survives to step i. Types that never accept contribute the
+    fallback value alone.
+    """
+    out = outside_option(game, schedule.action_a, type_b)
+    db = delta_b(game, schedule.action_a, type_b)
+    da = delta_a(game, schedule.action_a)
+    s = s_values(schedule)
+    reach = reach_probs(schedule)
+    total = 0.0
+    for i in range(len(game.types_a)):
+        f = float(game.prior_a[i])
+        contrib = out.payoff
+        for step in range(1, schedule.n + 1):
+            if float(da[i]) <= s[step] * db:
+                contrib += reach[step - 1] * (1.0 - schedule.gammas[step - 1]) * db
+                break
+        total += f * contrib
+    return total
+
+
+def expected_outcome(game: OneWayGame, schedule: Schedule, type_b: str) -> MultiOfferEvaluation:
+    """Exact expected realized payoffs under the schedule.
+
+    Differs from expected_utility_B on the rejection branch: here B's payoff
+    is what she actually earns replying to A's selfish play, not the fallback
+    value she planned around. Both are reported so simulations can be checked
+    against the estimand they actually sample.
+    """
+    out = outside_option(game, schedule.action_a, type_b)
+    db = delta_b(game, schedule.action_a, type_b)
+    da = delta_a(game, schedule.action_a)
+    s = s_values(schedule)
+    reach = reach_probs(schedule)
+    br = best_response_B(game, schedule.action_a, type_b)
+    ub_accept = float(game.u_b((schedule.action_a, br), type_b))
+    ia = game.action_a_index(schedule.action_a)
+    nash_idx = np.argmax(game.payoff_a, axis=1)
+    e_ua = e_ub = e_sw = 0.0
+    p_accept = 0.0
+    steps: dict[str, int | None] = {}
+    for i, ta in enumerate(game.types_a):
+        f = float(game.prior_a[i])
+        step = None
+        for k in range(1, schedule.n + 1):
+            if float(da[i]) <= s[k] * db:
+                step = k
+                break
+        steps[ta] = step
+        ua_nash = float(np.max(game.payoff_a[i]))
+        ub_reject = float(game.u_b((game.actions_a[int(nash_idx[i])], out.action_b), type_b))
+        if step is None:
+            e_ua += f * ua_nash
+            e_ub += f * ub_reject
+            e_sw += f * (ua_nash + ub_reject)
+            continue
+        r = reach[step - 1]
+        transfer = schedule.gammas[step - 1] * db
+        ua_accept = float(game.payoff_a[i, ia])
+        p_accept += f * r
+        e_ua += f * (r * (ua_accept + transfer) + (1.0 - r) * ua_nash)
+        e_ub += f * (r * (ub_accept - transfer) + (1.0 - r) * ub_reject)
+        e_sw += f * (r * (ua_accept + ub_accept) + (1.0 - r) * (ua_nash + ub_reject))
+    return MultiOfferEvaluation(
+        schedule=schedule,
+        type_b=type_b,
+        expected_u_a=e_ua,
+        expected_u_b=e_ub,
+        expected_sw=e_sw,
+        acceptance_prob=p_accept,
+        step_of_type=steps,
+    )

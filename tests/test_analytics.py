@@ -241,3 +241,22 @@ def test_power_scenario_bound_holds_in_expectation():
 
 def test_z99_reexport():
     assert analytics.Z99 == ow.Z99
+
+
+@pytest.mark.parametrize("accounting", ["exact", "aggregate"])
+def test_mc_ci_survives_large_payoff_offset(accounting):
+    # Shifting A's default payoff moves u_A and welfare by a constant, so
+    # their interval widths must not change; raw sums of squares at 1e8
+    # cancel to a zero width.
+    def run(offset):
+        sc = ow.SingleOfferScenario(
+            ow.ContinuousSpec.uniform(0.0, 1.0), delta_b=1.0, a_default=offset,
+            b_outside=0.0, gamma=0.5,
+        )
+        return ow.mc_single_offer(sc, samples=200_000, seed=5, accounting=accounting)
+
+    near, far = run(1.0), run(1e8)
+    assert near.acceptance_rate == far.acceptance_rate
+    for field in ("ci_u_a", "ci_sw"):
+        assert getattr(near, field) > 0.0
+        assert getattr(far, field) == pytest.approx(getattr(near, field), rel=1e-6), field

@@ -185,3 +185,25 @@ def test_optimize_schedule_certified_on_random_games():
 def test_z99_constant():
     assert ow.Z99 == 2.5758293035489004
     assert math.erf(ow.Z99 / math.sqrt(2.0)) == pytest.approx(0.99, abs=1e-12)
+
+
+def test_simulation_ci_survives_large_payoff_offset():
+    # A constant added to A's payoffs leaves every sacrifice, and so every
+    # decision, in place; u_A and welfare shift by that constant and their
+    # interval widths must not change.
+    base = ow.random_game(seed=5)
+    schedule = sched([0.3, 0.6, 0.9], [1.0, 0.7, 0.4], action="a3")  # accepted at steps 2-3
+
+    def run(offset):
+        game = ow.make_game(
+            base.actions_a, base.actions_b,
+            zip(base.types_a, base.prior_a), zip(base.types_b, base.prior_b),
+            base.payoff_a + offset, base.payoff_b,
+        )
+        return ow.simulate_schedule(game, schedule, "u1", samples=200_000, seed=9)
+
+    near, far = run(1.0), run(1e8)
+    assert 0.0 < near.acceptance_rate == far.acceptance_rate < 1.0
+    for field in ("ci_u_a", "ci_sw"):
+        assert getattr(near, field) > 0.0
+        assert getattr(far, field) == pytest.approx(getattr(near, field), rel=1e-6), field

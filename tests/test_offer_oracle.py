@@ -1,0 +1,121 @@
+"""The shared acceptance rule against the per-type-loop evaluators it replaced.
+
+``offer_oracle`` keeps the old ``evaluate_offer``, ``expected_utility_B`` and
+``expected_outcome``. On ``random_suite`` instances the new evaluators must
+give the same accepting types and steps exactly and the same values within
+1e-12 relative; a single offer must equal its one-step schedule exactly, and
+the optimizer's equivalence gap must be exactly zero.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+import random
+
+import offer_oracle as oracle
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oneway as ow
+
+REL = 1e-12
+
+
+@functools.cache
+def _suite(seed: int) -> list:
+    return ow.random_suite(200, seed)
+
+
+def _close(got: float, want: float) -> bool:
+    return math.isclose(got, want, rel_tol=REL, abs_tol=0.0)
+
+
+def _shares(game, action, type_b):
+    return sorted(set(ow.gamma_candidates(game, action, type_b)) | {0.0, 1.0})
+
+
+def _random_schedule(rng: random.Random, game) -> ow.Schedule:
+    """1-4 steps, strictly increasing shares (sometimes hitting 0 and 1) and
+    continuation probabilities in [0, 1), so interior thresholds are often
+    non-monotone and sometimes negative."""
+    n = rng.randint(1, 4)
+    gammas = sorted({rng.choice((0.0, 1.0, rng.random())) for _ in range(n)})
+    probs = [1.0] + [rng.choice((0.0, 0.5, rng.random() * 0.999)) for _ in gammas[1:]]
+    return ow.Schedule(rng.choice(game.actions_a), tuple(gammas), tuple(probs))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_offers_match_oracle(seed):
+    checked = 0
+    for game in _suite(seed):
+        for tb in game.types_b:
+            for action in game.actions_a:
+                for gamma in _shares(game, action, tb):
+                    offer = ow.Offer(action, gamma)
+                    got = ow.evaluate_offer(game, offer, tb)
+                    want = oracle.evaluate_offer(game, offer, tb)
+                    assert got.accepting_types == want.accepting_types, (offer, tb)
+                    assert got.outside == want.outside
+                    assert got.delta_b == want.delta_b
+                    for field in ("acceptance_prob", "expected_u_a", "expected_u_b", "expected_sw"):
+                        assert _close(getattr(got, field), getattr(want, field)), (offer, tb, field)
+                    checked += 1
+    assert checked > 4000
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_schedules_match_oracle(seed):
+    rng = random.Random(seed)
+    non_monotone = 0
+    for game in _suite(seed):
+        for tb in game.types_b:
+            for _ in range(3):
+                schedule = _random_schedule(rng, game)
+                assert ow.s_values(schedule) == oracle.s_values(schedule)
+                assert ow.reach_probs(schedule) == oracle.reach_probs(schedule)
+                s = ow.s_values(schedule)[1:]
+                non_monotone += any(a > b for a, b in zip(s, s[1:]))
+                assert _close(
+                    ow.expected_utility_B(game, schedule, tb),
+                    oracle.expected_utility_B(game, schedule, tb),
+                ), (schedule, tb)
+                got = ow.expected_outcome(game, schedule, tb)
+                want = oracle.expected_outcome(game, schedule, tb)
+                assert got.step_of_type == want.step_of_type, (schedule, tb)
+                for ta, step in want.step_of_type.items():
+                    assert ow.acceptance_step(game, schedule, ta, tb) == step
+                for field in ("expected_u_a", "expected_u_b", "expected_sw", "acceptance_prob"):
+                    assert _close(getattr(got, field), getattr(want, field)), (schedule, tb, field)
+    assert non_monotone > 100
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    index=st.integers(0, 199),
+    seed=st.integers(1, 3),
+    pick=st.integers(0, 10**6),
+)
+def test_single_offer_is_the_one_step_schedule(index, seed, pick):
+    game = _suite(seed)[index]
+    tb = game.types_b[pick % len(game.types_b)]
+    action = game.actions_a[pick % len(game.actions_a)]
+    shares = _shares(game, action, tb)
+    gamma = shares[pick % len(shares)]
+    single = ow.evaluate_offer(game, ow.Offer(action, gamma), tb)
+    schedule = ow.Schedule(action, (gamma,), (1.0,))
+    outcome = ow.expected_outcome(game, schedule, tb)
+    assert single.expected_u_b == ow.expected_utility_B(game, schedule, tb)
+    assert single.expected_u_a == outcome.expected_u_a
+    assert single.expected_sw == outcome.expected_sw
+    assert single.acceptance_prob == outcome.acceptance_prob
+    assert single.accepting_types == tuple(t for t, k in outcome.step_of_type.items() if k)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_equivalence_gap_is_exactly_zero(seed):
+    for game in _suite(seed):
+        for tb in game.types_b:
+            for n in (2, 3):
+                assert ow.equivalence_gap(game, tb, n) == 0.0, (tb, n)
