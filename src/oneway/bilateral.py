@@ -13,6 +13,13 @@ ns * nb. Infeasibility comes with a Farkas certificate read from the margin
 LP's duals and re-verified arithmetically against the ex-post system, and a
 companion LP reports the smallest pointwise subsidy that restores feasibility.
 
+Both LPs call the module-level ``linprog``, which imports
+``scipy.optimize.linprog`` on its first call and forwards to it unchanged.
+Importing this module (and the package, and its command line) therefore
+does not load scipy; only solving a trade LP does. The solvers look the
+name up as a module global on every call, so code that rebinds
+``bilateral.linprog`` (a tracer, a test double) sees every solve.
+
 The same trade problem embeds into a one-way game (the seller's payoff does
 not depend on the buyer's single dummy action), and the property checks can
 be run on either representation; they agree verdict for verdict.
@@ -26,7 +33,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import streams
 from .game import OneWayGame, StrategyProfile, make_game, optimal_welfare, social_welfare
@@ -40,6 +46,14 @@ MARGIN_CAP = 1e9
 # such a basis can shift the margin by that much; tighter tolerances keep the
 # interim optima within 1e-9 of the ex-post ones.
 _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9}
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first use: scipy.optimize
+    takes most of the package's import time and only the trade LPs need it."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
 
 
 def _canonical_side(values: Sequence[float], probs: Sequence[float], side: str):

@@ -1,10 +1,10 @@
 """Command line entry point.
 
 Every subcommand prints one deterministic report: a small comment header
-(tool version, subcommand, seed, canonical config and its hash) followed by
-CSV rows. Identical invocations produce identical bytes. Exit codes: 0 on
-success, 1 when an input fails validation or a computation cannot proceed,
-2 for usage errors.
+(tool version, subcommand, seed, canonical config and its hash, and the
+content hash of the instance read, if any) followed by CSV rows. Identical
+invocations produce identical bytes. Exit codes: 0 on success, 1 when an
+input fails validation or a computation cannot proceed, 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -30,13 +30,16 @@ def _frange(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(max(count, 0))]
 
 
-def _emit(args: argparse.Namespace, subcommand: str, config: dict, columns, rows) -> None:
+def _emit(
+    args: argparse.Namespace, subcommand: str, config: dict, columns, rows, instance=None
+) -> None:
+    digest = None if instance is None else io.input_hash(instance)
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            io.write_report(fh, subcommand, config, columns, rows)
+            io.write_report(fh, subcommand, config, columns, rows, digest)
     else:
-        io.write_report(sys.stdout, subcommand, config, columns, rows)
+        io.write_report(sys.stdout, subcommand, config, columns, rows, digest)
 
 
 def _types_b(game, requested: str | None) -> list[str]:
@@ -66,7 +69,7 @@ def cmd_nash(args: argparse.Namespace) -> int:
         rows.append(["nash_B", t, out.action_b[t]])
     rows.append(["expected_welfare", "", out.expected_welfare])
     config = {"instance": args.instance, "tolerance": TOL_DEFAULT}
-    _emit(args, "nash", config, ["kind", "id", "value"], rows)
+    _emit(args, "nash", config, ["kind", "id", "value"], rows, game)
     return 0
 
 
@@ -75,7 +78,7 @@ def cmd_poa(args: argparse.Namespace) -> int:
     report = equilibrium.poa_metrics(game)
     columns, rows = equilibrium.poa_report_rows(game, report)
     config = {"instance": args.instance, "tolerance": TOL_DEFAULT}
-    _emit(args, "poa", config, columns, rows)
+    _emit(args, "poa", config, columns, rows, game)
     return 0
 
 
@@ -131,7 +134,7 @@ def cmd_single_offer(args: argparse.Namespace) -> int:
         "type_b": args.type_b or "all",
         "tolerance": TOL_DEFAULT,
     }
-    _emit(args, "single-offer", config, columns, rows)
+    _emit(args, "single-offer", config, columns, rows, game)
     return 0
 
 
@@ -179,7 +182,7 @@ def cmd_multi_offer(args: argparse.Namespace) -> int:
             "type_b": args.type_b or "all",
             "tolerance": TOL_DEFAULT,
         }
-        _emit(args, "multi-offer", config, columns, rows)
+        _emit(args, "multi-offer", config, columns, rows, game)
         return 0
     action, gammas, probs = io.load_schedule_file(args.schedule)
     schedule = multi_offer.Schedule(action, gammas, probs)
@@ -235,17 +238,17 @@ def cmd_multi_offer(args: argparse.Namespace) -> int:
         "type_b": args.type_b or "all",
         "tolerance": TOL_DEFAULT,
     }
-    _emit(args, "multi-offer", config, columns, rows)
+    _emit(args, "multi-offer", config, columns, rows, game)
     return 0
 
 
-def _emit_ms(args: argparse.Namespace, subcommand: str, config: dict, rows) -> int:
+def _emit_ms(args: argparse.Namespace, subcommand: str, config: dict, rows, instance=None) -> int:
     """Write a trade-feasibility report. Each row is (k, verdict, margin,
     subsidy, certificate_ok, certificate_residual), the field order of
     ``bilateral.RefinementRow``; None leaves its cell blank."""
     columns = ["k", "verdict", "margin", "min_subsidy", "certificate_ok", "certificate_residual"]
     cells = [["" if v is None else v for v in row] for row in rows]
-    _emit(args, subcommand, config, columns, cells)
+    _emit(args, subcommand, config, columns, cells, instance)
     return 0
 
 
@@ -257,7 +260,7 @@ def cmd_ms_check(args: argparse.Namespace) -> int:
         cert_ok = bilateral.certificate_is_valid(feas) if feas.verdict == "infeasible" else None
         row = (None, feas.verdict, feas.margin, sub.subsidy, cert_ok, feas.certificate_residual)
         config = {"instance": args.instance, "tolerance": bilateral.MARGIN_TOL}
-        return _emit_ms(args, "ms-check", config, [row])
+        return _emit_ms(args, "ms-check", config, [row], inst)
     ks = list(range(2, args.refine + 1))
     if not ks:
         print("error: --refine must be at least 2", file=sys.stderr)

@@ -2,8 +2,9 @@
 
 Loaders reject malformed files with a one-line diagnostic naming the file,
 the offending field, and the expected shape. Report writers emit a comment
-header (version, subcommand, seed, config hash) followed by plain CSV; given
-the same configuration they produce byte-identical files.
+header (version, subcommand, seed, config hash and, for commands that read
+an instance, the hash of its content) followed by plain CSV; given the same
+configuration they produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -211,6 +212,17 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+def input_hash(instance: "OneWayGame | BilateralTradeInstance") -> str:
+    """Hash of an instance's content, whatever path it was read from: the
+    canonical JSON of ``game_to_dict`` or of the parsed trade instance (in
+    the file format, each side sorted by value)."""
+    if isinstance(instance, OneWayGame):
+        return config_hash(game_to_dict(instance))
+    seller = {"values": list(instance.seller_values), "probs": list(instance.seller_probs)}
+    buyer = {"values": list(instance.buyer_values), "probs": list(instance.buyer_probs)}
+    return config_hash({"seller": seller, "buyer": buyer})
+
+
 def format_cell(value: Any) -> str:
     if isinstance(value, str):
         return value
@@ -229,13 +241,17 @@ def write_report(
     config: dict,
     columns: Sequence[str],
     rows: Iterable[Sequence[Any]],
+    input_sha256: str | None = None,
 ) -> None:
-    """Write one report: comment header block, then CSV."""
+    """Write one report: comment header block, then CSV. ``input_sha256``
+    (see ``input_hash``) identifies the instance the report was computed on."""
     fh.write(f"# oneway v{TOOL_VERSION}\n")
     fh.write(f"# subcommand: {subcommand}\n")
     fh.write(f"# seed: {config.get('seed', 'none')}\n")
     fh.write(f"# config: {json.dumps(config, sort_keys=True, separators=(',', ':'))}\n")
     fh.write(f"# config-sha256: {config_hash(config)}\n")
+    if input_sha256 is not None:
+        fh.write(f"# input-sha256: {input_sha256}\n")
     fh.write(",".join(columns) + "\n")
     for row in rows:
         fh.write(",".join(format_cell(v) for v in row) + "\n")

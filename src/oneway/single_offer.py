@@ -16,13 +16,12 @@ evaluate to identical floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
 
-from .equilibrium import nash_action_B
 from .game import OneWayGame, StrategyProfile, best_response_B
 
 VALUE_TOL = 1e-9
@@ -68,8 +67,11 @@ class OfferSearchResult:
     """An offer plus its evaluation.
 
     ``null_offer`` marks the degenerate case where no action of A improves
-    on B's fallback; the returned evaluation then describes equilibrium play
-    rather than a transaction anyone would enter.
+    on B's fallback. The offer is then the best-gain action at share 0,
+    evaluated like any other offer: only the types for which that action is
+    already a selfish optimum play it, unpaid. When it is every type's
+    selfish optimum, as in games without payoff ties, this is equilibrium
+    play.
     """
 
     offer: Offer
@@ -279,25 +281,14 @@ def evaluate_offer(game: OneWayGame, offer: Offer, type_b: str) -> OfferEvaluati
     )
 
 
-def _nash_evaluation(game: OneWayGame, offer: Offer, type_b: str) -> OfferEvaluation:
-    """Evaluation describing plain equilibrium play, used for null offers."""
-    itb = game.type_b_index(type_b)
-    nash_idx = np.argmax(game.payoff_a, axis=1)
-    ib = game.action_b_index(nash_action_B(game, type_b))
-    e_ub = float(game.prior_a @ game.payoff_b[itb, nash_idx, ib])
-    e_ua = float(game.prior_a @ np.max(game.payoff_a, axis=1))
-    ev = evaluate_offer(game, offer, type_b)
-    return replace(ev, expected_u_a=e_ua, expected_u_b=e_ub, expected_sw=e_ua + e_ub)
-
-
 def optimal_offer(game: OneWayGame, type_b: str) -> OfferSearchResult:
     """B's utility-maximizing offer for her type.
 
     Searches every action with a strictly positive gain and every candidate
     share. Near-ties (within 1e-9 of the best value) resolve to the smaller
     gamma and then the lower action index, which keeps results stable under
-    payoff jitter. If no action has positive gain the result is a null offer
-    at gamma 0, evaluated as equilibrium play.
+    payoff jitter. If no action has positive gain the result is a null offer:
+    the action with the largest gain at gamma 0 (see ``OfferSearchResult``).
     """
     scored: list[tuple[float, float, int, OfferEvaluation]] = []
     for ia, action in enumerate(game.actions_a):
@@ -309,7 +300,7 @@ def optimal_offer(game: OneWayGame, type_b: str) -> OfferSearchResult:
     if not scored:
         dbs = np.asarray([delta_b(game, a, type_b) for a in game.actions_a])
         offer = Offer(game.actions_a[int(np.argmax(dbs))], 0.0)
-        return OfferSearchResult(offer, _nash_evaluation(game, offer, type_b), null_offer=True)
+        return OfferSearchResult(offer, evaluate_offer(game, offer, type_b), null_offer=True)
     best = max(s[0] for s in scored)
     cluster = [s for s in scored if s[0] >= best - VALUE_TOL]
     cluster.sort(key=lambda s: (s[1], s[2]))

@@ -118,6 +118,8 @@ def test_nash_report_shape(capsys, instance):
     assert header[2] == "# seed: none"
     assert header[3].startswith("# config: ")
     assert header[4].startswith("# config-sha256: ")
+    assert header[5].startswith("# input-sha256: ")
+    assert len(header) == 6
     assert columns == ["kind", "id", "value"]
     # 3 A types + 2 B types + the welfare summary line
     assert len(rows) == 6
@@ -344,3 +346,55 @@ def test_report_header_hash_matches_config(capsys, instance):
     header, _, _ = _split_report(out)
     config = json.loads(header[3][len("# config: "):])
     assert header[4] == f"# config-sha256: {owio.config_hash(config)}"
+
+
+def _input_digest(out):
+    header, _, _ = _split_report(out)
+    assert header[5].startswith("# input-sha256: ")
+    return header[5][len("# input-sha256: "):]
+
+
+def test_input_digest_follows_content_not_path(capsys, tmp_path):
+    one, two = tmp_path / "one.json", tmp_path / "two.json"
+    digests, configs = {}, {}
+    for seed in (7, 8):
+        assert cli.run(["gen", "--seed", str(seed), "--out", str(one)]) == 0
+        assert cli.run(["gen", "--seed", str(seed), "--out", str(two)]) == 0
+        _, out_one, _ = _run(capsys, ["single-offer", str(one)])
+        _, out_two, _ = _run(capsys, ["single-offer", str(two)])
+        # one game at two paths: configs differ, the input digest does not
+        assert _split_report(out_one)[0][4] != _split_report(out_two)[0][4]
+        assert _input_digest(out_one) == _input_digest(out_two)
+        digests[seed] = _input_digest(out_one)
+        configs[seed] = _split_report(out_one)[0][4]
+    # two games saved at one path: the config is the same, the digest is not
+    assert configs[7] == configs[8]
+    assert digests[7] != digests[8]
+
+
+def test_input_digest_of_trade_instance(capsys, tmp_path, trade_file):
+    _, out, _ = _run(capsys, ["ms-check", "--instance", trade_file])
+    assert _input_digest(out) == owio.input_hash(owio.load_bilateral(trade_file))
+    # listing the types in another order describes the same instance
+    data = {
+        "buyer": {"probs": [0.5, 0.5], "values": [0.9, 0.3]},
+        "seller": {"probs": [0.5, 0.5], "values": [0.6, 0.2]},
+    }
+    digests = set()
+    for k, order in enumerate(([0, 1], [1, 0])):
+        path = tmp_path / f"trade{k}.json"
+        sides = {
+            side: {key: [block[key][i] for i in order] for key in block}
+            for side, block in data.items()
+        }
+        path.write_text(json.dumps(sides), encoding="utf-8")
+        _, out, _ = _run(capsys, ["ms-check", "--instance", str(path)])
+        digests.add(_input_digest(out))
+    assert len(digests) == 1
+
+
+def test_reports_without_an_instance_have_no_input_digest(capsys):
+    _, out, _ = _run(capsys, ["ms-check", "--refine", "3"])
+    header, _, _ = _split_report(out)
+    assert len(header) == 5
+    assert not any(ln.startswith("# input-sha256: ") for ln in header)

@@ -139,6 +139,33 @@ def test_write_report_layout():
     assert lines[5] == "a,b"
     assert lines[6] == "1,2.5"
     assert lines[7] == "s,true"
+    # no instance, no input digest line
+    assert len(lines) == 8
+
+
+def test_write_report_input_digest_follows_config_hash(g1):
+    buf = io.StringIO()
+    config = {"instance": "g1.json"}
+    write_report(buf, "demo", config, ["a"], [[1]], ow.input_hash(g1))
+    lines = buf.getvalue().splitlines()
+    assert lines[4] == "# config-sha256: " + ow.config_hash(config)
+    assert lines[5] == "# input-sha256: " + ow.config_hash(ow.game_to_dict(g1))
+    assert lines[6] == "a"
+    assert lines[7] == "1"
+
+
+def test_input_hash_identifies_content(tmp_path, g1, g2):
+    path = str(tmp_path / "game.json")
+    ow.save_game(g1, path)
+    first = ow.load_game(path)
+    ow.save_game(g2, path)
+    second = ow.load_game(path)
+    # two different games saved at one path
+    assert ow.input_hash(first) != ow.input_hash(second)
+    # one game saved at two paths
+    other = str(tmp_path / "elsewhere.json")
+    ow.save_game(g2, other)
+    assert ow.input_hash(ow.load_game(other)) == ow.input_hash(second)
 
 
 def test_write_report_seed_fallback():

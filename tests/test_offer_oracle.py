@@ -4,7 +4,7 @@
 ``expected_outcome``. On ``random_suite`` instances the new evaluators must
 give the same accepting types and steps exactly and the same values within
 1e-12 relative; a single offer must equal its one-step schedule exactly, and
-the optimizer's equivalence gap must be exactly zero.
+the optimizer's equivalence gap must be exactly zero, null offers included.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import functools
 import math
 import random
 
+import numpy as np
 import offer_oracle as oracle
 import pytest
 from hypothesis import given, settings
@@ -119,3 +120,27 @@ def test_equivalence_gap_is_exactly_zero(seed):
         for tb in game.types_b:
             for n in (2, 3):
                 assert ow.equivalence_gap(game, tb, n) == 0.0, (tb, n)
+
+
+@pytest.mark.parametrize("seed", range(4, 12))
+def test_null_offer_gap_is_exactly_zero(seed):
+    """A null offer is evaluated like any other offer, so it and its padded
+    schedule share one formula. On these tie-free games the evaluation is
+    still equilibrium play, checked against the equilibrium formula."""
+    nulls = 0
+    for game in ow.random_suite(200, seed, max_types_a=8):
+        nash_a = np.argmax(game.payoff_a, axis=1)
+        for itb, tb in enumerate(game.types_b):
+            res = ow.optimal_offer(game, tb)
+            if not res.null_offer:
+                continue
+            nulls += 1
+            assert ow.equivalence_gap(game, tb, 2) == 0.0, tb
+            ib = game.action_b_index(ow.nash_action_B(game, tb))
+            e_ua = float(game.prior_a @ np.max(game.payoff_a, axis=1))
+            e_ub = float(game.prior_a @ game.payoff_b[itb, nash_a, ib])
+            ev = res.evaluation
+            assert ev.expected_u_a == e_ua
+            assert math.isclose(ev.expected_u_b, e_ub, rel_tol=REL)
+            assert math.isclose(ev.expected_sw, e_ua + e_ub, rel_tol=REL)
+    assert nulls > 0
