@@ -2,9 +2,10 @@
 
 Every subcommand prints one deterministic report: a small comment header
 (tool version, subcommand, seed, canonical config and its hash, and the
-content hash of the instance read, if any) followed by CSV rows. Identical
-invocations produce identical bytes. Exit codes: 0 on success, 1 when an
-input fails validation or a computation cannot proceed, 2 for usage errors.
+content hashes of the instance and the schedule read, if any) followed by
+CSV rows. Identical invocations produce identical bytes. Exit codes: 0 on
+success, 1 when an input fails validation or a computation cannot proceed,
+2 for usage errors.
 """
 
 from __future__ import annotations
@@ -31,15 +32,26 @@ def _frange(start: float, stop: float, step: float) -> list[float]:
 
 
 def _emit(
-    args: argparse.Namespace, subcommand: str, config: dict, columns, rows, instance=None
+    args: argparse.Namespace,
+    subcommand: str,
+    config: dict,
+    columns,
+    rows,
+    instance=None,
+    schedule=None,
 ) -> None:
-    digest = None if instance is None else io.input_hash(instance)
+    """Write the report; ``instance`` and ``schedule`` (the parsed
+    ``(action, gammas, probs)``), when given, are hashed into its header."""
+    digests = (
+        None if instance is None else io.input_hash(instance),
+        None if schedule is None else io.schedule_hash(*schedule),
+    )
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            io.write_report(fh, subcommand, config, columns, rows, digest)
+            io.write_report(fh, subcommand, config, columns, rows, *digests)
     else:
-        io.write_report(sys.stdout, subcommand, config, columns, rows, digest)
+        io.write_report(sys.stdout, subcommand, config, columns, rows, *digests)
 
 
 def _types_b(game, requested: str | None) -> list[str]:
@@ -95,7 +107,7 @@ def cmd_single_offer(args: argparse.Namespace) -> int:
         ev = res.evaluation
         bound = ""
         if args.offer_strategy == "simplified":
-            bound = single_offer.bayes_poa_bound(game, tb)
+            bound = single_offer.theorem_bound(res.offer.gamma, ev.acceptance_prob)
         rows.append(
             [
                 tb,
@@ -184,8 +196,8 @@ def cmd_multi_offer(args: argparse.Namespace) -> int:
         }
         _emit(args, "multi-offer", config, columns, rows, game)
         return 0
-    action, gammas, probs = io.load_schedule_file(args.schedule)
-    schedule = multi_offer.Schedule(action, gammas, probs)
+    parsed = io.load_schedule_file(args.schedule)
+    schedule = multi_offer.Schedule(*parsed)
     game.action_a_index(schedule.action_a)  # raises KeyError on unknown ids
     columns = [
         "type_B",
@@ -238,7 +250,7 @@ def cmd_multi_offer(args: argparse.Namespace) -> int:
         "type_b": args.type_b or "all",
         "tolerance": TOL_DEFAULT,
     }
-    _emit(args, "multi-offer", config, columns, rows, game)
+    _emit(args, "multi-offer", config, columns, rows, game, parsed)
     return 0
 
 

@@ -16,6 +16,7 @@ Two aggregate metrics appear in reports and both are always labeled:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -53,14 +54,26 @@ class NashOutcome:
     expected_welfare: float
 
 
+def _equilibrium_welfare(game: OneWayGame, action_b: dict[str, str]) -> np.ndarray:
+    """Welfare of equilibrium play per type profile (A types by B types),
+    given B's equilibrium reply per B type."""
+    a_idx = np.argmax(game.payoff_a, axis=1)
+    b_idx = [game.action_b_index(action_b[t]) for t in game.types_b]
+    ub = game.payoff_b[np.arange(len(game.types_b)), a_idx[:, None], b_idx]
+    return np.max(game.payoff_a, axis=1)[:, None] + ub
+
+
+def _running_sum(terms: np.ndarray) -> float:
+    """Sum in row-major order, one term at a time, as a loop accumulating
+    from 0.0 would (``np.sum`` adds pairwise and rounds differently)."""
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+
+
 def nash_outcome(game: OneWayGame) -> NashOutcome:
     action_a = {t: nash_action_A(game, t) for t in game.types_a}
     action_b = {t: nash_action_B(game, t) for t in game.types_b}
-    total = 0.0
-    for ta, fa in zip(game.types_a, game.prior_a):
-        for tb, fb in zip(game.types_b, game.prior_b):
-            w = social_welfare(game, (action_a[ta], action_b[tb]), (ta, tb))
-            total += float(fa) * float(fb) * w
+    weight = game.prior_a[:, None] * game.prior_b[None, :]
+    total = _running_sum(weight * _equilibrium_welfare(game, action_b))
     return NashOutcome(action_a=action_a, action_b=action_b, expected_welfare=total)
 
 
@@ -96,46 +109,39 @@ def poa_metrics(game: OneWayGame) -> PoAReport:
     The per-profile lower bound is max_s u_B / (max_s u_A + u_B at equilibrium)
     and the upper bound is (max_s u_A + max_s u_B) / max_s u_A. Zero-probability
     profiles appear in the maps but are excluded from the expectations.
+
+    Every profile's numbers come from broadcast tables over A types by B
+    types. Optimal welfare is max over A's action of A's payoff plus B's best
+    payoff for it, which equals the maximum over the full action grid
+    exactly (rounding is monotone); the expectations add the profiles one at
+    a time in row-major order.
     """
     out = nash_outcome(game)
-    per: dict[TypeProfile, float] = {}
-    lower: dict[TypeProfile, float] = {}
-    upper: dict[TypeProfile, float] = {}
-    infinite: list[TypeProfile] = []
-    expectation = 0.0
-    opt_mean = 0.0
-    for ita, ta in enumerate(game.types_a):
-        fa = float(game.prior_a[ita])
-        ua_best = float(np.max(game.payoff_a[ita]))
-        for itb, tb in enumerate(game.types_b):
-            fb = float(game.prior_b[itb])
-            key = TypeProfile(ta, tb)
-            profile = StrategyProfile(out.action_a[ta], out.action_b[tb])
-            eq_w = social_welfare(game, profile, key)
-            _, opt_w = optimal_welfare(game, key)
-            ub_best = float(np.max(game.payoff_b[itb]))
-            per[key] = 1.0 if (eq_w == 0.0 and opt_w == 0.0) else (
-                float("inf") if eq_w == 0.0 else opt_w / eq_w
-            )
-            lower[key] = float("inf") if eq_w == 0.0 else ub_best / eq_w
-            upper[key] = float("inf") if ua_best == 0.0 else (ua_best + ub_best) / ua_best
-            if not np.isfinite(per[key]):
-                infinite.append(key)
-            if fa * fb > 0.0:
-                expectation += fa * fb * per[key]
-                opt_mean += fa * fb * opt_w
+    eq = _equilibrium_welfare(game, out.action_b)
+    opt = np.max(game.payoff_a[:, None, :] + np.max(game.payoff_b, axis=2)[None, :, :], axis=2)
+    ua_best = np.max(game.payoff_a, axis=1)[:, None]
+    ub_best = np.max(game.payoff_b, axis=(1, 2))[None, :]
+    weight = game.prior_a[:, None] * game.prior_b[None, :]
+    live = weight > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        per = np.where(eq == 0.0, np.where(opt == 0.0, 1.0, np.inf), opt / eq)
+        lower = np.where(eq == 0.0, np.inf, ub_best / eq)
+        upper = np.where(ua_best == 0.0, np.inf, (ua_best + ub_best) / ua_best)
+        expectation = _running_sum((weight * per)[live])
+    opt_mean = _running_sum((weight * opt)[live])
+    keys = list(map(TypeProfile._make, product(game.types_a, game.types_b)))
     ratio = (
         1.0
         if (opt_mean == 0.0 and out.expected_welfare == 0.0)
         else (float("inf") if out.expected_welfare == 0.0 else opt_mean / out.expected_welfare)
     )
     return PoAReport(
-        per_type_poa=per,
-        bayes_nash_poa=float(expectation),
+        per_type_poa=dict(zip(keys, per.ravel().tolist())),
+        bayes_nash_poa=expectation,
         welfare_ratio_poa=float(ratio),
-        prop1_lower=lower,
-        prop1_upper=upper,
-        infinite_profiles=tuple(infinite),
+        prop1_lower=dict(zip(keys, lower.ravel().tolist())),
+        prop1_upper=dict(zip(keys, upper.ravel().tolist())),
+        infinite_profiles=tuple(keys[i] for i in np.flatnonzero(~np.isfinite(per))),
     )
 
 

@@ -3,8 +3,8 @@
 Loaders reject malformed files with a one-line diagnostic naming the file,
 the offending field, and the expected shape. Report writers emit a comment
 header (version, subcommand, seed, config hash and, for commands that read
-an instance, the hash of its content) followed by plain CSV; given the same
-configuration they produce byte-identical files.
+an instance or a schedule, the hash of its content) followed by plain CSV;
+given the same configuration they produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -223,7 +223,15 @@ def input_hash(instance: "OneWayGame | BilateralTradeInstance") -> str:
     return config_hash({"seller": seller, "buyer": buyer})
 
 
+def schedule_hash(action: str, gammas: Sequence[float], probs: Sequence[float]) -> str:
+    """Hash of a posted schedule's content, whatever path it was read from:
+    the canonical JSON of its parsed ``{"action", "gammas", "probs"}``."""
+    return config_hash({"action": action, "gammas": list(gammas), "probs": list(probs)})
+
+
 def format_cell(value: Any) -> str:
+    if type(value) is float:  # most cells; skips the isinstance checks below
+        return repr(value)
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -242,9 +250,11 @@ def write_report(
     columns: Sequence[str],
     rows: Iterable[Sequence[Any]],
     input_sha256: str | None = None,
+    schedule_sha256: str | None = None,
 ) -> None:
     """Write one report: comment header block, then CSV. ``input_sha256``
-    (see ``input_hash``) identifies the instance the report was computed on."""
+    (see ``input_hash``) identifies the instance the report was computed on,
+    ``schedule_sha256`` (see ``schedule_hash``) the schedule it evaluated."""
     fh.write(f"# oneway v{TOOL_VERSION}\n")
     fh.write(f"# subcommand: {subcommand}\n")
     fh.write(f"# seed: {config.get('seed', 'none')}\n")
@@ -252,6 +262,8 @@ def write_report(
     fh.write(f"# config-sha256: {config_hash(config)}\n")
     if input_sha256 is not None:
         fh.write(f"# input-sha256: {input_sha256}\n")
+    if schedule_sha256 is not None:
+        fh.write(f"# schedule-sha256: {schedule_sha256}\n")
     fh.write(",".join(columns) + "\n")
     for row in rows:
         fh.write(",".join(format_cell(v) for v in row) + "\n")

@@ -218,25 +218,40 @@ def acceptance_prob(game: OneWayGame, offer: Offer, type_b: str) -> float:
     return float(game.prior_a @ reach)
 
 
-def _minimal_share(da: float, db: float) -> float:
-    """Smallest float g with da <= g * db, starting from the exact ratio.
+def _minimal_shares(da: np.ndarray, db: float) -> np.ndarray:
+    """Smallest floats g with da <= g * db, elementwise, starting from the
+    exact ratios.
 
     The plain quotient da / db can land one ulp to either side of the set
     {g : da <= g * db}, which would make an offer built from it silently miss
     (or overpay) the type it is meant to capture. A couple of nextafter steps
-    settle it on the boundary.
+    settle each share on its boundary.
     """
     g = da / db
-    if g < 0.0:
-        g = 0.0
-    while g * db < da:
-        g = math.nextafter(g, math.inf)
-    while g > 0.0:
-        lower = math.nextafter(g, -math.inf)
-        if lower < 0.0 or lower * db < da:
-            break
-        g = lower
-    return g
+    g[g < 0.0] = 0.0
+    while (up := g * db < da).any():
+        g[up] = np.nextafter(g[up], np.inf)
+    while True:
+        lower = np.nextafter(g, -np.inf)
+        down = (g > 0.0) & (lower >= 0.0) & (lower * db >= da)
+        if not down.any():
+            return g
+        g[down] = lower[down]
+
+
+def _shares(terms: _Terms) -> np.ndarray:
+    """Candidate shares, ascending: 0 plus every type's break-even share in
+    [0, 1]. Only meaningful for a positive gain."""
+    g = _minimal_shares(terms.sacrifice, terms.gain)
+    return np.unique(np.concatenate(([0.0], g[g <= 1.0])))
+
+
+def _acceptance_mass(game: OneWayGame, terms: _Terms, shares: np.ndarray) -> np.ndarray:
+    """Prior mass of the A types accepting each share, ``_settle``'s rule
+    (sacrifice at most share * gain) read off one sort of the sacrifices."""
+    order = np.argsort(terms.sacrifice, kind="stable")
+    mass = np.concatenate(([0.0], np.cumsum(game.prior_a[order])))
+    return mass[np.searchsorted(terms.sacrifice[order], shares * terms.gain, side="right")]
 
 
 def gamma_candidates(game: OneWayGame, action_a: str, type_b: str) -> list[float]:
@@ -245,16 +260,11 @@ def gamma_candidates(game: OneWayGame, action_a: str, type_b: str) -> list[float
     B's expected utility is piecewise linear in gamma with kinks exactly where
     some type becomes indifferent, so the maximum is attained on this grid.
     Each candidate is the smallest representable share that the indifferent
-    type actually accepts under the ``da <= gamma * db`` rule.
+    type actually accepts under the ``da <= gamma * db`` rule; all of them
+    come from one vectorised pass over A's types.
     """
-    cands = {0.0}
-    db = delta_b(game, action_a, type_b)
-    if db > 0.0:
-        for v in delta_a(game, action_a):
-            r = _minimal_share(float(v), db)
-            if 0.0 <= r <= 1.0:
-                cands.add(r)
-    return sorted(cands)
+    terms = _terms(game, action_a, type_b)
+    return _shares(terms).tolist() if terms.gain > 0.0 else [0.0]
 
 
 def evaluate_offer(game: OneWayGame, offer: Offer, type_b: str) -> OfferEvaluation:
@@ -285,45 +295,55 @@ def optimal_offer(game: OneWayGame, type_b: str) -> OfferSearchResult:
     """B's utility-maximizing offer for her type.
 
     Searches every action with a strictly positive gain and every candidate
-    share. Near-ties (within 1e-9 of the best value) resolve to the smaller
-    gamma and then the lower action index, which keeps results stable under
-    payoff jitter. If no action has positive gain the result is a null offer:
-    the action with the largest gain at gamma 0 (see ``OfferSearchResult``).
+    share. One sorted sweep per action scores all its candidates: a share's
+    value is the fallback plus the accepting mass times the retained gain.
+    Near-ties (within 1e-9 of the best value) resolve to the smaller gamma
+    and then the lower action index, which keeps results stable under payoff
+    jitter. Only the winner is evaluated by ``evaluate_offer``. If no action
+    has positive gain the result is a null offer: the action with the
+    largest gain at gamma 0 (see ``OfferSearchResult``).
     """
-    scored: list[tuple[float, float, int, OfferEvaluation]] = []
-    for ia, action in enumerate(game.actions_a):
-        if delta_b(game, action, type_b) <= 0.0:
+    all_terms = [_terms(game, a, type_b) for a in game.actions_a]
+    values, shares, actions = [], [], []
+    for terms in all_terms:
+        if terms.gain <= 0.0:
             continue
-        for g in gamma_candidates(game, action, type_b):
-            ev = evaluate_offer(game, Offer(action, g), type_b)
-            scored.append((ev.expected_u_b, g, ia, ev))
-    if not scored:
-        dbs = np.asarray([delta_b(game, a, type_b) for a in game.actions_a])
-        offer = Offer(game.actions_a[int(np.argmax(dbs))], 0.0)
+        g = _shares(terms)
+        kept = terms.gain - g * terms.gain
+        values.append(terms.outside.payoff + _acceptance_mass(game, terms, g) * kept)
+        shares.append(g)
+        actions.append(np.full(len(g), terms.ia))
+    if not values:
+        offer = Offer(game.actions_a[int(np.argmax([t.gain for t in all_terms]))], 0.0)
         return OfferSearchResult(offer, evaluate_offer(game, offer, type_b), null_offer=True)
-    best = max(s[0] for s in scored)
-    cluster = [s for s in scored if s[0] >= best - VALUE_TOL]
-    cluster.sort(key=lambda s: (s[1], s[2]))
-    _, g, ia, ev = cluster[0]
-    return OfferSearchResult(Offer(game.actions_a[ia], g), ev, null_offer=False)
+    values, shares, actions = map(np.concatenate, (values, shares, actions))
+    cluster = np.flatnonzero(values >= values.max() - VALUE_TOL)
+    best = cluster[np.lexsort((actions[cluster], shares[cluster]))[0]]
+    offer = Offer(game.actions_a[actions[best]], float(shares[best]))
+    return OfferSearchResult(offer, evaluate_offer(game, offer, type_b), null_offer=False)
 
 
 def simplified_offer(game: OneWayGame, type_b: str) -> OfferSearchResult:
     """Welfare-oriented recipe: fix the action B likes best, then pick the
     share maximizing acceptance_prob * (1 - gamma). Ties go to the smaller
     share; a non-positive gain forces gamma 0."""
-    vals = np.asarray(
-        [float(game.u_b((a, best_response_B(game, a, type_b)), type_b)) for a in game.actions_a]
-    )
-    action = game.actions_a[int(np.argmax(vals))]
-    db = delta_b(game, action, type_b)
+    reply_value = np.max(game.payoff_b[game.type_b_index(type_b)], axis=1)
+    action = game.actions_a[int(np.argmax(reply_value))]
+    terms = _terms(game, action, type_b)
     gamma = 0.0
-    if db > 0.0:
-        best_v = -math.inf
-        for g in gamma_candidates(game, action, type_b):
-            v = acceptance_prob(game, Offer(action, g), type_b) * (1.0 - g)
-            if v > best_v:
-                best_v, gamma = v, g
+    if terms.gain > 0.0:
+        g = _shares(terms)
+        v = _acceptance_mass(game, terms, g) * (1.0 - g)
+        # The sweep sums the prior in another order than acceptance_prob, so
+        # its scores may differ in the last bits (a sum of n terms by at most
+        # about n ulps). Shares that close to the best are rescored with
+        # acceptance_prob, which settles exact ties as it always has.
+        slack = 4.0 * (len(game.types_a) + 1) * np.finfo(np.float64).eps
+        near = g[v >= v.max() - slack].tolist()
+        if len(near) > 1:
+            scores = [acceptance_prob(game, Offer(action, x), type_b) * (1.0 - x) for x in near]
+            near = near[int(np.argmax(scores)):]
+        gamma = near[0]
     offer = Offer(action, gamma)
     return OfferSearchResult(offer, evaluate_offer(game, offer, type_b), null_offer=False)
 
@@ -361,8 +381,6 @@ def theorem_bound(gamma: float, acceptance: float) -> float:
 def bayes_poa_bound(game: OneWayGame, type_b: str) -> float:
     """Expected-PoA guarantee delivered by the simplified offer for a type."""
     res = simplified_offer(game, type_b)
-    if res.offer.gamma == 0.0:
-        return math.inf
     return theorem_bound(res.offer.gamma, res.evaluation.acceptance_prob)
 
 
@@ -432,6 +450,6 @@ def simplified_strategy_report(game: OneWayGame) -> dict[str, SimplifiedReport]:
             acceptance_prob=p,
             records=tuple(records),
             expected_poa=float(game.prior_a[live] @ poa[live]),
-            poa_bound=math.inf if gamma == 0.0 else theorem_bound(gamma, p),
+            poa_bound=theorem_bound(gamma, p),
         )
     return reports

@@ -1,6 +1,7 @@
-"""The offer and schedule evaluators as they stood before the shared
-acceptance rule, kept verbatim as a test-only oracle.
+"""Replaced implementations of the offer layer, kept verbatim as test-only
+oracles.
 
+The evaluators as they stood before the shared acceptance rule:
 ``evaluate_offer``, ``expected_utility_B`` and ``expected_outcome`` are the
 per-type-loop implementations; ``restricted_types``, ``delta_a``,
 ``outside_option`` and ``delta_b`` come along so the oracle shares no code
@@ -8,15 +9,31 @@ with the evaluators it checks beyond the game model, ``best_response_B``
 and the result types; so do ``s_values`` and ``reach_probs``. Only the
 imports differ from the originals: the schedule evaluators' function-local
 ``delta_b`` import is the module-level one here.
+
+The offer searches as they stood before the sorted sweep: ``optimal_offer``,
+``simplified_offer``, ``gamma_candidates`` and ``_minimal_share`` score
+every candidate share with one call of the package's evaluators each. They
+call the package's ``evaluate_offer``, ``acceptance_prob``, ``delta_a`` and
+``delta_b`` (through ``package``), as the originals did, so an offer both
+searches pick comes with an identical evaluation.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from oneway import single_offer as package
 from oneway.game import OneWayGame, best_response_B
 from oneway.multi_offer import MultiOfferEvaluation, Schedule
-from oneway.single_offer import Offer, OfferEvaluation, OutsideOption
+from oneway.single_offer import (
+    VALUE_TOL,
+    Offer,
+    OfferEvaluation,
+    OfferSearchResult,
+    OutsideOption,
+)
 
 
 def restricted_types(game: OneWayGame, action_a: str) -> tuple[str, ...]:
@@ -202,3 +219,89 @@ def expected_outcome(game: OneWayGame, schedule: Schedule, type_b: str) -> Multi
         acceptance_prob=p_accept,
         step_of_type=steps,
     )
+
+
+def _minimal_share(da: float, db: float) -> float:
+    """Smallest float g with da <= g * db, starting from the exact ratio.
+
+    The plain quotient da / db can land one ulp to either side of the set
+    {g : da <= g * db}, which would make an offer built from it silently miss
+    (or overpay) the type it is meant to capture. A couple of nextafter steps
+    settle it on the boundary.
+    """
+    g = da / db
+    if g < 0.0:
+        g = 0.0
+    while g * db < da:
+        g = math.nextafter(g, math.inf)
+    while g > 0.0:
+        lower = math.nextafter(g, -math.inf)
+        if lower < 0.0 or lower * db < da:
+            break
+        g = lower
+    return g
+
+
+def gamma_candidates(game: OneWayGame, action_a: str, type_b: str) -> list[float]:
+    """Shares worth considering: 0 plus every type's break-even share in [0, 1].
+
+    B's expected utility is piecewise linear in gamma with kinks exactly where
+    some type becomes indifferent, so the maximum is attained on this grid.
+    Each candidate is the smallest representable share that the indifferent
+    type actually accepts under the ``da <= gamma * db`` rule.
+    """
+    cands = {0.0}
+    db = package.delta_b(game, action_a, type_b)
+    if db > 0.0:
+        for v in package.delta_a(game, action_a):
+            r = _minimal_share(float(v), db)
+            if 0.0 <= r <= 1.0:
+                cands.add(r)
+    return sorted(cands)
+
+
+def optimal_offer(game: OneWayGame, type_b: str) -> OfferSearchResult:
+    """B's utility-maximizing offer for her type.
+
+    Searches every action with a strictly positive gain and every candidate
+    share. Near-ties (within 1e-9 of the best value) resolve to the smaller
+    gamma and then the lower action index, which keeps results stable under
+    payoff jitter. If no action has positive gain the result is a null offer:
+    the action with the largest gain at gamma 0 (see ``OfferSearchResult``).
+    """
+    scored: list[tuple[float, float, int, OfferEvaluation]] = []
+    for ia, action in enumerate(game.actions_a):
+        if package.delta_b(game, action, type_b) <= 0.0:
+            continue
+        for g in gamma_candidates(game, action, type_b):
+            ev = package.evaluate_offer(game, Offer(action, g), type_b)
+            scored.append((ev.expected_u_b, g, ia, ev))
+    if not scored:
+        dbs = np.asarray([package.delta_b(game, a, type_b) for a in game.actions_a])
+        offer = Offer(game.actions_a[int(np.argmax(dbs))], 0.0)
+        return OfferSearchResult(offer, package.evaluate_offer(game, offer, type_b), null_offer=True)
+    best = max(s[0] for s in scored)
+    cluster = [s for s in scored if s[0] >= best - VALUE_TOL]
+    cluster.sort(key=lambda s: (s[1], s[2]))
+    _, g, ia, ev = cluster[0]
+    return OfferSearchResult(Offer(game.actions_a[ia], g), ev, null_offer=False)
+
+
+def simplified_offer(game: OneWayGame, type_b: str) -> OfferSearchResult:
+    """Welfare-oriented recipe: fix the action B likes best, then pick the
+    share maximizing acceptance_prob * (1 - gamma). Ties go to the smaller
+    share; a non-positive gain forces gamma 0."""
+    vals = np.asarray(
+        [float(game.u_b((a, best_response_B(game, a, type_b)), type_b)) for a in game.actions_a]
+    )
+    action = game.actions_a[int(np.argmax(vals))]
+    db = package.delta_b(game, action, type_b)
+    gamma = 0.0
+    if db > 0.0:
+        best_v = -math.inf
+        for g in gamma_candidates(game, action, type_b):
+            v = package.acceptance_prob(game, Offer(action, g), type_b) * (1.0 - g)
+            if v > best_v:
+                best_v, gamma = v, g
+    offer = Offer(action, gamma)
+    return OfferSearchResult(offer, package.evaluate_offer(game, offer, type_b), null_offer=False)

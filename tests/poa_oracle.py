@@ -1,0 +1,81 @@
+"""The no-payment equilibrium welfare and PoA sweep as they stood before the
+broadcast tables, kept verbatim as a test-only oracle.
+
+``nash_outcome`` and ``poa_metrics`` loop over type profiles and call
+``social_welfare`` and ``optimal_welfare`` once per profile, accumulating
+the expectations one profile at a time in row-major order. The equilibrium
+maps come from the package's ``nash_action_A`` and ``nash_action_B``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from oneway.equilibrium import NashOutcome, PoAReport, nash_action_A, nash_action_B
+from oneway.game import (
+    OneWayGame,
+    StrategyProfile,
+    TypeProfile,
+    optimal_welfare,
+    social_welfare,
+)
+
+
+def nash_outcome(game: OneWayGame) -> NashOutcome:
+    action_a = {t: nash_action_A(game, t) for t in game.types_a}
+    action_b = {t: nash_action_B(game, t) for t in game.types_b}
+    total = 0.0
+    for ta, fa in zip(game.types_a, game.prior_a):
+        for tb, fb in zip(game.types_b, game.prior_b):
+            w = social_welfare(game, (action_a[ta], action_b[tb]), (ta, tb))
+            total += float(fa) * float(fb) * w
+    return NashOutcome(action_a=action_a, action_b=action_b, expected_welfare=total)
+
+
+def poa_metrics(game: OneWayGame) -> PoAReport:
+    """Exhaustive PoA sweep over type profiles.
+
+    The per-profile lower bound is max_s u_B / (max_s u_A + u_B at equilibrium)
+    and the upper bound is (max_s u_A + max_s u_B) / max_s u_A. Zero-probability
+    profiles appear in the maps but are excluded from the expectations.
+    """
+    out = nash_outcome(game)
+    per: dict[TypeProfile, float] = {}
+    lower: dict[TypeProfile, float] = {}
+    upper: dict[TypeProfile, float] = {}
+    infinite: list[TypeProfile] = []
+    expectation = 0.0
+    opt_mean = 0.0
+    for ita, ta in enumerate(game.types_a):
+        fa = float(game.prior_a[ita])
+        ua_best = float(np.max(game.payoff_a[ita]))
+        for itb, tb in enumerate(game.types_b):
+            fb = float(game.prior_b[itb])
+            key = TypeProfile(ta, tb)
+            profile = StrategyProfile(out.action_a[ta], out.action_b[tb])
+            eq_w = social_welfare(game, profile, key)
+            _, opt_w = optimal_welfare(game, key)
+            ub_best = float(np.max(game.payoff_b[itb]))
+            per[key] = 1.0 if (eq_w == 0.0 and opt_w == 0.0) else (
+                float("inf") if eq_w == 0.0 else opt_w / eq_w
+            )
+            lower[key] = float("inf") if eq_w == 0.0 else ub_best / eq_w
+            upper[key] = float("inf") if ua_best == 0.0 else (ua_best + ub_best) / ua_best
+            if not np.isfinite(per[key]):
+                infinite.append(key)
+            if fa * fb > 0.0:
+                expectation += fa * fb * per[key]
+                opt_mean += fa * fb * opt_w
+    ratio = (
+        1.0
+        if (opt_mean == 0.0 and out.expected_welfare == 0.0)
+        else (float("inf") if out.expected_welfare == 0.0 else opt_mean / out.expected_welfare)
+    )
+    return PoAReport(
+        per_type_poa=per,
+        bayes_nash_poa=float(expectation),
+        welfare_ratio_poa=float(ratio),
+        prop1_lower=lower,
+        prop1_upper=upper,
+        infinite_profiles=tuple(infinite),
+    )

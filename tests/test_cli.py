@@ -393,6 +393,41 @@ def test_input_digest_of_trade_instance(capsys, tmp_path, trade_file):
     assert len(digests) == 1
 
 
+def _schedule_digest(out):
+    header, _, _ = _split_report(out)
+    assert len(header) == 7
+    assert header[5].startswith("# input-sha256: ")
+    assert header[6].startswith("# schedule-sha256: ")
+    return header[6][len("# schedule-sha256: "):]
+
+
+def test_schedule_digest_follows_content_not_path(capsys, instance, tmp_path):
+    one, two = tmp_path / "one.json", tmp_path / "two.json"
+    digests = {}
+    for gammas in ([0.2, 0.5], [0.3, 0.9]):
+        text = json.dumps({"action": "a1", "gammas": gammas, "probs": [1.0, 0.5]})
+        one.write_text(text, encoding="utf-8")
+        two.write_text(text, encoding="utf-8")
+        _, out_one, _ = _run(capsys, ["multi-offer", instance, "--schedule", str(one)])
+        _, out_two, _ = _run(capsys, ["multi-offer", instance, "--schedule", str(two)])
+        # one schedule at two paths: the schedule digest is the same
+        assert _schedule_digest(out_one) == _schedule_digest(out_two)
+        assert _input_digest(out_one) == _input_digest(out_two)
+        digests[tuple(gammas)] = (_split_report(out_one)[0], _schedule_digest(out_one))
+    # two schedules saved at one path: same config and input digest, different schedule digest
+    (head_a, digest_a), (head_b, digest_b) = digests.values()
+    assert head_a[:6] == head_b[:6]
+    assert digest_a != digest_b
+    assert digest_a == owio.schedule_hash("a1", (0.2, 0.5), (1.0, 0.5))
+
+
+def test_optimize_report_has_no_schedule_digest(capsys, instance):
+    _, out, _ = _run(capsys, ["multi-offer", instance, "--optimize"])
+    header, _, _ = _split_report(out)
+    assert len(header) == 6
+    assert not any(ln.startswith("# schedule-sha256: ") for ln in header)
+
+
 def test_reports_without_an_instance_have_no_input_digest(capsys):
     _, out, _ = _run(capsys, ["ms-check", "--refine", "3"])
     header, _, _ = _split_report(out)

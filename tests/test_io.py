@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 import oneway as ow
@@ -124,6 +125,41 @@ def test_format_cell():
     assert format_cell(0.1) == "0.1"
     assert format_cell(1 / 3) == repr(1 / 3)
     assert format_cell(float("inf")) == "inf"
+
+
+@pytest.mark.parametrize("value", [0.1, 1 / 3, 1e-300, 2.0**60, -0.0, float("inf")])
+def test_format_cell_numpy_float_matches_float(value):
+    assert format_cell(np.float64(value)) == format_cell(value) == repr(value)
+
+
+def test_format_cell_bool():
+    assert (format_cell(True), format_cell(False)) == ("true", "false")
+
+
+def test_format_cell_numpy_bool():
+    assert (format_cell(np.bool_(True)), format_cell(np.bool_(False))) == ("true", "false")
+
+
+def test_format_cell_numpy_int():
+    assert format_cell(np.int64(7)) == "7"
+
+
+def test_schedule_hash_is_the_canonical_parse(tmp_path):
+    path = tmp_path / "schedule.json"
+    path.write_text('{"probs": [1, 0.5], "action": "a1", "gammas": [0.25, 1]}', encoding="utf-8")
+    parsed = ow.load_schedule_file(str(path))
+    canon = {"action": "a1", "gammas": [0.25, 1.0], "probs": [1.0, 0.5]}
+    assert ow.schedule_hash(*parsed) == ow.config_hash(canon)
+
+
+def test_write_report_schedule_digest_follows_input_digest(g1):
+    buf = io.StringIO()
+    schedule = ow.schedule_hash("a1", (0.5,), (1.0,))
+    write_report(buf, "demo", {}, ["a"], [[1]], ow.input_hash(g1), schedule)
+    lines = buf.getvalue().splitlines()
+    assert lines[5] == "# input-sha256: " + ow.input_hash(g1)
+    assert lines[6] == "# schedule-sha256: " + schedule
+    assert lines[7] == "a"
 
 
 def test_write_report_layout():

@@ -1,10 +1,17 @@
-"""The shared acceptance rule against the per-type-loop evaluators it replaced.
+"""The shared acceptance rule and the sorted offer sweep against the
+implementations they replaced.
 
 ``offer_oracle`` keeps the old ``evaluate_offer``, ``expected_utility_B`` and
 ``expected_outcome``. On ``random_suite`` instances the new evaluators must
 give the same accepting types and steps exactly and the same values within
 1e-12 relative; a single offer must equal its one-step schedule exactly, and
 the optimizer's equivalence gap must be exactly zero, null offers included.
+
+It also keeps the per-candidate searches ``optimal_offer``,
+``simplified_offer`` and ``gamma_candidates``. The sweep must pick the same
+offers with identical evaluations and list identical candidates, on
+``random_suite`` and on games with many exact payoff ties; and relabelling
+A's types must not change the offers.
 """
 
 from __future__ import annotations
@@ -144,3 +151,84 @@ def test_null_offer_gap_is_exactly_zero(seed):
             assert math.isclose(ev.expected_u_b, e_ub, rel_tol=REL)
             assert math.isclose(ev.expected_sw, e_ua + e_ub, rel_tol=REL)
     assert nulls > 0
+
+
+@functools.cache
+def _search_suite(seed: int, max_types_a: int) -> list:
+    return ow.random_suite(200, seed, max_types_a=max_types_a)
+
+
+def _assert_searches_match(game) -> None:
+    for tb in game.types_b:
+        for search in ("optimal_offer", "simplified_offer"):
+            got = getattr(ow, search)(game, tb)
+            want = getattr(oracle, search)(game, tb)
+            assert got == want, (search, tb)
+        for action in game.actions_a:
+            assert ow.gamma_candidates(game, action, tb) == oracle.gamma_candidates(game, action, tb)
+
+
+@pytest.mark.parametrize("max_types_a", [6, 40])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_offer_search_matches_oracle(seed, max_types_a):
+    nulls = 0
+    for game in _search_suite(seed, max_types_a):
+        _assert_searches_match(game)
+        nulls += sum(ow.optimal_offer(game, tb).null_offer for tb in game.types_b)
+    assert nulls > 0
+
+
+def _tied_game(rng: np.random.Generator):
+    """Small integer payoffs and priors with few distinct values, so shares,
+    acceptance masses and offer values tie exactly."""
+    n_aa, n_ab, n_ta = (int(x) for x in rng.integers(2, [5, 4, 9]))
+    weights = rng.integers(0, 4, n_ta).astype(float)
+    weights[0] += 1.0
+    return ow.make_game(
+        [f"a{j}" for j in range(n_aa)],
+        [f"b{j}" for j in range(n_ab)],
+        [(f"t{i}", w) for i, w in enumerate(weights / weights.sum())],
+        [("u1", 0.5), ("u2", 0.5)],
+        rng.integers(0, 4, (n_ta, n_aa)).astype(float),
+        rng.integers(0, 4, (2, n_aa, n_ab)).astype(float),
+    )
+
+
+def test_offer_search_matches_oracle_on_tied_games():
+    rng = np.random.default_rng(982)
+    for _ in range(700):
+        _assert_searches_match(_tied_game(rng))
+
+
+def _relabel_a_types(game, order) -> ow.OneWayGame:
+    return ow.OneWayGame(
+        actions_a=game.actions_a,
+        actions_b=game.actions_b,
+        types_a=tuple(game.types_a[i] for i in order),
+        types_b=game.types_b,
+        prior_a=game.prior_a[order],
+        prior_b=game.prior_b,
+        payoff_a=game.payoff_a[order],
+        payoff_b=game.payoff_b,
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(index=st.integers(0, 199), seed=st.integers(1, 4), shuffle=st.integers(0, 2**32 - 1))
+def test_offers_invariant_under_relabelling_a_types(index, seed, shuffle):
+    """B's fallback and gain are prior-weighted sums, whose last bits depend
+    on the order of A's types, and each candidate share is a quotient by the
+    gain; so the share may move by an ulp, while the action, the accepting
+    types and the values stay put."""
+    game = _search_suite(seed, 40)[index]
+    order = np.random.default_rng(shuffle).permutation(len(game.types_a))
+    relabelled = _relabel_a_types(game, order)
+    for tb in game.types_b:
+        for search in (ow.optimal_offer, ow.simplified_offer):
+            got, want = search(relabelled, tb), search(game, tb)
+            assert (got.offer.action_a, got.null_offer) == (want.offer.action_a, want.null_offer), tb
+            assert _close(got.offer.gamma, want.offer.gamma), (tb, got.offer, want.offer)
+            assert set(got.evaluation.accepting_types) == set(want.evaluation.accepting_types)
+            for field in ("acceptance_prob", "expected_u_a", "expected_u_b", "expected_sw"):
+                a, b = getattr(got.evaluation, field), getattr(want.evaluation, field)
+                assert _close(a, b), (tb, field, a, b)
