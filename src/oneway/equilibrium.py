@@ -38,11 +38,15 @@ def nash_action_A(game: OneWayGame, type_a: str) -> str:
 
 def nash_action_B(game: OneWayGame, type_b: str) -> str:
     """B's best reply, in prior expectation, to A's equilibrium map."""
-    itb = game.type_b_index(type_b)
     a_idx = np.argmax(game.payoff_a, axis=1)  # A's action per type, ties to low index
+    return game.actions_b[_reply_b(game, game.type_b_index(type_b), a_idx)]
+
+
+def _reply_b(game: OneWayGame, itb: int, a_idx: np.ndarray) -> int:
+    """Index of B type ``itb``'s best reply to A's action map ``a_idx``."""
     # expected payoff of each B action against the induced action distribution
     expected = game.prior_a @ game.payoff_b[itb, a_idx, :]
-    return game.actions_b[int(np.argmax(expected))]
+    return int(np.argmax(expected))
 
 
 @dataclass(frozen=True)
@@ -54,13 +58,20 @@ class NashOutcome:
     expected_welfare: float
 
 
-def _equilibrium_welfare(game: OneWayGame, action_b: dict[str, str]) -> np.ndarray:
-    """Welfare of equilibrium play per type profile (A types by B types),
-    given B's equilibrium reply per B type."""
-    a_idx = np.argmax(game.payoff_a, axis=1)
-    b_idx = [game.action_b_index(action_b[t]) for t in game.types_b]
+def _nash_tables(game: OneWayGame) -> tuple[NashOutcome, np.ndarray]:
+    """The equilibrium outcome and its welfare per type profile (A types by
+    B types): ``pa[i, a*_i] + pb[k, a*_i, b*_k]``."""
+    a_idx = np.argmax(game.payoff_a, axis=1)  # A's action per type, ties to low index
+    b_idx = [_reply_b(game, itb, a_idx) for itb in range(len(game.types_b))]
     ub = game.payoff_b[np.arange(len(game.types_b)), a_idx[:, None], b_idx]
-    return np.max(game.payoff_a, axis=1)[:, None] + ub
+    welfare = np.max(game.payoff_a, axis=1)[:, None] + ub
+    weight = game.prior_a[:, None] * game.prior_b[None, :]
+    outcome = NashOutcome(
+        action_a={t: game.actions_a[i] for t, i in zip(game.types_a, a_idx)},
+        action_b={t: game.actions_b[i] for t, i in zip(game.types_b, b_idx)},
+        expected_welfare=_running_sum(weight * welfare),
+    )
+    return outcome, welfare
 
 
 def _running_sum(terms: np.ndarray) -> float:
@@ -70,11 +81,7 @@ def _running_sum(terms: np.ndarray) -> float:
 
 
 def nash_outcome(game: OneWayGame) -> NashOutcome:
-    action_a = {t: nash_action_A(game, t) for t in game.types_a}
-    action_b = {t: nash_action_B(game, t) for t in game.types_b}
-    weight = game.prior_a[:, None] * game.prior_b[None, :]
-    total = _running_sum(weight * _equilibrium_welfare(game, action_b))
-    return NashOutcome(action_a=action_a, action_b=action_b, expected_welfare=total)
+    return _nash_tables(game)[0]
 
 
 def poa_of_type(game: OneWayGame, types: TypeProfile | tuple[str, str]) -> float:
@@ -116,8 +123,7 @@ def poa_metrics(game: OneWayGame) -> PoAReport:
     exactly (rounding is monotone); the expectations add the profiles one at
     a time in row-major order.
     """
-    out = nash_outcome(game)
-    eq = _equilibrium_welfare(game, out.action_b)
+    out, eq = _nash_tables(game)
     opt = np.max(game.payoff_a[:, None, :] + np.max(game.payoff_b, axis=2)[None, :, :], axis=2)
     ua_best = np.max(game.payoff_a, axis=1)[:, None]
     ub_best = np.max(game.payoff_b, axis=(1, 2))[None, :]

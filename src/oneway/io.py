@@ -230,16 +230,14 @@ def schedule_hash(action: str, gammas: Sequence[float], probs: Sequence[float]) 
 
 
 def format_cell(value: Any) -> str:
-    if type(value) is float:  # most cells; skips the isinstance checks below
-        return repr(value)
+    if isinstance(value, (float, np.floating)):  # most cells, so tested first
+        return repr(float(value))
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
     return str(value)
 
 
