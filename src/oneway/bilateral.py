@@ -28,14 +28,15 @@ be run on either representation; they agree verdict for verdict.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import streams
-from .game import OneWayGame, StrategyProfile, make_game, optimal_welfare, social_welfare
+from .game import OneWayGame, StrategyProfile, make_game
 
 PROB_TOL = 1e-12
 MARGIN_TOL = 1e-7
@@ -151,15 +152,13 @@ def mechanism_to_one_way(
     instance: BilateralTradeInstance, mech: DirectMechanism
 ) -> tuple[OneWayGame, OneWayMechanism]:
     game = to_one_way(instance)
-    profile: dict[tuple[str, str], StrategyProfile] = {}
-    pay_a: dict[tuple[str, str], float] = {}
-    pay_b: dict[tuple[str, str], float] = {}
-    for i, ta in enumerate(game.types_a):
-        for j, tb in enumerate(game.types_b):
-            traded = mech.allocation[i, j] > 0.5
-            profile[(ta, tb)] = StrategyProfile("transfer" if traded else "keep", "none")
-            pay_a[(ta, tb)] = float(mech.t_seller[i, j])
-            pay_b[(ta, tb)] = float(mech.t_buyer[i, j])
+    pairs = list(product(game.types_a, game.types_b))
+    traded = (np.asarray(mech.allocation) > 0.5).ravel().tolist()
+    profile = {
+        p: StrategyProfile("transfer" if t else "keep", "none") for p, t in zip(pairs, traded)
+    }
+    pay_a = dict(zip(pairs, np.asarray(mech.t_seller, dtype=np.float64).ravel().tolist()))
+    pay_b = dict(zip(pairs, np.asarray(mech.t_buyer, dtype=np.float64).ravel().tolist()))
     return game, OneWayMechanism(profile, pay_a, pay_b)
 
 
@@ -181,6 +180,17 @@ class PropertyReport:
         )
 
 
+def _ic_witnesses(u: np.ndarray, label: str, names: Sequence[str], tol: float) -> list[str]:
+    """IC violations of a (true type x report) interim-utility table, in
+    row-major order: the gain of each report over the truthful diagonal."""
+    gain = u - np.diag(u)[:, None]
+    bad = gain > tol
+    return [
+        f"{label} {names[i]} gains {g!r} reporting {names[k]}"
+        for (i, k), g in zip(np.argwhere(bad).tolist(), gain[bad].tolist())
+    ]
+
+
 def check_properties(
     instance: BilateralTradeInstance, mech: DirectMechanism, tol: float = 1e-9
 ) -> PropertyReport:
@@ -188,7 +198,7 @@ def check_properties(
     incentive compatibility and interim individual rationality.
 
     Near-ties in values (within tol) leave the allocation free. Witness
-    strings pinpoint the first few violations of each property.
+    strings name every violation, property by property in type order.
     """
     sv = np.asarray(instance.seller_values)
     bv = np.asarray(instance.buyer_values)
@@ -197,60 +207,36 @@ def check_properties(
     sigma = np.asarray(mech.allocation, dtype=np.float64)
     ts = np.asarray(mech.t_seller, dtype=np.float64)
     tb = np.asarray(mech.t_buyer, dtype=np.float64)
-    witnesses: list[str] = []
+    s_names = [repr(v) for v in instance.seller_values]
+    b_names = [repr(v) for v in instance.buyer_values]
 
-    efficient = True
-    for i in range(len(sv)):
-        for j in range(len(bv)):
-            if sv[i] < bv[j] - tol and sigma[i, j] < 0.5:
-                efficient = False
-                witnesses.append(f"no trade at seller {sv[i]!r} < buyer {bv[j]!r}")
-            elif sv[i] > bv[j] + tol and sigma[i, j] > 0.5:
-                efficient = False
-                witnesses.append(f"trade at seller {sv[i]!r} > buyer {bv[j]!r}")
-
+    missed = (sv[:, None] < bv[None, :] - tol) & (sigma < 0.5)
+    wasted = (sv[:, None] > bv[None, :] + tol) & (sigma > 0.5)
+    eff = [
+        f"no trade at seller {s_names[i]} < buyer {b_names[j]}"
+        if missed[i, j]
+        else f"trade at seller {s_names[i]} > buyer {b_names[j]}"
+        for i, j in np.argwhere(missed | wasted).tolist()
+    ]
     worst_bb = float(np.max(np.abs(ts + tb)))
-    budget_balanced = worst_bb <= tol
-    if not budget_balanced:
-        witnesses.append(f"transfers sum to {worst_bb!r} somewhere, expected 0")
+    bb = [] if worst_bb <= tol else [f"transfers sum to {worst_bb!r} somewhere, expected 0"]
 
-    # interim quantities. Seller keeps with prob K, is paid X_s; buyer gets
-    # the good with prob G, is paid X_b (usually negative).
-    keep = 1.0 - sigma
-    K = keep @ f2
-    X_s = ts @ f2
-    G = f1 @ sigma
-    X_b = f1 @ tb
-
-    ic = True
-    for i in range(len(sv)):
-        truthful = sv[i] * K[i] + X_s[i]
-        for k in range(len(sv)):
-            gain = (sv[i] * K[k] + X_s[k]) - truthful
-            if gain > tol:
-                ic = False
-                witnesses.append(f"seller {sv[i]!r} gains {gain!r} reporting {sv[k]!r}")
-    for j in range(len(bv)):
-        truthful = bv[j] * G[j] + X_b[j]
-        for k in range(len(bv)):
-            gain = (bv[j] * G[k] + X_b[k]) - truthful
-            if gain > tol:
-                ic = False
-                witnesses.append(f"buyer {bv[j]!r} gains {gain!r} reporting {bv[k]!r}")
-
-    ir = True
-    for i in range(len(sv)):
-        slack = (sv[i] * K[i] + X_s[i]) - sv[i]
-        if slack < -tol:
-            ir = False
-            witnesses.append(f"seller {sv[i]!r} is {-slack!r} below her walk-away value")
-    for j in range(len(bv)):
-        slack = bv[j] * G[j] + X_b[j]
-        if slack < -tol:
-            ir = False
-            witnesses.append(f"buyer {bv[j]!r} is {-slack!r} below zero")
-
-    return PropertyReport(efficient, budget_balanced, ic, ir, tuple(witnesses))
+    # interim utilities, true type by report: the seller keeps with prob K
+    # and is paid X_s; the buyer gets the good with prob G, is paid X_b
+    u_s = sv[:, None] * ((1.0 - sigma) @ f2) + ts @ f2
+    u_b = bv[:, None] * (f1 @ sigma) + f1 @ tb
+    ic = _ic_witnesses(u_s, "seller", s_names, tol) + _ic_witnesses(u_b, "buyer", b_names, tol)
+    ir = [
+        f"seller {n} is {-x!r} below her walk-away value"
+        for n, x in zip(s_names, (np.diag(u_s) - sv).tolist())
+        if x < -tol
+    ]
+    ir += [
+        f"buyer {n} is {-x!r} below zero"
+        for n, x in zip(b_names, np.diag(u_b).tolist())
+        if x < -tol
+    ]
+    return PropertyReport(not eff, not bb, not ic, not ir, tuple(eff + bb + ic + ir))
 
 
 def check_one_way_properties(
@@ -261,86 +247,43 @@ def check_one_way_properties(
     Reservation utilities come from no-mechanism play: A falls back to her
     selfish optimum, B to her expected payoff against A's equilibrium map.
     """
-    from .equilibrium import nash_action_A, nash_action_B
+    from .equilibrium import _reply_b
 
-    witnesses: list[str] = []
-    efficient = True
-    worst_bb = 0.0
-    for ta in game.types_a:
-        for tb in game.types_b:
-            prof = mech.profile[(ta, tb)]
-            w = social_welfare(game, prof, (ta, tb))
-            _, opt = optimal_welfare(game, (ta, tb))
-            if w < opt - tol:
-                efficient = False
-                witnesses.append(f"profile at ({ta}, {tb}) yields {w!r} < optimum {opt!r}")
-            bb = abs(mech.payment_a[(ta, tb)] + mech.payment_b[(ta, tb)])
-            worst_bb = max(worst_bb, bb)
-    budget_balanced = worst_bb <= tol
-    if not budget_balanced:
-        witnesses.append(f"payments sum to {worst_bb!r} somewhere, expected 0")
+    pairs = list(product(game.types_a, game.types_b))
+    shape = (len(game.types_a), len(game.types_b))
+    profiles = [mech.profile[p] for p in pairs]
+    act = np.reshape([game.action_a_index(p.action_a) for p in profiles], shape)
+    reply = np.reshape([game.action_b_index(p.action_b) for p in profiles], shape)
+    pay_a = np.reshape([mech.payment_a[p] for p in pairs], shape)
+    pay_b = np.reshape([mech.payment_b[p] for p in pairs], shape)
+    pa, pb = game.payoff_a, game.payoff_b
 
-    ic = True
-    for ta in game.types_a:
-        def util_a(report: str, true: str = ta) -> float:
-            total = 0.0
-            for jtb, tb in enumerate(game.types_b):
-                prof = mech.profile[(report, tb)]
-                total += float(game.prior_b[jtb]) * (
-                    game.u_a(prof.action_a, true) + mech.payment_a[(report, tb)]
-                )
-            return total
+    welfare = pa[np.arange(shape[0])[:, None], act] + pb[np.arange(shape[1]), act, reply]
+    opt = np.max(pa[:, None, :] + np.max(pb, axis=2)[None, :, :], axis=2)
+    eff = [
+        f"profile at ({ta}, {tb}) yields {w!r} < optimum {o!r}"
+        for (ta, tb), w, o in zip(pairs, welfare.ravel().tolist(), opt.ravel().tolist())
+        if w < o - tol
+    ]
+    worst_bb = float(np.max(np.abs(pay_a + pay_b)))
+    bb = [] if worst_bb <= tol else [f"payments sum to {worst_bb!r} somewhere, expected 0"]
 
-        truthful = util_a(ta)
-        for other in game.types_a:
-            gain = util_a(other) - truthful
-            if gain > tol:
-                ic = False
-                witnesses.append(f"A type {ta} gains {gain!r} reporting {other}")
-    for tb in game.types_b:
-        def util_b(report: str, true: str = tb) -> float:
-            total = 0.0
-            for ita, ta in enumerate(game.types_a):
-                prof = mech.profile[(ta, report)]
-                total += float(game.prior_a[ita]) * (
-                    game.u_b(prof, true) + mech.payment_b[(ta, report)]
-                )
-            return total
-
-        truthful = util_b(tb)
-        for other in game.types_b:
-            gain = util_b(other) - truthful
-            if gain > tol:
-                ic = False
-                witnesses.append(f"B type {tb} gains {gain!r} reporting {other}")
-
-    ir = True
-    nash_a = {ta: nash_action_A(game, ta) for ta in game.types_a}
-    for ita, ta in enumerate(game.types_a):
-        truthful = 0.0
-        for jtb, tb in enumerate(game.types_b):
-            prof = mech.profile[(ta, tb)]
-            truthful += float(game.prior_b[jtb]) * (
-                game.u_a(prof.action_a, ta) + mech.payment_a[(ta, tb)]
-            )
-        reservation = game.u_a(nash_a[ta], ta)
-        if truthful < reservation - tol:
-            ir = False
-            witnesses.append(f"A type {ta} gets {truthful!r} < walk-away {reservation!r}")
-    for jtb, tb in enumerate(game.types_b):
-        truthful = 0.0
-        reservation = 0.0
-        sb = nash_action_B(game, tb)
-        for ita, ta in enumerate(game.types_a):
-            prof = mech.profile[(ta, tb)]
-            fa = float(game.prior_a[ita])
-            truthful += fa * (game.u_b(prof, tb) + mech.payment_b[(ta, tb)])
-            reservation += fa * game.u_b((nash_a[ta], sb), tb)
-        if truthful < reservation - tol:
-            ir = False
-            witnesses.append(f"B type {tb} gets {truthful!r} < walk-away {reservation!r}")
-
-    return PropertyReport(efficient, budget_balanced, ic, ir, tuple(witnesses))
+    # interim utilities, true type by report, B's reply held at the profile's
+    u_a = (pa[:, act] + pay_a) @ game.prior_b
+    u_b = game.prior_a @ (pb[:, act, reply] + pay_b)
+    ic = _ic_witnesses(u_a, "A type", game.types_a, tol)
+    ic += _ic_witnesses(u_b, "B type", game.types_b, tol)
+    a_idx = np.argmax(pa, axis=1)
+    b_idx = [_reply_b(game, itb, a_idx) for itb in range(shape[1])]
+    walk_b = game.prior_a @ pb[np.arange(shape[1]), a_idx[:, None], b_idx]
+    sides = (("A", game.types_a, u_a, np.max(pa, axis=1)), ("B", game.types_b, u_b, walk_b))
+    ir = [
+        f"{side} type {t} gets {x!r} < walk-away {r!r}"
+        for side, types, u, walk in sides
+        for t, x, r in zip(types, np.diag(u).tolist(), walk.tolist())
+        if x < r - tol
+    ]
+    return PropertyReport(not eff, not bb, not ic, not ir, tuple(eff + bb + ic + ir))
 
 
 def _interim_system(
@@ -490,7 +433,7 @@ def min_subsidy(instance: BilateralTradeInstance) -> SubsidyResult:
 
 @dataclass(frozen=True)
 class RefinementRow:
-    k: int
+    k: int | None
     verdict: str
     margin: float
     subsidy: float
@@ -498,11 +441,20 @@ class RefinementRow:
     certificate_residual: float | None
 
 
-def refinement_sweep(
-    ks: Iterable[int], low: float = 0.0, high: float = 1.0, workers: int | None = None
-) -> list[RefinementRow]:
+def feasibility_row(instance: BilateralTradeInstance, k: int | None = None) -> RefinementRow:
+    """Verdict, margin, minimum subsidy and certificate check of one
+    instance; ``certificate_ok`` is None unless the verdict is infeasible."""
+    feas = feasibility_lp(instance)
+    sub = min_subsidy(instance)
+    cert_ok = certificate_is_valid(feas) if feas.verdict == "infeasible" else None
+    residual = feas.certificate_residual
+    return RefinementRow(k, feas.verdict, feas.margin, sub.subsidy, cert_ok, residual)
+
+
+def refinement_sweep(ks: Iterable[int], workers: int | None = None) -> list[RefinementRow]:
     """Feasibility and minimum subsidy across grid refinements of the same
-    continuous trade problem (both values uniform on [low, high]).
+    continuous trade problem (both values uniform on [0, 1]), on ``workers``
+    threads (default: one per CPU).
 
     Rows come back ordered by k regardless of worker scheduling. The trend
     is for the caller to inspect; nothing about monotonicity is assumed here.
@@ -510,20 +462,9 @@ def refinement_sweep(
     ks = list(ks)
 
     def solve(k: int) -> RefinementRow:
-        inst = uniform_grid_instance(k, low, high)
-        feas = feasibility_lp(inst)
-        sub = min_subsidy(inst)
-        cert_ok = certificate_is_valid(feas) if feas.verdict == "infeasible" else None
-        return RefinementRow(
-            k=k,
-            verdict=feas.verdict,
-            margin=feas.margin,
-            subsidy=sub.subsidy,
-            certificate_ok=cert_ok,
-            certificate_residual=feas.certificate_residual,
-        )
+        return feasibility_row(uniform_grid_instance(k), k)
 
-    count = workers if workers is not None else streams.worker_count()
+    count = workers if workers is not None else os.cpu_count() or 1
     if count <= 1 or len(ks) <= 1:
         return [solve(k) for k in ks]
     with ThreadPoolExecutor(max_workers=count) as pool:

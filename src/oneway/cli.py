@@ -254,88 +254,78 @@ def cmd_multi_offer(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_ms(args: argparse.Namespace, subcommand: str, config: dict, rows, instance=None) -> int:
-    """Write a trade-feasibility report. Each row is (k, verdict, margin,
-    subsidy, certificate_ok, certificate_residual), the field order of
-    ``bilateral.RefinementRow``; None leaves its cell blank."""
+def _emit_ms(args: argparse.Namespace, config: dict, rows, instance=None) -> int:
+    """Write a trade-feasibility report, one ``bilateral.RefinementRow`` per
+    line in its field order; None leaves its cell blank."""
     columns = ["k", "verdict", "margin", "min_subsidy", "certificate_ok", "certificate_residual"]
-    cells = [["" if v is None else v for v in row] for row in rows]
-    _emit(args, subcommand, config, columns, cells, instance)
+    cells = [["" if v is None else v for v in dataclasses.astuple(row)] for row in rows]
+    _emit(args, "ms-check", config, columns, cells, instance)
     return 0
 
 
 def cmd_ms_check(args: argparse.Namespace) -> int:
     if args.instance:
         inst = io.load_bilateral(args.instance)
-        feas = bilateral.feasibility_lp(inst)
-        sub = bilateral.min_subsidy(inst)
-        cert_ok = bilateral.certificate_is_valid(feas) if feas.verdict == "infeasible" else None
-        row = (None, feas.verdict, feas.margin, sub.subsidy, cert_ok, feas.certificate_residual)
         config = {"instance": args.instance, "tolerance": bilateral.MARGIN_TOL}
-        return _emit_ms(args, "ms-check", config, [row], inst)
+        return _emit_ms(args, config, [bilateral.feasibility_row(inst)], inst)
     ks = list(range(2, args.refine + 1))
     if not ks:
         print("error: --refine must be at least 2", file=sys.stderr)
         return 1
     config = {"refine": args.refine, "tolerance": bilateral.MARGIN_TOL}
-    rows = map(dataclasses.astuple, bilateral.refinement_sweep(ks))
-    return _emit_ms(args, "ms-check", config, rows)
+    return _emit_ms(args, config, bilateral.refinement_sweep(ks))
+
+
+def _range(args: argparse.Namespace, start: float, stop: float, step: float) -> tuple:
+    """``--from``, ``--to`` and ``--step``, each defaulting to the given value."""
+    given = (args.start, args.stop, args.step)
+    return tuple(d if v is None else v for v, d in zip(given, (start, stop, step)))
+
+
+def _example1b_row(x: float) -> list:
+    pt = analytics.example1b(x)
+    return [x, pt.threshold, pt.expected_welfare, pt.optimal_welfare, pt.poa,
+            analytics.example1b_no_payment_poa(x)]
+
+
+def _example2_row(mu1: float) -> list:
+    pt = analytics.example2(mu1)
+    return [mu1, pt.threshold, pt.expected_welfare, pt.optimal_welfare, pt.poa]
 
 
 def cmd_examples(args: argparse.Namespace) -> int:
     which = args.which
     if which == "1b":
-        start = args.start if args.start is not None else 0.0
-        stop = args.stop if args.stop is not None else 400.0
-        step = args.step if args.step is not None else 1.0
         columns = ["x", "threshold", "expected_welfare", "optimal_welfare", "poa", "no_payment_poa"]
         if args.sweep:
-            rows = []
-            for x in _frange(start, stop, step):
-                pt = analytics.example1b(x)
-                rows.append(
-                    [x, pt.threshold, pt.expected_welfare, pt.optimal_welfare, pt.poa,
-                     analytics.example1b_no_payment_poa(x)]
-                )
+            start, stop, step = _range(args, 0.0, 400.0, 1.0)
+            rows = [_example1b_row(x) for x in _frange(start, stop, step)]
             config = {"which": "1b", "sweep": True, "from": start, "to": stop, "step": step}
-            _emit(args, "examples", config, columns, rows)
-            return 0
-        pt = analytics.example1b(args.x)
-        row = [args.x, pt.threshold, pt.expected_welfare, pt.optimal_welfare, pt.poa,
-               analytics.example1b_no_payment_poa(args.x)]
-        if args.mc_samples > 0:
-            mc = analytics.mc_single_offer(
-                analytics.example1b_scenario(args.x), args.mc_samples, args.seed, "aggregate"
-            )
-            columns = columns + ["mc_welfare", "mc_welfare_ci99", "mc_poa", "mc_acceptance"]
-            row += [mc.mean_sw, mc.ci_sw, mc.poa_vs_ex_ante, mc.acceptance_rate]
-        config = {
-            "which": "1b", "sweep": False, "x": args.x,
-            "mc_samples": args.mc_samples, "seed": args.seed,
-        }
-        _emit(args, "examples", config, columns, [row])
+        else:
+            rows = [_example1b_row(args.x)]
+            if args.mc_samples > 0:
+                mc = analytics.mc_single_offer(
+                    analytics.example1b_scenario(args.x), args.mc_samples, args.seed, "aggregate"
+                )
+                columns = columns + ["mc_welfare", "mc_welfare_ci99", "mc_poa", "mc_acceptance"]
+                rows[0] += [mc.mean_sw, mc.ci_sw, mc.poa_vs_ex_ante, mc.acceptance_rate]
+            config = {
+                "which": "1b", "sweep": False, "x": args.x,
+                "mc_samples": args.mc_samples, "seed": args.seed,
+            }
+        _emit(args, "examples", config, columns, rows)
         return 0
     if which == "2":
-        start = args.start if args.start is not None else 0.0
-        stop = args.stop if args.stop is not None else 4.0
-        step = args.step if args.step is not None else 0.01
         columns = ["mu1", "threshold", "expected_welfare", "optimal_welfare", "poa"]
-        mu_star, poa_max = analytics.example2_poa_max()
         if args.sweep:
-            rows = []
-            for m in _frange(start, stop, step):
-                pt = analytics.example2(m)
-                rows.append([m, pt.threshold, pt.expected_welfare, pt.optimal_welfare, pt.poa])
-            rows.append(["poa_max_closed_form", mu_star, "", "", poa_max])
+            start, stop, step = _range(args, 0.0, 4.0, 0.01)
+            rows = [_example2_row(m) for m in _frange(start, stop, step)]
             config = {"which": "2", "sweep": True, "from": start, "to": stop, "step": step}
-            _emit(args, "examples", config, columns, rows)
-            return 0
-        pt = analytics.example2(args.mu1)
-        rows = [
-            [args.mu1, pt.threshold, pt.expected_welfare, pt.optimal_welfare, pt.poa],
-            ["poa_max_closed_form", mu_star, "", "", poa_max],
-        ]
-        config = {"which": "2", "sweep": False, "mu1": args.mu1}
+        else:
+            rows = [_example2_row(args.mu1)]
+            config = {"which": "2", "sweep": False, "mu1": args.mu1}
+        mu_star, poa_max = analytics.example2_poa_max()
+        rows.append(["poa_max_closed_form", mu_star, "", "", poa_max])
         _emit(args, "examples", config, columns, rows)
         return 0
     # corollary
@@ -381,9 +371,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    start = args.start if args.start is not None else 0.1
-    stop = args.stop if args.stop is not None else 2.0
-    step = args.step if args.step is not None else 0.05
+    start, stop, step = _range(args, 0.1, 2.0, 0.05)
     columns = ["beta", "gamma_star", "poa_bound"]
     rows = [[b, *single_offer.corollary_bound(b)] for b in _frange(start, stop, step)]
     config = {"param": args.param, "from": start, "to": stop, "step": step}
@@ -395,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oneway",
         description="Analyze one-way games: equilibria, inefficiency, bargaining mechanisms.",
-        epilog="Set ONEWAY_THREADS to cap worker threads for sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

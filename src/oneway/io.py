@@ -160,19 +160,26 @@ def save_game(game: OneWayGame, path: str) -> None:
         fh.write("\n")
 
 
+def _number_lists(path: str, prefix: str, **lists: Any) -> None:
+    """Check that each named field is a non-empty list of numbers and that
+    the second is as long as the first; fields are reported as prefix+name."""
+    for name, raw in lists.items():
+        if not isinstance(raw, list) or not raw or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
+        ):
+            raise InstanceFormatError(path, prefix + name, "a non-empty list of numbers")
+    (first, a), (second, b) = lists.items()
+    if len(a) != len(b):
+        raise InstanceFormatError(path, prefix + second, f"length {len(a)} to match {first}")
+
+
 def load_schedule_file(path: str) -> tuple[str, tuple[float, ...], tuple[float, ...]]:
     """Read a posted transfer schedule: {"action", "gammas", "probs"}."""
     data = _load_json(path)
     action = _require(data, "action", path, "an A action identifier")
     gammas = _require(data, "gammas", path, "a list of numbers")
     probs = _require(data, "probs", path, "a list of numbers")
-    for field, raw in (("gammas", gammas), ("probs", probs)):
-        if not isinstance(raw, list) or not raw or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
-        ):
-            raise InstanceFormatError(path, field, "a non-empty list of numbers")
-    if len(gammas) != len(probs):
-        raise InstanceFormatError(path, "probs", f"length {len(gammas)} to match gammas")
+    _number_lists(path, "", gammas=gammas, probs=probs)
     return str(action), tuple(float(g) for g in gammas), tuple(float(p) for p in probs)
 
 
@@ -185,23 +192,11 @@ def load_bilateral(path: str) -> "BilateralTradeInstance":
         block = _require(data, side, path, 'an object {"values", "probs"}')
         if not isinstance(block, dict):
             raise InstanceFormatError(path, side, 'an object {"values", "probs"}')
-        values = block.get("values")
-        probs = block.get("probs")
-        for field, raw in ((f"{side}.values", values), (f"{side}.probs", probs)):
-            if not isinstance(raw, list) or not raw or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
-            ):
-                raise InstanceFormatError(path, field, "a non-empty list of numbers")
-        if len(values) != len(probs):
-            raise InstanceFormatError(path, f"{side}.probs", f"length {len(values)} to match values")
+        values, probs = block.get("values"), block.get("probs")
+        _number_lists(path, f"{side}.", values=values, probs=probs)
         out.append((values, probs))
     try:
-        return BilateralTradeInstance(
-            seller_values=out[0][0],
-            seller_probs=out[0][1],
-            buyer_values=out[1][0],
-            buyer_probs=out[1][1],
-        )
+        return BilateralTradeInstance(*out[0], *out[1])
     except ValueError as exc:
         raise InstanceFormatError(path, "<instance>", f"a valid trade instance: {exc}") from None
 

@@ -9,8 +9,6 @@ Batch results are folded together with ``Moments``.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -76,16 +74,3 @@ class Moments:
         """Standard errors of the column means (population variance)."""
         return np.sqrt(self.m2 / self.count / self.count)
 
-
-def worker_count() -> int:
-    """Worker cap for parallel sections: ONEWAY_THREADS, else machine parallelism."""
-    env = os.environ.get("ONEWAY_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError(f"ONEWAY_THREADS must be an integer, got {env!r}") from None
-        if n < 1:
-            raise ValueError("ONEWAY_THREADS must be at least 1")
-        return n
-    return os.cpu_count() or 1

@@ -174,6 +174,40 @@ def test_violation_witnesses_name_the_problem():
     assert any("sum to" in w for w in rep.witnesses)
 
 
+def test_witnesses_print_plain_floats():
+    inst = ow.uniform_grid_instance(3)
+    base = ow.feasibility_lp(inst).mechanism
+    flipped = base.allocation.copy()
+    flipped[0, 2] = 0.0
+    for mech in (
+        ow.DirectMechanism(flipped, base.t_seller, base.t_buyer),
+        ow.DirectMechanism(base.allocation, base.t_seller - 0.5, base.t_buyer),
+    ):
+        rep = ow.check_properties(inst, mech)
+        assert rep.witnesses
+        assert not [w for w in rep.witnesses if "np." in w]
+    rep = ow.check_properties(inst, ow.DirectMechanism(flipped, base.t_seller, base.t_buyer))
+    assert rep.witnesses[:2] == (
+        "no trade at seller 0.16666666666666666 < buyer 0.8333333333333334",
+        "seller 0.5 gains 0.07407407407407418 reporting 0.16666666666666666",
+    )
+
+
+def test_impossibility_onset_on_uniform_grids():
+    # coarse grids admit an efficient, balanced, IC and IR mechanism; the
+    # five-point grid sits exactly on the boundary; finer grids do not, and
+    # each carries a Farkas certificate that re-verifies
+    rows = {row.k: row for row in ow.refinement_sweep(range(2, 21))}
+    for k in (2, 3, 4):
+        assert rows[k].verdict == "feasible" and rows[k].subsidy == 0.0
+    assert rows[5].verdict == "marginal"
+    for k in range(6, 21):
+        assert rows[k].verdict == "infeasible", k
+        assert rows[k].certificate_ok and rows[k].certificate_residual <= 1e-7
+        assert rows[k].subsidy > 0.0
+        assert ow.certificate_is_valid(ow.feasibility_lp(ow.uniform_grid_instance(k)))
+
+
 def test_refinement_sweep_structure():
     rows = ow.refinement_sweep(range(2, 8), workers=2)
     assert [r.k for r in rows] == [2, 3, 4, 5, 6, 7]

@@ -109,6 +109,60 @@ def test_load_bilateral_bad_probs(tmp_path):
         ow.load_bilateral(path)
 
 
+_SCHEDULE = {"action": "a1", "gammas": [0.2, 0.5], "probs": [1.0, 0.5]}
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("gammas", "0.2", "field 'gammas': expected a non-empty list of numbers"),
+        ("gammas", [], "field 'gammas': expected a non-empty list of numbers"),
+        ("gammas", [0.2, True], "field 'gammas': expected a non-empty list of numbers"),
+        ("probs", [1.0, "x"], "field 'probs': expected a non-empty list of numbers"),
+        ("probs", None, "field 'probs': expected a non-empty list of numbers"),
+        ("probs", [1.0], "field 'probs': expected length 2 to match gammas"),
+        ("gammas", [0.2], "field 'probs': expected length 1 to match gammas"),
+    ],
+    ids=["string", "empty", "bool", "text", "null", "short", "long"],
+)
+def test_load_schedule_messages(tmp_path, field, value, message):
+    path = _write(tmp_path, "s.json", {**_SCHEDULE, field: value})
+    with pytest.raises(ow.InstanceFormatError) as exc:
+        ow.load_schedule_file(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+_TRADE = {
+    "seller": {"values": [0.25, 0.75], "probs": [0.5, 0.5]},
+    "buyer": {"values": [0.5], "probs": [1.0]},
+}
+
+
+@pytest.mark.parametrize(
+    "side, block, message",
+    [
+        ("seller", [0.25], "field 'seller': expected an object {\"values\", \"probs\"}"),
+        ("seller", {"probs": [1.0]}, "field 'seller.values': expected a non-empty list of numbers"),
+        ("seller", {"values": [], "probs": []},
+         "field 'seller.values': expected a non-empty list of numbers"),
+        ("buyer", {"values": [0.5], "probs": [False]},
+         "field 'buyer.probs': expected a non-empty list of numbers"),
+        ("buyer", {"values": [0.5], "probs": "1"},
+         "field 'buyer.probs': expected a non-empty list of numbers"),
+        ("seller", {"values": [0.25, 0.75], "probs": [1.0]},
+         "field 'seller.probs': expected length 2 to match values"),
+        ("buyer", {"values": [0.5], "probs": [0.5, 0.5]},
+         "field 'buyer.probs': expected length 1 to match values"),
+    ],
+    ids=["not-object", "missing", "empty", "bool", "string", "short", "long"],
+)
+def test_load_bilateral_messages(tmp_path, side, block, message):
+    path = _write(tmp_path, "b.json", {**_TRADE, side: block})
+    with pytest.raises(ow.InstanceFormatError) as exc:
+        ow.load_bilateral(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
 def test_config_hash_is_order_insensitive():
     h1 = ow.config_hash({"b": 1, "a": 2})
     h2 = ow.config_hash({"a": 2, "b": 1})

@@ -26,19 +26,6 @@ def test_batch_sizes():
         streams.batch_sizes(-1)
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("ONEWAY_THREADS", "3")
-    assert streams.worker_count() == 3
-    monkeypatch.setenv("ONEWAY_THREADS", "junk")
-    with pytest.raises(ValueError):
-        streams.worker_count()
-    monkeypatch.setenv("ONEWAY_THREADS", "0")
-    with pytest.raises(ValueError):
-        streams.worker_count()
-    monkeypatch.delenv("ONEWAY_THREADS")
-    assert streams.worker_count() >= 1
-
-
 def test_generated_games_are_valid_and_reproducible():
     import oneway as ow
 

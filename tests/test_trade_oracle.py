@@ -1,11 +1,14 @@
-"""The interim trade LPs against the dense ex-post LPs they replace.
+"""The interim trade LPs and table audits against the loops they replace.
 
 ``trade_oracle`` keeps the original builders over ex-post transfers. Both
 forms must give the same verdicts, constraint counts, margins and minimum
 deficits; every certificate read from the interim LP's duals must be a
 Farkas certificate for the dense ex-post system, checked here on the dense
-matrix itself rather than through ``certificate_residual``.
+matrix itself rather than through ``certificate_residual``. It also keeps
+the per-type-pair audit loops, which must reach the audits' verdicts.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -105,3 +108,85 @@ def _side_args(pairs):
 def test_interim_and_dense_verdicts_agree(seller, buyer, include_ir):
     inst = ow.BilateralTradeInstance(*_side_args(seller), *_side_args(buyer))
     _assert_feasibility_agrees(inst, include_ir)
+
+
+def _verdicts(rep):
+    return (rep.efficient, rep.budget_balanced, rep.incentive_compatible, rep.individually_rational)
+
+
+_NUMBER = re.compile(r"-?\d+\.\d+(?:e[-+]?\d+)?|-?\d+e[-+]?\d+|-?inf|nan")
+
+
+def _assert_same_witnesses(tables, loop):
+    """The one-way audit adds its interim sums in another order than the
+    loops, so its numbers may differ in the last bits (at most ~20 terms of
+    size <= 100 here, so well inside 1e-12); the witnesses themselves and
+    their order may not."""
+    assert [_NUMBER.sub("#", w) for w in tables] == [_NUMBER.sub("#", w) for w in loop]
+    got = [float(x) for w in tables for x in _NUMBER.findall(w)]
+    want = [float(x) for w in loop for x in _NUMBER.findall(w)]
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def _mechanism(inst, kind, seed):
+    """One of four mechanisms on ``inst``: the margin LP's (or, where there
+    is none, the subsidy LP's), the subsidy LP's, the subsidy LP's with the
+    seller's transfers shifted down, or that one with random trades flipped
+    and noise on the seller's transfers."""
+    base = ow.min_subsidy(inst).mechanism
+    if kind == "feasible":
+        return ow.feasibility_lp(inst).mechanism or base
+    if kind == "subsidy":
+        return base
+    if kind == "shifted":
+        return ow.DirectMechanism(base.allocation, base.t_seller - 0.25, base.t_buyer)
+    rng = np.random.default_rng(seed)
+    flips = rng.random(base.allocation.shape) < 0.3
+    allocation = np.where(flips, 1.0 - base.allocation, base.allocation)
+    noise = rng.normal(0.0, 0.05, base.t_seller.shape)
+    return ow.DirectMechanism(allocation, base.t_seller + noise, base.t_buyer)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    seller=_side,
+    buyer=_side,
+    kind=st.sampled_from(["feasible", "subsidy", "shifted", "perturbed"]),
+    seed=st.integers(0, 2**16),
+)
+def test_audits_match_loop_oracle(seller, buyer, kind, seed):
+    inst = ow.BilateralTradeInstance(*_side_args(seller), *_side_args(buyer))
+    mech = _mechanism(inst, kind, seed)
+    direct, loop = ow.check_properties(inst, mech), trade_oracle.check_properties(inst, mech)
+    assert _verdicts(direct) == _verdicts(loop)
+    # the loops format numpy scalars with numpy's repr
+    assert direct.witnesses == tuple(re.sub(r"np\.float64\((.*?)\)", r"\1", w) for w in loop.witnesses)
+    game, om = ow.mechanism_to_one_way(inst, mech)
+    embedded = ow.check_one_way_properties(game, om)
+    loop = trade_oracle.check_one_way_properties(game, om)
+    assert _verdicts(embedded) == _verdicts(loop) == _verdicts(direct)
+    _assert_same_witnesses(embedded.witnesses, loop.witnesses)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    game_seed=st.integers(0, 10_000),
+    types=st.tuples(st.integers(1, 6), st.integers(1, 5)),
+    seed=st.integers(0, 2**16),
+    balanced=st.booleans(),
+)
+def test_one_way_audit_matches_loop_oracle_on_random_games(game_seed, types, seed, balanced):
+    game = ow.random_game(seed=game_seed, n_types_a=types[0], n_types_b=types[1])
+    rng = np.random.default_rng(seed)
+    profile, pay_a, pay_b = {}, {}, {}
+    for ta in game.types_a:
+        for tb in game.types_b:
+            sa = game.actions_a[rng.integers(len(game.actions_a))]
+            profile[(ta, tb)] = ow.StrategyProfile(sa, game.actions_b[rng.integers(len(game.actions_b))])
+            pay_a[(ta, tb)] = float(rng.normal())
+            pay_b[(ta, tb)] = -pay_a[(ta, tb)] if balanced else float(rng.normal())
+    om = ow.OneWayMechanism(profile, pay_a, pay_b)
+    tables = ow.check_one_way_properties(game, om)
+    loop = trade_oracle.check_one_way_properties(game, om)
+    assert _verdicts(tables) == _verdicts(loop)
+    _assert_same_witnesses(tables.witnesses, loop.witnesses)

@@ -1,10 +1,12 @@
-"""Dense ex-post trade LPs, kept as a test oracle for ``oneway.bilateral``.
+"""Dense ex-post trade LPs and loop audits, kept as a test oracle for
+``oneway.bilateral``.
 
 These are the original builders over ex-post transfers: one column per
 (seller, buyer) value pair, or two per pair plus the deficit for the
 subsidy LP, with rows filled by Python loops. They are exact but slow;
 the package solves the same problems in interim form, and the tests
-compare the two.
+compare the two. The property audits here are the original per-type-pair
+loops; the package reads the same verdicts off broadcast interim tables.
 """
 
 from __future__ import annotations
@@ -18,9 +20,12 @@ from oneway.bilateral import (
     BilateralTradeInstance,
     DirectMechanism,
     FeasibilityResult,
+    OneWayMechanism,
+    PropertyReport,
     SubsidyResult,
     efficient_allocation,
 )
+from oneway.game import OneWayGame, optimal_welfare, social_welfare
 
 
 def _constraint_system(
@@ -201,3 +206,165 @@ def min_subsidy(instance: BilateralTradeInstance) -> SubsidyResult:
     t_b = res.x[nv : 2 * nv].reshape(ns, nb)
     mech = DirectMechanism(allocation=sigma, t_seller=t_s, t_buyer=t_b)
     return SubsidyResult(subsidy=max(0.0, d_star), raw_min_deficit=d_star, mechanism=mech)
+
+
+def check_properties(
+    instance: BilateralTradeInstance, mech: DirectMechanism, tol: float = 1e-9
+) -> PropertyReport:
+    """Audit a trade mechanism: efficiency, budget balance, Bayes-Nash
+    incentive compatibility and interim individual rationality.
+
+    Near-ties in values (within tol) leave the allocation free. Witness
+    strings pinpoint the first few violations of each property.
+    """
+    sv = np.asarray(instance.seller_values)
+    bv = np.asarray(instance.buyer_values)
+    f1 = np.asarray(instance.seller_probs)
+    f2 = np.asarray(instance.buyer_probs)
+    sigma = np.asarray(mech.allocation, dtype=np.float64)
+    ts = np.asarray(mech.t_seller, dtype=np.float64)
+    tb = np.asarray(mech.t_buyer, dtype=np.float64)
+    witnesses: list[str] = []
+
+    efficient = True
+    for i in range(len(sv)):
+        for j in range(len(bv)):
+            if sv[i] < bv[j] - tol and sigma[i, j] < 0.5:
+                efficient = False
+                witnesses.append(f"no trade at seller {sv[i]!r} < buyer {bv[j]!r}")
+            elif sv[i] > bv[j] + tol and sigma[i, j] > 0.5:
+                efficient = False
+                witnesses.append(f"trade at seller {sv[i]!r} > buyer {bv[j]!r}")
+
+    worst_bb = float(np.max(np.abs(ts + tb)))
+    budget_balanced = worst_bb <= tol
+    if not budget_balanced:
+        witnesses.append(f"transfers sum to {worst_bb!r} somewhere, expected 0")
+
+    # interim quantities. Seller keeps with prob K, is paid X_s; buyer gets
+    # the good with prob G, is paid X_b (usually negative).
+    keep = 1.0 - sigma
+    K = keep @ f2
+    X_s = ts @ f2
+    G = f1 @ sigma
+    X_b = f1 @ tb
+
+    ic = True
+    for i in range(len(sv)):
+        truthful = sv[i] * K[i] + X_s[i]
+        for k in range(len(sv)):
+            gain = (sv[i] * K[k] + X_s[k]) - truthful
+            if gain > tol:
+                ic = False
+                witnesses.append(f"seller {sv[i]!r} gains {gain!r} reporting {sv[k]!r}")
+    for j in range(len(bv)):
+        truthful = bv[j] * G[j] + X_b[j]
+        for k in range(len(bv)):
+            gain = (bv[j] * G[k] + X_b[k]) - truthful
+            if gain > tol:
+                ic = False
+                witnesses.append(f"buyer {bv[j]!r} gains {gain!r} reporting {bv[k]!r}")
+
+    ir = True
+    for i in range(len(sv)):
+        slack = (sv[i] * K[i] + X_s[i]) - sv[i]
+        if slack < -tol:
+            ir = False
+            witnesses.append(f"seller {sv[i]!r} is {-slack!r} below her walk-away value")
+    for j in range(len(bv)):
+        slack = bv[j] * G[j] + X_b[j]
+        if slack < -tol:
+            ir = False
+            witnesses.append(f"buyer {bv[j]!r} is {-slack!r} below zero")
+
+    return PropertyReport(efficient, budget_balanced, ic, ir, tuple(witnesses))
+
+
+def check_one_way_properties(
+    game: OneWayGame, mech: OneWayMechanism, tol: float = 1e-9
+) -> PropertyReport:
+    """The same audit stated on a one-way game.
+
+    Reservation utilities come from no-mechanism play: A falls back to her
+    selfish optimum, B to her expected payoff against A's equilibrium map.
+    """
+    from oneway.equilibrium import nash_action_A, nash_action_B
+
+    witnesses: list[str] = []
+    efficient = True
+    worst_bb = 0.0
+    for ta in game.types_a:
+        for tb in game.types_b:
+            prof = mech.profile[(ta, tb)]
+            w = social_welfare(game, prof, (ta, tb))
+            _, opt = optimal_welfare(game, (ta, tb))
+            if w < opt - tol:
+                efficient = False
+                witnesses.append(f"profile at ({ta}, {tb}) yields {w!r} < optimum {opt!r}")
+            bb = abs(mech.payment_a[(ta, tb)] + mech.payment_b[(ta, tb)])
+            worst_bb = max(worst_bb, bb)
+    budget_balanced = worst_bb <= tol
+    if not budget_balanced:
+        witnesses.append(f"payments sum to {worst_bb!r} somewhere, expected 0")
+
+    ic = True
+    for ta in game.types_a:
+        def util_a(report: str, true: str = ta) -> float:
+            total = 0.0
+            for jtb, tb in enumerate(game.types_b):
+                prof = mech.profile[(report, tb)]
+                total += float(game.prior_b[jtb]) * (
+                    game.u_a(prof.action_a, true) + mech.payment_a[(report, tb)]
+                )
+            return total
+
+        truthful = util_a(ta)
+        for other in game.types_a:
+            gain = util_a(other) - truthful
+            if gain > tol:
+                ic = False
+                witnesses.append(f"A type {ta} gains {gain!r} reporting {other}")
+    for tb in game.types_b:
+        def util_b(report: str, true: str = tb) -> float:
+            total = 0.0
+            for ita, ta in enumerate(game.types_a):
+                prof = mech.profile[(ta, report)]
+                total += float(game.prior_a[ita]) * (
+                    game.u_b(prof, true) + mech.payment_b[(ta, report)]
+                )
+            return total
+
+        truthful = util_b(tb)
+        for other in game.types_b:
+            gain = util_b(other) - truthful
+            if gain > tol:
+                ic = False
+                witnesses.append(f"B type {tb} gains {gain!r} reporting {other}")
+
+    ir = True
+    nash_a = {ta: nash_action_A(game, ta) for ta in game.types_a}
+    for ita, ta in enumerate(game.types_a):
+        truthful = 0.0
+        for jtb, tb in enumerate(game.types_b):
+            prof = mech.profile[(ta, tb)]
+            truthful += float(game.prior_b[jtb]) * (
+                game.u_a(prof.action_a, ta) + mech.payment_a[(ta, tb)]
+            )
+        reservation = game.u_a(nash_a[ta], ta)
+        if truthful < reservation - tol:
+            ir = False
+            witnesses.append(f"A type {ta} gets {truthful!r} < walk-away {reservation!r}")
+    for jtb, tb in enumerate(game.types_b):
+        truthful = 0.0
+        reservation = 0.0
+        sb = nash_action_B(game, tb)
+        for ita, ta in enumerate(game.types_a):
+            prof = mech.profile[(ta, tb)]
+            fa = float(game.prior_a[ita])
+            truthful += fa * (game.u_b(prof, tb) + mech.payment_b[(ta, tb)])
+            reservation += fa * game.u_b((nash_a[ta], sb), tb)
+        if truthful < reservation - tol:
+            ir = False
+            witnesses.append(f"B type {tb} gets {truthful!r} < walk-away {reservation!r}")
+
+    return PropertyReport(efficient, budget_balanced, ic, ir, tuple(witnesses))
