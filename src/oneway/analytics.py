@@ -75,12 +75,23 @@ class ContinuousSpec:
             return 1.0
         return (x / self.high) ** self.beta
 
-    def ppf(self, q):
-        """Inverse CDF, vectorized over q in [0, 1]."""
-        q = np.asarray(q, dtype=np.float64)
+    def ppf(self, q, out: np.ndarray | None = None):
+        """Inverse CDF, vectorized over q in [0, 1].
+
+        With ``out`` (which may be ``q`` itself) the quantiles are written
+        there in place instead of into a new array. A scalar q gives a scalar.
+        """
+        if out is None:
+            out = np.array(q, dtype=np.float64)
+        elif out is not q:
+            np.copyto(out, q)
         if self.kind == "uniform":
-            return self.low + q * (self.high - self.low)
-        return self.high * q ** (1.0 / self.beta)
+            out *= self.high - self.low
+            out += self.low
+        else:
+            out **= 1.0 / self.beta
+            out *= self.high
+        return out[()] if out.ndim == 0 else out
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.ppf(rng.uniform(size=size))
@@ -281,11 +292,13 @@ def mc_single_offer(
 ) -> MCResult:
     """Simulate a scenario with batched counter-based streams.
 
-    Both modes consume identical random draws (a sacrifice uniform and a
-    coin uniform per sample), so switching accounting never reshuffles the
-    sampled sacrifices. Per-draw PoA compares against the draw's own optimum;
-    poa_vs_ex_ante divides the aggregate optimum by mean welfare instead,
-    which is what the closed-form curves report.
+    Each batch draws a sacrifice uniform per sample and, in aggregate mode
+    only, a coin uniform after them. The coin is the batch stream's second
+    draw, so exact mode skips it and still samples the same sacrifices:
+    switching accounting never reshuffles them. Every batch is written into
+    columns allocated once per call. Per-draw PoA compares against the
+    draw's own optimum; poa_vs_ex_ante divides the aggregate optimum by mean
+    welfare instead, which is what the closed-form curves report.
     """
     if accounting not in ("exact", "aggregate"):
         raise ValueError('accounting must be "exact" or "aggregate"')
@@ -296,25 +309,35 @@ def mc_single_offer(
     p_model = spec.cdf(thr)
     base = scenario.a_default + scenario.b_outside
     transfer = scenario.gamma * scenario.delta_b
+    ub_deal = scenario.b_outside + scenario.delta_b - transfer
+    n = min(samples, streams.BATCH_SIZE)
+    delta_buf, coin_buf, ua_buf, ub_buf, sw_buf, poa_buf = np.empty((6, n))
+    accept_buf = np.empty(n, dtype=bool)
     moments = streams.Moments(4)  # u_a, u_b, sw, poa
     max_poa = 0.0
     accepted = 0
     for index, size in enumerate(streams.batch_sizes(samples)):
+        delta, coin, accept = delta_buf[:size], coin_buf[:size], accept_buf[:size]
+        ua, ub, sw, poa = ua_buf[:size], ub_buf[:size], sw_buf[:size], poa_buf[:size]
         rng = streams.stream(seed, index)
-        u_delta = rng.uniform(size=size)
-        u_coin = rng.uniform(size=size)
-        delta = np.atleast_1d(spec.ppf(u_delta))
+        rng.random(out=delta)
+        spec.ppf(delta, out=delta)
         if accounting == "exact":
-            accept = delta <= thr
+            np.less_equal(delta, thr, out=accept)
         else:
-            accept = u_coin < p_model
-        ua = np.where(accept, scenario.a_default - delta + transfer, scenario.a_default)
-        ub = np.where(
-            accept, scenario.b_outside + scenario.delta_b - transfer, scenario.b_outside
-        )
-        sw = ua + ub
-        opt = np.maximum(base, base - delta + scenario.delta_b)
-        poa = opt / sw
+            rng.random(out=coin)
+            np.less(coin, p_model, out=accept)
+        # (a_default - delta) + transfer and (base - delta) + delta_b, in
+        # that order: each rounding step shows in the reported means.
+        ua.fill(scenario.a_default)
+        np.add(np.subtract(scenario.a_default, delta, out=sw), transfer, out=sw)
+        np.copyto(ua, sw, where=accept)
+        ub.fill(scenario.b_outside)
+        np.copyto(ub, ub_deal, where=accept)
+        np.add(ua, ub, out=sw)
+        np.add(np.subtract(base, delta, out=poa), scenario.delta_b, out=poa)
+        np.maximum(poa, base, out=poa)
+        np.divide(poa, sw, out=poa)
         accepted += int(np.count_nonzero(accept))
         max_poa = max(max_poa, float(np.max(poa)))
         moments.add(ua, ub, sw, poa)

@@ -54,6 +54,12 @@ def _emit(
         io.write_report(sys.stdout, subcommand, config, columns, rows, *digests)
 
 
+def _error(message: str) -> int:
+    """Report an invalid combination of arguments; the exit code is 1."""
+    print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
 def _types_b(game, requested: str | None) -> list[str]:
     if requested is None:
         return list(game.types_b)
@@ -151,6 +157,10 @@ def cmd_single_offer(args: argparse.Namespace) -> int:
 
 
 def cmd_multi_offer(args: argparse.Namespace) -> int:
+    if args.samples < 0:
+        return _error("--samples must be non-negative")
+    if args.optimize and args.samples:
+        return _error("--samples applies to --schedule only")
     game = io.load_game(args.instance)
     types = _types_b(game, args.type_b)
     if args.optimize:
@@ -270,8 +280,7 @@ def cmd_ms_check(args: argparse.Namespace) -> int:
         return _emit_ms(args, config, [bilateral.feasibility_row(inst)], inst)
     ks = list(range(2, args.refine + 1))
     if not ks:
-        print("error: --refine must be at least 2", file=sys.stderr)
-        return 1
+        return _error("--refine must be at least 2")
     config = {"refine": args.refine, "tolerance": bilateral.MARGIN_TOL}
     return _emit_ms(args, config, bilateral.refinement_sweep(ks))
 
@@ -295,6 +304,10 @@ def _example2_row(mu1: float) -> list:
 
 def cmd_examples(args: argparse.Namespace) -> int:
     which = args.which
+    if args.mc_samples < 0:
+        return _error("--mc-samples must be non-negative")
+    if args.mc_samples and (which == "2" or (which == "1b" and args.sweep)):
+        return _error("--mc-samples applies to --which corollary and to --which 1b without --sweep")
     if which == "1b":
         columns = ["x", "threshold", "expected_welfare", "optimal_welfare", "poa", "no_payment_poa"]
         if args.sweep:

@@ -218,30 +218,45 @@ def simulate_schedule(
     mean for B, where a failed process is booked at the fallback value
     (matching expected_utility_B). Batches use counter-based streams keyed by
     (seed, batch index), so results are independent of batching and threads.
+
+    A draw's payoffs depend only on its A type and whether it accepts, so
+    they are read off tables with two cells per type (index 2 * type +
+    accepted) into columns allocated once per call.
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
     terms, _, reach, transfer = _settled(game, schedule, type_b)
-    ua_deal = game.payoff_a[:, terms.ia]
     n_types = len(game.types_a)
     cdf = np.cumsum(game.prior_a)
+    pb_deal = terms.ub_accept - transfer
+    pa_cell = np.column_stack((terms.ua_selfish, game.payoff_a[:, terms.ia] + transfer)).ravel()
+    pb_cell = np.column_stack((terms.ub_reject, pb_deal)).ravel()
+    plan_cell = np.column_stack((np.full(n_types, terms.outside.payoff), pb_deal)).ravel()
+    sw_cell = pa_cell + pb_cell
 
+    n = min(samples, streams.BATCH_SIZE)
+    u_buf, pa_buf, pb_buf, sw_buf, plan_buf = np.empty((5, n))
+    accept_buf = np.empty(n, dtype=bool)
     moments = streams.Moments(4)  # u_a, u_b, sw, u_b planning view
     accepted_total = 0
     for index, size in enumerate(streams.batch_sizes(samples)):
+        u, accept = u_buf[:size], accept_buf[:size]
+        pa, pb, sw, plan = pa_buf[:size], pb_buf[:size], sw_buf[:size], plan_buf[:size]
         rng = streams.stream(seed, index)
-        u_type = rng.uniform(size=size)
-        u_cont = rng.uniform(size=size)
-        types = np.searchsorted(cdf, u_type, side="right")
-        np.clip(types, 0, n_types - 1, out=types)
-        accept = u_cont < reach[types]  # reach is 0 for types that never accept
-        t = transfer[types]
-        pa = np.where(accept, ua_deal[types] + t, terms.ua_selfish[types])
-        pb_deal = terms.ub_accept - t
-        pb = np.where(accept, pb_deal, terms.ub_reject[types])
-        pb_plan = np.where(accept, pb_deal, terms.outside.payoff)
+        rng.random(out=u)
+        cell = np.searchsorted(cdf, u, side="right")  # A's type, then its table cell
+        np.clip(cell, 0, n_types - 1, out=cell)
+        rng.random(out=u)
+        # The indices are in range; mode="clip" lets take write straight into
+        # its out array, which the default mode would copy through a buffer.
+        np.take(reach, cell, out=pa, mode="clip")  # 0 for types that never accept
+        np.less(u, pa, out=accept)
+        cell *= 2
+        cell += accept
+        for table, column in ((pa_cell, pa), (pb_cell, pb), (sw_cell, sw), (plan_cell, plan)):
+            np.take(table, cell, out=column, mode="clip")
         accepted_total += int(np.count_nonzero(accept))
-        moments.add(pa, pb, pa + pb, pb_plan)
+        moments.add(pa, pb, sw, plan)
     means = moments.means()
     ci = Z99 * moments.standard_errors()
     return SimulationResult(

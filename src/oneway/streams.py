@@ -44,20 +44,25 @@ class Moments:
     Each batch is centred on its own mean and merged with the update of
     Chan, Golub & LeVeque (1979). Raw sums of squares would cancel
     catastrophically once the values sit far from zero (at a payoff offset
-    of 1e8 they report a zero-width interval); centred moments do not.
+    of 1e8 they report a zero-width interval); centred moments do not. The
+    centring scratch is kept across batches and grown when a larger one
+    arrives: a fresh batch-sized temporary per call costs page faults.
     """
 
     def __init__(self, columns: int) -> None:
         self.count = 0
         self.sums = np.zeros(columns)
         self.m2 = np.zeros(columns)
+        self._scratch = np.empty(0)
 
     def add(self, *columns: np.ndarray) -> None:
         size = columns[0].size
         sums = np.array([np.sum(c) for c in columns])
         means = sums / size
         m2 = np.empty(len(columns))
-        d = np.empty(size)  # reused: a fresh temporary per column costs page faults
+        if self._scratch.size < size:
+            self._scratch = np.empty(size)
+        d = self._scratch[:size]
         for j, (c, m) in enumerate(zip(columns, means)):
             m2[j] = np.sum(np.square(np.subtract(c, m, out=d), out=d))
         if self.count:

@@ -265,6 +265,28 @@ def test_ms_check_refine_too_small(capsys):
     assert "at least 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["examples", "--which", "2", "--mc-samples", "1000"], "--mc-samples applies to"),
+        (["examples", "--which", "2", "--sweep", "--mc-samples", "1000"], "--mc-samples applies to"),
+        (["examples", "--which", "1b", "--sweep", "--mc-samples", "1000"], "--mc-samples applies to"),
+        (["examples", "--which", "1b", "--mc-samples", "-1"], "--mc-samples must be non-negative"),
+        (["examples", "--which", "corollary", "--mc-samples", "-5"], "--mc-samples must be non-negative"),
+        (["multi-offer", "INSTANCE", "--optimize", "--samples", "1000"], "--samples applies to --schedule"),
+        (["multi-offer", "INSTANCE", "--schedule", "SCHEDULE", "--samples", "-1"], "--samples must be non-negative"),
+    ],
+)
+def test_sample_flags_without_a_simulation_are_rejected(capsys, instance, schedule_file, argv, message):
+    """A sample count that no simulation would use is an error, not a
+    report without the simulation."""
+    argv = [{"INSTANCE": instance, "SCHEDULE": schedule_file}.get(a, a) for a in argv]
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_examples_1b_point_with_mc(capsys):
     argv = ["examples", "--which", "1b", "--x", "100", "--mc-samples", "2000"]
     code, out, _ = _run(capsys, argv)

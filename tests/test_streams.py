@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from oneway import streams
 
@@ -24,6 +28,71 @@ def test_batch_sizes():
     assert sum(streams.batch_sizes(1_000_000)) == 1_000_000
     with pytest.raises(ValueError):
         streams.batch_sizes(-1)
+
+
+# Worst errors of ``Moments`` against the two-pass ``math.fsum`` reference,
+# measured over 3,400 random splits of up to 4 x 70,000 values: 6.1e-16 of
+# |mean| + standard error for the means, and 2.0e-9 relative for the
+# standard errors (offset 1e8; 3.4e-16 at offset 0). The tolerances sit a
+# few times above those.
+MEAN_TOL = 2e-15
+SE_TOL = 1e-8
+
+
+class _RawMoments:
+    """The fold ``Moments`` replaced: raw sums and sums of squares."""
+
+    def __init__(self, columns: int) -> None:
+        self.count = 0
+        self.sums = np.zeros(columns)
+        self.squares = np.zeros(columns)
+
+    def add(self, *columns: np.ndarray) -> None:
+        self.count += columns[0].size
+        self.sums += [np.sum(c) for c in columns]
+        self.squares += [np.sum(c * c) for c in columns]
+
+    def means(self) -> np.ndarray:
+        return self.sums / self.count
+
+    def standard_errors(self) -> np.ndarray:
+        var = self.squares / self.count - self.means() ** 2
+        return np.sqrt(var / self.count)
+
+
+def _check_fold(fold, batches: list[int], seed: int, offset: float) -> None:
+    """Fold two columns (spreads 1 and 100 around ``offset``) in the given
+    batches and compare with a two-pass ``math.fsum`` reference."""
+    data = offset + np.random.default_rng(seed).standard_normal((2, sum(batches))) * [[1.0], [100.0]]
+    moments = fold(2)
+    start = 0
+    for size in batches:
+        moments.add(*(column[start : start + size] for column in data))
+        start += size
+    for column, mean, se in zip(data, moments.means(), moments.standard_errors()):
+        values = column.tolist()
+        ref_mean = math.fsum(values) / len(values)
+        ref_se = math.sqrt(math.fsum((v - ref_mean) ** 2 for v in values) / len(values) / len(values))
+        assert abs(mean - ref_mean) <= MEAN_TOL * (abs(ref_mean) + ref_se)
+        assert abs(se - ref_se) <= SE_TOL * ref_se  # also fails on NaN
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e8])
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    batches=st.lists(st.integers(1, 3_000), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(batches=[3, 2_500], seed=0)  # a small batch, then a larger one
+def test_moments_match_two_pass_reference(offset, batches, seed):
+    assume(sum(batches) >= 2)
+    _check_fold(streams.Moments, batches, seed, offset)
+
+
+def test_raw_sum_of_squares_fold_fails_the_moments_check():
+    _check_fold(_RawMoments, [3, 2_500], 0, 0.0)
+    with pytest.raises(AssertionError):
+        _check_fold(_RawMoments, [3, 2_500], 0, 1e8)
 
 
 def test_generated_games_are_valid_and_reproducible():
