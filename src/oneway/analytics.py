@@ -295,8 +295,11 @@ def mc_single_offer(
     Each batch draws a sacrifice uniform per sample and, in aggregate mode
     only, a coin uniform after them. The coin is the batch stream's second
     draw, so exact mode skips it and still samples the same sacrifices:
-    switching accounting never reshuffles them. Every batch is written into
-    columns allocated once per call. Per-draw PoA compares against the
+    switching accounting never reshuffles them. Batches run on
+    ``os.cpu_count()`` threads (``streams.run_batches``); each thread owns
+    three float columns and a mask of one batch each (the sacrifice, then
+    the per-draw PoA; u_a, then u_b; welfare), and centres a column in
+    place once nothing else reads it. Per-draw PoA compares against the
     draw's own optimum; poa_vs_ex_ante divides the aggregate optimum by mean
     welfare instead, which is what the closed-form curves report.
     """
@@ -310,37 +313,56 @@ def mc_single_offer(
     base = scenario.a_default + scenario.b_outside
     transfer = scenario.gamma * scenario.delta_b
     ub_deal = scenario.b_outside + scenario.delta_b - transfer
-    n = min(samples, streams.BATCH_SIZE)
-    delta_buf, coin_buf, ua_buf, ub_buf, sw_buf, poa_buf = np.empty((6, n))
-    accept_buf = np.empty(n, dtype=bool)
+    ub_cell = np.array([scenario.b_outside, ub_deal])  # B's payoff, indexed by accepted
+
+    def make_batch():
+        n = min(samples, streams.BATCH_SIZE)
+        delta_buf, u_buf, sw_buf = np.empty((3, n))
+        accept_buf = np.empty(n, dtype=bool)
+
+        def batch(index: int, size: int):
+            delta, u, sw, accept = delta_buf[:size], u_buf[:size], sw_buf[:size], accept_buf[:size]
+            rng = streams.stream(seed, index)
+            rng.random(out=delta)
+            spec.ppf(delta, out=delta)
+            if accounting == "exact":
+                np.less_equal(delta, thr, out=accept)
+            else:
+                rng.random(out=u)  # the coin
+                np.less(u, p_model, out=accept)
+            cell = accept.view(np.uint8)
+            # (a_default - delta) + transfer and (base - delta) + delta_b, in
+            # that order: each rounding step shows in the reported means.
+            ua = u
+            ua.fill(scenario.a_default)
+            np.add(np.subtract(scenario.a_default, delta, out=sw), transfer, out=sw)
+            np.copyto(ua, sw, where=accept)
+            # u_b is read off a two-entry table, several times faster than a
+            # masked copy, whose branches follow the random mask; it is read
+            # twice, first to be added into sw, then to be centred.
+            np.take(ub_cell, cell, out=sw, mode="clip")
+            np.add(ua, sw, out=sw)
+            stats_ua = streams.centre(ua, ua)
+            ub = u
+            np.take(ub_cell, cell, out=ub, mode="clip")
+            stats_ub = streams.centre(ub, ub)
+            poa = delta
+            np.add(np.subtract(base, delta, out=poa), scenario.delta_b, out=poa)
+            np.maximum(poa, base, out=poa)
+            np.divide(poa, sw, out=poa)
+            top = float(np.max(poa))
+            stats = (stats_ua, stats_ub, streams.centre(sw, sw), streams.centre(poa, poa))
+            return size, stats, int(np.count_nonzero(accept)), top
+
+        return batch
+
     moments = streams.Moments(4)  # u_a, u_b, sw, poa
     max_poa = 0.0
     accepted = 0
-    for index, size in enumerate(streams.batch_sizes(samples)):
-        delta, coin, accept = delta_buf[:size], coin_buf[:size], accept_buf[:size]
-        ua, ub, sw, poa = ua_buf[:size], ub_buf[:size], sw_buf[:size], poa_buf[:size]
-        rng = streams.stream(seed, index)
-        rng.random(out=delta)
-        spec.ppf(delta, out=delta)
-        if accounting == "exact":
-            np.less_equal(delta, thr, out=accept)
-        else:
-            rng.random(out=coin)
-            np.less(coin, p_model, out=accept)
-        # (a_default - delta) + transfer and (base - delta) + delta_b, in
-        # that order: each rounding step shows in the reported means.
-        ua.fill(scenario.a_default)
-        np.add(np.subtract(scenario.a_default, delta, out=sw), transfer, out=sw)
-        np.copyto(ua, sw, where=accept)
-        ub.fill(scenario.b_outside)
-        np.copyto(ub, ub_deal, where=accept)
-        np.add(ua, ub, out=sw)
-        np.add(np.subtract(base, delta, out=poa), scenario.delta_b, out=poa)
-        np.maximum(poa, base, out=poa)
-        np.divide(poa, sw, out=poa)
-        accepted += int(np.count_nonzero(accept))
-        max_poa = max(max_poa, float(np.max(poa)))
-        moments.add(ua, ub, sw, poa)
+    for size, stats, hits, top in streams.run_batches(samples, make_batch):
+        moments.merge(size, *zip(*stats))
+        accepted += hits
+        max_poa = max(max_poa, top)
     means = moments.means()
     ci = Z99 * moments.standard_errors()
     ex_ante_opt = max(base, base - spec.mean() + scenario.delta_b)

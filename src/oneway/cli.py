@@ -161,6 +161,8 @@ def cmd_multi_offer(args: argparse.Namespace) -> int:
         return _error("--samples must be non-negative")
     if args.optimize and args.samples:
         return _error("--samples applies to --schedule only")
+    if args.schedule is not None and args.n is not None:
+        return _error("--n applies to --optimize only")
     game = io.load_game(args.instance)
     types = _types_b(game, args.type_b)
     if args.optimize:
@@ -178,13 +180,14 @@ def cmd_multi_offer(args: argparse.Namespace) -> int:
             "certified",
             "certification_slack",
         ]
+        n = 2 if args.n is None else args.n
         rows = []
         for tb in types:
-            opt = multi_offer.optimize_schedule(game, tb, args.n)
+            opt = multi_offer.optimize_schedule(game, tb, n)
             rows.append(
                 [
                     tb,
-                    args.n,
+                    n,
                     opt.schedule.action_a,
                     "|".join(repr(g) for g in opt.schedule.gammas),
                     "|".join(repr(p) for p in opt.schedule.probs),
@@ -200,7 +203,7 @@ def cmd_multi_offer(args: argparse.Namespace) -> int:
         config = {
             "instance": args.instance,
             "mode": "optimize",
-            "n": args.n,
+            "n": n,
             "type_b": args.type_b or "all",
             "tolerance": TOL_DEFAULT,
         }
@@ -302,12 +305,33 @@ def _example2_row(mu1: float) -> list:
     return [mu1, pt.threshold, pt.expected_welfare, pt.optimal_welfare, pt.poa]
 
 
+def _examples_misuse(args: argparse.Namespace) -> str | None:
+    """Why the flags given do not fit the selected example, if they do not:
+    each flag must be one that the mode reads."""
+    which, sweep = args.which, args.sweep
+    ranged = [f for f, v in (("--from", args.start), ("--to", args.stop), ("--step", args.step)) if v is not None]
+    if args.mc_samples < 0:
+        return "--mc-samples must be non-negative"
+    if args.mc_samples and (which == "2" or (which == "1b" and sweep)):
+        return "--mc-samples applies to --which corollary and to --which 1b without --sweep"
+    if args.x is not None and (which != "1b" or sweep):
+        return "--x applies to --which 1b without --sweep"
+    if args.mu1 is not None and (which != "2" or sweep):
+        return "--mu1 applies to --which 2 without --sweep"
+    if args.beta is not None and which != "corollary":
+        return "--beta applies to --which corollary"
+    if which == "corollary" and (sweep or ranged):
+        return f"{'--sweep' if sweep else ranged[0]} does not apply to --which corollary"
+    if ranged and not sweep:
+        return f"{ranged[0]} applies to --sweep only"
+    return None
+
+
 def cmd_examples(args: argparse.Namespace) -> int:
     which = args.which
-    if args.mc_samples < 0:
-        return _error("--mc-samples must be non-negative")
-    if args.mc_samples and (which == "2" or (which == "1b" and args.sweep)):
-        return _error("--mc-samples applies to --which corollary and to --which 1b without --sweep")
+    misuse = _examples_misuse(args)
+    if misuse:
+        return _error(misuse)
     if which == "1b":
         columns = ["x", "threshold", "expected_welfare", "optimal_welfare", "poa", "no_payment_poa"]
         if args.sweep:
@@ -315,15 +339,16 @@ def cmd_examples(args: argparse.Namespace) -> int:
             rows = [_example1b_row(x) for x in _frange(start, stop, step)]
             config = {"which": "1b", "sweep": True, "from": start, "to": stop, "step": step}
         else:
-            rows = [_example1b_row(args.x)]
+            x = 100.0 if args.x is None else args.x
+            rows = [_example1b_row(x)]
             if args.mc_samples > 0:
                 mc = analytics.mc_single_offer(
-                    analytics.example1b_scenario(args.x), args.mc_samples, args.seed, "aggregate"
+                    analytics.example1b_scenario(x), args.mc_samples, args.seed, "aggregate"
                 )
                 columns = columns + ["mc_welfare", "mc_welfare_ci99", "mc_poa", "mc_acceptance"]
                 rows[0] += [mc.mean_sw, mc.ci_sw, mc.poa_vs_ex_ante, mc.acceptance_rate]
             config = {
-                "which": "1b", "sweep": False, "x": args.x,
+                "which": "1b", "sweep": False, "x": x,
                 "mc_samples": args.mc_samples, "seed": args.seed,
             }
         _emit(args, "examples", config, columns, rows)
@@ -335,8 +360,9 @@ def cmd_examples(args: argparse.Namespace) -> int:
             rows = [_example2_row(m) for m in _frange(start, stop, step)]
             config = {"which": "2", "sweep": True, "from": start, "to": stop, "step": step}
         else:
-            rows = [_example2_row(args.mu1)]
-            config = {"which": "2", "sweep": False, "mu1": args.mu1}
+            mu1 = 1.0 if args.mu1 is None else args.mu1
+            rows = [_example2_row(mu1)]
+            config = {"which": "2", "sweep": False, "mu1": mu1}
         mu_star, poa_max = analytics.example2_poa_max()
         rows.append(["poa_max_closed_form", mu_star, "", "", poa_max])
         _emit(args, "examples", config, columns, rows)
@@ -427,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--optimize", action="store_true")
     group.add_argument("--schedule", metavar="FILE", default=None)
-    p.add_argument("--n", type=int, default=2, help="steps for --optimize")
+    p.add_argument("--n", type=int, default=None, help="steps for --optimize (default 2)")
     p.add_argument("--type-b", default=None)
     p.add_argument("--samples", type=int, default=0, help="simulate with this many draws")
     p.add_argument("--seed", type=int, default=SEED_DEFAULT)
@@ -444,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("examples", help="worked examples, closed forms and MC checks")
     p.add_argument("--which", choices=["1b", "2", "corollary"], required=True)
     p.add_argument("--sweep", action="store_true")
-    p.add_argument("--x", type=float, default=100.0)
-    p.add_argument("--mu1", type=float, default=1.0)
+    p.add_argument("--x", type=float, default=None, help="B's stake for --which 1b (default 100)")
+    p.add_argument("--mu1", type=float, default=None, help="B's stake for --which 2 (default 1)")
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--from", dest="start", type=float, default=None)
     p.add_argument("--to", dest="stop", type=float, default=None)

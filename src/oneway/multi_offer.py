@@ -221,7 +221,9 @@ def simulate_schedule(
 
     A draw's payoffs depend only on its A type and whether it accepts, so
     they are read off tables with two cells per type (index 2 * type +
-    accepted) into columns allocated once per call.
+    accepted). Batches run on ``os.cpu_count()`` threads
+    (``streams.run_batches``); each thread owns one uniform column, one
+    output column that the four tables take turns to fill, and a mask.
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
@@ -234,29 +236,38 @@ def simulate_schedule(
     plan_cell = np.column_stack((np.full(n_types, terms.outside.payoff), pb_deal)).ravel()
     sw_cell = pa_cell + pb_cell
 
-    n = min(samples, streams.BATCH_SIZE)
-    u_buf, pa_buf, pb_buf, sw_buf, plan_buf = np.empty((5, n))
-    accept_buf = np.empty(n, dtype=bool)
+    def make_batch():
+        n = min(samples, streams.BATCH_SIZE)
+        u_buf, out_buf = np.empty((2, n))
+        accept_buf = np.empty(n, dtype=bool)
+
+        def batch(index: int, size: int):
+            u, out, accept = u_buf[:size], out_buf[:size], accept_buf[:size]
+            rng = streams.stream(seed, index)
+            rng.random(out=u)
+            cell = np.searchsorted(cdf, u, side="right")  # A's type, then its table cell
+            np.clip(cell, 0, n_types - 1, out=cell)
+            rng.random(out=u)
+            # The indices are in range; mode="clip" lets take write straight
+            # into its out array, which the default mode would copy through a
+            # buffer.
+            np.take(reach, cell, out=out, mode="clip")  # 0 for types that never accept
+            np.less(u, out, out=accept)
+            cell *= 2
+            cell += accept
+            stats = []
+            for table in (pa_cell, pb_cell, sw_cell, plan_cell):
+                np.take(table, cell, out=out, mode="clip")
+                stats.append(streams.centre(out, out))
+            return size, stats, int(np.count_nonzero(accept))
+
+        return batch
+
     moments = streams.Moments(4)  # u_a, u_b, sw, u_b planning view
     accepted_total = 0
-    for index, size in enumerate(streams.batch_sizes(samples)):
-        u, accept = u_buf[:size], accept_buf[:size]
-        pa, pb, sw, plan = pa_buf[:size], pb_buf[:size], sw_buf[:size], plan_buf[:size]
-        rng = streams.stream(seed, index)
-        rng.random(out=u)
-        cell = np.searchsorted(cdf, u, side="right")  # A's type, then its table cell
-        np.clip(cell, 0, n_types - 1, out=cell)
-        rng.random(out=u)
-        # The indices are in range; mode="clip" lets take write straight into
-        # its out array, which the default mode would copy through a buffer.
-        np.take(reach, cell, out=pa, mode="clip")  # 0 for types that never accept
-        np.less(u, pa, out=accept)
-        cell *= 2
-        cell += accept
-        for table, column in ((pa_cell, pa), (pb_cell, pb), (sw_cell, sw), (plan_cell, plan)):
-            np.take(table, cell, out=column, mode="clip")
-        accepted_total += int(np.count_nonzero(accept))
-        moments.add(pa, pb, sw, plan)
+    for size, stats, hits in streams.run_batches(samples, make_batch):
+        moments.merge(size, *zip(*stats))
+        accepted_total += hits
     means = moments.means()
     ci = Z99 * moments.standard_errors()
     return SimulationResult(

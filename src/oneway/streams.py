@@ -2,12 +2,20 @@
 
 Every stochastic routine in the package draws from a counter-based generator
 (Philox) keyed by ``(master seed, stream index)``. Distinct indices give
-independent streams, so batches of Monte Carlo work can run in any order, or
-in parallel, and still reproduce bit-identical results for a fixed seed.
-Batch results are folded together with ``Moments``.
+independent streams, so the batches of a Monte Carlo run need no shared
+state: ``run_batches`` runs them on ``os.cpu_count()`` threads and returns
+their results in batch order. Each batch reduces its columns to a count,
+sums and centred second moments (``centre``), and ``Moments.merge`` folds
+those in batch order, so results are bit-identical for a fixed seed on any
+number of cores.
 """
 
 from __future__ import annotations
+
+import os
+from collections.abc import Callable, Sequence
+from concurrent.futures import ThreadPoolExecutor
+from typing import TypeVar
 
 import numpy as np
 
@@ -19,6 +27,8 @@ BATCH_SIZE = 1 << 16
 # 99.5th percentile of the standard normal: half-width multiplier for a
 # two-sided 99 percent confidence interval.
 Z99 = 2.5758293035489004
+
+T = TypeVar("T")
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
@@ -37,36 +47,75 @@ def batch_sizes(total: int, batch: int = BATCH_SIZE) -> list[int]:
     return out
 
 
+def run_batches(total: int, make_batch: Callable[[], Callable[[int, int], T]]) -> list[T]:
+    """Results of ``batch(index, size)`` over ``batch_sizes(total)``, in batch
+    order.
+
+    ``make_batch()`` builds one thread's batch function, so each thread owns
+    the buffers it closes over. Batch ``i`` runs on thread ``i mod W``, with
+    ``W = min(os.cpu_count(), batches)``; with one thread the batches run
+    inline, without a pool. numpy releases the interpreter lock in the
+    stream fills, elementwise ufuncs, ``take`` and ``searchsorted``, which
+    is where a batch spends most of its time; its reductions (``np.sum``,
+    ``np.max``) hold the lock. An exception in a batch is raised here once
+    every thread has stopped.
+    """
+    sizes = batch_sizes(total)
+    workers = min(os.cpu_count() or 1, len(sizes))
+    if workers <= 1:
+        batch = make_batch()
+        return [batch(i, size) for i, size in enumerate(sizes)]
+
+    def lane(first: int) -> list[T]:
+        batch = make_batch()
+        return [batch(i, sizes[i]) for i in range(first, len(sizes), workers)]
+
+    results: list = [None] * len(sizes)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        lanes = [pool.submit(lane, w) for w in range(workers)]
+        for w, future in enumerate(lanes):
+            results[w::workers] = future.result()
+    return results
+
+
+def centre(column: np.ndarray, out: np.ndarray) -> tuple[float, float]:
+    """Sum of ``column`` and the sum of its squared deviations from its own
+    mean. The squared deviations are written to ``out``, which may be
+    ``column`` itself once nothing else reads it."""
+    total = np.sum(column)
+    np.square(np.subtract(column, total / column.size, out=out), out=out)
+    return total, np.sum(out)
+
+
 class Moments:
     """Count, sums and centred second moments of several columns, folded in
     one batch at a time.
 
-    Each batch is centred on its own mean and merged with the update of
-    Chan, Golub & LeVeque (1979). Raw sums of squares would cancel
+    Each batch is centred on its own mean (``centre``) and merged with the
+    update of Chan, Golub & LeVeque (1979). Raw sums of squares would cancel
     catastrophically once the values sit far from zero (at a payoff offset
     of 1e8 they report a zero-width interval); centred moments do not. The
-    centring scratch is kept across batches and grown when a larger one
-    arrives: a fresh batch-sized temporary per call costs page faults.
+    update is not associative in floating point, so batches are merged in
+    batch order whichever thread computed them.
     """
 
     def __init__(self, columns: int) -> None:
         self.count = 0
         self.sums = np.zeros(columns)
         self.m2 = np.zeros(columns)
-        self._scratch = np.empty(0)
 
     def add(self, *columns: np.ndarray) -> None:
-        size = columns[0].size
-        sums = np.array([np.sum(c) for c in columns])
-        means = sums / size
-        m2 = np.empty(len(columns))
-        if self._scratch.size < size:
-            self._scratch = np.empty(size)
-        d = self._scratch[:size]
-        for j, (c, m) in enumerate(zip(columns, means)):
-            m2[j] = np.sum(np.square(np.subtract(c, m, out=d), out=d))
+        """Fold in one batch; the columns are left unchanged."""
+        scratch = np.empty(columns[0].size)
+        self.merge(columns[0].size, *zip(*(centre(c, scratch) for c in columns)))
+
+    def merge(self, size: int, sums: Sequence[float], m2: Sequence[float]) -> None:
+        """Fold in one batch of ``size`` values per column, given as the
+        per-column sums and centred second moments from ``centre``."""
+        sums = np.array(sums, dtype=np.float64)
+        m2 = np.array(m2, dtype=np.float64)
         if self.count:
-            delta = means - self.sums / self.count
+            delta = sums / size - self.sums / self.count
             m2 += delta * delta * (self.count * size / (self.count + size))
         self.count += size
         self.sums += sums
@@ -78,4 +127,3 @@ class Moments:
     def standard_errors(self) -> np.ndarray:
         """Standard errors of the column means (population variance)."""
         return np.sqrt(self.m2 / self.count / self.count)
-

@@ -287,6 +287,56 @@ def test_sample_flags_without_a_simulation_are_rejected(capsys, instance, schedu
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["examples", "--which", "1b", "--sweep", "--x", "5"], "--x applies to --which 1b without --sweep"),
+        (["examples", "--which", "2", "--x", "5"], "--x applies to"),
+        (["examples", "--which", "corollary", "--x", "5"], "--x applies to"),
+        (["examples", "--which", "2", "--sweep", "--mu1", "0.5"], "--mu1 applies to --which 2 without --sweep"),
+        (["examples", "--which", "1b", "--mu1", "0.5"], "--mu1 applies to"),
+        (["examples", "--which", "1b", "--beta", "0.3"], "--beta applies to --which corollary"),
+        (["examples", "--which", "2", "--sweep", "--beta", "0.3"], "--beta applies to"),
+        (
+            ["examples", "--which", "corollary", "--sweep", "--from", "0.1", "--to", "0.3", "--step", "0.1"],
+            "--sweep does not apply to --which corollary",
+        ),
+        (["examples", "--which", "corollary", "--from", "0.1"], "--from does not apply to --which corollary"),
+        (["examples", "--which", "corollary", "--step", "0.1"], "--step does not apply to --which corollary"),
+        (["examples", "--which", "1b", "--from", "0"], "--from applies to --sweep only"),
+        (["examples", "--which", "2", "--to", "3"], "--to applies to --sweep only"),
+        (["examples", "--which", "1b", "--x", "50", "--step", "5"], "--step applies to --sweep only"),
+        (["multi-offer", "INSTANCE", "--schedule", "SCHEDULE", "--n", "7"], "--n applies to --optimize only"),
+    ],
+)
+def test_flags_the_mode_does_not_read_are_rejected(capsys, instance, schedule_file, argv, message):
+    """A flag that the selected mode would ignore is an error, not a report
+    whose config does not record it."""
+    argv = [{"INSTANCE": instance, "SCHEDULE": schedule_file}.get(a, a) for a in argv]
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "implicit,explicit",
+    [
+        (["examples", "--which", "1b"], ["--x", "100"]),
+        (["examples", "--which", "2"], ["--mu1", "1"]),
+        (["multi-offer", "INSTANCE", "--optimize"], ["--n", "2"]),
+    ],
+)
+def test_omitted_flags_report_their_defaults(capsys, instance, implicit, explicit):
+    """Leaving out --x, --mu1 or --n gives the same report bytes as passing
+    its default."""
+    implicit = [instance if a == "INSTANCE" else a for a in implicit]
+    code1, out1, _ = _run(capsys, implicit)
+    code2, out2, _ = _run(capsys, implicit + explicit)
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
 def test_examples_1b_point_with_mc(capsys):
     argv = ["examples", "--which", "1b", "--x", "100", "--mc-samples", "2000"]
     code, out, _ = _run(capsys, argv)

@@ -6,12 +6,14 @@ built its columns from fresh temporaries. The buffered versions must return
 results whose every field is ``repr``-equal to the oracle's: same draws,
 same acceptance, same sums, so the same report bytes. Sample counts cover
 one draw, a partial batch, exactly one batch, one batch plus one draw and
-several batches with a ragged tail.
+several batches with a ragged tail. The batches run on worker threads, so
+the comparison is repeated under several ``os.cpu_count()`` values.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 
 import mc_oracle as oracle
 import numpy as np
@@ -103,3 +105,41 @@ def test_simulate_schedule_matches_oracle(samples):
                 got = ow.simulate_schedule(game, schedule, tb, samples, seed)
                 want = oracle.simulate_schedule(game, schedule, tb, samples, seed)
                 assert repr(got) == repr(want), (i, tb, samples, seed)
+
+
+THREAD_SAMPLES = (1, streams.BATCH_SIZE, streams.BATCH_SIZE + 1, 200_001)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8, None])
+def test_results_do_not_depend_on_the_thread_count(monkeypatch, cpus):
+    """Batches run on ``os.cpu_count()`` threads and fold in batch order, so
+    every field matches the single-threaded oracle on any core count,
+    including runs with fewer batches than threads and a ragged last batch."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    game, schedule = CASES[1]
+    for samples in THREAD_SAMPLES:
+        for accounting in ("exact", "aggregate"):
+            got = analytics.mc_single_offer(SCENARIOS["power-0.5"], samples, 7, accounting)
+            want = oracle.mc_single_offer(SCENARIOS["power-0.5"], samples, 7, accounting)
+            assert repr(got) == repr(want), (cpus, samples, accounting)
+        got = ow.simulate_schedule(game, schedule, game.types_b[0], samples, 7)
+        want = oracle.simulate_schedule(game, schedule, game.types_b[0], samples, 7)
+        assert repr(got) == repr(want), (cpus, samples)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_a_failing_batch_reaches_the_caller(monkeypatch, cpus):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    make_stream = streams.stream
+
+    def stream(seed, index=0):
+        if index == 2:
+            raise RuntimeError("batch 2 failed")
+        return make_stream(seed, index)
+
+    monkeypatch.setattr(streams, "stream", stream)
+    game, schedule = CASES[0]
+    with pytest.raises(RuntimeError, match="batch 2 failed"):
+        analytics.mc_single_offer(SCENARIOS["1b-x100"], 200_001, 1)
+    with pytest.raises(RuntimeError, match="batch 2 failed"):
+        ow.simulate_schedule(game, schedule, game.types_b[0], 200_001, 1)

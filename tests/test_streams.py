@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -60,15 +62,25 @@ class _RawMoments:
         return np.sqrt(var / self.count)
 
 
-def _check_fold(fold, batches: list[int], seed: int, offset: float) -> None:
-    """Fold two columns (spreads 1 and 100 around ``offset``) in the given
-    batches and compare with a two-pass ``math.fsum`` reference."""
-    data = offset + np.random.default_rng(seed).standard_normal((2, sum(batches))) * [[1.0], [100.0]]
-    moments = fold(2)
+def _data(batches: list[int], seed: int, offset: float) -> np.ndarray:
+    """Two columns, with spreads 1 and 100 around ``offset``."""
+    return offset + np.random.default_rng(seed).standard_normal((2, sum(batches))) * [[1.0], [100.0]]
+
+
+def _split(data: np.ndarray, batches: list[int]):
     start = 0
     for size in batches:
-        moments.add(*(column[start : start + size] for column in data))
+        yield [column[start : start + size] for column in data]
         start += size
+
+
+def _check_fold(fold, batches: list[int], seed: int, offset: float) -> None:
+    """Fold the columns of ``_data`` in the given batches and compare with a
+    two-pass ``math.fsum`` reference."""
+    data = _data(batches, seed, offset)
+    moments = fold(2)
+    for columns in _split(data, batches):
+        moments.add(*columns)
     for column, mean, se in zip(data, moments.means(), moments.standard_errors()):
         values = column.tolist()
         ref_mean = math.fsum(values) / len(values)
@@ -87,6 +99,63 @@ def _check_fold(fold, batches: list[int], seed: int, offset: float) -> None:
 def test_moments_match_two_pass_reference(offset, batches, seed):
     assume(sum(batches) >= 2)
     _check_fold(streams.Moments, batches, seed, offset)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e8])
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    batches=st.lists(st.integers(1, 3_000), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(batches=[3, 2_500], seed=0)
+def test_merge_of_batch_statistics_matches_add(offset, batches, seed):
+    """Folding per-batch statistics with ``merge``, each column centred in
+    place as the simulators do, gives the same bytes as ``add``."""
+    data = _data(batches, seed, offset)
+    added, merged = streams.Moments(2), streams.Moments(2)
+    for columns in _split(data, batches):
+        added.add(*columns)
+        merged.merge(len(columns[0]), *zip(*(streams.centre(c, c) for c in [c.copy() for c in columns])))
+    assert added.count == merged.count == sum(batches)
+    assert added.sums.tobytes() == merged.sums.tobytes()
+    assert added.m2.tobytes() == merged.m2.tobytes()
+
+
+def test_centre_in_place_matches_centre_into_scratch():
+    column = 1e8 + np.random.default_rng(3).standard_normal(1_001)
+    kept = column.copy()
+    scratch = np.empty_like(column)
+    assert streams.centre(kept, scratch) == streams.centre(column, column)
+    assert (kept == 1e8 + np.random.default_rng(3).standard_normal(1_001)).all()  # left unchanged
+    assert column.tobytes() == scratch.tobytes()  # the squared deviations
+    assert column.min() >= 0.0
+
+
+def test_run_batches_keeps_batch_order_and_one_factory_per_lane(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    made, ran = [], {}
+
+    def make_batch():
+        lane = object()
+        made.append(threading.get_ident())
+
+        def batch(index, size):
+            ran[index] = lane
+            return index, size
+
+        return batch
+
+    total = 7 * streams.BATCH_SIZE + 5
+    assert streams.run_batches(total, make_batch) == list(enumerate(streams.batch_sizes(total)))
+    assert len(made) == 3 and threading.get_ident() not in made
+    assert len(set(ran.values())) == 3
+    for index, lane in ran.items():  # batch i in the lane of batch i mod 3
+        assert lane is ran[index % 3]
+
+    made.clear()
+    assert streams.run_batches(5, make_batch) == [(0, 5)]  # one batch runs inline
+    assert made == [threading.get_ident()]
+    assert streams.run_batches(0, make_batch) == []
 
 
 def test_raw_sum_of_squares_fold_fails_the_moments_check():
