@@ -8,6 +8,8 @@ between that outcome and the best coordinated one is the price of anarchy.
 Run:  python3 demos/poa_basics.py
 """
 
+import numpy as np
+
 from oneway import make_game, nash_outcome, poa_metrics, optimal_welfare
 
 # A is a machine shop choosing a part finish (cheap or careful); B is the
@@ -43,12 +45,14 @@ print(f"  expected welfare: {out.expected_welfare:.4f}")
 print()
 print("Per type-profile inefficiency:")
 report = poa_metrics(game)
-for key, poa in report.per_type_poa.items():
-    _, opt = optimal_welfare(game, key)
-    lo = report.prop1_lower[key]
-    hi = report.prop1_upper[key]
+# The tables have a row per shop type and a column per assembler type.
+for (i, k), poa in np.ndenumerate(report.per_type_poa):
+    ta, tb = game.types_a[i], game.types_b[k]
+    _, opt = optimal_welfare(game, (ta, tb))
+    lo = report.prop1_lower[i, k]
+    hi = report.prop1_upper[i, k]
     print(
-        f"  ({key.type_a}, {key.type_b}): optimal {opt:.2f}, "
+        f"  ({ta}, {tb}): optimal {opt:.2f}, "
         f"PoA {poa:.4f}, bounded by [{lo:.4f}, {hi:.4f}]"
     )
 

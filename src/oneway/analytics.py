@@ -129,8 +129,8 @@ def example1b(x: float) -> CurvePoint:
     sacrifice of 50 against accepted trades, matching the aggregate
     accounting documented in the module docstring.
     """
-    if x < 0.0:
-        raise ValueError("x must be non-negative")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"x must be finite and non-negative, got {x!r}")
     c_star = x / 2.0 if x <= 200.0 else 100.0
     p = c_star / 100.0
     sw = 100.0 + p * (x - 50.0)
@@ -140,15 +140,15 @@ def example1b(x: float) -> CurvePoint:
 
 def example1b_no_payment_poa(x: float) -> float:
     """PoA with no bargaining at all: A plays her default, welfare is 100."""
-    if x < 0.0:
-        raise ValueError("x must be non-negative")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"x must be finite and non-negative, got {x!r}")
     return max(100.0, 50.0 + x) / 100.0
 
 
 def example2(mu1: float) -> CurvePoint:
     """Unit-scale variant: sacrifice ~ U[0, 1], B's stake is mu1."""
-    if mu1 < 0.0:
-        raise ValueError("mu1 must be non-negative")
+    if not 0.0 <= mu1 < math.inf:
+        raise ValueError(f"mu1 must be finite and non-negative, got {mu1!r}")
     c_star = mu1 / 2.0 if mu1 <= 2.0 else 1.0
     sw = 1.0 + c_star * (mu1 - 0.5)
     opt = max(1.0, 0.5 + mu1)
@@ -210,8 +210,8 @@ class SingleOfferScenario:
 
 def example1b_scenario(x: float) -> SingleOfferScenario:
     """The worked example above as a simulatable scenario (stake x)."""
-    if x < 0.0:
-        raise ValueError("x must be non-negative")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"x must be finite and non-negative, got {x!r}")
     gamma = 0.5 if x <= 200.0 else 100.0 / x
     return SingleOfferScenario(
         delta_a_spec=ContinuousSpec.uniform(0.0, 100.0),

@@ -36,6 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .equilibrium import _optimal_table, _reply_b
 from .game import OneWayGame, StrategyProfile, make_game
 
 PROB_TOL = 1e-12
@@ -247,8 +248,6 @@ def check_one_way_properties(
     Reservation utilities come from no-mechanism play: A falls back to her
     selfish optimum, B to her expected payoff against A's equilibrium map.
     """
-    from .equilibrium import _reply_b
-
     pairs = list(product(game.types_a, game.types_b))
     shape = (len(game.types_a), len(game.types_b))
     profiles = [mech.profile[p] for p in pairs]
@@ -259,7 +258,7 @@ def check_one_way_properties(
     pa, pb = game.payoff_a, game.payoff_b
 
     welfare = pa[np.arange(shape[0])[:, None], act] + pb[np.arange(shape[1]), act, reply]
-    opt = np.max(pa[:, None, :] + np.max(pb, axis=2)[None, :, :], axis=2)
+    opt = _optimal_table(game)
     eff = [
         f"profile at ({ta}, {tb}) yields {w!r} < optimum {o!r}"
         for (ta, tb), w, o in zip(pairs, welfare.ravel().tolist(), opt.ravel().tolist())

@@ -25,10 +25,14 @@ TOL_DEFAULT = 1e-9
 
 
 def _frange(start: float, stop: float, step: float) -> list[float]:
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError("--from, --to and --step must be finite")
     if step <= 0.0:
-        raise ValueError("step must be positive")
+        raise ValueError(f"--step must be positive, got {step!r}")
+    if stop < start:
+        raise ValueError(f"--to {stop!r} is below --from {start!r}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(max(count, 0))]
+    return [start + i * step for i in range(count)]
 
 
 def _emit(
@@ -161,6 +165,8 @@ def cmd_multi_offer(args: argparse.Namespace) -> int:
         return _error("--samples must be non-negative")
     if args.optimize and args.samples:
         return _error("--samples applies to --schedule only")
+    if args.optimize and args.seed is not None:
+        return _error("--seed applies to --schedule only")
     if args.schedule is not None and args.n is not None:
         return _error("--n applies to --optimize only")
     game = io.load_game(args.instance)
@@ -209,6 +215,7 @@ def cmd_multi_offer(args: argparse.Namespace) -> int:
         }
         _emit(args, "multi-offer", config, columns, rows, game)
         return 0
+    seed = SEED_DEFAULT if args.seed is None else args.seed
     parsed = io.load_schedule_file(args.schedule)
     schedule = multi_offer.Schedule(*parsed)
     game.action_a_index(schedule.action_a)  # raises KeyError on unknown ids
@@ -245,7 +252,7 @@ def cmd_multi_offer(args: argparse.Namespace) -> int:
             outcome.acceptance_prob,
         ]
         if args.samples > 0:
-            sim = multi_offer.simulate_schedule(game, schedule, tb, args.samples, args.seed)
+            sim = multi_offer.simulate_schedule(game, schedule, tb, args.samples, seed)
             row += [
                 sim.mean_u_b_planning,
                 sim.ci_u_b_planning,
@@ -259,7 +266,7 @@ def cmd_multi_offer(args: argparse.Namespace) -> int:
         "mode": "schedule",
         "schedule": args.schedule,
         "samples": args.samples,
-        "seed": args.seed,
+        "seed": seed,
         "type_b": args.type_b or "all",
         "tolerance": TOL_DEFAULT,
     }
@@ -310,10 +317,13 @@ def _examples_misuse(args: argparse.Namespace) -> str | None:
     each flag must be one that the mode reads."""
     which, sweep = args.which, args.sweep
     ranged = [f for f, v in (("--from", args.start), ("--to", args.stop), ("--step", args.step)) if v is not None]
+    draws = which == "corollary" or (which == "1b" and not sweep)
     if args.mc_samples < 0:
         return "--mc-samples must be non-negative"
-    if args.mc_samples and (which == "2" or (which == "1b" and sweep)):
+    if args.mc_samples and not draws:
         return "--mc-samples applies to --which corollary and to --which 1b without --sweep"
+    if args.seed is not None and not draws:
+        return "--seed applies to --which corollary and to --which 1b without --sweep"
     if args.x is not None and (which != "1b" or sweep):
         return "--x applies to --which 1b without --sweep"
     if args.mu1 is not None and (which != "2" or sweep):
@@ -332,6 +342,7 @@ def cmd_examples(args: argparse.Namespace) -> int:
     misuse = _examples_misuse(args)
     if misuse:
         return _error(misuse)
+    seed = SEED_DEFAULT if args.seed is None else args.seed
     if which == "1b":
         columns = ["x", "threshold", "expected_welfare", "optimal_welfare", "poa", "no_payment_poa"]
         if args.sweep:
@@ -343,13 +354,13 @@ def cmd_examples(args: argparse.Namespace) -> int:
             rows = [_example1b_row(x)]
             if args.mc_samples > 0:
                 mc = analytics.mc_single_offer(
-                    analytics.example1b_scenario(x), args.mc_samples, args.seed, "aggregate"
+                    analytics.example1b_scenario(x), args.mc_samples, seed, "aggregate"
                 )
                 columns = columns + ["mc_welfare", "mc_welfare_ci99", "mc_poa", "mc_acceptance"]
                 rows[0] += [mc.mean_sw, mc.ci_sw, mc.poa_vs_ex_ante, mc.acceptance_rate]
             config = {
                 "which": "1b", "sweep": False, "x": x,
-                "mc_samples": args.mc_samples, "seed": args.seed,
+                "mc_samples": args.mc_samples, "seed": seed,
             }
         _emit(args, "examples", config, columns, rows)
         return 0
@@ -378,7 +389,7 @@ def cmd_examples(args: argparse.Namespace) -> int:
         row = [beta, gamma_star, bound]
         if args.mc_samples > 0:
             mc = analytics.mc_single_offer(
-                analytics.power_scenario(beta), args.mc_samples, args.seed, "exact"
+                analytics.power_scenario(beta), args.mc_samples, seed, "exact"
             )
             row += [mc.mean_poa, mc.ci_poa, mc.max_poa, mc.acceptance_rate]
         rows.append(row)
@@ -386,7 +397,7 @@ def cmd_examples(args: argparse.Namespace) -> int:
         "which": "corollary",
         "beta": args.beta if args.beta is not None else "defaults",
         "mc_samples": args.mc_samples,
-        "seed": args.seed,
+        "seed": seed,
     }
     _emit(args, "examples", config, columns, rows)
     return 0
@@ -456,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="steps for --optimize (default 2)")
     p.add_argument("--type-b", default=None)
     p.add_argument("--samples", type=int, default=0, help="simulate with this many draws")
-    p.add_argument("--seed", type=int, default=SEED_DEFAULT)
+    p.add_argument("--seed", type=int, default=None, help="for --samples (default 42)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_multi_offer)
 
@@ -477,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="stop", type=float, default=None)
     p.add_argument("--step", type=float, default=None)
     p.add_argument("--mc-samples", type=int, default=0)
-    p.add_argument("--seed", type=int, default=SEED_DEFAULT)
+    p.add_argument("--seed", type=int, default=None, help="for --mc-samples (default 42)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_examples)
 

@@ -15,8 +15,7 @@ Two aggregate metrics appear in reports and both are always labeled:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,62 +92,61 @@ def poa_of_type(game: OneWayGame, types: TypeProfile | tuple[str, str]) -> float
     ta, tb = types
     _, opt = optimal_welfare(game, (ta, tb))
     eq = social_welfare(game, (nash_action_A(game, ta), nash_action_B(game, tb)), (ta, tb))
-    if eq == 0.0:
-        return 1.0 if opt == 0.0 else float("inf")
-    return opt / eq
+    return float(_ratio(opt, eq))
 
 
-@dataclass(frozen=True)
+def _ratio(opt, eq):
+    """``opt / eq`` elementwise, with 0 / 0 read as 1 and x / 0 as ``inf``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(eq == 0.0, np.where(opt == 0.0, 1.0, np.inf), np.divide(opt, eq))
+
+
+@dataclass(frozen=True, eq=False)
 class PoAReport:
-    """Per-profile PoA with Prop-style bounds and both aggregate metrics."""
+    """Per-profile PoA with Prop-style bounds and both aggregate metrics.
 
-    per_type_poa: dict[TypeProfile, float]
+    The per-profile tables are read-only float arrays, A types by B types in
+    the game's type order; ``np.isinf(per_type_poa)`` marks the profiles
+    with zero equilibrium welfare and a positive optimum.
+    """
+
+    per_type_poa: np.ndarray
     bayes_nash_poa: float
     welfare_ratio_poa: float
-    prop1_lower: dict[TypeProfile, float]
-    prop1_upper: dict[TypeProfile, float]
-    infinite_profiles: tuple[TypeProfile, ...] = field(default=())
+    prop1_lower: np.ndarray
+    prop1_upper: np.ndarray
+
+
+def _optimal_table(game: OneWayGame) -> np.ndarray:
+    """Optimal welfare per type profile (A types by B types): max over A's
+    action of A's payoff plus B's best payoff for it, which equals the max
+    over the full action grid exactly (rounding is monotone)."""
+    return np.max(game.payoff_a[:, None, :] + np.max(game.payoff_b, axis=2)[None, :, :], axis=2)
 
 
 def poa_metrics(game: OneWayGame) -> PoAReport:
     """Exhaustive PoA sweep over type profiles.
 
-    The per-profile lower bound is max_s u_B / (max_s u_A + u_B at equilibrium)
-    and the upper bound is (max_s u_A + max_s u_B) / max_s u_A. Zero-probability
-    profiles appear in the maps but are excluded from the expectations.
-
-    Every profile's numbers come from broadcast tables over A types by B
-    types. Optimal welfare is max over A's action of A's payoff plus B's best
-    payoff for it, which equals the maximum over the full action grid
-    exactly (rounding is monotone); the expectations add the profiles one at
-    a time in row-major order.
+    The per-profile lower bound is max_s u_B / (max_s u_A + u_B at equilibrium),
+    read like the PoA where the denominator is 0, and the upper bound is
+    (max_s u_A + max_s u_B) / max_s u_A (``inf`` where max_s u_A is 0).
+    Zero-probability profiles appear in the tables but are excluded from the
+    expectations, which add the profiles one at a time in row-major order.
     """
     out, eq = _nash_tables(game)
-    opt = np.max(game.payoff_a[:, None, :] + np.max(game.payoff_b, axis=2)[None, :, :], axis=2)
+    opt = _optimal_table(game)
     ua_best = np.max(game.payoff_a, axis=1)[:, None]
     ub_best = np.max(game.payoff_b, axis=(1, 2))[None, :]
     weight = game.prior_a[:, None] * game.prior_b[None, :]
     live = weight > 0.0
+    per, lower = _ratio(opt, eq), _ratio(ub_best, eq)
     with np.errstate(divide="ignore", invalid="ignore"):
-        per = np.where(eq == 0.0, np.where(opt == 0.0, 1.0, np.inf), opt / eq)
-        lower = np.where(eq == 0.0, np.inf, ub_best / eq)
         upper = np.where(ua_best == 0.0, np.inf, (ua_best + ub_best) / ua_best)
         expectation = _running_sum((weight * per)[live])
-    opt_mean = _running_sum((weight * opt)[live])
-    keys = list(map(TypeProfile._make, product(game.types_a, game.types_b)))
-    ratio = (
-        1.0
-        if (opt_mean == 0.0 and out.expected_welfare == 0.0)
-        else (float("inf") if out.expected_welfare == 0.0 else opt_mean / out.expected_welfare)
-    )
-    return PoAReport(
-        per_type_poa=dict(zip(keys, per.ravel().tolist())),
-        bayes_nash_poa=expectation,
-        welfare_ratio_poa=float(ratio),
-        prop1_lower=dict(zip(keys, lower.ravel().tolist())),
-        prop1_upper=dict(zip(keys, upper.ravel().tolist())),
-        infinite_profiles=tuple(keys[i] for i in np.flatnonzero(~np.isfinite(per))),
-    )
+    ratio = _ratio(_running_sum((weight * opt)[live]), out.expected_welfare)
+    for table in (per, lower, upper):
+        table.setflags(write=False)
+    return PoAReport(per, expectation, float(ratio), lower, upper)
 
 
 def joint_max_strategy(game: OneWayGame, types: TypeProfile | tuple[str, str]) -> StrategyProfile:
@@ -171,13 +169,13 @@ def joint_max_strategy(game: OneWayGame, types: TypeProfile | tuple[str, str]) -
 
 
 def poa_report_rows(game: OneWayGame, report: PoAReport) -> tuple[list[str], list[list]]:
-    """Flatten a report for CSV output; two labeled summary rows at the end."""
+    """Flatten a report for CSV output, one row per type profile in
+    row-major order; two labeled summary rows at the end."""
     columns = ["type_A", "type_B", "poa", "prop1_lower", "prop1_upper"]
-    rows: list[list] = []
-    for ta in game.types_a:
-        for tb in game.types_b:
-            key = TypeProfile(ta, tb)
-            rows.append([ta, tb, report.per_type_poa[key], report.prop1_lower[key], report.prop1_upper[key]])
+    type_a = [ta for ta in game.types_a for _ in game.types_b]
+    type_b = list(game.types_b) * len(game.types_a)
+    tables = (report.per_type_poa, report.prop1_lower, report.prop1_upper)
+    rows = list(map(list, zip(type_a, type_b, *(t.ravel().tolist() for t in tables))))
     rows.append(["bayes_nash_poa", "", report.bayes_nash_poa, "", ""])
     rows.append(["welfare_ratio_poa", "", report.welfare_ratio_poa, "", ""])
     return columns, rows

@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .equilibrium import _optimal_table, _ratio
 from .game import OneWayGame, StrategyProfile, best_response_B
 
 VALUE_TOL = 1e-9
@@ -390,8 +391,8 @@ def corollary_bound(beta: float) -> tuple[float, float]:
     With acceptance probability (gamma)^beta the tuned share is beta/(beta+1)
     and the guarantee is (2 + 1/beta) * (1 - beta^beta / (beta+1)^(beta+1)).
     """
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta!r}")
     gamma_star = beta / (beta + 1.0)
     bound = (2.0 + 1.0 / beta) * (1.0 - beta**beta / (beta + 1.0) ** (beta + 1.0))
     return (gamma_star, bound)
@@ -427,6 +428,7 @@ def simplified_strategy_report(game: OneWayGame) -> dict[str, SimplifiedReport]:
     """Per-B-type audit of the simplified offer against its guarantees."""
     reports: dict[str, SimplifiedReport] = {}
     live = game.prior_a > 0.0
+    optimal_table = _optimal_table(game)
     for itb, tb in enumerate(game.types_b):
         res = simplified_offer(game, tb)
         gamma = res.offer.gamma
@@ -435,11 +437,8 @@ def simplified_strategy_report(game: OneWayGame) -> dict[str, SimplifiedReport]:
         accepted = step > 0
         deal = game.payoff_a[:, terms.ia] + terms.ub_accept
         welfare = np.where(accepted, deal, terms.ua_selfish + terms.outside.payoff)
-        optimal = np.max(game.payoff_a[:, :, None] + game.payoff_b[itb], axis=(1, 2))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            poa = np.where(
-                welfare == 0.0, np.where(optimal == 0.0, 1.0, math.inf), optimal / welfare
-            )
+        optimal = optimal_table[:, itb]
+        poa = _ratio(optimal, welfare)
         bounds = np.where(accepted, *accept_reject_poa(gamma))
         columns = (accepted, welfare, optimal, poa, bounds)
         records = map(OutcomeRecord, game.types_a, *(c.tolist() for c in columns))

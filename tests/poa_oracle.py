@@ -1,17 +1,22 @@
-"""The no-payment equilibrium welfare and PoA sweep as they stood before the
-broadcast tables, kept verbatim as a test-only oracle.
+"""The no-payment equilibrium welfare, PoA sweep and PoA report rows as they
+stood before the broadcast tables, kept verbatim as a test-only oracle.
 
 ``nash_outcome`` and ``poa_metrics`` loop over type profiles and call
 ``social_welfare`` and ``optimal_welfare`` once per profile, accumulating
 the expectations one profile at a time in row-major order. The equilibrium
 maps come from the package's ``nash_action_A`` and ``nash_action_B``.
+``poa_metrics`` returns its per-profile maps as dicts keyed by
+``TypeProfile``, in a local ``PoAReport``; ``poa_report_rows`` reads them
+back one key at a time.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from oneway.equilibrium import NashOutcome, PoAReport, nash_action_A, nash_action_B
+from oneway.equilibrium import NashOutcome, nash_action_A, nash_action_B
 from oneway.game import (
     OneWayGame,
     StrategyProfile,
@@ -19,6 +24,15 @@ from oneway.game import (
     optimal_welfare,
     social_welfare,
 )
+
+
+class PoAReport(NamedTuple):
+    per_type_poa: dict[TypeProfile, float]
+    bayes_nash_poa: float
+    welfare_ratio_poa: float
+    prop1_lower: dict[TypeProfile, float]
+    prop1_upper: dict[TypeProfile, float]
+    infinite_profiles: tuple[TypeProfile, ...] = ()
 
 
 def nash_outcome(game: OneWayGame) -> NashOutcome:
@@ -79,3 +93,16 @@ def poa_metrics(game: OneWayGame) -> PoAReport:
         prop1_upper=upper,
         infinite_profiles=tuple(infinite),
     )
+
+
+def poa_report_rows(game: OneWayGame, report: PoAReport) -> tuple[list[str], list[list]]:
+    """Flatten a report for CSV output; two labeled summary rows at the end."""
+    columns = ["type_A", "type_B", "poa", "prop1_lower", "prop1_upper"]
+    rows: list[list] = []
+    for ta in game.types_a:
+        for tb in game.types_b:
+            key = TypeProfile(ta, tb)
+            rows.append([ta, tb, report.per_type_poa[key], report.prop1_lower[key], report.prop1_upper[key]])
+    rows.append(["bayes_nash_poa", "", report.bayes_nash_poa, "", ""])
+    rows.append(["welfare_ratio_poa", "", report.welfare_ratio_poa, "", ""])
+    return columns, rows

@@ -155,7 +155,7 @@ def test_simplified_offer_bounds_hold_on_random_instances(suite200):
 def test_poa_sandwich_holds_exactly(suite200):
     for game in suite200:
         report = ow.poa_metrics(game)
-        for key, poa in report.per_type_poa.items():
+        for key, poa in np.ndenumerate(report.per_type_poa):
             assert report.prop1_lower[key] <= poa, (key, report.prop1_lower[key], poa)
             assert poa <= report.prop1_upper[key], (key, poa, report.prop1_upper[key])
 
@@ -273,8 +273,8 @@ def test_optimizer_and_metrics_match_brute_force():
     ):
         report = ow.poa_metrics(game)
         per, bayes = _enumerated_poa(game)
-        for key, poa in per.items():
-            assert report.per_type_poa[key] == poa, key
+        for (ta, tb), poa in per.items():
+            assert report.per_type_poa[game.type_a_index(ta), game.type_b_index(tb)] == poa, (ta, tb)
         assert report.bayes_nash_poa == bayes
 
 

@@ -260,3 +260,18 @@ def test_mc_ci_survives_large_payoff_offset(accounting):
     for field in ("ci_u_a", "ci_sw"):
         assert getattr(near, field) > 0.0
         assert getattr(far, field) == pytest.approx(getattr(near, field), rel=1e-6), field
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize(
+    "fn,name",
+    [
+        (analytics.example1b, "x"),
+        (analytics.example1b_no_payment_poa, "x"),
+        (analytics.example1b_scenario, "x"),
+        (analytics.example2, "mu1"),
+    ],
+)
+def test_worked_examples_reject_non_finite_stakes(fn, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
+        fn(value)

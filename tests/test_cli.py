@@ -307,6 +307,10 @@ def test_sample_flags_without_a_simulation_are_rejected(capsys, instance, schedu
         (["examples", "--which", "2", "--to", "3"], "--to applies to --sweep only"),
         (["examples", "--which", "1b", "--x", "50", "--step", "5"], "--step applies to --sweep only"),
         (["multi-offer", "INSTANCE", "--schedule", "SCHEDULE", "--n", "7"], "--n applies to --optimize only"),
+        (["examples", "--which", "2", "--seed", "5"], "--seed applies to --which corollary and to --which 1b"),
+        (["examples", "--which", "2", "--sweep", "--seed", "5"], "--seed applies to"),
+        (["examples", "--which", "1b", "--sweep", "--seed", "5"], "--seed applies to"),
+        (["multi-offer", "INSTANCE", "--optimize", "--seed", "5"], "--seed applies to --schedule only"),
     ],
 )
 def test_flags_the_mode_does_not_read_are_rejected(capsys, instance, schedule_file, argv, message):
@@ -325,16 +329,50 @@ def test_flags_the_mode_does_not_read_are_rejected(capsys, instance, schedule_fi
         (["examples", "--which", "1b"], ["--x", "100"]),
         (["examples", "--which", "2"], ["--mu1", "1"]),
         (["multi-offer", "INSTANCE", "--optimize"], ["--n", "2"]),
+        (["examples", "--which", "1b"], ["--seed", "42"]),
+        (["examples", "--which", "1b", "--mc-samples", "1000"], ["--seed", "42"]),
+        (["examples", "--which", "corollary"], ["--seed", "42"]),
+        (["examples", "--which", "corollary", "--beta", "0.5", "--mc-samples", "1000"], ["--seed", "42"]),
+        (["multi-offer", "INSTANCE", "--schedule", "SCHEDULE"], ["--seed", "42"]),
+        (["multi-offer", "INSTANCE", "--schedule", "SCHEDULE", "--samples", "1000"], ["--seed", "42"]),
+        (["gen"], ["--seed", "42"]),
     ],
 )
-def test_omitted_flags_report_their_defaults(capsys, instance, implicit, explicit):
-    """Leaving out --x, --mu1 or --n gives the same report bytes as passing
-    its default."""
-    implicit = [instance if a == "INSTANCE" else a for a in implicit]
+def test_omitted_flags_report_their_defaults(capsys, instance, schedule_file, implicit, explicit):
+    """Leaving out --x, --mu1, --n or --seed gives the same report bytes as
+    passing its default."""
+    implicit = [{"INSTANCE": instance, "SCHEDULE": schedule_file}.get(a, a) for a in implicit]
     code1, out1, _ = _run(capsys, implicit)
     code2, out2, _ = _run(capsys, implicit + explicit)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["examples", "--which", "1b", "--x", "nan"], "x must be finite and non-negative, got nan"),
+        (["examples", "--which", "1b", "--x", "inf", "--mc-samples", "1000"], "x must be finite"),
+        (["examples", "--which", "2", "--mu1", "inf"], "mu1 must be finite and non-negative, got inf"),
+        (["examples", "--which", "2", "--mu1", "nan"], "mu1 must be finite"),
+        (["examples", "--which", "corollary", "--beta", "nan"], "beta must be positive and finite, got nan"),
+        (["examples", "--which", "corollary", "--beta", "inf"], "beta must be positive and finite"),
+        (["examples", "--which", "1b", "--sweep", "--from", "5", "--to", "1"], "--to 1.0 is below --from 5.0"),
+        (["examples", "--which", "2", "--sweep", "--to", "nan"], "--from, --to and --step must be finite"),
+        (["examples", "--which", "2", "--sweep", "--from=-inf"], "must be finite"),
+        (["sweep", "--param", "beta", "--step", "nan"], "--from, --to and --step must be finite"),
+        (["sweep", "--param", "beta", "--to", "inf"], "must be finite"),
+        (["sweep", "--param", "beta", "--from", "1.5", "--to", "0.5"], "--to 0.5 is below --from 1.5"),
+        (["sweep", "--param", "beta", "--step", "0"], "--step must be positive, got 0.0"),
+    ],
+)
+def test_non_finite_and_reversed_numbers_are_rejected(capsys, argv, message):
+    """A NaN or infinite parameter, a reversed range and a non-positive step
+    are errors, not reports of ``nan`` rows or no rows."""
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_examples_1b_point_with_mc(capsys):

@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oneway as ow
 
@@ -31,22 +34,22 @@ def test_poa_per_type_g1(g1):
 
 def test_poa_metrics_g1(g1):
     rep = ow.poa_metrics(g1)
-    assert rep.per_type_poa[ow.TypeProfile("t1", "u1")] == 1.0
-    assert rep.per_type_poa[ow.TypeProfile("t2", "u1")] == 4.0
+    assert rep.per_type_poa[0, 0] == 1.0
+    assert rep.per_type_poa[1, 0] == 4.0
     assert rep.bayes_nash_poa == 2.5
     # E[opt] = .5*6 + .5*4 = 5, E[nash welfare] = 3.5
     assert rep.welfare_ratio_poa == 5.0 / 3.5
-    assert rep.infinite_profiles == ()
+    assert not np.isinf(rep.per_type_poa).any()
 
 
 def test_prop1_bounds_g1(g1):
     rep = ow.poa_metrics(g1)
     # (t1,u1): eq welfare 6, max u_B 4 -> lower 2/3; max u_A 2 -> upper 3
-    assert rep.prop1_lower[ow.TypeProfile("t1", "u1")] == 4.0 / 6.0
-    assert rep.prop1_upper[ow.TypeProfile("t1", "u1")] == 3.0
+    assert rep.prop1_lower[0, 0] == 4.0 / 6.0
+    assert rep.prop1_upper[0, 0] == 3.0
     # (t2,u1): eq welfare 1, bounds 4 and 5, and poa sits at the lower bound
-    assert rep.prop1_lower[ow.TypeProfile("t2", "u1")] == 4.0
-    assert rep.prop1_upper[ow.TypeProfile("t2", "u1")] == 5.0
+    assert rep.prop1_lower[1, 0] == 4.0
+    assert rep.prop1_upper[1, 0] == 5.0
 
 
 def test_zero_welfare_conventions():
@@ -57,7 +60,7 @@ def test_zero_welfare_conventions():
     )
     assert ow.poa_of_type(game, ("t1", "u1")) == math.inf
     rep = ow.poa_metrics(game)
-    assert rep.infinite_profiles == (ow.TypeProfile("t1", "u1"),)
+    assert np.isinf(rep.per_type_poa).tolist() == [[True]]
     assert rep.bayes_nash_poa == math.inf
 
     # nothing attainable anywhere: 0/0 counts as 1
@@ -67,6 +70,9 @@ def test_zero_welfare_conventions():
     )
     assert ow.poa_of_type(flat, ("t1", "u1")) == 1.0
     frep = ow.poa_metrics(flat)
+    assert frep.per_type_poa.tolist() == [[1.0]]
+    # the lower bound reads 0/0 as the PoA does, not as inf above it
+    assert frep.prop1_lower.tolist() == [[1.0]]
     assert frep.bayes_nash_poa == 1.0
     assert frep.welfare_ratio_poa == 1.0
 
@@ -78,7 +84,7 @@ def test_zero_probability_type_excluded_from_expectations():
     )
     rep = ow.poa_metrics(game)
     # t2 alone is inefficient (poa 4) but carries no prior mass
-    assert rep.per_type_poa[ow.TypeProfile("t2", "u1")] == 4.0
+    assert rep.per_type_poa[1, 0] == 4.0
     assert rep.bayes_nash_poa == 1.0
     assert rep.welfare_ratio_poa == 1.0
 
@@ -130,9 +136,42 @@ def test_poa_matches_brute_enumeration(seed):
                           n_types_a=4, n_types_b=4)
     per, expectation = _brute_poa(game)
     rep = ow.poa_metrics(game)
-    for key, value in per.items():
-        assert rep.per_type_poa[ow.TypeProfile(*key)] == value
+    for (ta, tb), value in per.items():
+        assert rep.per_type_poa[game.type_a_index(ta), game.type_b_index(tb)] == value
     assert rep.bayes_nash_poa == expectation
+
+
+@st.composite
+def _games(draw):
+    """Small games whose payoffs are often 0 or tied (small integers) and
+    otherwise arbitrary, with zero-prior types on either side."""
+    na, nb, nta, ntb = (draw(st.integers(1, 4)) for _ in range(4))
+    pay = st.one_of(st.integers(0, 2).map(float), st.floats(0.0, 10.0))
+
+    def prior(n):
+        w = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any))
+        return [x / sum(w) for x in w]
+
+    def table(*shape):
+        return np.reshape(draw(st.lists(pay, min_size=math.prod(shape), max_size=math.prod(shape))), shape)
+
+    return ow.make_game(
+        [f"a{j}" for j in range(na)], [f"b{j}" for j in range(nb)],
+        zip([f"t{i}" for i in range(nta)], prior(nta)),
+        zip([f"u{k}" for k in range(ntb)], prior(ntb)),
+        table(nta, na), table(ntb, na, nb),
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(game=_games())
+def test_poa_tables_keep_the_sandwich_and_match_poa_of_type(game):
+    """On every profile, lower bound <= PoA <= upper bound with plain
+    comparisons, and the table cell is ``poa_of_type``'s value."""
+    rep = ow.poa_metrics(game)
+    for (i, k), poa in np.ndenumerate(rep.per_type_poa):
+        assert rep.prop1_lower[i, k] <= poa <= rep.prop1_upper[i, k], (i, k)
+        assert poa == ow.poa_of_type(game, (game.types_a[i], game.types_b[k])), (i, k)
 
 
 def test_joint_max_strategy_two_approximation(g1):

@@ -1,9 +1,15 @@
 """The broadcast PoA tables against the per-profile loops they replaced.
 
-``poa_oracle`` keeps the old ``nash_outcome`` and ``poa_metrics``. The new
-ones must return reports whose ``repr`` is identical, on ``random_suite``
-instances and on variants of them with zero-prior types and zero-welfare
-profiles (where the PoA is 1 or infinite).
+``poa_oracle`` keeps the old ``nash_outcome``, ``poa_metrics`` and
+``poa_report_rows``. On ``random_suite`` instances and on variants of them
+with zero-prior types and zero-welfare profiles (where the PoA is 1 or
+infinite), the new outcome must have the oracle's ``repr``, every cell of
+the new PoA tables the ``repr`` of the oracle's value for its profile, and
+the new report rows the oracle's rows.
+
+The oracle keeps the old lower bound, ``inf``, on profiles where nothing is
+attainable (the package now reads that 0/0 as 1, like the PoA). These
+instances have no such profile; ``test_equilibrium`` pins the new rule.
 """
 
 from __future__ import annotations
@@ -36,7 +42,23 @@ def _degenerate(game) -> ow.OneWayGame:
 
 def _assert_reports_match(game) -> None:
     assert repr(ow.nash_outcome(game)) == repr(oracle.nash_outcome(game))
-    assert repr(ow.poa_metrics(game)) == repr(oracle.poa_metrics(game))
+    new, old = ow.poa_metrics(game), oracle.poa_metrics(game)
+    shape = (len(game.types_a), len(game.types_b))
+    for name in ("per_type_poa", "prop1_lower", "prop1_upper"):
+        table, cells = getattr(new, name), getattr(old, name)
+        assert table.shape == shape and table.dtype == np.float64
+        assert not table.flags.writeable
+        # repr of a whole array rounds, so compare each cell as a Python float
+        for ta, row in zip(game.types_a, table.tolist()):
+            for tb, value in zip(game.types_b, row):
+                assert repr(value) == repr(cells[ow.TypeProfile(ta, tb)]), (name, ta, tb)
+    assert repr(new.bayes_nash_poa) == repr(old.bayes_nash_poa)
+    assert repr(new.welfare_ratio_poa) == repr(old.welfare_ratio_poa)
+    infinite = [ow.TypeProfile(game.types_a[i], game.types_b[k])
+                for i, k in zip(*np.nonzero(np.isinf(new.per_type_poa)))]
+    assert tuple(infinite) == old.infinite_profiles
+    new_rows, old_rows = ow.poa_report_rows(game, new), oracle.poa_report_rows(game, old)
+    assert repr(new_rows) == repr(old_rows)
 
 
 @pytest.mark.parametrize("max_types_a", [6, 40])
@@ -53,7 +75,7 @@ def test_poa_matches_oracle_on_degenerate_profiles(seed):
         game = _degenerate(game)
         _assert_reports_match(game)
         report = ow.poa_metrics(game)
-        infinite += len(report.infinite_profiles)
-        ones += sum(v == 1.0 for v in report.per_type_poa.values())
+        infinite += int(np.isinf(report.per_type_poa).sum())
+        ones += int((report.per_type_poa == 1.0).sum())
         zero_prior += bool(np.any(game.prior_a == 0.0) or np.any(game.prior_b == 0.0))
     assert infinite > 0 and ones > 0 and zero_prior > 0

@@ -306,3 +306,9 @@ def test_optimal_offer_welfare_vs_simplified_logged():
 
 def test_value_tol_is_small():
     assert VALUE_TOL == 1e-9
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0, -1.0])
+def test_corollary_bound_rejects_non_finite_and_non_positive_beta(beta):
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        ow.corollary_bound(beta)
