@@ -121,6 +121,18 @@ class CurvePoint:
     poa: float
 
 
+def _tuned_offer(stake: float, scale: float) -> CurvePoint:
+    """B's utility-maximizing single offer when A's sacrifice is uniform on
+    [0, scale] and B's stake is ``stake``: the threshold is stake/2, capped
+    at scale, and welfare books the mean sacrifice scale/2 against accepted
+    trades."""
+    c_star = stake / 2.0 if stake <= 2.0 * scale else scale
+    p = c_star / scale
+    sw = scale + p * (stake - scale / 2.0)
+    opt = max(scale, scale / 2.0 + stake)
+    return CurvePoint(param=stake, threshold=c_star, expected_welfare=sw, optimal_welfare=opt, poa=opt / sw)
+
+
 def example1b(x: float) -> CurvePoint:
     """Welfare and PoA of the tuned single offer as B's stake x varies.
 
@@ -131,11 +143,7 @@ def example1b(x: float) -> CurvePoint:
     """
     if not 0.0 <= x < math.inf:
         raise ValueError(f"x must be finite and non-negative, got {x!r}")
-    c_star = x / 2.0 if x <= 200.0 else 100.0
-    p = c_star / 100.0
-    sw = 100.0 + p * (x - 50.0)
-    opt = max(100.0, 50.0 + x)
-    return CurvePoint(param=x, threshold=c_star, expected_welfare=sw, optimal_welfare=opt, poa=opt / sw)
+    return _tuned_offer(x, 100.0)
 
 
 def example1b_no_payment_poa(x: float) -> float:
@@ -149,10 +157,7 @@ def example2(mu1: float) -> CurvePoint:
     """Unit-scale variant: sacrifice ~ U[0, 1], B's stake is mu1."""
     if not 0.0 <= mu1 < math.inf:
         raise ValueError(f"mu1 must be finite and non-negative, got {mu1!r}")
-    c_star = mu1 / 2.0 if mu1 <= 2.0 else 1.0
-    sw = 1.0 + c_star * (mu1 - 0.5)
-    opt = max(1.0, 0.5 + mu1)
-    return CurvePoint(param=mu1, threshold=c_star, expected_welfare=sw, optimal_welfare=opt, poa=opt / sw)
+    return _tuned_offer(mu1, 1.0)
 
 
 def example2_poa_max() -> tuple[float, float]:

@@ -3,7 +3,7 @@
 Every subcommand prints one deterministic report: a small comment header
 (tool version, subcommand, seed, canonical config and its hash, and the
 content hashes of the instance and the schedule read, if any) followed by
-CSV rows. Identical invocations produce identical bytes. Exit codes: 0 on
+a table of named columns as CSV. Identical invocations produce identical bytes. Exit codes: 0 on
 success, 1 when an input fails validation or a computation cannot proceed,
 2 for usage errors.
 """
@@ -11,7 +11,6 @@ success, 1 when an input fails validation or a computation cannot proceed,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -20,8 +19,8 @@ from . import analytics, bilateral, equilibrium, io, multi_offer, single_offer
 from .generate import random_game
 
 SEED_DEFAULT = 42
-SAMPLES_DEFAULT = 100_000
 TOL_DEFAULT = 1e-9
+MAX_POINTS = 10**6  # the most points a --from/--to/--step range may give
 
 
 def _frange(start: float, stop: float, step: float) -> list[float]:
@@ -31,7 +30,10 @@ def _frange(start: float, stop: float, step: float) -> list[float]:
         raise ValueError(f"--step must be positive, got {step!r}")
     if stop < start:
         raise ValueError(f"--to {stop!r} is below --from {start!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step  # inf when the quotient overflows
+    if not span + 1e-9 < MAX_POINTS:
+        raise ValueError(f"--from, --to and --step give more than {MAX_POINTS} points")
+    count = int(math.floor(span + 1e-9)) + 1
     return [start + i * step for i in range(count)]
 
 
@@ -39,13 +41,13 @@ def _emit(
     args: argparse.Namespace,
     subcommand: str,
     config: dict,
-    columns,
-    rows,
+    table: dict[str, list],
     instance=None,
     schedule=None,
 ) -> None:
-    """Write the report; ``instance`` and ``schedule`` (the parsed
-    ``(action, gammas, probs)``), when given, are hashed into its header."""
+    """Write the report of named columns; ``instance`` and ``schedule`` (the
+    parsed ``(action, gammas, probs)``), when given, are hashed into its
+    header."""
     digests = (
         None if instance is None else io.input_hash(instance),
         None if schedule is None else io.schedule_hash(*schedule),
@@ -53,9 +55,9 @@ def _emit(
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            io.write_report(fh, subcommand, config, columns, rows, *digests)
+            io.write_report(fh, subcommand, config, table, *digests)
     else:
-        io.write_report(sys.stdout, subcommand, config, columns, rows, *digests)
+        io.write_report(sys.stdout, subcommand, config, table, *digests)
 
 
 def _error(message: str) -> int:
@@ -84,79 +86,60 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_nash(args: argparse.Namespace) -> int:
     game = io.load_game(args.instance)
     out = equilibrium.nash_outcome(game)
-    rows: list[list] = []
-    for t in game.types_a:
-        rows.append(["nash_A", t, out.action_a[t]])
-    for t in game.types_b:
-        rows.append(["nash_B", t, out.action_b[t]])
-    rows.append(["expected_welfare", "", out.expected_welfare])
+    table = {
+        "kind": ["nash_A"] * len(game.types_a) + ["nash_B"] * len(game.types_b) + ["expected_welfare"],
+        "id": [*game.types_a, *game.types_b, ""],
+        "value": [
+            *(out.action_a[t] for t in game.types_a),
+            *(out.action_b[t] for t in game.types_b),
+            out.expected_welfare,
+        ],
+    }
     config = {"instance": args.instance, "tolerance": TOL_DEFAULT}
-    _emit(args, "nash", config, ["kind", "id", "value"], rows, game)
+    _emit(args, "nash", config, table, game)
     return 0
 
 
 def cmd_poa(args: argparse.Namespace) -> int:
     game = io.load_game(args.instance)
     report = equilibrium.poa_metrics(game)
-    columns, rows = equilibrium.poa_report_rows(game, report)
     config = {"instance": args.instance, "tolerance": TOL_DEFAULT}
-    _emit(args, "poa", config, columns, rows, game)
+    _emit(args, "poa", config, equilibrium.poa_report_rows(game, report), game)
     return 0
 
 
 def cmd_single_offer(args: argparse.Namespace) -> int:
     game = io.load_game(args.instance)
-    pick = (
-        single_offer.optimal_offer
-        if args.offer_strategy == "optimal"
-        else single_offer.simplified_offer
-    )
-    rows = []
-    for tb in _types_b(game, args.type_b):
-        res = pick(game, tb)
-        ev = res.evaluation
-        bound = ""
-        if args.offer_strategy == "simplified":
-            bound = single_offer.theorem_bound(res.offer.gamma, ev.acceptance_prob)
-        rows.append(
-            [
-                tb,
-                args.offer_strategy,
-                res.offer.action_a,
-                res.offer.gamma,
-                ev.acceptance_prob,
-                ev.delta_b,
-                ev.outside.action_b,
-                ev.outside.payoff,
-                ev.expected_u_a,
-                ev.expected_u_b,
-                ev.expected_sw,
-                res.null_offer,
-                bound,
-            ]
-        )
-    columns = [
-        "type_B",
-        "strategy",
-        "action",
-        "gamma",
-        "acceptance_prob",
-        "delta_B",
-        "outside_action",
-        "outside_payoff",
-        "expected_u_A",
-        "expected_u_B",
-        "expected_welfare",
-        "null_offer",
-        "poa_bound",
-    ]
+    simplified = args.offer_strategy == "simplified"
+    pick = single_offer.simplified_offer if simplified else single_offer.optimal_offer
+    types = _types_b(game, args.type_b)
+    results = [pick(game, tb) for tb in types]
+    evs = [res.evaluation for res in results]
+    table = {
+        "type_B": types,
+        "strategy": [args.offer_strategy] * len(types),
+        "action": [res.offer.action_a for res in results],
+        "gamma": [res.offer.gamma for res in results],
+        "acceptance_prob": [ev.acceptance_prob for ev in evs],
+        "delta_B": [ev.delta_b for ev in evs],
+        "outside_action": [ev.outside.action_b for ev in evs],
+        "outside_payoff": [ev.outside.payoff for ev in evs],
+        "expected_u_A": [ev.expected_u_a for ev in evs],
+        "expected_u_B": [ev.expected_u_b for ev in evs],
+        "expected_welfare": [ev.expected_sw for ev in evs],
+        "null_offer": [res.null_offer for res in results],
+        "poa_bound": [
+            single_offer.theorem_bound(res.offer.gamma, ev.acceptance_prob) if simplified else ""
+            for res, ev in zip(results, evs)
+        ],
+    }
     config = {
         "instance": args.instance,
         "strategy": args.offer_strategy,
         "type_b": args.type_b or "all",
         "tolerance": TOL_DEFAULT,
     }
-    _emit(args, "single-offer", config, columns, rows, game)
+    _emit(args, "single-offer", config, table, game)
     return 0
 
 
@@ -172,40 +155,22 @@ def cmd_multi_offer(args: argparse.Namespace) -> int:
     game = io.load_game(args.instance)
     types = _types_b(game, args.type_b)
     if args.optimize:
-        columns = [
-            "type_B",
-            "n",
-            "action",
-            "gammas",
-            "probs",
-            "value",
-            "single_offer_gamma",
-            "single_offer_value",
-            "gap",
-            "null_offer",
-            "certified",
-            "certification_slack",
-        ]
         n = 2 if args.n is None else args.n
-        rows = []
-        for tb in types:
-            opt = multi_offer.optimize_schedule(game, tb, n)
-            rows.append(
-                [
-                    tb,
-                    n,
-                    opt.schedule.action_a,
-                    "|".join(repr(g) for g in opt.schedule.gammas),
-                    "|".join(repr(p) for p in opt.schedule.probs),
-                    opt.value,
-                    opt.single_offer.gamma,
-                    opt.single_offer_value,
-                    abs(opt.value - opt.single_offer_value),
-                    opt.null_offer,
-                    opt.certified,
-                    opt.certification_slack,
-                ]
-            )
+        opts = [multi_offer.optimize_schedule(game, tb, n) for tb in types]
+        table = {
+            "type_B": types,
+            "n": [n] * len(types),
+            "action": [opt.schedule.action_a for opt in opts],
+            "gammas": ["|".join(repr(g) for g in opt.schedule.gammas) for opt in opts],
+            "probs": ["|".join(repr(p) for p in opt.schedule.probs) for opt in opts],
+            "value": [opt.value for opt in opts],
+            "single_offer_gamma": [opt.single_offer.gamma for opt in opts],
+            "single_offer_value": [opt.single_offer_value for opt in opts],
+            "gap": [abs(opt.value - opt.single_offer_value) for opt in opts],
+            "null_offer": [opt.null_offer for opt in opts],
+            "certified": [opt.certified for opt in opts],
+            "certification_slack": [opt.certification_slack for opt in opts],
+        }
         config = {
             "instance": args.instance,
             "mode": "optimize",
@@ -213,54 +178,32 @@ def cmd_multi_offer(args: argparse.Namespace) -> int:
             "type_b": args.type_b or "all",
             "tolerance": TOL_DEFAULT,
         }
-        _emit(args, "multi-offer", config, columns, rows, game)
+        _emit(args, "multi-offer", config, table, game)
         return 0
     seed = SEED_DEFAULT if args.seed is None else args.seed
     parsed = io.load_schedule_file(args.schedule)
     schedule = multi_offer.Schedule(*parsed)
     game.action_a_index(schedule.action_a)  # raises KeyError on unknown ids
-    columns = [
-        "type_B",
-        "action",
-        "n",
-        "planning_value",
-        "expected_u_A",
-        "expected_u_B",
-        "expected_welfare",
-        "acceptance_prob",
-    ]
+    outcomes = [multi_offer.expected_outcome(game, schedule, tb) for tb in types]
+    table = {
+        "type_B": types,
+        "action": [schedule.action_a] * len(types),
+        "n": [schedule.n] * len(types),
+        "planning_value": [multi_offer.expected_utility_B(game, schedule, tb) for tb in types],
+        "expected_u_A": [out.expected_u_a for out in outcomes],
+        "expected_u_B": [out.expected_u_b for out in outcomes],
+        "expected_welfare": [out.expected_sw for out in outcomes],
+        "acceptance_prob": [out.acceptance_prob for out in outcomes],
+    }
     if args.samples > 0:
-        columns += [
-            "sim_planning_value",
-            "sim_planning_ci99",
-            "sim_welfare",
-            "sim_welfare_ci99",
-            "sim_acceptance",
-        ]
-    rows = []
-    for tb in types:
-        value = multi_offer.expected_utility_B(game, schedule, tb)
-        outcome = multi_offer.expected_outcome(game, schedule, tb)
-        row = [
-            tb,
-            schedule.action_a,
-            schedule.n,
-            value,
-            outcome.expected_u_a,
-            outcome.expected_u_b,
-            outcome.expected_sw,
-            outcome.acceptance_prob,
-        ]
-        if args.samples > 0:
-            sim = multi_offer.simulate_schedule(game, schedule, tb, args.samples, seed)
-            row += [
-                sim.mean_u_b_planning,
-                sim.ci_u_b_planning,
-                sim.mean_sw,
-                sim.ci_sw,
-                sim.acceptance_rate,
-            ]
-        rows.append(row)
+        sims = [multi_offer.simulate_schedule(game, schedule, tb, args.samples, seed) for tb in types]
+        table |= {
+            "sim_planning_value": [sim.mean_u_b_planning for sim in sims],
+            "sim_planning_ci99": [sim.ci_u_b_planning for sim in sims],
+            "sim_welfare": [sim.mean_sw for sim in sims],
+            "sim_welfare_ci99": [sim.ci_sw for sim in sims],
+            "sim_acceptance": [sim.acceptance_rate for sim in sims],
+        }
     config = {
         "instance": args.instance,
         "mode": "schedule",
@@ -270,16 +213,27 @@ def cmd_multi_offer(args: argparse.Namespace) -> int:
         "type_b": args.type_b or "all",
         "tolerance": TOL_DEFAULT,
     }
-    _emit(args, "multi-offer", config, columns, rows, game, parsed)
+    _emit(args, "multi-offer", config, table, game, parsed)
     return 0
 
 
 def _emit_ms(args: argparse.Namespace, config: dict, rows, instance=None) -> int:
     """Write a trade-feasibility report, one ``bilateral.RefinementRow`` per
-    line in its field order; None leaves its cell blank."""
-    columns = ["k", "verdict", "margin", "min_subsidy", "certificate_ok", "certificate_residual"]
-    cells = [["" if v is None else v for v in dataclasses.astuple(row)] for row in rows]
-    _emit(args, "ms-check", config, columns, cells, instance)
+    line; None leaves its cell blank."""
+
+    def column(field: str) -> list:
+        values = (getattr(row, field) for row in rows)
+        return ["" if v is None else v for v in values]
+
+    table = {
+        "k": column("k"),
+        "verdict": column("verdict"),
+        "margin": column("margin"),
+        "min_subsidy": column("subsidy"),
+        "certificate_ok": column("certificate_ok"),
+        "certificate_residual": column("certificate_residual"),
+    }
+    _emit(args, "ms-check", config, table, instance)
     return 0
 
 
@@ -301,15 +255,26 @@ def _range(args: argparse.Namespace, start: float, stop: float, step: float) -> 
     return tuple(d if v is None else v for v, d in zip(given, (start, stop, step)))
 
 
-def _example1b_row(x: float) -> list:
-    pt = analytics.example1b(x)
-    return [x, pt.threshold, pt.expected_welfare, pt.optimal_welfare, pt.poa,
-            analytics.example1b_no_payment_poa(x)]
+def _curve(name: str, params: list[float], point) -> dict[str, list]:
+    """A worked example's closed-form columns, ``point(v)`` at each value."""
+    points = [point(v) for v in params]
+    return {
+        name: params,
+        "threshold": [pt.threshold for pt in points],
+        "expected_welfare": [pt.expected_welfare for pt in points],
+        "optimal_welfare": [pt.optimal_welfare for pt in points],
+        "poa": [pt.poa for pt in points],
+    }
 
 
-def _example2_row(mu1: float) -> list:
-    pt = analytics.example2(mu1)
-    return [mu1, pt.threshold, pt.expected_welfare, pt.optimal_welfare, pt.poa]
+def _bounds(betas: list[float]) -> dict[str, list]:
+    """The power-law corollary's share and PoA bound at each beta."""
+    pairs = [single_offer.corollary_bound(beta) for beta in betas]
+    return {
+        "beta": betas,
+        "gamma_star": [gamma for gamma, _ in pairs],
+        "poa_bound": [bound for _, bound in pairs],
+    }
 
 
 def _examples_misuse(args: argparse.Namespace) -> str | None:
@@ -344,62 +309,66 @@ def cmd_examples(args: argparse.Namespace) -> int:
         return _error(misuse)
     seed = SEED_DEFAULT if args.seed is None else args.seed
     if which == "1b":
-        columns = ["x", "threshold", "expected_welfare", "optimal_welfare", "poa", "no_payment_poa"]
         if args.sweep:
             start, stop, step = _range(args, 0.0, 400.0, 1.0)
-            rows = [_example1b_row(x) for x in _frange(start, stop, step)]
+            xs = _frange(start, stop, step)
             config = {"which": "1b", "sweep": True, "from": start, "to": stop, "step": step}
         else:
-            x = 100.0 if args.x is None else args.x
-            rows = [_example1b_row(x)]
-            if args.mc_samples > 0:
-                mc = analytics.mc_single_offer(
-                    analytics.example1b_scenario(x), args.mc_samples, seed, "aggregate"
-                )
-                columns = columns + ["mc_welfare", "mc_welfare_ci99", "mc_poa", "mc_acceptance"]
-                rows[0] += [mc.mean_sw, mc.ci_sw, mc.poa_vs_ex_ante, mc.acceptance_rate]
+            xs = [100.0 if args.x is None else args.x]
             config = {
-                "which": "1b", "sweep": False, "x": x,
+                "which": "1b", "sweep": False, "x": xs[0],
                 "mc_samples": args.mc_samples, "seed": seed,
             }
-        _emit(args, "examples", config, columns, rows)
+        table = _curve("x", xs, analytics.example1b)
+        table["no_payment_poa"] = [analytics.example1b_no_payment_poa(x) for x in xs]
+        if args.mc_samples > 0:
+            mc = analytics.mc_single_offer(
+                analytics.example1b_scenario(xs[0]), args.mc_samples, seed, "aggregate"
+            )
+            table |= {
+                "mc_welfare": [mc.mean_sw],
+                "mc_welfare_ci99": [mc.ci_sw],
+                "mc_poa": [mc.poa_vs_ex_ante],
+                "mc_acceptance": [mc.acceptance_rate],
+            }
+        _emit(args, "examples", config, table)
         return 0
     if which == "2":
-        columns = ["mu1", "threshold", "expected_welfare", "optimal_welfare", "poa"]
         if args.sweep:
             start, stop, step = _range(args, 0.0, 4.0, 0.01)
-            rows = [_example2_row(m) for m in _frange(start, stop, step)]
+            mus = _frange(start, stop, step)
             config = {"which": "2", "sweep": True, "from": start, "to": stop, "step": step}
         else:
-            mu1 = 1.0 if args.mu1 is None else args.mu1
-            rows = [_example2_row(mu1)]
-            config = {"which": "2", "sweep": False, "mu1": mu1}
+            mus = [1.0 if args.mu1 is None else args.mu1]
+            config = {"which": "2", "sweep": False, "mu1": mus[0]}
+        table = _curve("mu1", mus, analytics.example2)
         mu_star, poa_max = analytics.example2_poa_max()
-        rows.append(["poa_max_closed_form", mu_star, "", "", poa_max])
-        _emit(args, "examples", config, columns, rows)
+        peak = {"mu1": "poa_max_closed_form", "threshold": mu_star, "poa": poa_max}
+        for name, column in table.items():  # the closed-form peak as a last row
+            column.append(peak.get(name, ""))
+        _emit(args, "examples", config, table)
         return 0
     # corollary
     betas = [args.beta] if args.beta is not None else [0.25, 0.5, 0.75, 1.0]
-    columns = ["beta", "gamma_star", "poa_bound"]
+    table = _bounds(betas)
     if args.mc_samples > 0:
-        columns += ["mc_mean_poa", "mc_poa_ci99", "mc_max_poa", "mc_acceptance"]
-    rows = []
-    for beta in betas:
-        gamma_star, bound = single_offer.corollary_bound(beta)
-        row = [beta, gamma_star, bound]
-        if args.mc_samples > 0:
-            mc = analytics.mc_single_offer(
-                analytics.power_scenario(beta), args.mc_samples, seed, "exact"
-            )
-            row += [mc.mean_poa, mc.ci_poa, mc.max_poa, mc.acceptance_rate]
-        rows.append(row)
+        mcs = [
+            analytics.mc_single_offer(analytics.power_scenario(beta), args.mc_samples, seed, "exact")
+            for beta in betas
+        ]
+        table |= {
+            "mc_mean_poa": [mc.mean_poa for mc in mcs],
+            "mc_poa_ci99": [mc.ci_poa for mc in mcs],
+            "mc_max_poa": [mc.max_poa for mc in mcs],
+            "mc_acceptance": [mc.acceptance_rate for mc in mcs],
+        }
     config = {
         "which": "corollary",
         "beta": args.beta if args.beta is not None else "defaults",
         "mc_samples": args.mc_samples,
         "seed": seed,
     }
-    _emit(args, "examples", config, columns, rows)
+    _emit(args, "examples", config, table)
     return 0
 
 
@@ -422,10 +391,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     start, stop, step = _range(args, 0.1, 2.0, 0.05)
-    columns = ["beta", "gamma_star", "poa_bound"]
-    rows = [[b, *single_offer.corollary_bound(b)] for b in _frange(start, stop, step)]
+    table = _bounds(_frange(start, stop, step))
     config = {"param": args.param, "from": start, "to": stop, "step": step}
-    _emit(args, "sweep", config, columns, rows)
+    _emit(args, "sweep", config, table)
     return 0
 
 

@@ -96,8 +96,9 @@ def poa_of_type(game: OneWayGame, types: TypeProfile | tuple[str, str]) -> float
 
 
 def _ratio(opt, eq):
-    """``opt / eq`` elementwise, with 0 / 0 read as 1 and x / 0 as ``inf``."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    """``opt / eq`` elementwise, with 0 / 0 read as 1 and x / 0 as ``inf``
+    (as is a quotient past the largest float)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where(eq == 0.0, np.where(opt == 0.0, 1.0, np.inf), np.divide(opt, eq))
 
 
@@ -140,7 +141,7 @@ def poa_metrics(game: OneWayGame) -> PoAReport:
     weight = game.prior_a[:, None] * game.prior_b[None, :]
     live = weight > 0.0
     per, lower = _ratio(opt, eq), _ratio(ub_best, eq)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         upper = np.where(ua_best == 0.0, np.inf, (ua_best + ub_best) / ua_best)
         expectation = _running_sum((weight * per)[live])
     ratio = _ratio(_running_sum((weight * opt)[live]), out.expected_welfare)
@@ -168,14 +169,14 @@ def joint_max_strategy(game: OneWayGame, types: TypeProfile | tuple[str, str]) -
     return StrategyProfile(game.actions_a[ia], game.actions_b[ib])
 
 
-def poa_report_rows(game: OneWayGame, report: PoAReport) -> tuple[list[str], list[list]]:
-    """Flatten a report for CSV output, one row per type profile in
-    row-major order; two labeled summary rows at the end."""
-    columns = ["type_A", "type_B", "poa", "prop1_lower", "prop1_upper"]
-    type_a = [ta for ta in game.types_a for _ in game.types_b]
-    type_b = list(game.types_b) * len(game.types_a)
-    tables = (report.per_type_poa, report.prop1_lower, report.prop1_upper)
-    rows = list(map(list, zip(type_a, type_b, *(t.ravel().tolist() for t in tables))))
-    rows.append(["bayes_nash_poa", "", report.bayes_nash_poa, "", ""])
-    rows.append(["welfare_ratio_poa", "", report.welfare_ratio_poa, "", ""])
-    return columns, rows
+def poa_report_rows(game: OneWayGame, report: PoAReport) -> dict[str, list]:
+    """The ``poa`` report as named columns: one row per type profile in
+    row-major order, then the two labeled summary rows."""
+    blank = ["", ""]
+    return {
+        "type_A": [ta for ta in game.types_a for _ in game.types_b] + ["bayes_nash_poa", "welfare_ratio_poa"],
+        "type_B": list(game.types_b) * len(game.types_a) + blank,
+        "poa": report.per_type_poa.ravel().tolist() + [report.bayes_nash_poa, report.welfare_ratio_poa],
+        "prop1_lower": report.prop1_lower.ravel().tolist() + blank,
+        "prop1_upper": report.prop1_upper.ravel().tolist() + blank,
+    }

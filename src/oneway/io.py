@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import IO, Any, Iterable, Sequence
+from typing import IO, Any, Sequence
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .game import OneWayGame, validate
 
 FORMAT_VERSION = 1
 TOOL_VERSION = "0.1.0"
+_BLOCK_ROWS = 4096  # rows formatted at a time, bounding what a report holds as text
 
 
 class InstanceFormatError(ValueError):
@@ -224,30 +225,42 @@ def schedule_hash(action: str, gammas: Sequence[float], probs: Sequence[float]) 
     return config_hash({"action": action, "gammas": list(gammas), "probs": list(probs)})
 
 
-def format_cell(value: Any) -> str:
-    if isinstance(value, (float, np.floating)):  # most cells, so tested first
-        return repr(float(value))
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+def format_column(values: Sequence[Any]) -> list[str]:
+    """The cells of one report column as CSV text: floats (numpy's too) as
+    the ``repr`` of the Python float, bools (numpy's too) as ``true`` or
+    ``false``, integers as their decimal digits, strings as they are and
+    anything else through ``str``."""
+    out: list[str] = []
+    append = out.append
+    for value in values:
+        if isinstance(value, (float, np.floating)):  # most cells, so tested first
+            append(repr(float(value)))
+        elif isinstance(value, str):
+            append(value)
+        elif isinstance(value, (bool, np.bool_)):
+            append("true" if value else "false")
+        elif isinstance(value, (int, np.integer)):
+            append(str(int(value)))
+        else:
+            append(str(value))
+    return out
 
 
 def write_report(
     fh: IO[str],
     subcommand: str,
     config: dict,
-    columns: Sequence[str],
-    rows: Iterable[Sequence[Any]],
+    table: dict[str, Sequence[Any]],
     input_sha256: str | None = None,
     schedule_sha256: str | None = None,
 ) -> None:
-    """Write one report: comment header block, then CSV. ``input_sha256``
+    """Write one report: comment header block, then CSV with one column per
+    entry of ``table`` (name to values), in its order. ``input_sha256``
     (see ``input_hash``) identifies the instance the report was computed on,
     ``schedule_sha256`` (see ``schedule_hash``) the schedule it evaluated."""
+    lengths = {name: len(values) for name, values in table.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"report columns differ in length: {lengths}")
     fh.write(f"# oneway v{TOOL_VERSION}\n")
     fh.write(f"# subcommand: {subcommand}\n")
     fh.write(f"# seed: {config.get('seed', 'none')}\n")
@@ -257,6 +270,7 @@ def write_report(
         fh.write(f"# input-sha256: {input_sha256}\n")
     if schedule_sha256 is not None:
         fh.write(f"# schedule-sha256: {schedule_sha256}\n")
-    fh.write(",".join(columns) + "\n")
-    for row in rows:
-        fh.write(",".join(format_cell(v) for v in row) + "\n")
+    fh.write(",".join(table) + "\n")
+    for start in range(0, max(lengths.values(), default=0), _BLOCK_ROWS):
+        cells = [format_column(values[start : start + _BLOCK_ROWS]) for values in table.values()]
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))

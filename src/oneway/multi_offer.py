@@ -297,10 +297,13 @@ class ScheduleOptimum:
 
 
 def _padded_gammas(x: float, n: int) -> tuple[float, ...]:
-    """Strictly increasing gammas in [0, 1] starting at x."""
+    """Strictly increasing gammas in [0, 1] starting at x; a ValueError
+    when fewer than n - 1 floats lie above x."""
     pad = (1.0 - x) / n
     out = [x]
     for j in range(1, n):
+        if out[-1] >= 1.0:
+            raise ValueError(f"no room for n = {n} steps above the best share {x!r}")
         nxt = x + j * pad
         if nxt <= out[-1]:
             nxt = np.nextafter(out[-1], 1.0)

@@ -364,11 +364,15 @@ def test_omitted_flags_report_their_defaults(capsys, instance, schedule_file, im
         (["sweep", "--param", "beta", "--to", "inf"], "must be finite"),
         (["sweep", "--param", "beta", "--from", "1.5", "--to", "0.5"], "--to 0.5 is below --from 1.5"),
         (["sweep", "--param", "beta", "--step", "0"], "--step must be positive, got 0.0"),
+        (["sweep", "--param", "beta", "--from", "0.1", "--to", "1e308", "--step", "1e-300"], "more than 1000000 points"),
+        (["sweep", "--param", "beta", "--from", "0.1", "--to", "1e9", "--step", "1e-3"], "more than 1000000 points"),
+        (["examples", "--which", "2", "--sweep", "--from", "0", "--to", "1e6", "--step", "1"], "more than 1000000 points"),
     ],
 )
 def test_non_finite_and_reversed_numbers_are_rejected(capsys, argv, message):
-    """A NaN or infinite parameter, a reversed range and a non-positive step
-    are errors, not reports of ``nan`` rows or no rows."""
+    """A NaN or infinite parameter, a reversed range, a non-positive step
+    and a range of more than ``MAX_POINTS`` points are errors, not reports
+    of ``nan`` rows, no rows or a traceback."""
     code, out, err = _run(capsys, argv)
     assert code == 1
     assert out == ""

@@ -1,6 +1,8 @@
 import math
+import warnings
 
 import numpy as np
+import poa_oracle as oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,6 +52,24 @@ def test_prop1_bounds_g1(g1):
     # (t2,u1): eq welfare 1, bounds 4 and 5, and poa sits at the lower bound
     assert rep.prop1_lower[1, 0] == 4.0
     assert rep.prop1_upper[1, 0] == 5.0
+
+
+@pytest.mark.parametrize(
+    "payoff_a, payoff_b, expected",
+    [
+        # (u_A + u_B) / u_A for the upper bound passes the largest float
+        ([[5e-324]], [[[1.0]]], (1.0, 1.0, math.inf)),
+        # so do opt / eq for the PoA and max u_B / eq for the lower bound
+        ([[5e-324, 0.0]], [[[0.0], [1.0]]], (math.inf, math.inf, math.inf)),
+    ],
+)
+def test_subnormal_welfare_gives_inf_without_warnings(payoff_a, payoff_b, expected):
+    actions = [f"a{j + 1}" for j in range(len(payoff_a[0]))]
+    game = ow.make_game(actions, ["b1"], [("t1", 1.0)], [("u1", 1.0)], payoff_a, payoff_b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = ow.poa_metrics(game)
+    assert (rep.per_type_poa[0, 0], rep.prop1_lower[0, 0], rep.prop1_upper[0, 0]) == expected
 
 
 def test_zero_welfare_conventions():
@@ -196,8 +216,12 @@ def test_joint_max_strategy_two_approximation(g1):
 
 
 def test_poa_report_rows_shape(g1):
-    columns, rows = ow.poa_report_rows(g1, ow.poa_metrics(g1))
-    assert columns == ["type_A", "type_B", "poa", "prop1_lower", "prop1_upper"]
+    table = ow.poa_report_rows(g1, ow.poa_metrics(g1))
+    assert list(table) == ["type_A", "type_B", "poa", "prop1_lower", "prop1_upper"]
+    rows = [list(row) for row in zip(*table.values())]
+    columns, old_rows = oracle.poa_report_rows(g1, oracle.poa_metrics(g1))
+    assert list(table) == columns
+    assert [repr(row) for row in rows] == [repr(row) for row in old_rows]
     assert len(rows) == 4
     assert rows[0][:2] == ["t1", "u1"]
     assert rows[2][0] == "bayes_nash_poa"

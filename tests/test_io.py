@@ -1,12 +1,18 @@
 import hashlib
 import io
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+import report_oracle as oracle
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oneway as ow
-from oneway.io import format_cell, write_report
+import oneway.io
+from oneway.io import format_column, write_report
 
 
 def test_game_round_trip(tmp_path, g1):
@@ -172,30 +178,92 @@ def test_config_hash_is_order_insensitive():
 
 
 def test_format_cell():
-    assert format_cell("x") == "x"
-    assert format_cell(True) == "true"
-    assert format_cell(False) == "false"
-    assert format_cell(3) == "3"
-    assert format_cell(0.1) == "0.1"
-    assert format_cell(1 / 3) == repr(1 / 3)
-    assert format_cell(float("inf")) == "inf"
+    """The cell rules, one cell of each kind in one column."""
+    assert format_column(["x", True, False, 3, 0.1, 1 / 3, float("inf")]) == [
+        "x", "true", "false", "3", "0.1", repr(1 / 3), "inf",
+    ]
 
 
 @pytest.mark.parametrize("value", [0.1, 1 / 3, 1e-300, 2.0**60, -0.0, float("inf")])
 def test_format_cell_numpy_float_matches_float(value):
-    assert format_cell(np.float64(value)) == format_cell(value) == repr(value)
+    assert format_column([np.float64(value)]) == format_column([value]) == [repr(value)]
 
 
 def test_format_cell_bool():
-    assert (format_cell(True), format_cell(False)) == ("true", "false")
+    assert format_column([True, False]) == ["true", "false"]
 
 
 def test_format_cell_numpy_bool():
-    assert (format_cell(np.bool_(True)), format_cell(np.bool_(False))) == ("true", "false")
+    assert format_column([np.bool_(True), np.bool_(False)]) == ["true", "false"]
 
 
 def test_format_cell_numpy_int():
-    assert format_cell(np.int64(7)) == "7"
+    assert format_column([np.int64(7)]) == ["7"]
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308]),
+)
+_INTS = st.integers(-(2**63), 2**63 - 1)
+_CELLS = [
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    _INTS,
+    _INTS.map(np.int64),
+    st.text(max_size=6),
+    st.just(""),
+    st.none(),
+]
+
+
+@st.composite
+def _tables(draw):
+    """Up to five named columns of one length; each column holds one kind
+    of cell or a mix of all of them."""
+    rows = draw(st.integers(0, 8))
+    names = draw(st.lists(st.text("abcxyz_", min_size=1, max_size=4), max_size=5, unique=True))
+    kinds = _CELLS + [st.one_of(_CELLS)]
+    return {
+        name: draw(st.lists(kinds[draw(st.integers(0, len(kinds) - 1))], min_size=rows, max_size=rows))
+        for name in names
+    }
+
+
+def _assert_matches_the_row_oracle(table) -> None:
+    config = {"seed": 3, "x": 1.5}
+    new, old = io.StringIO(), io.StringIO()
+    write_report(new, "demo", config, table, "in", "sched")
+    oracle.write_report(old, "demo", config, list(table), list(zip(*table.values())), "in", "sched")
+    assert new.getvalue() == old.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(table=_tables())
+@example(table={"a": [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324], "b": ["", "x", True, 3, None, np.float64(0.1)]})
+@example(table={"a": []})
+def test_write_report_matches_the_row_oracle(table):
+    """Column-wise formatting writes the bytes of the cell-at-a-time writer
+    fed the same table as rows, also with blocks of three rows."""
+    _assert_matches_the_row_oracle(table)
+    with mock.patch.object(oneway.io, "_BLOCK_ROWS", 3):
+        _assert_matches_the_row_oracle(table)
+
+
+def test_poa_report_across_blocks_matches_the_row_oracle():
+    game = ow.random_game(seed=1, n_types_a=70, n_types_b=70)
+    table = ow.poa_report_rows(game, ow.poa_metrics(game))
+    assert len(table["poa"]) > oneway.io._BLOCK_ROWS
+    _assert_matches_the_row_oracle(table)
+
+
+def test_write_report_rejects_ragged_columns():
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="differ in length"):
+        write_report(buf, "demo", {}, {"a": [1, 2], "b": [1]})
+    assert buf.getvalue() == ""
 
 
 def test_schedule_hash_is_the_canonical_parse(tmp_path):
@@ -209,7 +277,7 @@ def test_schedule_hash_is_the_canonical_parse(tmp_path):
 def test_write_report_schedule_digest_follows_input_digest(g1):
     buf = io.StringIO()
     schedule = ow.schedule_hash("a1", (0.5,), (1.0,))
-    write_report(buf, "demo", {}, ["a"], [[1]], ow.input_hash(g1), schedule)
+    write_report(buf, "demo", {}, {"a": [1]}, ow.input_hash(g1), schedule)
     lines = buf.getvalue().splitlines()
     assert lines[5] == "# input-sha256: " + ow.input_hash(g1)
     assert lines[6] == "# schedule-sha256: " + schedule
@@ -219,7 +287,7 @@ def test_write_report_schedule_digest_follows_input_digest(g1):
 def test_write_report_layout():
     buf = io.StringIO()
     config = {"seed": 5, "x": 1.5}
-    write_report(buf, "demo", config, ["a", "b"], [[1, 2.5], ["s", True]])
+    write_report(buf, "demo", config, {"a": [1, "s"], "b": [2.5, True]})
     lines = buf.getvalue().splitlines()
     assert lines[0] == "# oneway v0.1.0"
     assert lines[1] == "# subcommand: demo"
@@ -236,7 +304,7 @@ def test_write_report_layout():
 def test_write_report_input_digest_follows_config_hash(g1):
     buf = io.StringIO()
     config = {"instance": "g1.json"}
-    write_report(buf, "demo", config, ["a"], [[1]], ow.input_hash(g1))
+    write_report(buf, "demo", config, {"a": [1]}, ow.input_hash(g1))
     lines = buf.getvalue().splitlines()
     assert lines[4] == "# config-sha256: " + ow.config_hash(config)
     assert lines[5] == "# input-sha256: " + ow.config_hash(ow.game_to_dict(g1))
@@ -260,13 +328,13 @@ def test_input_hash_identifies_content(tmp_path, g1, g2):
 
 def test_write_report_seed_fallback():
     buf = io.StringIO()
-    write_report(buf, "demo", {}, ["a"], [])
+    write_report(buf, "demo", {}, {"a": []})
     assert "# seed: none" in buf.getvalue()
 
 
 def test_write_report_deterministic(g1):
-    columns, rows = ow.poa_report_rows(g1, ow.poa_metrics(g1))
+    table = ow.poa_report_rows(g1, ow.poa_metrics(g1))
     a, b = io.StringIO(), io.StringIO()
-    write_report(a, "poa", {"instance": "g1"}, columns, rows)
-    write_report(b, "poa", {"instance": "g1"}, columns, rows)
+    write_report(a, "poa", {"instance": "g1"}, table)
+    write_report(b, "poa", {"instance": "g1"}, table)
     assert a.getvalue() == b.getvalue()

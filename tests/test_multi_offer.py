@@ -140,6 +140,18 @@ def test_optimize_schedule_g1(g1):
         ow.optimize_schedule(g1, "u1", 0)
 
 
+def test_optimize_schedule_without_room_to_pad_names_n_and_the_share():
+    # the best share is 1 - 2**-52; two floats lie above it, 1 - 2**-53 and 1
+    s = 2**30 * (1 - 2**-52)
+    game = ow.make_game(
+        ["a1", "a2"], ["b1"], [("t1", 1.0)], [("u1", 1.0)],
+        [[2**31, 2**31 - s]], [[[0.0], [2**30]]],
+    )
+    assert ow.optimize_schedule(game, "u1", 3).schedule.gammas == (1 - 2**-52, 1 - 2**-53, 1.0)
+    with pytest.raises(ValueError, match=r"n = 4 .* 0\.9999999999999998$"):
+        ow.optimize_schedule(game, "u1", 4)
+
+
 def test_equivalence_gap_fixtures(g1, g2):
     assert ow.equivalence_gap(g1, "u1", 2) == 0.0
     assert ow.equivalence_gap(g1, "u1", 3) == 0.0

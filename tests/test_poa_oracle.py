@@ -5,7 +5,7 @@
 with zero-prior types and zero-welfare profiles (where the PoA is 1 or
 infinite), the new outcome must have the oracle's ``repr``, every cell of
 the new PoA tables the ``repr`` of the oracle's value for its profile, and
-the new report rows the oracle's rows.
+each row of the new ``poa`` table the ``repr`` of the oracle's row.
 
 The oracle keeps the old lower bound, ``inf``, on profiles where nothing is
 attainable (the package now reads that 0/0 as 1, like the PoA). These
@@ -57,8 +57,10 @@ def _assert_reports_match(game) -> None:
     infinite = [ow.TypeProfile(game.types_a[i], game.types_b[k])
                 for i, k in zip(*np.nonzero(np.isinf(new.per_type_poa)))]
     assert tuple(infinite) == old.infinite_profiles
-    new_rows, old_rows = ow.poa_report_rows(game, new), oracle.poa_report_rows(game, old)
-    assert repr(new_rows) == repr(old_rows)
+    table = ow.poa_report_rows(game, new)
+    columns, rows = oracle.poa_report_rows(game, old)
+    assert list(table) == columns
+    assert [repr(list(row)) for row in zip(*table.values())] == [repr(row) for row in rows]
 
 
 @pytest.mark.parametrize("max_types_a", [6, 40])
