@@ -167,13 +167,6 @@ def example2_poa_max() -> tuple[float, float]:
     return mu_star, value
 
 
-def expected_max_uniform(n: int) -> float:
-    """Mean of the largest of n independent U[0, 1] draws."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return n / (n + 1.0)
-
-
 def acceptance_prob_example2(c: float, n: int) -> float:
     """Acceptance probability at threshold c with n-fold uniform competition;
     tends to c as n grows."""

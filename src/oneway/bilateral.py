@@ -21,8 +21,9 @@ name up as a module global on every call, so code that rebinds
 ``bilateral.linprog`` (a tracer, a test double) sees every solve.
 
 The same trade problem embeds into a one-way game (the seller's payoff does
-not depend on the buyer's single dummy action), and the property checks can
-be run on either representation; they agree verdict for verdict.
+not depend on the buyer's single dummy action). There is one property audit,
+on one-way mechanisms stated as A types by B types tables; a trade mechanism
+is audited on its embedding.
 """
 
 from __future__ import annotations
@@ -30,14 +31,13 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .equilibrium import _optimal_table, _reply_b
-from .game import OneWayGame, StrategyProfile, make_game
+from .game import OneWayGame, make_game
 
 PROB_TOL = 1e-12
 MARGIN_TOL = 1e-7
@@ -140,27 +140,34 @@ def to_one_way(instance: BilateralTradeInstance) -> OneWayGame:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OneWayMechanism:
-    """A direct mechanism stated on the one-way representation."""
+    """A direct mechanism on a one-way game, as read-only tables indexed
+    [A type, B type] in the game's type order: A's action index, B's reply
+    index, and the payment to each player."""
 
-    profile: dict[tuple[str, str], StrategyProfile]
-    payment_a: dict[tuple[str, str], float]
-    payment_b: dict[tuple[str, str], float]
+    action_a: np.ndarray
+    action_b: np.ndarray
+    payment_a: np.ndarray
+    payment_b: np.ndarray
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            dtype = np.float64 if f.name.startswith("payment") else None
+            arr = np.array(getattr(self, f.name), dtype=dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, f.name, arr)
 
 
 def mechanism_to_one_way(
     instance: BilateralTradeInstance, mech: DirectMechanism
 ) -> tuple[OneWayGame, OneWayMechanism]:
-    game = to_one_way(instance)
-    pairs = list(product(game.types_a, game.types_b))
-    traded = (np.asarray(mech.allocation) > 0.5).ravel().tolist()
-    profile = {
-        p: StrategyProfile("transfer" if t else "keep", "none") for p, t in zip(pairs, traded)
-    }
-    pay_a = dict(zip(pairs, np.asarray(mech.t_seller, dtype=np.float64).ravel().tolist()))
-    pay_b = dict(zip(pairs, np.asarray(mech.t_buyer, dtype=np.float64).ravel().tolist()))
-    return game, OneWayMechanism(profile, pay_a, pay_b)
+    """The trade mechanism on ``to_one_way``'s game: the seller hands the good
+    over (action 1) where it trades, and keeps it (action 0) elsewhere."""
+    traded = (np.asarray(mech.allocation) > 0.5).astype(np.intp)
+    return to_one_way(instance), OneWayMechanism(
+        traded, np.zeros_like(traded), mech.t_seller, mech.t_buyer
+    )
 
 
 @dataclass(frozen=True)
@@ -196,85 +203,73 @@ def check_properties(
     instance: BilateralTradeInstance, mech: DirectMechanism, tol: float = 1e-9
 ) -> PropertyReport:
     """Audit a trade mechanism: efficiency, budget balance, Bayes-Nash
-    incentive compatibility and interim individual rationality.
+    incentive compatibility and interim individual rationality, read on its
+    one-way embedding. Near-ties in values (within tol) leave the
+    allocation free; the witnesses name seller types s1, s2, ... and buyer
+    types b1, b2, ... in increasing order of value."""
+    return check_one_way_properties(*mechanism_to_one_way(instance, mech), tol)
 
-    Near-ties in values (within tol) leave the allocation free. Witness
-    strings name every violation, property by property in type order.
-    """
-    sv = np.asarray(instance.seller_values)
-    bv = np.asarray(instance.buyer_values)
-    f1 = np.asarray(instance.seller_probs)
-    f2 = np.asarray(instance.buyer_probs)
-    sigma = np.asarray(mech.allocation, dtype=np.float64)
-    ts = np.asarray(mech.t_seller, dtype=np.float64)
-    tb = np.asarray(mech.t_buyer, dtype=np.float64)
-    s_names = [repr(v) for v in instance.seller_values]
-    b_names = [repr(v) for v in instance.buyer_values]
 
-    missed = (sv[:, None] < bv[None, :] - tol) & (sigma < 0.5)
-    wasted = (sv[:, None] > bv[None, :] + tol) & (sigma > 0.5)
-    eff = [
-        f"no trade at seller {s_names[i]} < buyer {b_names[j]}"
-        if missed[i, j]
-        else f"trade at seller {s_names[i]} > buyer {b_names[j]}"
-        for i, j in np.argwhere(missed | wasted).tolist()
-    ]
-    worst_bb = float(np.max(np.abs(ts + tb)))
-    bb = [] if worst_bb <= tol else [f"transfers sum to {worst_bb!r} somewhere, expected 0"]
-
-    # interim utilities, true type by report: the seller keeps with prob K
-    # and is paid X_s; the buyer gets the good with prob G, is paid X_b
-    u_s = sv[:, None] * ((1.0 - sigma) @ f2) + ts @ f2
-    u_b = bv[:, None] * (f1 @ sigma) + f1 @ tb
-    ic = _ic_witnesses(u_s, "seller", s_names, tol) + _ic_witnesses(u_b, "buyer", b_names, tol)
-    ir = [
-        f"seller {n} is {-x!r} below her walk-away value"
-        for n, x in zip(s_names, (np.diag(u_s) - sv).tolist())
-        if x < -tol
-    ]
-    ir += [
-        f"buyer {n} is {-x!r} below zero"
-        for n, x in zip(b_names, np.diag(u_b).tolist())
-        if x < -tol
-    ]
-    return PropertyReport(not eff, not bb, not ic, not ir, tuple(eff + bb + ic + ir))
+def _checked_tables(game: OneWayGame, mech: OneWayMechanism) -> None:
+    """Raise a ValueError naming the first table that is not A types by B
+    types, or whose entries are not indices of the game's actions."""
+    shape = (len(game.types_a), len(game.types_b))
+    sizes = {"action_a": len(game.actions_a), "action_b": len(game.actions_b)}
+    for f in fields(mech):
+        table, n = getattr(mech, f.name), sizes.get(f.name)
+        if table.shape != shape:
+            raise ValueError(f"{f.name} has shape {table.shape}, expected {shape}")
+        if n and not (np.issubdtype(table.dtype, np.integer) and np.all((table >= 0) & (table < n))):
+            raise ValueError(f"{f.name} must hold action indices in [0, {n})")
 
 
 def check_one_way_properties(
     game: OneWayGame, mech: OneWayMechanism, tol: float = 1e-9
 ) -> PropertyReport:
-    """The same audit stated on a one-way game.
+    """Audit a mechanism on a one-way game: efficiency, budget balance,
+    Bayes-Nash incentive compatibility and interim individual rationality.
 
-    Reservation utilities come from no-mechanism play: A falls back to her
-    selfish optimum, B to her expected payoff against A's equilibrium map.
+    Each report induces a distribution over A's actions (for A) or over
+    action profiles (for B); one bincount each gives it, and the interim
+    utilities, true type by report, are the payoff tables against those
+    distributions plus the expected payments. Reservation utilities come
+    from no-mechanism play: A falls back to her selfish optimum, B to her
+    expected payoff against A's equilibrium map. Witness strings name every
+    violation, property by property in type order.
     """
-    pairs = list(product(game.types_a, game.types_b))
-    shape = (len(game.types_a), len(game.types_b))
-    profiles = [mech.profile[p] for p in pairs]
-    act = np.reshape([game.action_a_index(p.action_a) for p in profiles], shape)
-    reply = np.reshape([game.action_b_index(p.action_b) for p in profiles], shape)
-    pay_a = np.reshape([mech.payment_a[p] for p in pairs], shape)
-    pay_b = np.reshape([mech.payment_b[p] for p in pairs], shape)
+    _checked_tables(game, mech)
+    act, reply = mech.action_a, mech.action_b
+    pay_a, pay_b = mech.payment_a, mech.payment_b
     pa, pb = game.payoff_a, game.payoff_b
+    (na, nb), n_act, n_reply = act.shape, len(game.actions_a), len(game.actions_b)
 
-    welfare = pa[np.arange(shape[0])[:, None], act] + pb[np.arange(shape[1]), act, reply]
+    welfare = pa[np.arange(na)[:, None], act] + pb[np.arange(nb), act, reply]
     opt = _optimal_table(game)
+    short = welfare < opt - tol
     eff = [
-        f"profile at ({ta}, {tb}) yields {w!r} < optimum {o!r}"
-        for (ta, tb), w, o in zip(pairs, welfare.ravel().tolist(), opt.ravel().tolist())
-        if w < o - tol
+        f"profile at ({game.types_a[i]}, {game.types_b[k]}) yields {w!r} < optimum {o!r}"
+        for (i, k), w, o in zip(np.argwhere(short).tolist(), welfare[short].tolist(), opt[short].tolist())
     ]
     worst_bb = float(np.max(np.abs(pay_a + pay_b)))
     bb = [] if worst_bb <= tol else [f"payments sum to {worst_bb!r} somewhere, expected 0"]
 
-    # interim utilities, true type by report, B's reply held at the profile's
-    u_a = (pa[:, act] + pay_a) @ game.prior_b
-    u_b = game.prior_a @ (pb[:, act, reply] + pay_b)
+    # W_a[r, s]: probability that A's report r leads to action s; W_b[r, s * n_reply + m]:
+    # probability that B's report r leads to the profile (s, m)
+    rows_a = np.arange(na)[:, None] * n_act + act
+    W_a = np.bincount(
+        rows_a.ravel(), np.broadcast_to(game.prior_b, act.shape).ravel(), na * n_act
+    ).reshape(na, n_act)
+    rows_b = (np.arange(nb)[None, :] * n_act + act) * n_reply + reply
+    W_b = np.bincount(
+        rows_b.ravel(), np.broadcast_to(game.prior_a[:, None], act.shape).ravel(), nb * n_act * n_reply
+    ).reshape(nb, n_act * n_reply)
+    u_a = pa @ W_a.T + pay_a @ game.prior_b
+    u_b = pb.reshape(nb, -1) @ W_b.T + game.prior_a @ pay_b
     ic = _ic_witnesses(u_a, "A type", game.types_a, tol)
     ic += _ic_witnesses(u_b, "B type", game.types_b, tol)
     a_idx = np.argmax(pa, axis=1)
-    b_idx = [_reply_b(game, itb, a_idx) for itb in range(shape[1])]
-    walk_b = game.prior_a @ pb[np.arange(shape[1]), a_idx[:, None], b_idx]
+    b_idx = [_reply_b(game, itb, a_idx) for itb in range(nb)]
+    walk_b = game.prior_a @ pb[np.arange(nb), a_idx[:, None], b_idx]
     sides = (("A", game.types_a, u_a, np.max(pa, axis=1)), ("B", game.types_b, u_b, walk_b))
     ir = [
         f"{side} type {t} gets {x!r} < walk-away {r!r}"

@@ -19,14 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import (
-    OneWayGame,
-    StrategyProfile,
-    TypeProfile,
-    best_response_B,
-    optimal_welfare,
-    social_welfare,
-)
+from .game import OneWayGame
 
 
 def nash_action_A(game: OneWayGame, type_a: str) -> str:
@@ -83,18 +76,6 @@ def nash_outcome(game: OneWayGame) -> NashOutcome:
     return _nash_tables(game)[0]
 
 
-def poa_of_type(game: OneWayGame, types: TypeProfile | tuple[str, str]) -> float:
-    """Per-profile price of anarchy: optimal welfare / equilibrium welfare.
-
-    Zero equilibrium welfare with a positive optimum is reported as ``inf``;
-    zero over zero is 1 (nothing is lost where nothing is attainable).
-    """
-    ta, tb = types
-    _, opt = optimal_welfare(game, (ta, tb))
-    eq = social_welfare(game, (nash_action_A(game, ta), nash_action_B(game, tb)), (ta, tb))
-    return float(_ratio(opt, eq))
-
-
 def _ratio(opt, eq):
     """``opt / eq`` elementwise, with 0 / 0 read as 1 and x / 0 as ``inf``
     (as is a quotient past the largest float)."""
@@ -148,25 +129,6 @@ def poa_metrics(game: OneWayGame) -> PoAReport:
     for table in (per, lower, upper):
         table.setflags(write=False)
     return PoAReport(per, expectation, float(ratio), lower, upper)
-
-
-def joint_max_strategy(game: OneWayGame, types: TypeProfile | tuple[str, str]) -> StrategyProfile:
-    """Profile maximizing max(u_A, u_B), a two-approximation of optimal welfare.
-
-    When A's side attains the larger maximum, B's coordinate is completed with
-    her best response so the profile never wastes B's payoff.
-    """
-    ta, tb = types
-    ita = game.type_a_index(ta)
-    itb = game.type_b_index(tb)
-    ua_best = float(np.max(game.payoff_a[ita]))
-    ub_best = float(np.max(game.payoff_b[itb]))
-    if ua_best >= ub_best:
-        sa = game.actions_a[int(np.argmax(game.payoff_a[ita]))]
-        return StrategyProfile(sa, best_response_B(game, sa, tb))
-    flat = int(np.argmax(game.payoff_b[itb]))
-    ia, ib = divmod(flat, len(game.actions_b))
-    return StrategyProfile(game.actions_a[ia], game.actions_b[ib])
 
 
 def poa_report_rows(game: OneWayGame, report: PoAReport) -> dict[str, list]:

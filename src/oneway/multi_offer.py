@@ -28,7 +28,7 @@ from operator import mul
 import numpy as np
 
 from . import streams
-from .game import OneWayGame, StrategyProfile
+from .game import OneWayGame
 from .single_offer import (
     Offer,
     _settle,
@@ -40,7 +40,7 @@ from .single_offer import (
 from .streams import Z99
 
 
-def schedule_errors(action_a: str, gammas: tuple[float, ...], probs: tuple[float, ...]) -> list[str]:
+def schedule_errors(gammas: tuple[float, ...], probs: tuple[float, ...]) -> list[str]:
     errors: list[str] = []
     n = len(gammas)
     if n == 0:
@@ -79,7 +79,7 @@ class Schedule:
     def __post_init__(self) -> None:
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        errors = schedule_errors(self.action_a, self.gammas, self.probs)
+        errors = schedule_errors(self.gammas, self.probs)
         if errors:
             raise ValueError("; ".join(errors))
 
@@ -162,37 +162,6 @@ def expected_outcome(game: OneWayGame, schedule: Schedule, type_b: str) -> Multi
         acceptance_prob=e.acceptance,
         step_of_type=dict(zip(game.types_a, [k or None for k in step.tolist()])),
     )
-
-
-@dataclass(frozen=True)
-class MultiOfferOutcome:
-    accepted: bool
-    step: int | None
-    profile: StrategyProfile
-    transfer: float
-    payoff_a: float
-    payoff_b: float
-    welfare: float
-
-
-def run_multi_offer(
-    game: OneWayGame,
-    schedule: Schedule,
-    type_a: str,
-    type_b: str,
-    seed: int,
-    stream_index: int = 0,
-) -> MultiOfferOutcome:
-    """Play one schedule to completion; only continuation lotteries are random."""
-    rng = streams.stream(seed, stream_index)
-    terms, step, _, transfer = _settled(game, schedule, type_b)
-    ita = game.type_a_index(type_a)
-    k = int(step[ita])
-    # The process must survive each continuation lottery before step k.
-    accepted = k > 0 and all(rng.uniform() < p for p in schedule.probs[1:k])
-    paid = float(transfer[ita]) if accepted else 0.0
-    profile, pa, pb = terms.realized(game, ita, accepted, paid)
-    return MultiOfferOutcome(accepted, k if accepted else None, profile, paid, pa, pb, pa + pb)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ the expectations one profile at a time in row-major order. The equilibrium
 maps come from the package's ``nash_action_A`` and ``nash_action_B``.
 ``poa_metrics`` returns its per-profile maps as dicts keyed by
 ``TypeProfile``, in a local ``PoAReport``; ``poa_report_rows`` reads them
-back one key at a time.
+back one key at a time. ``poa_of_type`` is the per-profile PoA from the
+equilibrium maps, one profile per call, with the package's ratio
+conventions.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from oneway.equilibrium import NashOutcome, nash_action_A, nash_action_B
+from oneway.equilibrium import NashOutcome, _ratio, nash_action_A, nash_action_B
 from oneway.game import (
     OneWayGame,
     StrategyProfile,
@@ -33,6 +35,18 @@ class PoAReport(NamedTuple):
     prop1_lower: dict[TypeProfile, float]
     prop1_upper: dict[TypeProfile, float]
     infinite_profiles: tuple[TypeProfile, ...] = ()
+
+
+def poa_of_type(game: OneWayGame, types: TypeProfile | tuple[str, str]) -> float:
+    """Per-profile price of anarchy: optimal welfare / equilibrium welfare.
+
+    Zero equilibrium welfare with a positive optimum is reported as ``inf``;
+    zero over zero is 1 (nothing is lost where nothing is attainable).
+    """
+    ta, tb = types
+    _, opt = optimal_welfare(game, (ta, tb))
+    eq = social_welfare(game, (nash_action_A(game, ta), nash_action_B(game, tb)), (ta, tb))
+    return float(_ratio(opt, eq))
 
 
 def nash_outcome(game: OneWayGame) -> NashOutcome:

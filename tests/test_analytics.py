@@ -113,15 +113,6 @@ def test_curve_peak_closed_form_against_numeric_search():
     assert ow.example2(mu_star).poa == pytest.approx(value, rel=1e-15)
 
 
-def test_expected_max_uniform():
-    assert ow.expected_max_uniform(1) == 0.5
-    assert ow.expected_max_uniform(4) == 0.8
-    draws = streams.stream(1, 0).uniform(size=(20_000, 4)).max(axis=1)
-    assert abs(float(draws.mean()) - 0.8) < 0.005
-    with pytest.raises(ValueError):
-        ow.expected_max_uniform(0)
-
-
 def test_acceptance_prob_limit():
     # closed form at n = 2 is one minus the miss probability squared
     for c in (0.0, 0.3, 0.7, 1.0):

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import oneway as ow
+import trade_oracle
 
 
 def test_instance_canonicalization():
@@ -90,7 +93,6 @@ def test_six_point_grid_infeasible_with_certificate():
 def test_certificate_rejected_when_tampered():
     inst = ow.uniform_grid_instance(6)
     res = ow.feasibility_lp(inst)
-    import dataclasses
     broken = dataclasses.replace(res, certificate_value=1.0)
     assert not ow.certificate_is_valid(broken)
     no_cert = dataclasses.replace(res, certificate=None)
@@ -136,10 +138,8 @@ def _verdicts(rep):
 
 
 def _both_checks(inst, mech):
-    direct = ow.check_properties(inst, mech)
-    game, om = ow.mechanism_to_one_way(inst, mech)
-    embedded = ow.check_one_way_properties(game, om)
-    return direct, embedded
+    """The audit and the trade-form loop of ``trade_oracle``."""
+    return ow.check_properties(inst, mech), trade_oracle.check_properties(inst, mech)
 
 
 def test_representations_agree_verdict_for_verdict():
@@ -159,9 +159,9 @@ def test_representations_agree_verdict_for_verdict():
     inst6 = ow.uniform_grid_instance(6)
     sub6 = ow.min_subsidy(inst6)
     for instance, mech in [(inst, v) for v in variants] + [(inst6, sub6.mechanism)]:
-        direct, embedded = _both_checks(instance, mech)
-        assert _verdicts(direct) == _verdicts(embedded), (
-            direct.witnesses, embedded.witnesses)
+        audit, loop = _both_checks(instance, mech)
+        assert _verdicts(audit) == _verdicts(loop), (audit.witnesses, loop.witnesses)
+        assert trade_oracle.witness_counts(audit) == trade_oracle.witness_counts(loop)
 
 
 def test_violation_witnesses_name_the_problem():
@@ -187,9 +187,14 @@ def test_witnesses_print_plain_floats():
         assert rep.witnesses
         assert not [w for w in rep.witnesses if "np." in w]
     rep = ow.check_properties(inst, ow.DirectMechanism(flipped, base.t_seller, base.t_buyer))
-    assert rep.witnesses[:2] == (
-        "no trade at seller 0.16666666666666666 < buyer 0.8333333333333334",
-        "seller 0.5 gains 0.07407407407407418 reporting 0.16666666666666666",
+    # the trade is audited on its one-way embedding: seller types s1, s2, s3
+    # and buyer types b1, b2, b3 in increasing order of value
+    assert rep.witnesses == (
+        "profile at (s1, b3) yields 0.16666666666666666 < optimum 0.8333333333333334",
+        "A type s2 gains 0.07407407407407418 reporting s1",
+        "B type b3 gains 0.12962962962962965 reporting b1",
+        "B type b3 gains 0.2592592592592593 reporting b2",
+        "B type b3 gets -0.11111111111111116 < walk-away 0.0",
     )
 
 
@@ -234,3 +239,29 @@ def test_one_way_reservation_values():
     assert rep.all_hold
     assert ow.nash_action_A(game, "s1") == "keep"
     assert ow.nash_action_B(game, "b1") == "none"
+
+
+def _grid_mechanism():
+    inst = ow.uniform_grid_instance(3)
+    return ow.mechanism_to_one_way(inst, ow.feasibility_lp(inst).mechanism)
+
+
+@pytest.mark.parametrize("name", ["action_a", "action_b", "payment_a", "payment_b"])
+def test_one_way_audit_rejects_misshapen_tables(name):
+    game, om = _grid_mechanism()
+    bad = dataclasses.replace(om, **{name: getattr(om, name)[:, :2]})
+    with pytest.raises(ValueError, match=rf"{name} has shape \(3, 2\), expected \(3, 3\)"):
+        ow.check_one_way_properties(game, bad)
+
+
+@pytest.mark.parametrize(
+    "name, value", [("action_a", -1), ("action_a", 2), ("action_b", -1), ("action_b", 1)]
+)
+def test_one_way_audit_rejects_indices_out_of_range(name, value):
+    # a negative index would otherwise wrap to the last action silently
+    game, om = _grid_mechanism()
+    table = getattr(om, name).copy()
+    table[1, 2] = value
+    n = len(game.actions_a if name == "action_a" else game.actions_b)
+    with pytest.raises(ValueError, match=rf"{name} must hold action indices in \[0, {n}\)"):
+        ow.check_one_way_properties(game, dataclasses.replace(om, **{name: table}))

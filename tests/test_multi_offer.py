@@ -76,31 +76,6 @@ def test_expected_outcome_g1(g1):
     assert out.expected_sw == 4.25
 
 
-def test_run_multi_offer_paths(g1):
-    s = sched([0.3, 0.5], [1.0, 0.5])
-    # t1 accepts immediately, no lottery involved
-    out = ow.run_multi_offer(g1, s, "t1", "u1", seed=0)
-    assert out.accepted and out.step == 1
-    assert out.transfer == pytest.approx(0.3 * 4.0)
-    assert out.payoff_a + out.payoff_b == out.welfare
-    # t2 needs the continuation lottery; same seed, same outcome
-    first = ow.run_multi_offer(g1, s, "t2", "u1", seed=5)
-    again = ow.run_multi_offer(g1, s, "t2", "u1", seed=5)
-    assert first == again
-    accepted = 0
-    for seed in range(300):
-        r = ow.run_multi_offer(g1, s, "t2", "u1", seed=seed)
-        assert r.payoff_a + r.payoff_b == r.welfare
-        if r.accepted:
-            assert r.step == 2
-            assert r.transfer == 2.0
-            accepted += 1
-        else:
-            assert r.profile == ow.StrategyProfile("a2", "b1")
-    # lottery continues w.p. 1/2; 300 tries stay well inside 4 sigma
-    assert abs(accepted / 300 - 0.5) < 0.12
-
-
 def test_simulate_schedule_matches_exact_values(g1):
     s = sched([0.3, 0.5], [1.0, 0.5])
     sim = ow.simulate_schedule(g1, s, "u1", samples=60_000, seed=9)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oneway as ow
 from oneway.single_offer import VALUE_TOL
@@ -312,3 +314,42 @@ def test_value_tol_is_small():
 def test_corollary_bound_rejects_non_finite_and_non_positive_beta(beta):
     with pytest.raises(ValueError, match="beta must be positive and finite"):
         ow.corollary_bound(beta)
+
+
+def _offer_mechanism(game, strategy):
+    """The single offer as a table mechanism, one column per B type: the
+    accepting types of A play the offered action, B replies with her best
+    response and pays the share of her gain; the others play their selfish
+    optimum against the fallback reply, and nothing is paid."""
+    shape = (len(game.types_a), len(game.types_b))
+    act = np.repeat(np.argmax(game.payoff_a, axis=1)[:, None], shape[1], axis=1)
+    reply = np.zeros(shape, dtype=np.intp)
+    pay = np.zeros(shape)
+    for k, tb in enumerate(game.types_b):
+        res = strategy(game, tb)
+        a = res.offer.action_a
+        deal = np.isin(game.types_a, res.evaluation.accepting_types)
+        reply[:, k] = game.action_b_index(res.evaluation.outside.action_b)
+        act[deal, k] = game.action_a_index(a)
+        reply[deal, k] = game.action_b_index(ow.best_response_B(game, a, tb))
+        pay[deal, k] = res.offer.gamma * ow.delta_b(game, a, tb)
+    return ow.OneWayMechanism(act, reply, pay, -pay)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), strategy=st.sampled_from([ow.optimal_offer, ow.simplified_offer]))
+def test_single_offer_is_a_side_ic_ex_post_ir_and_budget_balanced(seed, strategy):
+    """The abstract's claims for the single offer, on A's side: it is
+    budget-balanced, no A type gains by misreporting or by walking away,
+    and every A type does at least as well as selfish play in every cell.
+    B's side is not claimed: her interim IC and IR can fail in realised
+    payoffs, because she plans around the fallback value rather than what
+    a rejecting type's selfish play pays her."""
+    game = ow.random_suite(1, seed, max_types_a=8)[0]
+    mech = _offer_mechanism(game, strategy)
+    rep = ow.check_one_way_properties(game, mech)
+    assert rep.budget_balanced
+    assert not [w for w in rep.witnesses if w.startswith("A type")]
+    rows = np.arange(len(game.types_a))[:, None]
+    realised = game.payoff_a[rows, mech.action_a] + mech.payment_a
+    assert np.all(realised >= np.max(game.payoff_a, axis=1)[:, None] - 1e-9)

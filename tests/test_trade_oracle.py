@@ -5,7 +5,9 @@ forms must give the same verdicts, constraint counts, margins and minimum
 deficits; every certificate read from the interim LP's duals must be a
 Farkas certificate for the dense ex-post system, checked here on the dense
 matrix itself rather than through ``certificate_residual``. It also keeps
-the per-type-pair audit loops, which must reach the audits' verdicts.
+the per-type-pair audit loops, on the trade form and on the one-way
+embedding, which must reach the audit's verdicts; the one-way loop must also
+give its witnesses, and the trade-form loop as many per property.
 """
 
 import re
@@ -157,15 +159,12 @@ def _mechanism(inst, kind, seed):
 def test_audits_match_loop_oracle(seller, buyer, kind, seed):
     inst = ow.BilateralTradeInstance(*_side_args(seller), *_side_args(buyer))
     mech = _mechanism(inst, kind, seed)
-    direct, loop = ow.check_properties(inst, mech), trade_oracle.check_properties(inst, mech)
-    assert _verdicts(direct) == _verdicts(loop)
-    # the loops format numpy scalars with numpy's repr
-    assert direct.witnesses == tuple(re.sub(r"np\.float64\((.*?)\)", r"\1", w) for w in loop.witnesses)
-    game, om = ow.mechanism_to_one_way(inst, mech)
-    embedded = ow.check_one_way_properties(game, om)
-    loop = trade_oracle.check_one_way_properties(game, om)
-    assert _verdicts(embedded) == _verdicts(loop) == _verdicts(direct)
-    _assert_same_witnesses(embedded.witnesses, loop.witnesses)
+    audit, trade = ow.check_properties(inst, mech), trade_oracle.check_properties(inst, mech)
+    assert _verdicts(audit) == _verdicts(trade)
+    assert trade_oracle.witness_counts(audit) == trade_oracle.witness_counts(trade)
+    loop = trade_oracle.check_one_way_properties(*ow.mechanism_to_one_way(inst, mech))
+    assert _verdicts(loop) == _verdicts(audit)
+    _assert_same_witnesses(audit.witnesses, loop.witnesses)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -178,14 +177,14 @@ def test_audits_match_loop_oracle(seller, buyer, kind, seed):
 def test_one_way_audit_matches_loop_oracle_on_random_games(game_seed, types, seed, balanced):
     game = ow.random_game(seed=game_seed, n_types_a=types[0], n_types_b=types[1])
     rng = np.random.default_rng(seed)
-    profile, pay_a, pay_b = {}, {}, {}
-    for ta in game.types_a:
-        for tb in game.types_b:
-            sa = game.actions_a[rng.integers(len(game.actions_a))]
-            profile[(ta, tb)] = ow.StrategyProfile(sa, game.actions_b[rng.integers(len(game.actions_b))])
-            pay_a[(ta, tb)] = float(rng.normal())
-            pay_b[(ta, tb)] = -pay_a[(ta, tb)] if balanced else float(rng.normal())
-    om = ow.OneWayMechanism(profile, pay_a, pay_b)
+    shape = (len(game.types_a), len(game.types_b))
+    pay_a = rng.normal(size=shape)
+    om = ow.OneWayMechanism(
+        rng.integers(len(game.actions_a), size=shape),
+        rng.integers(len(game.actions_b), size=shape),
+        pay_a,
+        -pay_a if balanced else rng.normal(size=shape),
+    )
     tables = ow.check_one_way_properties(game, om)
     loop = trade_oracle.check_one_way_properties(game, om)
     assert _verdicts(tables) == _verdicts(loop)

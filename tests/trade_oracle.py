@@ -6,7 +6,8 @@ These are the original builders over ex-post transfers: one column per
 subsidy LP, with rows filled by Python loops. They are exact but slow;
 the package solves the same problems in interim form, and the tests
 compare the two. The property audits here are the original per-type-pair
-loops; the package reads the same verdicts off broadcast interim tables.
+loops, one on the trade form and one on the one-way embedding; the package
+has a single audit, on interim tables of the embedding.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from oneway.bilateral import (
     SubsidyResult,
     efficient_allocation,
 )
-from oneway.game import OneWayGame, optimal_welfare, social_welfare
+from oneway.game import OneWayGame, StrategyProfile, optimal_welfare, social_welfare
 
 
 def _constraint_system(
@@ -290,18 +291,31 @@ def check_one_way_properties(
     """
     from oneway.equilibrium import nash_action_A, nash_action_B
 
+    # the mechanism's tables, looked up one type pair at a time
+    cells = {
+        (ta, tb): (ita, itb)
+        for ita, ta in enumerate(game.types_a)
+        for itb, tb in enumerate(game.types_b)
+    }
+    profile = {
+        p: StrategyProfile(game.actions_a[mech.action_a[c]], game.actions_b[mech.action_b[c]])
+        for p, c in cells.items()
+    }
+    payment_a = {p: float(mech.payment_a[c]) for p, c in cells.items()}
+    payment_b = {p: float(mech.payment_b[c]) for p, c in cells.items()}
+
     witnesses: list[str] = []
     efficient = True
     worst_bb = 0.0
     for ta in game.types_a:
         for tb in game.types_b:
-            prof = mech.profile[(ta, tb)]
+            prof = profile[(ta, tb)]
             w = social_welfare(game, prof, (ta, tb))
             _, opt = optimal_welfare(game, (ta, tb))
             if w < opt - tol:
                 efficient = False
                 witnesses.append(f"profile at ({ta}, {tb}) yields {w!r} < optimum {opt!r}")
-            bb = abs(mech.payment_a[(ta, tb)] + mech.payment_b[(ta, tb)])
+            bb = abs(payment_a[(ta, tb)] + payment_b[(ta, tb)])
             worst_bb = max(worst_bb, bb)
     budget_balanced = worst_bb <= tol
     if not budget_balanced:
@@ -312,9 +326,9 @@ def check_one_way_properties(
         def util_a(report: str, true: str = ta) -> float:
             total = 0.0
             for jtb, tb in enumerate(game.types_b):
-                prof = mech.profile[(report, tb)]
+                prof = profile[(report, tb)]
                 total += float(game.prior_b[jtb]) * (
-                    game.u_a(prof.action_a, true) + mech.payment_a[(report, tb)]
+                    game.u_a(prof.action_a, true) + payment_a[(report, tb)]
                 )
             return total
 
@@ -328,9 +342,9 @@ def check_one_way_properties(
         def util_b(report: str, true: str = tb) -> float:
             total = 0.0
             for ita, ta in enumerate(game.types_a):
-                prof = mech.profile[(ta, report)]
+                prof = profile[(ta, report)]
                 total += float(game.prior_a[ita]) * (
-                    game.u_b(prof, true) + mech.payment_b[(ta, report)]
+                    game.u_b(prof, true) + payment_b[(ta, report)]
                 )
             return total
 
@@ -346,9 +360,9 @@ def check_one_way_properties(
     for ita, ta in enumerate(game.types_a):
         truthful = 0.0
         for jtb, tb in enumerate(game.types_b):
-            prof = mech.profile[(ta, tb)]
+            prof = profile[(ta, tb)]
             truthful += float(game.prior_b[jtb]) * (
-                game.u_a(prof.action_a, ta) + mech.payment_a[(ta, tb)]
+                game.u_a(prof.action_a, ta) + payment_a[(ta, tb)]
             )
         reservation = game.u_a(nash_a[ta], ta)
         if truthful < reservation - tol:
@@ -359,12 +373,21 @@ def check_one_way_properties(
         reservation = 0.0
         sb = nash_action_B(game, tb)
         for ita, ta in enumerate(game.types_a):
-            prof = mech.profile[(ta, tb)]
+            prof = profile[(ta, tb)]
             fa = float(game.prior_a[ita])
-            truthful += fa * (game.u_b(prof, tb) + mech.payment_b[(ta, tb)])
+            truthful += fa * (game.u_b(prof, tb) + payment_b[(ta, tb)])
             reservation += fa * game.u_b((nash_a[ta], sb), tb)
         if truthful < reservation - tol:
             ir = False
             witnesses.append(f"B type {tb} gets {truthful!r} < walk-away {reservation!r}")
 
     return PropertyReport(efficient, budget_balanced, ic, ir, tuple(witnesses))
+
+
+def witness_counts(rep: PropertyReport) -> tuple[int, int, int, int]:
+    """Witnesses per property (efficiency, budget balance, IC, IR), read
+    from the trade-form wording or the one-way wording alike."""
+    bb = sum("sum to" in w for w in rep.witnesses)
+    ic = sum(" gains " in w for w in rep.witnesses)
+    ir = sum("walk-away" in w or "below zero" in w for w in rep.witnesses)
+    return (len(rep.witnesses) - bb - ic - ir, bb, ic, ir)
