@@ -14,8 +14,6 @@ from .analytics import (
     MCResult,
     SingleOfferScenario,
     acceptance_prob_example2,
-    aggregate_accounting_welfare,
-    discretize,
     example1b,
     example1b_no_payment_poa,
     example1b_scenario,
@@ -23,7 +21,6 @@ from .analytics import (
     example2_poa_max,
     mc_single_offer,
     power_scenario,
-    scenario_game,
 )
 from .bilateral import (
     BilateralTradeInstance,
@@ -47,8 +44,6 @@ from .bilateral import (
 from .equilibrium import (
     NashOutcome,
     PoAReport,
-    nash_action_A,
-    nash_action_B,
     nash_outcome,
     poa_metrics,
     poa_report_rows,
@@ -107,7 +102,6 @@ from .single_offer import (
     gamma_candidates,
     optimal_offer,
     outside_option,
-    restricted_types,
     run_single_offer,
     simplified_offer,
     simplified_strategy_report,
@@ -116,99 +110,3 @@ from .single_offer import (
 from .streams import Z99
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BilateralTradeInstance",
-    "ContinuousSpec",
-    "CurvePoint",
-    "DirectMechanism",
-    "FeasibilityResult",
-    "InstanceFormatError",
-    "MCResult",
-    "MultiOfferEvaluation",
-    "NashOutcome",
-    "Offer",
-    "OfferEvaluation",
-    "OfferSearchResult",
-    "OneWayGame",
-    "OneWayMechanism",
-    "OutsideOption",
-    "PoAReport",
-    "PropertyReport",
-    "RefinementRow",
-    "Schedule",
-    "ScheduleOptimum",
-    "SimplifiedReport",
-    "SimulationResult",
-    "SingleOfferOutcome",
-    "SingleOfferScenario",
-    "StrategyProfile",
-    "SubsidyResult",
-    "TypeProfile",
-    "Z99",
-    "accept_reject_poa",
-    "acceptance_prob",
-    "acceptance_prob_example2",
-    "acceptance_step",
-    "aggregate_accounting_welfare",
-    "bayes_poa_bound",
-    "best_response_B",
-    "certificate_is_valid",
-    "check_one_way_properties",
-    "check_properties",
-    "config_hash",
-    "corollary_bound",
-    "delta_a",
-    "delta_b",
-    "discretize",
-    "efficient_allocation",
-    "equivalence_gap",
-    "evaluate_offer",
-    "example1b",
-    "example1b_no_payment_poa",
-    "example1b_scenario",
-    "example2",
-    "example2_poa_max",
-    "expected_outcome",
-    "expected_utility_B",
-    "feasibility_lp",
-    "game_to_dict",
-    "gamma_candidates",
-    "input_hash",
-    "load_bilateral",
-    "load_game",
-    "load_schedule_file",
-    "make_game",
-    "mc_single_offer",
-    "mechanism_to_one_way",
-    "min_subsidy",
-    "nash_action_A",
-    "nash_action_B",
-    "nash_outcome",
-    "optimal_offer",
-    "optimal_welfare",
-    "optimize_schedule",
-    "outside_option",
-    "poa_metrics",
-    "poa_report_rows",
-    "power_scenario",
-    "random_game",
-    "random_suite",
-    "reach_probs",
-    "refinement_sweep",
-    "restricted_types",
-    "run_single_offer",
-    "s_values",
-    "save_game",
-    "schedule_hash",
-    "scenario_game",
-    "schedule_errors",
-    "simplified_offer",
-    "simplified_strategy_report",
-    "simulate_schedule",
-    "social_welfare",
-    "theorem_bound",
-    "to_one_way",
-    "uniform_grid_instance",
-    "validate",
-]

@@ -4,9 +4,8 @@ The discrete engine in the other modules handles any finite game. The
 canonical illustrations, though, live in continuous type space: A's sacrifice
 for the cooperative action is drawn from a density, and the interesting
 quantities (equilibrium welfare, the optimal share, the price of anarchy
-curve) have closed forms. This module keeps those closed forms, the
-continuous-to-discrete bridge, and a vectorized simulator that can sample a
-scenario directly.
+curve) have closed forms. This module keeps those closed forms and a
+vectorized simulator that can sample a scenario directly.
 
 Accounting note. The closed-form welfare curves book every accepting type's
 sacrifice at the population mean, i.e. acceptance is treated as independent
@@ -27,8 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .game import OneWayGame, make_game
-from .single_offer import Offer, _settle, _terms
 from .streams import Z99
 
 
@@ -95,15 +92,6 @@ class ContinuousSpec:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.ppf(rng.uniform(size=size))
-
-
-def discretize(spec: ContinuousSpec, k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """k quantile midpoints with equal weights 1/k."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    qs = np.array([(i + 0.5) / k for i in range(k)])
-    values = np.atleast_1d(spec.ppf(qs))
-    return tuple(float(v) for v in values), (1.0 / k,) * k
 
 
 # ---------------------------------------------------------------------------
@@ -233,39 +221,6 @@ def power_scenario(beta: float, delta_b: float = 1.0) -> SingleOfferScenario:
         b_outside=0.0,
         gamma=beta / (beta + 1.0),
     )
-
-
-def scenario_game(scenario: SingleOfferScenario, k: int) -> OneWayGame:
-    """Discretize a scenario into a finite game with k A-types.
-
-    Action "propose" costs the type its sacrifice and raises B by delta_b
-    over the outside value; action "default" is A's selfish play.
-    """
-    values, weights = discretize(scenario.delta_a_spec, k)
-    payoff_a = [[scenario.a_default - d, scenario.a_default] for d in values]
-    floor = min(scenario.a_default - d for d in values)
-    if floor < 0.0:
-        raise ValueError("scenario sacrifices exceed the default payoff; shift a_default up")
-    payoff_b = [[[scenario.b_outside + scenario.delta_b], [scenario.b_outside]]]
-    return make_game(
-        actions_a=["propose", "default"],
-        actions_b=["reply"],
-        types_a=[(f"d{i + 1}", weights[i]) for i in range(k)],
-        types_b=[("b1", 1.0)],
-        payoff_a=payoff_a,
-        payoff_b=payoff_b,
-    )
-
-
-def aggregate_accounting_welfare(game: OneWayGame, offer: Offer, type_b: str) -> float:
-    """Expected welfare of an offer with the mean sacrifice booked against
-    accepted trades (the closed-form curves' convention)."""
-    terms = _terms(game, offer.action_a, type_b)
-    _, reach, _ = _settle(terms, (offer.gamma,), (1.0,), (offer.gamma,))
-    p = float(game.prior_a @ reach)
-    e_ua_nash = float(game.prior_a @ terms.ua_selfish)
-    e_da = float(game.prior_a @ terms.sacrifice)
-    return e_ua_nash + terms.outside.payoff + p * (terms.gain - e_da)
 
 
 @dataclass(frozen=True)

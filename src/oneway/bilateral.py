@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .equilibrium import _optimal_table, _reply_b
+from .equilibrium import _optimal_table
 from .game import OneWayGame, make_game
 
 PROB_TOL = 1e-12
@@ -267,10 +267,8 @@ def check_one_way_properties(
     u_b = pb.reshape(nb, -1) @ W_b.T + game.prior_a @ pay_b
     ic = _ic_witnesses(u_a, "A type", game.types_a, tol)
     ic += _ic_witnesses(u_b, "B type", game.types_b, tol)
-    a_idx = np.argmax(pa, axis=1)
-    b_idx = [_reply_b(game, itb, a_idx) for itb in range(nb)]
-    walk_b = game.prior_a @ pb[np.arange(nb), a_idx[:, None], b_idx]
-    sides = (("A", game.types_a, u_a, np.max(pa, axis=1)), ("B", game.types_b, u_b, walk_b))
+    walk_b = game.prior_a @ pb[np.arange(nb), game.selfish_a[:, None], game.nash_b]
+    sides = (("A", game.types_a, u_a, game.selfish_payoff_a), ("B", game.types_b, u_b, walk_b))
     ir = [
         f"{side} type {t} gets {x!r} < walk-away {r!r}"
         for side, types, u, walk in sides

@@ -22,25 +22,6 @@ import numpy as np
 from .game import OneWayGame
 
 
-def nash_action_A(game: OneWayGame, type_a: str) -> str:
-    """A's equilibrium action: her own argmax, lowest index on ties."""
-    row = game.payoff_a[game.type_a_index(type_a), :]
-    return game.actions_a[int(np.argmax(row))]
-
-
-def nash_action_B(game: OneWayGame, type_b: str) -> str:
-    """B's best reply, in prior expectation, to A's equilibrium map."""
-    a_idx = np.argmax(game.payoff_a, axis=1)  # A's action per type, ties to low index
-    return game.actions_b[_reply_b(game, game.type_b_index(type_b), a_idx)]
-
-
-def _reply_b(game: OneWayGame, itb: int, a_idx: np.ndarray) -> int:
-    """Index of B type ``itb``'s best reply to A's action map ``a_idx``."""
-    # expected payoff of each B action against the induced action distribution
-    expected = game.prior_a @ game.payoff_b[itb, a_idx, :]
-    return int(np.argmax(expected))
-
-
 @dataclass(frozen=True)
 class NashOutcome:
     """Equilibrium maps for both players plus expected equilibrium welfare."""
@@ -53,10 +34,9 @@ class NashOutcome:
 def _nash_tables(game: OneWayGame) -> tuple[NashOutcome, np.ndarray]:
     """The equilibrium outcome and its welfare per type profile (A types by
     B types): ``pa[i, a*_i] + pb[k, a*_i, b*_k]``."""
-    a_idx = np.argmax(game.payoff_a, axis=1)  # A's action per type, ties to low index
-    b_idx = [_reply_b(game, itb, a_idx) for itb in range(len(game.types_b))]
+    a_idx, b_idx = game.selfish_a, game.nash_b
     ub = game.payoff_b[np.arange(len(game.types_b)), a_idx[:, None], b_idx]
-    welfare = np.max(game.payoff_a, axis=1)[:, None] + ub
+    welfare = game.selfish_payoff_a[:, None] + ub
     weight = game.prior_a[:, None] * game.prior_b[None, :]
     outcome = NashOutcome(
         action_a={t: game.actions_a[i] for t, i in zip(game.types_a, a_idx)},
@@ -117,7 +97,7 @@ def poa_metrics(game: OneWayGame) -> PoAReport:
     """
     out, eq = _nash_tables(game)
     opt = _optimal_table(game)
-    ua_best = np.max(game.payoff_a, axis=1)[:, None]
+    ua_best = game.selfish_payoff_a[:, None]
     ub_best = np.max(game.payoff_b, axis=(1, 2))[None, :]
     weight = game.prior_a[:, None] * game.prior_b[None, :]
     live = weight > 0.0

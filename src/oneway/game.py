@@ -6,9 +6,11 @@ priors. Player A's payoff depends only on her own action and type; player B's
 payoff depends on the full action profile and on B's type. All payoffs are
 non-negative amounts of money (quasi-linear utilities).
 
-All public functions take and return string identifiers. Index arithmetic is
-an internal detail, and ties are always broken toward the lowest index, which
-makes every operation in the package deterministic.
+Public functions take and return string identifiers. The game also carries
+read-only per-game tables of no-payment play (A's selfish map, payoffs and
+sacrifices; B's best replies) as index arrays in the game's own order, so
+that every layer reads one copy of that play. Ties are always broken toward
+the lowest index, which makes every operation in the package deterministic.
 """
 
 from __future__ import annotations
@@ -116,6 +118,44 @@ class OneWayGame:
             ]
         )
 
+    # -- no-payment play: read-only index tables, ties to the lowest index --
+
+    @cached_property
+    def selfish_a(self) -> np.ndarray:
+        """A's selfish (equilibrium) action index per A type."""
+        return _frozen(np.argmax(self.payoff_a, axis=1))
+
+    @cached_property
+    def selfish_payoff_a(self) -> np.ndarray:
+        """A's selfish payoff per A type."""
+        return _frozen(np.max(self.payoff_a, axis=1))
+
+    @cached_property
+    def sacrifice_a(self) -> np.ndarray:
+        """A types by A actions: what playing the action costs the type
+        against her selfish payoff. Column-major, so that each action's
+        column is contiguous (a dot product over a strided column can round
+        differently)."""
+        return _frozen(np.asfortranarray(self.selfish_payoff_a[:, None] - self.payoff_a))
+
+    @cached_property
+    def reply_b(self) -> np.ndarray:
+        """B types by A actions: B's best reply index to the action."""
+        return _frozen(np.argmax(self.payoff_b, axis=2))
+
+    @cached_property
+    def nash_b(self) -> np.ndarray:
+        """B's equilibrium reply index per B type: her best reply, in prior
+        expectation, to A's selfish map. One B type at a time, as a batched
+        product can round differently and flip a near-tie."""
+        rows = (self.payoff_b[itb, self.selfish_a, :] for itb in range(len(self.types_b)))
+        return _frozen(np.array([np.argmax(self.prior_a @ r) for r in rows], dtype=np.intp))
+
+
+def _frozen(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table
+
 
 def make_game(
     actions_a: Sequence[str],
@@ -192,8 +232,7 @@ def validate(game: OneWayGame) -> list[str]:
 
 def best_response_B(game: OneWayGame, action_a: str, type_b: str) -> str:
     """B's payoff-maximizing reply to ``action_a``, lowest index on ties."""
-    row = game.payoff_b[game.type_b_index(type_b), game.action_a_index(action_a), :]
-    return game.actions_b[int(np.argmax(row))]
+    return game.actions_b[game.reply_b[game.type_b_index(type_b), game.action_a_index(action_a)]]
 
 
 def social_welfare(

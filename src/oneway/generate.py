@@ -47,10 +47,9 @@ def random_game(
     n_types_b: int = 2,
     a_scale: float = 10.0,
     b_scale: float = 10.0,
-    stream_index: int = 0,
 ) -> OneWayGame:
     """One game with uniform random payoffs and equal-weight priors."""
-    rng = streams.stream(seed, stream_index)
+    rng = streams.stream(seed)
     return _game_from_rng(rng, n_actions_a, n_actions_b, n_types_a, n_types_b, a_scale, b_scale)
 
 

@@ -200,7 +200,7 @@ def simulate_schedule(
     n_types = len(game.types_a)
     cdf = np.cumsum(game.prior_a)
     pb_deal = terms.ub_accept - transfer
-    pa_cell = np.column_stack((terms.ua_selfish, game.payoff_a[:, terms.ia] + transfer)).ravel()
+    pa_cell = np.column_stack((game.selfish_payoff_a, game.payoff_a[:, terms.ia] + transfer)).ravel()
     pb_cell = np.column_stack((terms.ub_reject, pb_deal)).ravel()
     plan_cell = np.column_stack((np.full(n_types, terms.outside.payoff), pb_deal)).ravel()
     sw_cell = pa_cell + pb_cell

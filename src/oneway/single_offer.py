@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .equilibrium import _optimal_table, _ratio
-from .game import OneWayGame, StrategyProfile, best_response_B
+from .game import OneWayGame, StrategyProfile
 
 VALUE_TOL = 1e-9
 
@@ -90,30 +90,29 @@ class SingleOfferOutcome:
     welfare: float
 
 
-def restricted_types(game: OneWayGame, action_a: str) -> tuple[str, ...]:
-    """Types of A for which ``action_a`` is not among her selfish optima."""
-    return tuple(compress(game.types_a, (delta_a(game, action_a) > 0.0).tolist()))
-
-
 def delta_a(game: OneWayGame, action_a: str) -> np.ndarray:
-    """A's sacrifice for playing ``action_a``, per type (aligned with types_a)."""
-    ia = game.action_a_index(action_a)
-    return np.max(game.payoff_a, axis=1) - game.payoff_a[:, ia]
+    """A's sacrifice for playing ``action_a``, per type (aligned with types_a);
+    a read-only column of ``game.sacrifice_a``."""
+    return game.sacrifice_a[:, game.action_a_index(action_a)]
+
+
+def _outside(game: OneWayGame, ia: int, itb: int) -> tuple[OutsideOption, int]:
+    """B type ``itb``'s fallback against action ``ia``, and its reply index."""
+    mask = game.sacrifice_a[:, ia] > 0.0
+    restricted = tuple(compress(game.types_a, mask.tolist()))
+    mass = float(np.sum(game.prior_a[mask]))
+    if mass <= 0.0:
+        ib = int(game.reply_b[itb, ia])
+        value = game.payoff_b[itb, ia, ib]
+    else:
+        vals = (game.prior_a[mask] / mass) @ game.payoff_b[itb, game.selfish_a[mask], :]
+        ib = int(np.argmax(vals))
+        value = vals[ib]
+    return OutsideOption(game.actions_b[ib], float(value), restricted, mass), ib
 
 
 def outside_option(game: OneWayGame, action_a: str, type_b: str) -> OutsideOption:
-    mask = delta_a(game, action_a) > 0.0
-    restricted = tuple(compress(game.types_a, mask.tolist()))
-    mass = float(np.sum(game.prior_a[mask])) if restricted else 0.0
-    itb = game.type_b_index(type_b)
-    if not restricted or mass <= 0.0:
-        ab = best_response_B(game, action_a, type_b)
-        return OutsideOption(ab, float(game.u_b((action_a, ab), type_b)), restricted, mass)
-    weights = game.prior_a[mask] / mass
-    nash_actions = np.argmax(game.payoff_a, axis=1)
-    vals = weights @ game.payoff_b[itb, nash_actions[mask], :]
-    ib = int(np.argmax(vals))
-    return OutsideOption(game.actions_b[ib], float(vals[ib]), restricted, mass)
+    return _outside(game, game.action_a_index(action_a), game.type_b_index(type_b))[0]
 
 
 class _Expected(NamedTuple):
@@ -128,19 +127,19 @@ class _Expected(NamedTuple):
 class _Terms:
     """What offering one action means to one type of B.
 
-    ``reply`` is B's best reply to the offered action, ``ub_accept`` its
-    payoff and ``gain`` that payoff over the fallback. The arrays run over
-    A's types: the sacrifice of playing the action, the selfish payoff, and
-    B's realized payoff when A plays selfishly and B falls back.
+    ``reply`` is the index of B's best reply to the offered action,
+    ``ub_accept`` its payoff and ``gain`` that payoff over the fallback. The
+    arrays run over A's types: the sacrifice of playing the action (a
+    read-only column of ``game.sacrifice_a``) and B's realized payoff when
+    A plays selfishly and B falls back.
     """
 
     ia: int
     outside: OutsideOption
-    reply: str
+    reply: int
     ub_accept: float
     gain: float
     sacrifice: np.ndarray
-    ua_selfish: np.ndarray
     ub_reject: np.ndarray
 
     def expected(self, game: OneWayGame, reach: np.ndarray, transfer: np.ndarray) -> _Expected:
@@ -151,15 +150,15 @@ class _Terms:
         planning view books the fallback value instead.
         """
         f = game.prior_a
-        miss = 1.0 - reach
+        miss, ua_selfish = 1.0 - reach, game.selfish_payoff_a
         ua_deal = game.payoff_a[:, self.ia]
         ub_deal = self.ub_accept - transfer
         return _Expected(
             acceptance=float(f @ reach),
-            u_a=float(f @ (reach * (ua_deal + transfer) + miss * self.ua_selfish)),
+            u_a=float(f @ (reach * (ua_deal + transfer) + miss * ua_selfish)),
             u_b=float(f @ (reach * ub_deal + miss * self.ub_reject)),
             welfare=float(
-                f @ (reach * (ua_deal + self.ub_accept) + miss * (self.ua_selfish + self.ub_reject))
+                f @ (reach * (ua_deal + self.ub_accept) + miss * (ua_selfish + self.ub_reject))
             ),
             u_b_planning=self.outside.payoff + float(f @ (reach * (self.gain - transfer))),
         )
@@ -169,24 +168,20 @@ class _Terms:
     ) -> tuple[StrategyProfile, float, float]:
         """Profile and payoffs of A type ``ita`` after the deal or its refusal."""
         if accepted:
-            profile = StrategyProfile(game.actions_a[self.ia], self.reply)
+            profile = StrategyProfile(game.actions_a[self.ia], game.actions_b[self.reply])
             return profile, float(game.payoff_a[ita, self.ia]) + transfer, self.ub_accept - transfer
-        selfish = game.actions_a[int(np.argmax(game.payoff_a[ita]))]
-        profile = StrategyProfile(selfish, self.outside.action_b)
-        return profile, float(self.ua_selfish[ita]), float(self.ub_reject[ita])
+        profile = StrategyProfile(game.actions_a[game.selfish_a[ita]], self.outside.action_b)
+        return profile, float(game.selfish_payoff_a[ita]), float(self.ub_reject[ita])
 
 
 def _terms(game: OneWayGame, action_a: str, type_b: str) -> _Terms:
-    ia = game.action_a_index(action_a)
-    itb = game.type_b_index(type_b)
-    out = outside_option(game, action_a, type_b)
-    reply = best_response_B(game, action_a, type_b)
-    ub_accept = float(game.payoff_b[itb, ia, game.action_b_index(reply)])
-    ib_out = game.action_b_index(out.action_b)
-    ub_reject = game.payoff_b[itb, np.argmax(game.payoff_a, axis=1), ib_out]
-    sacrifice, ua_selfish = delta_a(game, action_a), np.max(game.payoff_a, axis=1)
+    ia, itb = game.action_a_index(action_a), game.type_b_index(type_b)
+    out, ib_out = _outside(game, ia, itb)
+    reply = int(game.reply_b[itb, ia])
+    ub_accept = float(game.payoff_b[itb, ia, reply])
+    ub_reject = game.payoff_b[itb, game.selfish_a, ib_out]
     gain = ub_accept - out.payoff
-    return _Terms(ia, out, reply, ub_accept, gain, sacrifice, ua_selfish, ub_reject)
+    return _Terms(ia, out, reply, ub_accept, gain, game.sacrifice_a[:, ia], ub_reject)
 
 
 def _settle(terms: _Terms, thresholds, reach, shares) -> tuple[np.ndarray, ...]:
@@ -436,7 +431,7 @@ def simplified_strategy_report(game: OneWayGame) -> dict[str, SimplifiedReport]:
         step, _, _ = _settle(terms, (gamma,), (1.0,), (gamma,))
         accepted = step > 0
         deal = game.payoff_a[:, terms.ia] + terms.ub_accept
-        welfare = np.where(accepted, deal, terms.ua_selfish + terms.outside.payoff)
+        welfare = np.where(accepted, deal, game.selfish_payoff_a + terms.outside.payoff)
         optimal = optimal_table[:, itb]
         poa = _ratio(optimal, welfare)
         bounds = np.where(accepted, *accept_reject_poa(gamma))

@@ -130,7 +130,7 @@ def simulate_schedule(
         np.clip(types, 0, n_types - 1, out=types)
         accept = u_cont < reach[types]  # reach is 0 for types that never accept
         t = transfer[types]
-        pa = np.where(accept, ua_deal[types] + t, terms.ua_selfish[types])
+        pa = np.where(accept, ua_deal[types] + t, game.selfish_payoff_a[types])
         pb_deal = terms.ub_accept - t
         pb = np.where(accept, pb_deal, terms.ub_reject[types])
         pb_plan = np.where(accept, pb_deal, terms.outside.payoff)

@@ -4,7 +4,9 @@ stood before the broadcast tables, kept verbatim as a test-only oracle.
 ``nash_outcome`` and ``poa_metrics`` loop over type profiles and call
 ``social_welfare`` and ``optimal_welfare`` once per profile, accumulating
 the expectations one profile at a time in row-major order. The equilibrium
-maps come from the package's ``nash_action_A`` and ``nash_action_B``.
+maps come from this module's own loops, ``nash_action_A`` and
+``nash_action_B``, so that they check the game's selfish and reply tables
+rather than read them.
 ``poa_metrics`` returns its per-profile maps as dicts keyed by
 ``TypeProfile``, in a local ``PoAReport``; ``poa_report_rows`` reads them
 back one key at a time. ``poa_of_type`` is the per-profile PoA from the
@@ -18,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from oneway.equilibrium import NashOutcome, _ratio, nash_action_A, nash_action_B
+from oneway.equilibrium import NashOutcome, _ratio
 from oneway.game import (
     OneWayGame,
     StrategyProfile,
@@ -35,6 +37,25 @@ class PoAReport(NamedTuple):
     prop1_lower: dict[TypeProfile, float]
     prop1_upper: dict[TypeProfile, float]
     infinite_profiles: tuple[TypeProfile, ...] = ()
+
+
+def nash_action_A(game: OneWayGame, type_a: str) -> str:
+    """A's equilibrium action: her own argmax, the first one on ties."""
+    row = [game.u_a(a, type_a) for a in game.actions_a]
+    return game.actions_a[row.index(max(row))]
+
+
+def nash_action_B(game: OneWayGame, type_b: str) -> str:
+    """B's best reply, in prior expectation, to A's equilibrium map; the
+    first one on ties."""
+    selfish = [nash_action_A(game, ta) for ta in game.types_a]
+    expected = []
+    for sb in game.actions_b:
+        total = 0.0
+        for fa, sa in zip(game.prior_a.tolist(), selfish):
+            total += fa * game.u_b((sa, sb), type_b)
+        expected.append(total)
+    return game.actions_b[expected.index(max(expected))]
 
 
 def poa_of_type(game: OneWayGame, types: TypeProfile | tuple[str, str]) -> float:

@@ -48,15 +48,51 @@ def test_spec_sampling_matches_cdf():
         assert abs(emp - spec.cdf(x)) <= 4.0 * sd
 
 
+def discretize(spec, k):
+    """k quantile midpoints of ``spec`` with equal weights 1/k."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    qs = np.array([(i + 0.5) / k for i in range(k)])
+    values = np.atleast_1d(spec.ppf(qs))
+    return tuple(float(v) for v in values), (1.0 / k,) * k
+
+
+def scenario_game(scenario, k):
+    """A scenario as a finite game with k A types, one per quantile
+    midpoint: action "propose" costs the type its sacrifice and raises B by
+    delta_b over the outside value; action "default" is A's selfish play."""
+    values, weights = discretize(scenario.delta_a_spec, k)
+    if min(scenario.a_default - d for d in values) < 0.0:
+        raise ValueError("scenario sacrifices exceed the default payoff; shift a_default up")
+    return ow.make_game(
+        actions_a=["propose", "default"],
+        actions_b=["reply"],
+        types_a=[(f"d{i + 1}", weights[i]) for i in range(k)],
+        types_b=[("b1", 1.0)],
+        payoff_a=[[scenario.a_default - d, scenario.a_default] for d in values],
+        payoff_b=[[[scenario.b_outside + scenario.delta_b], [scenario.b_outside]]],
+    )
+
+
+def aggregate_accounting_welfare(game, offer, type_b):
+    """Expected welfare of an offer with the mean sacrifice booked against
+    accepted trades (the closed-form curves' convention)."""
+    p = ow.acceptance_prob(game, offer, type_b)
+    e_ua_nash = float(game.prior_a @ game.selfish_payoff_a)
+    e_da = float(game.prior_a @ ow.delta_a(game, offer.action_a))
+    fallback = ow.outside_option(game, offer.action_a, type_b).payoff
+    return e_ua_nash + fallback + p * (ow.delta_b(game, offer.action_a, type_b) - e_da)
+
+
 def test_discretize():
     spec = ow.ContinuousSpec.uniform(0.0, 100.0)
-    assert ow.discretize(spec, 2) == ((25.0, 75.0), (0.5, 0.5))
-    assert ow.discretize(spec, 1) == ((50.0,), (1.0,))
-    values, weights = ow.discretize(ow.ContinuousSpec.power(1.0, 1.0), 4)
+    assert discretize(spec, 2) == ((25.0, 75.0), (0.5, 0.5))
+    assert discretize(spec, 1) == ((50.0,), (1.0,))
+    values, weights = discretize(ow.ContinuousSpec.power(1.0, 1.0), 4)
     assert values == (0.125, 0.375, 0.625, 0.875)
     assert weights == (0.25,) * 4
     with pytest.raises(ValueError):
-        ow.discretize(spec, 0)
+        discretize(spec, 0)
 
 
 def test_example_curve_key_points():
@@ -150,7 +186,7 @@ def test_example_scenarios():
 
 
 def test_scenario_game_structure():
-    game = ow.scenario_game(ow.example1b_scenario(100.0), 2)
+    game = scenario_game(ow.example1b_scenario(100.0), 2)
     assert game.actions_a == ("propose", "default")
     assert game.types_a == ("d1", "d2")
     assert game.u_a("propose", "d1") == 75.0
@@ -161,25 +197,25 @@ def test_scenario_game_structure():
     big = ow.SingleOfferScenario(
         ow.ContinuousSpec.uniform(0.0, 10.0), 1.0, 2.0, 0.0, 0.5)
     with pytest.raises(ValueError, match="exceed"):
-        ow.scenario_game(big, 4)
+        scenario_game(big, 4)
 
 
 def test_discretized_offer_matches_curve():
     # with a fine grid, the discrete engine lands on the curve's threshold
     # and its aggregate-accounting welfare reproduces the closed form
-    game = ow.scenario_game(ow.example1b_scenario(100.0), 200)
+    game = scenario_game(ow.example1b_scenario(100.0), 200)
     res = ow.optimal_offer(game, "b1")
     assert not res.null_offer
     assert res.offer.action_a == "propose"
     assert abs(res.offer.gamma * 100.0 - 50.0) <= 0.5
-    agg = ow.aggregate_accounting_welfare(game, res.offer, "b1")
+    agg = aggregate_accounting_welfare(game, res.offer, "b1")
     assert agg == pytest.approx(125.0, abs=1e-9)
 
 
 def test_aggregate_accounting_on_full_acceptance(g1):
     # everyone accepts, so both accountings agree with the exact evaluation
     ev = ow.evaluate_offer(g1, ow.Offer("a1", 0.25), "u1")
-    agg = ow.aggregate_accounting_welfare(g1, ow.Offer("a1", 0.25), "u1")
+    agg = aggregate_accounting_welfare(g1, ow.Offer("a1", 0.25), "u1")
     assert ev.acceptance_prob == 1.0
     assert agg == ev.expected_sw == 5.0
 

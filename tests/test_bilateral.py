@@ -237,8 +237,9 @@ def test_one_way_reservation_values():
     game, om = ow.mechanism_to_one_way(inst, ow.feasibility_lp(inst).mechanism)
     rep = ow.check_one_way_properties(game, om)
     assert rep.all_hold
-    assert ow.nash_action_A(game, "s1") == "keep"
-    assert ow.nash_action_B(game, "b1") == "none"
+    out = ow.nash_outcome(game)
+    assert out.action_a["s1"] == "keep"
+    assert out.action_b["b1"] == "none"
 
 
 def _grid_mechanism():

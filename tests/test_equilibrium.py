@@ -11,14 +11,15 @@ import oneway as ow
 
 
 def test_nash_actions_g1(g1):
-    assert ow.nash_action_A(g1, "t1") == "a1"
-    assert ow.nash_action_A(g1, "t2") == "a2"
-    assert ow.nash_action_B(g1, "u1") == "b1"
+    out = ow.nash_outcome(g1)
+    assert out.action_a["t1"] == "a1"
+    assert out.action_a["t2"] == "a2"
+    assert out.action_b["u1"] == "b1"
 
 
 def test_nash_action_b_uses_expected_payoff(g2):
     # against the equilibrium mix (a1 w.p. .5, a2 w.p. .5) b2 earns 2.5 > 2.0
-    assert ow.nash_action_B(g2, "u1") == "b2"
+    assert ow.nash_outcome(g2).action_b["u1"] == "b2"
 
 
 def test_nash_outcome_g1(g1):

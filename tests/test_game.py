@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -91,6 +94,59 @@ def test_best_response_lowest_index_tie():
 def test_best_response_picks_max(g2):
     assert ow.best_response_B(g2, "a1", "u1") == "b2"
     assert ow.best_response_B(g2, "a2", "u1") == "b1"
+
+
+TABLES = ("selfish_a", "selfish_payoff_a", "sacrifice_a", "reply_b", "nash_b")
+
+
+def test_no_payment_tables_g2(g2):
+    # t1 prefers a1 (2 vs 1), t2 prefers a2 (1 vs 0); against that mix b2
+    # earns 2.5 > 2.0, and against a2 both replies tie at 0
+    assert g2.selfish_a.tolist() == [0, 1]
+    assert g2.selfish_payoff_a.tolist() == [2.0, 1.0]
+    assert g2.sacrifice_a.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert g2.reply_b.tolist() == [[1, 0]]
+    assert g2.nash_b.tolist() == [1]
+
+
+def test_no_payment_tables_are_cached_read_only_and_column_contiguous():
+    game = ow.random_game(seed=3, n_actions_a=4, n_types_a=5)
+    for name in TABLES:
+        table = getattr(game, name)
+        assert getattr(game, name) is table
+        assert not table.flags.writeable
+    assert all(game.sacrifice_a[:, j].flags.c_contiguous for j in range(4))
+
+
+def test_no_payment_tables_agree_across_threads():
+    """First use from more threads than cores at once (``cached_property``
+    takes no lock from Python 3.12 on) hands every thread the same tables."""
+
+    def tables(game):
+        return {name: getattr(game, name).tolist() for name in TABLES}
+
+    expected = tables(ow.random_game(seed=5, n_actions_a=6, n_types_a=40, n_types_b=6))
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            game = ow.random_game(seed=5, n_actions_a=6, n_types_a=40, n_types_b=6)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                seen = list(pool.map(lambda _: tables(game), range(8), timeout=60))
+            assert all(s == expected for s in seen)
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_no_payment_tables_break_ties_to_the_lowest_index():
+    game = ow.make_game(
+        ["a1", "a2", "a3"], ["b1", "b2"], [("t1", 0.5), ("t2", 0.5)], [("u1", 1.0)],
+        [[1.0, 3.0, 3.0], [2.0, 2.0, 0.0]], [[[1.0, 1.0], [0.0, 2.0], [2.0, 0.0]]],
+    )
+    assert game.selfish_a.tolist() == [1, 0]
+    assert game.reply_b.tolist() == [[0, 1, 0]]
+    # against the selfish map (a2, a1), b1 earns 0.5 in expectation and b2 1.5
+    assert game.nash_b.tolist() == [1]
 
 
 def test_social_welfare_is_payoff_sum(g1):

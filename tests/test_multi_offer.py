@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oneway as ow
 
@@ -194,3 +196,25 @@ def test_simulation_ci_survives_large_payoff_offset():
     for field in ("ci_u_a", "ci_sw"):
         assert getattr(near, field) > 0.0
         assert getattr(far, field) == pytest.approx(getattr(near, field), rel=1e-6), field
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), data=st.data())
+def test_monotone_schedule_never_beats_the_best_single_offer(seed, data):
+    """A schedule whose effective thresholds are nondecreasing, on an action
+    with a positive gain, is worth no more to B than her best single offer.
+    (Non-monotone thresholds are not covered: there the first-covering-step
+    rule is not A's best response.)"""
+    game = ow.random_suite(1, seed, max_types_a=12)[0]
+    tb = data.draw(st.sampled_from(game.types_b))
+    gaining = [a for a in game.actions_a if ow.delta_b(game, a, tb) > 0.0]
+    assume(gaining)
+    action = data.draw(st.sampled_from(gaining))
+    shares = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4, unique=True))
+    gammas = sorted(shares)
+    probs = data.draw(st.lists(st.floats(0.0, 0.95), min_size=len(gammas) - 1, max_size=len(gammas) - 1))
+    schedule = ow.Schedule(action, gammas, (1.0, *probs))
+    thresholds = ow.s_values(schedule)[1:]
+    assume(all(a <= b for a, b in zip(thresholds, thresholds[1:])))
+    best = ow.optimal_offer(game, tb).evaluation.expected_u_b
+    assert ow.expected_utility_B(game, schedule, tb) <= best + 1e-9

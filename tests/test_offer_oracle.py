@@ -143,7 +143,7 @@ def test_null_offer_gap_is_exactly_zero(seed):
                 continue
             nulls += 1
             assert ow.equivalence_gap(game, tb, 2) == 0.0, tb
-            ib = game.action_b_index(ow.nash_action_B(game, tb))
+            ib = game.action_b_index(ow.nash_outcome(game).action_b[tb])
             e_ua = float(game.prior_a @ np.max(game.payoff_a, axis=1))
             e_ub = float(game.prior_a @ game.payoff_b[itb, nash_a, ib])
             ev = res.evaluation

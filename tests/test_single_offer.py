@@ -10,8 +10,8 @@ from oneway.single_offer import VALUE_TOL
 
 
 def test_restricted_types_g1(g1):
-    assert ow.restricted_types(g1, "a1") == ("t2",)
-    assert ow.restricted_types(g1, "a2") == ("t1",)
+    assert ow.outside_option(g1, "a1", "u1").restricted_types == ("t2",)
+    assert ow.outside_option(g1, "a2", "u1").restricted_types == ("t1",)
 
 
 def test_delta_a_g1(g1):
@@ -353,3 +353,13 @@ def test_single_offer_is_a_side_ic_ex_post_ir_and_budget_balanced(seed, strategy
     rows = np.arange(len(game.types_a))[:, None]
     realised = game.payoff_a[rows, mech.action_a] + mech.payment_a
     assert np.all(realised >= np.max(game.payoff_a, axis=1)[:, None] - 1e-9)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16))
+def test_simplified_offer_meets_its_theorem_bound(seed):
+    """The simplified offer's expected PoA (planning view) is at most the
+    guarantee ((gamma + 1) / gamma) * (1 - P (1 - gamma)), in every B type."""
+    game = ow.random_suite(1, seed, max_types_a=10)[0]
+    for tb, report in ow.simplified_strategy_report(game).items():
+        assert report.expected_poa <= report.poa_bound, (seed, tb)

@@ -288,9 +288,9 @@ def check_one_way_properties(
 
     Reservation utilities come from no-mechanism play: A falls back to her
     selfish optimum, B to her expected payoff against A's equilibrium map.
+    Both maps come from plain loops here (first index on ties), not from
+    the game's tables.
     """
-    from oneway.equilibrium import nash_action_A, nash_action_B
-
     # the mechanism's tables, looked up one type pair at a time
     cells = {
         (ta, tb): (ita, itb)
@@ -356,7 +356,10 @@ def check_one_way_properties(
                 witnesses.append(f"B type {tb} gains {gain!r} reporting {other}")
 
     ir = True
-    nash_a = {ta: nash_action_A(game, ta) for ta in game.types_a}
+    nash_a = {}
+    for ta in game.types_a:
+        payoffs = [game.u_a(sa, ta) for sa in game.actions_a]
+        nash_a[ta] = game.actions_a[payoffs.index(max(payoffs))]
     for ita, ta in enumerate(game.types_a):
         truthful = 0.0
         for jtb, tb in enumerate(game.types_b):
@@ -371,7 +374,11 @@ def check_one_way_properties(
     for jtb, tb in enumerate(game.types_b):
         truthful = 0.0
         reservation = 0.0
-        sb = nash_action_B(game, tb)
+        expected = [
+            sum(float(fa) * game.u_b((nash_a[ta], s), tb) for fa, ta in zip(game.prior_a, game.types_a))
+            for s in game.actions_b
+        ]
+        sb = game.actions_b[expected.index(max(expected))]
         for ita, ta in enumerate(game.types_a):
             prof = profile[(ta, tb)]
             fa = float(game.prior_a[ita])
