@@ -20,7 +20,7 @@ from .generate import random_game
 
 SEED_DEFAULT = 42
 TOL_DEFAULT = 1e-9
-MAX_POINTS = 10**6  # the most points a --from/--to/--step range may give
+MAX_POINTS = 10**6  # the most points a --from/--to/--step range, and the most steps --n, may ask for
 
 
 def _frange(start: float, stop: float, step: float) -> list[float]:
@@ -152,6 +152,8 @@ def cmd_multi_offer(args: argparse.Namespace) -> int:
         return _error("--seed applies to --schedule only")
     if args.schedule is not None and args.n is not None:
         return _error("--n applies to --optimize only")
+    if args.n is not None and args.n > MAX_POINTS:
+        return _error(f"--n {args.n} is above {MAX_POINTS} steps")
     game = io.load_game(args.instance)
     types = _types_b(game, args.type_b)
     if args.optimize:

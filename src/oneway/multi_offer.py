@@ -8,10 +8,11 @@ disciplines A: her effective threshold at step i is the schedule value
 
     S_i = (gamma_i - p_{i+1} gamma_{i+1}) / (1 - p_{i+1})      (S_n = gamma_n)
 
-and a rational A accepts at the first step whose S_i covers her sacrifice
-ratio. Every schedule's value to B is a convex combination of single-offer
-values, so the best schedule recovers exactly the best single offer; the
-functions here make both the equivalence and the simulation checkable.
+and A accepts at the first step whose S_i covers her sacrifice ratio. When
+the S_i are nondecreasing, that is A's best response, and the schedule's
+value to B is a convex combination of single-offer values, so the best such
+schedule recovers exactly the best single offer; the functions here make
+both the equivalence and the simulation checkable.
 
 The acceptance rule and the per-type terms are those of ``single_offer``
 (a single offer is the one-step schedule), so the equivalence gap of the
@@ -34,7 +35,6 @@ from .single_offer import (
     _settle,
     _terms,
     delta_a,  # noqa: F401  unused here; perfbench's tracer and self-test wrap this binding
-    gamma_candidates,
     optimal_offer,
 )
 from .streams import Z99
@@ -255,6 +255,10 @@ def simulate_schedule(
 
 @dataclass(frozen=True)
 class ScheduleOptimum:
+    """The best n-step schedule; ``certified`` when ``certification_slack``
+    (``single_offer_value - value``) is at most 1e-9, which covers schedules
+    with nondecreasing thresholds on positive-gain actions only."""
+
     schedule: Schedule
     value: float
     single_offer: Offer
@@ -273,56 +277,30 @@ def _padded_gammas(x: float, n: int) -> tuple[float, ...]:
     for j in range(1, n):
         if out[-1] >= 1.0:
             raise ValueError(f"no room for n = {n} steps above the best share {x!r}")
-        nxt = x + j * pad
-        if nxt <= out[-1]:
-            nxt = np.nextafter(out[-1], 1.0)
-        out.append(min(nxt, 1.0))
+        out.append(min(max(x + j * pad, math.nextafter(out[-1], 1.0)), 1.0))
     return tuple(out)
 
 
 def optimize_schedule(game: OneWayGame, type_b: str, n: int) -> ScheduleOptimum:
-    """Best n-step schedule for B, with a local certification sweep.
+    """Best n-step schedule for B, certified by an exact identity.
 
-    Any schedule's value is the fallback plus a convex combination over steps
-    of single-offer gains, so the optimum front-loads everything: step one
-    carries the best single-offer share and the continuation probabilities
-    are zero. The remaining gammas are increasing padding that never plays.
-    The certificate re-evaluates neighboring schedules (each gamma moved to
-    the adjacent break-even thresholds, each continuation probability nudged
-    by 0.01) and records the best improvement found, which should be none.
+    A schedule with nondecreasing thresholds S (``s_values``) is worth
+    sum_k R_k (1 - p_{k+1}) V(S_k) to B, V(S) being the single offer (action,
+    S)'s value: a convex combination of single offers on its action. So on
+    an action with a positive gain none beats the best single offer, and the
+    optimum front-loads it: step one carries the best share, continuation
+    probabilities are zero (so S_k = gamma_k), later gammas are padding that
+    never plays, and the slack is the best single offer's value minus the
+    schedule's. Not covered: non-monotone thresholds, where the first
+    covering step is not A's best response, and actions without a positive
+    gain, which the single-offer search skips.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     res = optimal_offer(game, type_b)
-    x = res.offer.gamma
-    action = res.offer.action_a
-    probs = (1.0,) + (0.0,) * (n - 1)
-    schedule = Schedule(action, _padded_gammas(x, n), probs)
+    schedule = Schedule(res.offer.action_a, _padded_gammas(res.offer.gamma, n), (1.0,) + (0.0,) * (n - 1))
     value = expected_utility_B(game, schedule, type_b)
-
-    # certification sweep
-    thresholds = gamma_candidates(game, action, type_b)
-    slack = -math.inf
-    candidates: list[Schedule] = []
-    for i in range(n):
-        g = schedule.gammas[i]
-        below = [t for t in thresholds if t < g]
-        above = [t for t in thresholds if t > g]
-        for t in ([max(below)] if below else []) + ([min(above)] if above else []):
-            new_g = list(schedule.gammas)
-            new_g[i] = t
-            if all(new_g[k] < new_g[k + 1] for k in range(n - 1)):
-                candidates.append(Schedule(action, tuple(new_g), probs))
-    for j in range(1, n):
-        for dp in (-0.01, 0.01):
-            new_p = list(probs)
-            new_p[j] = min(max(new_p[j] + dp, 0.0), 0.99)
-            if new_p[j] != probs[j]:
-                candidates.append(Schedule(action, schedule.gammas, tuple(new_p)))
-    for cand in candidates:
-        slack = max(slack, expected_utility_B(game, cand, type_b) - value)
-    if not candidates:
-        slack = 0.0
+    slack = res.evaluation.expected_u_b - value
     return ScheduleOptimum(
         schedule=schedule,
         value=value,

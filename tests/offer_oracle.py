@@ -10,6 +10,11 @@ and the result types; so do ``s_values`` and ``reach_probs``. Only the
 imports differ from the originals: the schedule evaluators' function-local
 ``delta_b`` import is the module-level one here.
 
+The schedule optimizer's certification sweep as it stood before the exact
+decomposition: ``certification_probe`` re-evaluates the neighbouring
+schedules of an optimum with the package's ``expected_utility_B`` and
+``gamma_candidates``, as the original did, and also returns them.
+
 The offer searches as they stood before the sorted sweep: ``optimal_offer``,
 ``simplified_offer``, ``gamma_candidates`` and ``_minimal_share`` score
 every candidate share with one call of the package's evaluators each. They
@@ -24,6 +29,7 @@ import math
 
 import numpy as np
 
+from oneway import multi_offer
 from oneway import single_offer as package
 from oneway.game import OneWayGame, best_response_B
 from oneway.multi_offer import MultiOfferEvaluation, Schedule
@@ -305,3 +311,35 @@ def simplified_offer(game: OneWayGame, type_b: str) -> OfferSearchResult:
                 best_v, gamma = v, g
     offer = Offer(action, gamma)
     return OfferSearchResult(offer, package.evaluate_offer(game, offer, type_b), null_offer=False)
+
+
+def certification_probe(game: OneWayGame, type_b: str, schedule: Schedule) -> tuple[float, list[Schedule]]:
+    """The best improvement over ``schedule`` among its neighbours, and the
+    neighbours: each gamma moved to the adjacent break-even thresholds, each
+    continuation probability nudged by 0.01. The slack is 0.0 when there are
+    no neighbours."""
+    n, action, probs = schedule.n, schedule.action_a, schedule.probs
+    value = multi_offer.expected_utility_B(game, schedule, type_b)
+    thresholds = package.gamma_candidates(game, action, type_b)
+    slack = -math.inf
+    candidates: list[Schedule] = []
+    for i in range(n):
+        g = schedule.gammas[i]
+        below = [t for t in thresholds if t < g]
+        above = [t for t in thresholds if t > g]
+        for t in ([max(below)] if below else []) + ([min(above)] if above else []):
+            new_g = list(schedule.gammas)
+            new_g[i] = t
+            if all(new_g[k] < new_g[k + 1] for k in range(n - 1)):
+                candidates.append(Schedule(action, tuple(new_g), probs))
+    for j in range(1, n):
+        for dp in (-0.01, 0.01):
+            new_p = list(probs)
+            new_p[j] = min(max(new_p[j] + dp, 0.0), 0.99)
+            if new_p[j] != probs[j]:
+                candidates.append(Schedule(action, schedule.gammas, tuple(new_p)))
+    for cand in candidates:
+        slack = max(slack, multi_offer.expected_utility_B(game, cand, type_b) - value)
+    if not candidates:
+        slack = 0.0
+    return slack, candidates

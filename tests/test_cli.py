@@ -367,12 +367,15 @@ def test_omitted_flags_report_their_defaults(capsys, instance, schedule_file, im
         (["sweep", "--param", "beta", "--from", "0.1", "--to", "1e308", "--step", "1e-300"], "more than 1000000 points"),
         (["sweep", "--param", "beta", "--from", "0.1", "--to", "1e9", "--step", "1e-3"], "more than 1000000 points"),
         (["examples", "--which", "2", "--sweep", "--from", "0", "--to", "1e6", "--step", "1"], "more than 1000000 points"),
+        (["multi-offer", "INSTANCE", "--optimize", "--n", "1000001"], "--n 1000001 is above 1000000 steps"),
     ],
 )
-def test_non_finite_and_reversed_numbers_are_rejected(capsys, argv, message):
-    """A NaN or infinite parameter, a reversed range, a non-positive step
-    and a range of more than ``MAX_POINTS`` points are errors, not reports
-    of ``nan`` rows, no rows or a traceback."""
+def test_non_finite_and_reversed_numbers_are_rejected(capsys, instance, argv, message):
+    """A NaN or infinite parameter, a reversed range, a non-positive step,
+    a range of more than ``MAX_POINTS`` points and a schedule of more than
+    ``MAX_POINTS`` steps are errors, not reports of ``nan`` rows, no rows,
+    a traceback or an allocation of gigabytes."""
+    argv = [{"INSTANCE": instance}.get(a, a) for a in argv]
     code, out, err = _run(capsys, argv)
     assert code == 1
     assert out == ""

@@ -363,3 +363,16 @@ def test_simplified_offer_meets_its_theorem_bound(seed):
     game = ow.random_suite(1, seed, max_types_a=10)[0]
     for tb, report in ow.simplified_strategy_report(game).items():
         assert report.expected_poa <= report.poa_bound, (seed, tb)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(beta=st.floats(0.01, 20.0))
+def test_corollary_bound_is_the_theorem_bound_at_the_tuned_share(beta):
+    """With acceptance probability gamma**beta, the corollary's share
+    beta / (beta + 1) maximizes B's retained mass gamma**beta * (1 - gamma),
+    and its bound is the theorem's bound at that share."""
+    gamma_star, bound = ow.corollary_bound(beta)
+    assert math.isclose(gamma_star, beta / (beta + 1.0), rel_tol=1e-12)
+    assert math.isclose(bound, ow.theorem_bound(gamma_star, gamma_star**beta), rel_tol=1e-12)
+    grid = np.linspace(0.0, 1.0, 20_001)
+    assert np.all(grid**beta * (1.0 - grid) <= gamma_star**beta * (1.0 - gamma_star))
