@@ -40,7 +40,7 @@ print(f"exact expected payoffs: u_A {outcome.expected_u_a:.6f}, "
       f"u_B {outcome.expected_u_b:.6f}, welfare {outcome.expected_sw:.6f}")
 print(f"overall acceptance probability: {outcome.acceptance_prob:.4f}")
 
-sim = simulate_schedule(game, sched, tb, samples=20_000, seed=seed)
+(sim,) = simulate_schedule(game, sched, [tb], samples=20_000, seed=seed)
 print(f"simulated ({sim.samples} draws): planning value "
       f"{sim.mean_u_b_planning:.4f} +- {sim.ci_u_b_planning:.4f} (99% CI)")
 

@@ -31,7 +31,7 @@ for x in (50.0, 100.0, 200.0, 400.0):
           f"optimal {p.optimal_welfare:7.2f}, PoA {p.poa:.4f}")
 print(f"  worst over the sweep: PoA {worst.poa:.4f} at x={worst.param:.0f} (< 1.21)")
 
-mc = mc_single_offer(example1b_scenario(100.0), 200_000, seed=1, accounting="aggregate")
+(mc,) = mc_single_offer([example1b_scenario(100.0)], 200_000, seed=1, accounting="aggregate")
 print(f"  simulation at x=100: PoA {mc.poa_vs_ex_ante:.4f} "
       f"(analytic {example1b(100.0).poa:.4f})")
 
@@ -50,8 +50,9 @@ for n in (2, 10, 1000):
 
 print()
 print("power-law costs: tuned share and guaranteed expected PoA")
-for beta in (0.25, 0.5, 1.0):
+betas = (0.25, 0.5, 1.0)
+mcs = mc_single_offer([power_scenario(beta) for beta in betas], 100_000, seed=2, accounting="exact")
+for beta, mc in zip(betas, mcs):
     gamma_star, bound = corollary_bound(beta)
-    mc = mc_single_offer(power_scenario(beta), 100_000, seed=2, accounting="exact")
     print(f"  beta={beta:.2f}: share {gamma_star:.4f}, bound {bound:.4f}, "
           f"simulated mean PoA {mc.mean_poa:.4f}")

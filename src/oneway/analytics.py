@@ -21,6 +21,7 @@ are correlated.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,96 +242,155 @@ class MCResult:
 
 
 def mc_single_offer(
-    scenario: SingleOfferScenario, samples: int, seed: int, accounting: str = "exact"
-) -> MCResult:
-    """Simulate a scenario with batched counter-based streams.
+    scenarios: Sequence[SingleOfferScenario], samples: int, seed: int, accounting: str = "exact"
+) -> list[MCResult]:
+    """Simulate each scenario with batched counter-based streams; one result
+    per scenario, in order.
 
     Each batch draws a sacrifice uniform per sample and, in aggregate mode
     only, a coin uniform after them. The coin is the batch stream's second
     draw, so exact mode skips it and still samples the same sacrifices:
-    switching accounting never reshuffles them. Batches run on
-    ``os.cpu_count()`` threads (``streams.run_batches``); each thread owns
-    three float columns and a mask of one batch each (the sacrifice, then
-    the per-draw PoA; u_a, then u_b; welfare), and centres a column in
-    place once nothing else reads it. Per-draw PoA compares against the
-    draw's own optimum; poa_vs_ex_ante divides the aggregate optimum by mean
-    welfare instead, which is what the closed-form curves report.
+    switching accounting never reshuffles them. A batch draws its uniforms
+    once for all the scenarios of a call and runs the scenarios on them in
+    turn; each scenario folds its own moments in batch order, so its result
+    is the same whether it is simulated alone or with others.
+
+    Batches run on ``os.cpu_count()`` threads (``streams.run_batches``).
+    Each thread owns three float columns and a mask of one batch each: the
+    uniforms, then the sacrifice, then the per-draw PoA; the coin (aggregate
+    mode), then u_a's bits before the select, then u_b and welfare; u_a,
+    then u_b; the accept flags. With a second scenario the uniforms, and in
+    aggregate mode the coin, outlive each scenario, so the thread keeps them
+    in a column each of their own. A column is centred in place once nothing
+    else reads it.
+
+    Per-draw PoA compares against the draw's own optimum; poa_vs_ex_ante
+    divides the aggregate optimum by mean welfare instead, which is what the
+    closed-form curves report.
     """
+    if isinstance(scenarios, SingleOfferScenario):
+        raise TypeError("scenarios must be a sequence of SingleOfferScenario, not one scenario")
     if accounting not in ("exact", "aggregate"):
         raise ValueError('accounting must be "exact" or "aggregate"')
     if samples <= 0:
         raise ValueError("samples must be positive")
-    spec = scenario.delta_a_spec
-    thr = scenario.gamma * scenario.delta_b
-    p_model = spec.cdf(thr)
-    base = scenario.a_default + scenario.b_outside
-    transfer = scenario.gamma * scenario.delta_b
-    ub_deal = scenario.b_outside + scenario.delta_b - transfer
-    ub_cell = np.array([scenario.b_outside, ub_deal])  # B's payoff, indexed by accepted
+    terms = [_MCTerms(sc) for sc in scenarios]
+    fused = len(terms) > 1
 
     def make_batch():
         n = min(samples, streams.BATCH_SIZE)
-        delta_buf, u_buf, sw_buf = np.empty((3, n))
+        delta_buf, x_buf, u_buf = np.empty((3, n))
         accept_buf = np.empty(n, dtype=bool)
+        # Columns read by every scenario get their own buffer only when a
+        # second scenario reads them after the first has reused its columns.
+        q_buf = np.empty(n) if fused else delta_buf
+        coin_buf = np.empty(n) if fused and accounting == "aggregate" else x_buf
 
         def batch(index: int, size: int):
-            delta, u, sw, accept = delta_buf[:size], u_buf[:size], sw_buf[:size], accept_buf[:size]
+            delta, x, u, accept = delta_buf[:size], x_buf[:size], u_buf[:size], accept_buf[:size]
+            q, coin = q_buf[:size], coin_buf[:size]
             rng = streams.stream(seed, index)
-            rng.random(out=delta)
-            spec.ppf(delta, out=delta)
-            if accounting == "exact":
-                np.less_equal(delta, thr, out=accept)
-            else:
-                rng.random(out=u)  # the coin
-                np.less(u, p_model, out=accept)
-            cell = accept.view(np.uint8)
-            # (a_default - delta) + transfer and (base - delta) + delta_b, in
-            # that order: each rounding step shows in the reported means.
-            ua = u
-            ua.fill(scenario.a_default)
-            np.add(np.subtract(scenario.a_default, delta, out=sw), transfer, out=sw)
-            np.copyto(ua, sw, where=accept)
-            # u_b is read off a two-entry table, several times faster than a
-            # masked copy, whose branches follow the random mask; it is read
-            # twice, first to be added into sw, then to be centred.
-            np.take(ub_cell, cell, out=sw, mode="clip")
-            np.add(ua, sw, out=sw)
-            stats_ua = streams.centre(ua, ua)
-            ub = u
-            np.take(ub_cell, cell, out=ub, mode="clip")
-            stats_ub = streams.centre(ub, ub)
-            poa = delta
-            np.add(np.subtract(base, delta, out=poa), scenario.delta_b, out=poa)
-            np.maximum(poa, base, out=poa)
-            np.divide(poa, sw, out=poa)
-            top = float(np.max(poa))
-            stats = (stats_ua, stats_ub, streams.centre(sw, sw), streams.centre(poa, poa))
-            return size, stats, int(np.count_nonzero(accept)), top
+            rng.random(out=q)
+            if accounting == "aggregate":
+                rng.random(out=coin)
+            per_scenario = []
+            for t in terms:
+                t.spec.ppf(q, out=delta)
+                if accounting == "exact":
+                    np.less_equal(delta, t.thr, out=accept)
+                else:
+                    np.less(coin, t.p_model, out=accept)
+                # u_a is (a_default - delta) + transfer where A accepts and
+                # a_default where she declines; u_b is ub_deal or b_outside.
+                # Both are selected on the bits (``_select``), u_b twice:
+                # first to be added into welfare, then to be centred. Sums
+                # keep the order written here, (base - delta) + delta_b too,
+                # as each rounding step shows in the reported means.
+                flip = x.view(np.int64)
+                np.add(np.subtract(t.a_default, delta, out=x), t.transfer, out=x)
+                np.bitwise_xor(flip, t.ua_bits, out=flip)
+                ua = _select(accept, flip, t.ua_bits, out=u)
+                sw = _select(accept, t.ub_flip, t.ub_bits, out=x)
+                np.add(ua, sw, out=sw)
+                stats_ua = streams.centre(ua, ua)
+                ub = _select(accept, t.ub_flip, t.ub_bits, out=u)
+                stats_ub = streams.centre(ub, ub)
+                poa = delta
+                np.add(np.subtract(t.base, delta, out=poa), t.delta_b, out=poa)
+                np.maximum(poa, t.base, out=poa)
+                np.divide(poa, sw, out=poa)
+                top = float(np.max(poa))
+                stats = (stats_ua, stats_ub, streams.centre(sw, sw), streams.centre(poa, poa))
+                per_scenario.append((stats, int(np.count_nonzero(accept)), top))
+            return size, per_scenario
 
         return batch
 
-    moments = streams.Moments(4)  # u_a, u_b, sw, poa
-    max_poa = 0.0
-    accepted = 0
-    for size, stats, hits, top in streams.run_batches(samples, make_batch):
-        moments.merge(size, *zip(*stats))
-        accepted += hits
-        max_poa = max(max_poa, top)
-    means = moments.means()
-    ci = Z99 * moments.standard_errors()
-    ex_ante_opt = max(base, base - spec.mean() + scenario.delta_b)
-    return MCResult(
-        samples=samples,
-        accounting=accounting,
-        acceptance_rate=accepted / samples,
-        mean_u_a=float(means[0]),
-        mean_u_b=float(means[1]),
-        mean_sw=float(means[2]),
-        mean_poa=float(means[3]),
-        max_poa=max_poa,
-        ci_u_a=float(ci[0]),
-        ci_u_b=float(ci[1]),
-        ci_sw=float(ci[2]),
-        ci_poa=float(ci[3]),
-        poa_vs_ex_ante=ex_ante_opt / float(means[2]),
-    )
+    moments = [streams.Moments(4) for _ in terms]  # u_a, u_b, sw, poa
+    max_poa = [0.0] * len(terms)
+    accepted = [0] * len(terms)
+    for size, per_scenario in streams.run_batches(samples, make_batch):
+        for j, (stats, hits, top) in enumerate(per_scenario):
+            moments[j].merge(size, *zip(*stats))
+            accepted[j] += hits
+            max_poa[j] = max(max_poa[j], top)
+    return [
+        t.result(samples, accounting, m, hits, top) for t, m, hits, top in zip(terms, moments, accepted, max_poa)
+    ]
+
+
+def _select(accept: np.ndarray, flip, off, out: np.ndarray) -> np.ndarray:
+    """Write to ``out`` the float64 whose bits are ``off ^ flip`` where
+    ``accept`` holds and ``off`` where it does not. ``flip`` and ``off`` are
+    int64 bits, a column or a scalar each, and neither shares ``out``'s
+    memory.
+
+    The select is branch-free, ``off ^ (flip & mask)`` with a mask of all
+    ones where ``accept`` holds, and exact on every bit pattern (signed
+    zeros, NaN payloads, subnormals). It is several times faster than a
+    masked ``np.copyto``, whose branches follow a random mask, and faster
+    than a ``take`` from a two-entry table, which first converts the mask
+    to a new index column.
+    """
+    bits = out.view(np.int64)
+    np.negative(accept.view(np.int8), out=bits)  # -1 (all ones) where accepted
+    np.bitwise_and(bits, flip, out=bits)
+    np.bitwise_xor(bits, off, out=bits)
+    return out
+
+
+class _MCTerms:
+    """A scenario's constants as one batch reads them."""
+
+    def __init__(self, scenario: SingleOfferScenario) -> None:
+        self.spec = scenario.delta_a_spec
+        self.delta_b = scenario.delta_b
+        # A accepts exactly when the transfer covers her sacrifice.
+        self.thr = self.transfer = scenario.gamma * scenario.delta_b
+        self.p_model = self.spec.cdf(self.thr)
+        self.a_default = scenario.a_default
+        self.ua_bits = np.float64(scenario.a_default).view(np.int64)  # A's payoff if she declines
+        self.base = scenario.a_default + scenario.b_outside
+        ub_deal = scenario.b_outside + scenario.delta_b - self.transfer
+        self.ub_bits = np.float64(scenario.b_outside).view(np.int64)  # B's payoff if A declines
+        self.ub_flip = np.float64(ub_deal).view(np.int64) ^ self.ub_bits  # its bits that change if she accepts
+
+    def result(self, samples: int, accounting: str, moments: streams.Moments, accepted: int, max_poa: float):
+        means = moments.means()
+        ci = Z99 * moments.standard_errors()
+        ex_ante_opt = max(self.base, self.base - self.spec.mean() + self.delta_b)
+        return MCResult(
+            samples=samples,
+            accounting=accounting,
+            acceptance_rate=accepted / samples,
+            mean_u_a=float(means[0]),
+            mean_u_b=float(means[1]),
+            mean_sw=float(means[2]),
+            mean_poa=float(means[3]),
+            max_poa=max_poa,
+            ci_u_a=float(ci[0]),
+            ci_u_b=float(ci[1]),
+            ci_sw=float(ci[2]),
+            ci_poa=float(ci[3]),
+            poa_vs_ex_ante=ex_ante_opt / float(means[2]),
+        )

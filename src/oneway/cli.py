@@ -198,7 +198,7 @@ def cmd_multi_offer(args: argparse.Namespace) -> int:
         "acceptance_prob": [out.acceptance_prob for out in outcomes],
     }
     if args.samples > 0:
-        sims = [multi_offer.simulate_schedule(game, schedule, tb, args.samples, seed) for tb in types]
+        sims = multi_offer.simulate_schedule(game, schedule, types, args.samples, seed)
         table |= {
             "sim_planning_value": [sim.mean_u_b_planning for sim in sims],
             "sim_planning_ci99": [sim.ci_u_b_planning for sim in sims],
@@ -324,8 +324,8 @@ def cmd_examples(args: argparse.Namespace) -> int:
         table = _curve("x", xs, analytics.example1b)
         table["no_payment_poa"] = [analytics.example1b_no_payment_poa(x) for x in xs]
         if args.mc_samples > 0:
-            mc = analytics.mc_single_offer(
-                analytics.example1b_scenario(xs[0]), args.mc_samples, seed, "aggregate"
+            (mc,) = analytics.mc_single_offer(
+                [analytics.example1b_scenario(xs[0])], args.mc_samples, seed, "aggregate"
             )
             table |= {
                 "mc_welfare": [mc.mean_sw],
@@ -354,10 +354,8 @@ def cmd_examples(args: argparse.Namespace) -> int:
     betas = [args.beta] if args.beta is not None else [0.25, 0.5, 0.75, 1.0]
     table = _bounds(betas)
     if args.mc_samples > 0:
-        mcs = [
-            analytics.mc_single_offer(analytics.power_scenario(beta), args.mc_samples, seed, "exact")
-            for beta in betas
-        ]
+        scenarios = [analytics.power_scenario(beta) for beta in betas]
+        mcs = analytics.mc_single_offer(scenarios, args.mc_samples, seed, "exact")
         table |= {
             "mc_mean_poa": [mc.mean_poa for mc in mcs],
             "mc_poa_ci99": [mc.ci_poa for mc in mcs],

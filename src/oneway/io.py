@@ -225,11 +225,22 @@ def schedule_hash(action: str, gammas: Sequence[float], probs: Sequence[float]) 
     return config_hash({"action": action, "gammas": list(gammas), "probs": list(probs)})
 
 
+_FLOAT_TYPES = frozenset((float, np.float64))  # cells ``float.__repr__`` formats as they are
+
+
 def format_column(values: Sequence[Any]) -> list[str]:
     """The cells of one report column as CSV text: floats (numpy's too) as
     the ``repr`` of the Python float, bools (numpy's too) as ``true`` or
     ``false``, integers as their decimal digits, strings as they are and
-    anything else through ``str``."""
+    anything else through ``str``.
+
+    The rule is chosen once for a column of only ``float``/``np.float64``
+    cells or only ``str`` cells, and per cell for any other column."""
+    kinds = set(map(type, values))
+    if kinds <= _FLOAT_TYPES:
+        return list(map(float.__repr__, values))
+    if kinds == {str}:
+        return list(values)
     out: list[str] = []
     append = out.append
     for value in values:

@@ -22,6 +22,7 @@ optimizer is exactly zero rather than float noise.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
@@ -179,31 +180,41 @@ class SimulationResult:
 
 
 def simulate_schedule(
-    game: OneWayGame, schedule: Schedule, type_b: str, samples: int, seed: int
-) -> SimulationResult:
-    """Monte Carlo check of a schedule, vectorized in fixed-size batches.
+    game: OneWayGame, schedule: Schedule, types_b: Sequence[str], samples: int, seed: int
+) -> list[SimulationResult]:
+    """Monte Carlo check of a schedule against each B type, vectorized in
+    fixed-size batches; one result per B type, in order.
 
     Reports realized means (matching expected_outcome) and the planning-view
     mean for B, where a failed process is booked at the fallback value
     (matching expected_utility_B). Batches use counter-based streams keyed by
     (seed, batch index), so results are independent of batching and threads.
+    A batch draws its A types and coins once for all the B types of a call;
+    each B type folds its own moments in batch order, so its result is the
+    same whether it is simulated alone or with others.
 
     A draw's payoffs depend only on its A type and whether it accepts, so
     they are read off tables with two cells per type (index 2 * type +
     accepted). Batches run on ``os.cpu_count()`` threads
-    (``streams.run_batches``); each thread owns one uniform column, one
-    output column that the four tables take turns to fill, and a mask.
+    (``streams.run_batches``); each thread owns one uniform column (A's
+    type, then the coin), one output column that the tables take turns to
+    fill, a mask, and for the length of a batch the cell index that
+    ``searchsorted`` returns, which every B type reads.
     """
+    if isinstance(types_b, str):
+        raise TypeError("types_b must be a sequence of B type ids, not one id")
     if samples <= 0:
         raise ValueError("samples must be positive")
-    terms, _, reach, transfer = _settled(game, schedule, type_b)
     n_types = len(game.types_a)
     cdf = np.cumsum(game.prior_a)
-    pb_deal = terms.ub_accept - transfer
-    pa_cell = np.column_stack((game.selfish_payoff_a, game.payoff_a[:, terms.ia] + transfer)).ravel()
-    pb_cell = np.column_stack((terms.ub_reject, pb_deal)).ravel()
-    plan_cell = np.column_stack((np.full(n_types, terms.outside.payoff), pb_deal)).ravel()
-    sw_cell = pa_cell + pb_cell
+    cells = []  # per B type: its reach and its four payoff tables, two cells per A type
+    for type_b in types_b:
+        terms, _, reach, transfer = _settled(game, schedule, type_b)
+        pb_deal = terms.ub_accept - transfer
+        pa_cell = np.column_stack((game.selfish_payoff_a, game.payoff_a[:, terms.ia] + transfer)).ravel()
+        pb_cell = np.column_stack((terms.ub_reject, pb_deal)).ravel()
+        plan_cell = np.column_stack((np.full(n_types, terms.outside.payoff), pb_deal)).ravel()
+        cells.append((np.repeat(reach, 2), (pa_cell, pb_cell, pa_cell + pb_cell, plan_cell)))
 
     def make_batch():
         n = min(samples, streams.BATCH_SIZE)
@@ -216,41 +227,51 @@ def simulate_schedule(
             rng.random(out=u)
             cell = np.searchsorted(cdf, u, side="right")  # A's type, then its table cell
             np.clip(cell, 0, n_types - 1, out=cell)
-            rng.random(out=u)
-            # The indices are in range; mode="clip" lets take write straight
-            # into its out array, which the default mode would copy through a
-            # buffer.
-            np.take(reach, cell, out=out, mode="clip")  # 0 for types that never accept
-            np.less(u, out, out=accept)
             cell *= 2
-            cell += accept
-            stats = []
-            for table in (pa_cell, pb_cell, sw_cell, plan_cell):
-                np.take(table, cell, out=out, mode="clip")
-                stats.append(streams.centre(out, out))
-            return size, stats, int(np.count_nonzero(accept))
+            rng.random(out=u)
+            per_type = []
+            for reach, tables in cells:
+                # The indices are in range; mode="clip" lets take write
+                # straight into its out array, which the default mode would
+                # copy through a buffer.
+                np.take(reach, cell, out=out, mode="clip")  # 0 for types that never accept
+                np.less(u, out, out=accept)
+                cell += accept
+                stats = []
+                for table in tables:
+                    np.take(table, cell, out=out, mode="clip")
+                    stats.append(streams.centre(out, out))
+                cell -= accept  # back to the A type's first cell for the next B type
+                per_type.append((stats, int(np.count_nonzero(accept))))
+            return size, per_type
 
         return batch
 
-    moments = streams.Moments(4)  # u_a, u_b, sw, u_b planning view
-    accepted_total = 0
-    for size, stats, hits in streams.run_batches(samples, make_batch):
-        moments.merge(size, *zip(*stats))
-        accepted_total += hits
-    means = moments.means()
-    ci = Z99 * moments.standard_errors()
-    return SimulationResult(
-        samples=samples,
-        acceptance_rate=accepted_total / samples,
-        mean_u_a=float(means[0]),
-        mean_u_b=float(means[1]),
-        mean_sw=float(means[2]),
-        mean_u_b_planning=float(means[3]),
-        ci_u_a=float(ci[0]),
-        ci_u_b=float(ci[1]),
-        ci_sw=float(ci[2]),
-        ci_u_b_planning=float(ci[3]),
-    )
+    moments = [streams.Moments(4) for _ in cells]  # u_a, u_b, sw, u_b planning view
+    accepted = [0] * len(cells)
+    for size, per_type in streams.run_batches(samples, make_batch):
+        for j, (stats, hits) in enumerate(per_type):
+            moments[j].merge(size, *zip(*stats))
+            accepted[j] += hits
+    results = []
+    for m, hits in zip(moments, accepted):
+        means = m.means()
+        ci = Z99 * m.standard_errors()
+        results.append(
+            SimulationResult(
+                samples=samples,
+                acceptance_rate=hits / samples,
+                mean_u_a=float(means[0]),
+                mean_u_b=float(means[1]),
+                mean_sw=float(means[2]),
+                mean_u_b_planning=float(means[3]),
+                ci_u_a=float(ci[0]),
+                ci_u_b=float(ci[1]),
+                ci_sw=float(ci[2]),
+                ci_u_b_planning=float(ci[3]),
+            )
+        )
+    return results
 
 
 @dataclass(frozen=True)

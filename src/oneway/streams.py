@@ -8,6 +8,14 @@ their results in batch order. Each batch reduces its columns to a count,
 sums and centred second moments (``centre``), and ``Moments.merge`` folds
 those in batch order, so results are bit-identical for a fixed seed on any
 number of cores.
+
+A batch's draws depend only on ``(seed, index)``, so one batch can draw its
+columns once and run several simulations on them, each folding its own
+``Moments``. ``make_batch`` builds the buffers one thread owns for all its
+batches: ``analytics.mc_single_offer`` keeps three float columns and a mask
+(one more column for the uniforms with a second scenario, and one for the
+coin too in aggregate mode); ``multi_offer.simulate_schedule`` keeps two
+float columns and a mask, plus the ``searchsorted`` index of each batch.
 """
 
 from __future__ import annotations

@@ -222,7 +222,7 @@ def test_aggregate_accounting_on_full_acceptance(g1):
 
 def test_mc_single_offer_aggregate_matches_curve():
     sc = ow.example1b_scenario(100.0)
-    res = ow.mc_single_offer(sc, samples=200_000, seed=11, accounting="aggregate")
+    (res,) = ow.mc_single_offer([sc], samples=200_000, seed=11, accounting="aggregate")
     assert res.accounting == "aggregate"
     assert abs(res.acceptance_rate - 0.5) < 0.005
     assert abs(res.mean_sw - 125.0) <= 5.0 * res.ci_sw
@@ -232,12 +232,12 @@ def test_mc_single_offer_aggregate_matches_curve():
 
 def test_mc_single_offer_exact_per_draw_bounds():
     sc = ow.example1b_scenario(100.0)
-    res = ow.mc_single_offer(sc, samples=100_000, seed=11, accounting="exact")
+    (res,) = ow.mc_single_offer([sc], samples=100_000, seed=11, accounting="exact")
     accept_bound, reject_bound = ow.accept_reject_poa(sc.gamma)
     assert res.max_poa <= max(accept_bound, reject_bound) + 1e-9
     assert res.mean_poa >= 1.0
     # same draws as the aggregate run, so acceptance rates nearly coincide
-    agg = ow.mc_single_offer(sc, samples=100_000, seed=11, accounting="aggregate")
+    (agg,) = ow.mc_single_offer([sc], samples=100_000, seed=11, accounting="aggregate")
     assert abs(res.acceptance_rate - agg.acceptance_rate) < 0.01
     # but welfare differs: exact accounting keeps the cheap sacrifices
     assert res.mean_sw > agg.mean_sw
@@ -245,21 +245,22 @@ def test_mc_single_offer_exact_per_draw_bounds():
 
 def test_mc_single_offer_deterministic():
     sc = ow.power_scenario(0.5)
-    a = ow.mc_single_offer(sc, samples=70_000, seed=2)
-    b = ow.mc_single_offer(sc, samples=70_000, seed=2)
+    a = ow.mc_single_offer([sc], samples=70_000, seed=2)
+    b = ow.mc_single_offer([sc], samples=70_000, seed=2)
     assert a == b
-    c = ow.mc_single_offer(sc, samples=70_000, seed=3)
-    assert c.mean_sw != a.mean_sw
+    c = ow.mc_single_offer([sc], samples=70_000, seed=3)
+    assert c[0].mean_sw != a[0].mean_sw
     with pytest.raises(ValueError):
-        ow.mc_single_offer(sc, samples=0, seed=1)
+        ow.mc_single_offer([sc], samples=0, seed=1)
     with pytest.raises(ValueError):
-        ow.mc_single_offer(sc, samples=10, seed=1, accounting="other")
+        ow.mc_single_offer([sc], samples=10, seed=1, accounting="other")
 
 
 def test_power_scenario_bound_holds_in_expectation():
-    for beta in (0.25, 0.5, 1.0):
-        sc = ow.power_scenario(beta)
-        res = ow.mc_single_offer(sc, samples=50_000, seed=7, accounting="exact")
+    betas = (0.25, 0.5, 1.0)
+    scenarios = [ow.power_scenario(beta) for beta in betas]
+    results = ow.mc_single_offer(scenarios, samples=50_000, seed=7, accounting="exact")
+    for beta, sc, res in zip(betas, scenarios, results):
         _, bound = ow.corollary_bound(beta)
         assert res.mean_poa <= bound
         accept_bound, reject_bound = ow.accept_reject_poa(sc.gamma)
@@ -280,7 +281,8 @@ def test_mc_ci_survives_large_payoff_offset(accounting):
             ow.ContinuousSpec.uniform(0.0, 1.0), delta_b=1.0, a_default=offset,
             b_outside=0.0, gamma=0.5,
         )
-        return ow.mc_single_offer(sc, samples=200_000, seed=5, accounting=accounting)
+        (res,) = ow.mc_single_offer([sc], samples=200_000, seed=5, accounting=accounting)
+        return res
 
     near, far = run(1.0), run(1e8)
     assert near.acceptance_rate == far.acceptance_rate

@@ -259,6 +259,37 @@ def test_poa_report_across_blocks_matches_the_row_oracle():
     _assert_matches_the_row_oracle(table)
 
 
+_COLUMN_CELLS = [
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    _INTS,
+    st.text(max_size=6),
+]
+
+
+@st.composite
+def _columns(draw):
+    """A column of floats only (Python's and numpy's), of strings only, or
+    of any mix of cell kinds; sometimes with a trailing empty cell, as the
+    closed-form peak row leaves in ``examples --which 2``."""
+    kinds = draw(st.sampled_from([_COLUMN_CELLS[:2], _COLUMN_CELLS[-1:], _COLUMN_CELLS]))
+    column = draw(st.lists(st.one_of(kinds), max_size=12))
+    return column + [""] if draw(st.booleans()) else column
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(column=_columns())
+@example(column=[0.1, np.float64(-0.0), math.nan, ""])
+@example(column=[np.float32(0.1), 0.1, np.bool_(True), 1])
+def test_format_column_matches_the_cell_oracle(column):
+    """Choosing the rule once per column gives the cells of the per-cell
+    rule."""
+    assert format_column(column) == [oracle.format_cell(v) for v in column]
+
+
 def test_write_report_rejects_ragged_columns():
     buf = io.StringIO()
     with pytest.raises(ValueError, match="differ in length"):

@@ -81,7 +81,7 @@ def test_expected_outcome_g1(g1):
 
 def test_simulate_schedule_matches_exact_values(g1):
     s = sched([0.3, 0.5], [1.0, 0.5])
-    sim = ow.simulate_schedule(g1, s, "u1", samples=60_000, seed=9)
+    (sim,) = ow.simulate_schedule(g1, s, ["u1"], samples=60_000, seed=9)
     exact = ow.expected_outcome(g1, s, "u1")
     assert abs(sim.acceptance_rate - exact.acceptance_prob) < 0.01
     assert abs(sim.mean_u_a - exact.expected_u_a) <= 5 * sim.ci_u_a
@@ -94,13 +94,13 @@ def test_simulate_schedule_matches_exact_values(g1):
 
 def test_simulate_schedule_deterministic(g1):
     s = sched([0.3, 0.5], [1.0, 0.5])
-    a = ow.simulate_schedule(g1, s, "u1", samples=70_000, seed=4)
-    b = ow.simulate_schedule(g1, s, "u1", samples=70_000, seed=4)
+    a = ow.simulate_schedule(g1, s, ["u1"], samples=70_000, seed=4)
+    b = ow.simulate_schedule(g1, s, ["u1"], samples=70_000, seed=4)
     assert a == b
-    c = ow.simulate_schedule(g1, s, "u1", samples=70_000, seed=5)
-    assert c.mean_sw != a.mean_sw
+    c = ow.simulate_schedule(g1, s, ["u1"], samples=70_000, seed=5)
+    assert c[0].mean_sw != a[0].mean_sw
     with pytest.raises(ValueError):
-        ow.simulate_schedule(g1, s, "u1", samples=0, seed=1)
+        ow.simulate_schedule(g1, s, ["u1"], samples=0, seed=1)
 
 
 def test_optimize_schedule_g1(g1):
@@ -200,7 +200,8 @@ def test_simulation_ci_survives_large_payoff_offset():
             zip(base.types_a, base.prior_a), zip(base.types_b, base.prior_b),
             base.payoff_a + offset, base.payoff_b,
         )
-        return ow.simulate_schedule(game, schedule, "u1", samples=200_000, seed=9)
+        (sim,) = ow.simulate_schedule(game, schedule, ["u1"], samples=200_000, seed=9)
+        return sim
 
     near, far = run(1.0), run(1e8)
     assert 0.0 < near.acceptance_rate == far.acceptance_rate < 1.0
