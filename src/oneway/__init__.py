@@ -6,107 +6,132 @@ equilibrium play and its price of anarchy, single-offer and scheduled
 multi-offer bargaining with their guarantees, and the bilateral-trade
 feasibility analysis that motivates one-sided mechanisms, plus the worked
 continuous examples in closed form and by simulation.
+
+Importing the package loads none of its modules, and so neither numpy nor
+scipy: each name below, and each of its modules, is imported on first use
+(PEP 562).
 """
 
-from .analytics import (
-    ContinuousSpec,
-    CurvePoint,
-    MCResult,
-    SingleOfferScenario,
-    acceptance_prob_example2,
-    example1b,
-    example1b_no_payment_poa,
-    example1b_scenario,
-    example2,
-    example2_poa_max,
-    mc_single_offer,
-    power_scenario,
-)
-from .bilateral import (
-    BilateralTradeInstance,
-    DirectMechanism,
-    FeasibilityResult,
-    OneWayMechanism,
-    PropertyReport,
-    RefinementRow,
-    SubsidyResult,
-    certificate_is_valid,
-    check_one_way_properties,
-    check_properties,
-    efficient_allocation,
-    feasibility_lp,
-    mechanism_to_one_way,
-    min_subsidy,
-    refinement_sweep,
-    to_one_way,
-    uniform_grid_instance,
-)
-from .equilibrium import (
-    NashOutcome,
-    PoAReport,
-    nash_outcome,
-    poa_metrics,
-    poa_report_rows,
-)
-from .game import (
-    OneWayGame,
-    StrategyProfile,
-    TypeProfile,
-    best_response_B,
-    make_game,
-    optimal_welfare,
-    social_welfare,
-    validate,
-)
-from .generate import random_game, random_suite
-from .io import (
-    InstanceFormatError,
-    config_hash,
-    game_to_dict,
-    input_hash,
-    load_bilateral,
-    load_game,
-    load_schedule_file,
-    save_game,
-    schedule_hash,
-)
-from .multi_offer import (
-    MultiOfferEvaluation,
-    Schedule,
-    ScheduleOptimum,
-    SimulationResult,
-    acceptance_step,
-    equivalence_gap,
-    expected_outcome,
-    expected_utility_B,
-    optimize_schedule,
-    reach_probs,
-    s_values,
-    schedule_errors,
-    simulate_schedule,
-)
-from .single_offer import (
-    Offer,
-    OfferEvaluation,
-    OfferSearchResult,
-    OutsideOption,
-    SimplifiedReport,
-    SingleOfferOutcome,
-    accept_reject_poa,
-    acceptance_prob,
-    bayes_poa_bound,
-    corollary_bound,
-    delta_a,
-    delta_b,
-    evaluate_offer,
-    gamma_candidates,
-    optimal_offer,
-    outside_option,
-    run_single_offer,
-    simplified_offer,
-    simplified_strategy_report,
-    theorem_bound,
-)
-from .streams import Z99
+import importlib
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "analytics": (
+        "ContinuousSpec",
+        "CurvePoint",
+        "MCResult",
+        "SingleOfferScenario",
+        "acceptance_prob_example2",
+        "example1b",
+        "example1b_no_payment_poa",
+        "example1b_scenario",
+        "example2",
+        "example2_poa_max",
+        "mc_single_offer",
+        "power_scenario",
+    ),
+    "bilateral": (
+        "BilateralTradeInstance",
+        "DirectMechanism",
+        "FeasibilityResult",
+        "OneWayMechanism",
+        "PropertyReport",
+        "RefinementRow",
+        "SubsidyResult",
+        "certificate_is_valid",
+        "check_one_way_properties",
+        "check_properties",
+        "efficient_allocation",
+        "feasibility_lp",
+        "mechanism_to_one_way",
+        "min_subsidy",
+        "refinement_sweep",
+        "to_one_way",
+        "uniform_grid_instance",
+    ),
+    "equilibrium": (
+        "NashOutcome",
+        "PoAReport",
+        "nash_outcome",
+        "poa_metrics",
+        "poa_report_rows",
+    ),
+    "game": (
+        "OneWayGame",
+        "StrategyProfile",
+        "TypeProfile",
+        "best_response_B",
+        "make_game",
+        "optimal_welfare",
+        "social_welfare",
+        "validate",
+    ),
+    "generate": ("random_game", "random_suite"),
+    "io": (
+        "InstanceFormatError",
+        "config_hash",
+        "game_to_dict",
+        "input_hash",
+        "load_bilateral",
+        "load_game",
+        "load_schedule_file",
+        "save_game",
+        "schedule_hash",
+    ),
+    "multi_offer": (
+        "MultiOfferEvaluation",
+        "Schedule",
+        "ScheduleOptimum",
+        "SimulationResult",
+        "acceptance_step",
+        "equivalence_gap",
+        "expected_outcome",
+        "expected_utility_B",
+        "optimize_schedule",
+        "reach_probs",
+        "s_values",
+        "schedule_errors",
+        "simulate_schedule",
+    ),
+    "single_offer": (
+        "Offer",
+        "OfferEvaluation",
+        "OfferSearchResult",
+        "OutsideOption",
+        "SimplifiedReport",
+        "SingleOfferOutcome",
+        "accept_reject_poa",
+        "acceptance_prob",
+        "bayes_poa_bound",
+        "corollary_bound",
+        "delta_a",
+        "delta_b",
+        "evaluate_offer",
+        "gamma_candidates",
+        "optimal_offer",
+        "outside_option",
+        "run_single_offer",
+        "simplified_offer",
+        "simplified_strategy_report",
+        "theorem_bound",
+    ),
+    "streams": ("Z99",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_EXPORTS, *_HOME]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -13,10 +13,20 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
-from . import analytics, bilateral, equilibrium, io, multi_offer, single_offer
-from .generate import random_game
+# A command's only parallel work runs on the package's own thread pools (the
+# Monte Carlo batches and the trade sweep). An OpenBLAS pool (numpy's, and
+# scipy's once an LP is solved) would add a thread per CPU that spins for no
+# work, so BLAS runs on one thread unless the user sets either variable. This
+# must precede the first numpy import, which is why ``import oneway`` loads
+# nothing eagerly.
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from . import analytics, bilateral, equilibrium, io, multi_offer, single_offer  # noqa: E402
+from .generate import random_game  # noqa: E402
 
 SEED_DEFAULT = 42
 TOL_DEFAULT = 1e-9

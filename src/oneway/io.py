@@ -15,10 +15,10 @@ from typing import IO, Any, Sequence
 
 import numpy as np
 
+from . import __version__ as TOOL_VERSION
 from .game import OneWayGame, validate
 
 FORMAT_VERSION = 1
-TOOL_VERSION = "0.1.0"
 _BLOCK_ROWS = 4096  # rows formatted at a time, bounding what a report holds as text
 
 
