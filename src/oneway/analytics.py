@@ -91,9 +91,6 @@ class ContinuousSpec:
             out *= self.high
         return out[()] if out.ndim == 0 else out
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.ppf(rng.uniform(size=size))
-
 
 # ---------------------------------------------------------------------------
 # Worked example: A defaults to a payoff of 100; the cooperative action costs

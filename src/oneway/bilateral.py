@@ -15,10 +15,11 @@ companion LP reports the smallest pointwise subsidy that restores feasibility.
 
 Both LPs call the module-level ``linprog``, which imports
 ``scipy.optimize.linprog`` on its first call and forwards to it unchanged.
-Importing this module (and the package, and its command line) therefore
-does not load scipy; only solving a trade LP does. The solvers look the
-name up as a module global on every call, so code that rebinds
-``bilateral.linprog`` (a tracer, a test double) sees every solve.
+Importing this module (or the package) therefore does not load scipy; only
+solving a trade LP does. The command line runs this module only in
+``ms-check``, which solves them. The solvers look the name up as a module
+global on every call, so code that rebinds ``bilateral.linprog`` (a tracer,
+a test double) sees every solve.
 
 The same trade problem embeds into a one-way game (the seller's payoff does
 not depend on the buyer's single dummy action). There is one property audit,

@@ -11,6 +11,7 @@ success, 1 when an input fails validation or a computation cannot proceed,
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -25,8 +26,39 @@ import sys
 if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from . import analytics, bilateral, equilibrium, io, multi_offer, single_offer  # noqa: E402
-from .generate import random_game  # noqa: E402
+
+def _lazy(name: str):
+    """The package's module ``name``, registered in ``sys.modules`` at once
+    but compiled and run only when one of its attributes is first read (the
+    ``importlib.util.LazyLoader`` recipe). A module that is already imported
+    is returned as it is.
+
+    On Python 3.10 and 3.11 a lazy module is not safe to load from two
+    threads at once, so every first touch stays on the main thread: each
+    handler reads its module's function before that function starts a pool,
+    and a module's own ``from .x import y`` lines load ``x`` while it loads.
+    """
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# Every subcommand writes a report, so ``io`` (and through it ``game`` and
+# numpy) loads now. Each other module runs only in the subcommands that read
+# it. No handler reads ``streams``; it is registered so that every module a
+# tracer wraps is in ``sys.modules`` once this module is imported.
+from . import io  # noqa: E402
+
+analytics, bilateral, equilibrium, generate, multi_offer, single_offer = map(
+    _lazy, ("analytics", "bilateral", "equilibrium", "generate", "multi_offer", "single_offer")
+)
+_lazy("streams")
 
 SEED_DEFAULT = 42
 TOL_DEFAULT = 1e-9
@@ -383,7 +415,7 @@ def cmd_examples(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    game = random_game(
+    game = generate.random_game(
         seed=args.seed,
         n_actions_a=args.actions_a,
         n_actions_b=args.actions_b,

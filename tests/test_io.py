@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -330,6 +331,14 @@ def test_write_report_layout():
     assert lines[7] == "s,true"
     # no instance, no input digest line
     assert len(lines) == 8
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # older setuptools call [tool.setuptools] beta
+def test_package_metadata_reads_the_one_version_string():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = pyprojecttoml.read_configuration(str(path))["project"]
+    assert project["version"] == ow.__version__ == oneway.io.TOOL_VERSION
 
 
 def test_write_report_input_digest_follows_config_hash(g1):
