@@ -249,17 +249,23 @@ def mc_single_offer(
     draw, so exact mode skips it and still samples the same sacrifices:
     switching accounting never reshuffles them. A batch draws its uniforms
     once for all the scenarios of a call and runs the scenarios on them in
-    turn; each scenario folds its own moments in batch order, so its result
-    is the same whether it is simulated alone or with others.
+    turn; each scenario folds its own statistics in batch order, so its
+    result is the same whether it is simulated alone or with others.
+
+    u_a, u_b and welfare are constant on declined draws and fall one for one
+    with the sacrifice on accepted ones, so a batch keeps for them only the
+    accepted count and the accepted sacrifices' mean and centred second
+    moment; the three payoffs' moments follow from those by the two-group
+    merge (``_MCTerms.result``). Per-draw PoA is a ratio and keeps its own
+    column, centred per batch.
 
     Batches run on ``os.cpu_count()`` threads (``streams.run_batches``).
-    Each thread owns three float columns and a mask of one batch each: the
+    Each thread owns two float columns and a mask of one batch each: the
     uniforms, then the sacrifice, then the per-draw PoA; the coin (aggregate
-    mode), then u_a's bits before the select, then u_b and welfare; u_a,
-    then u_b; the accept flags. With a second scenario the uniforms, and in
-    aggregate mode the coin, outlive each scenario, so the thread keeps them
-    in a column each of their own. A column is centred in place once nothing
-    else reads it.
+    mode), then the masked sacrifices and their deviations, then PoA's
+    denominator; the accept flags. With a second scenario the uniforms, and
+    in aggregate mode the coin, outlive each scenario, so the thread keeps
+    them in a column each of their own.
 
     Per-draw PoA compares against the draw's own optimum; poa_vs_ex_ante
     divides the aggregate optimum by mean welfare instead, which is what the
@@ -276,7 +282,7 @@ def mc_single_offer(
 
     def make_batch():
         n = min(samples, streams.BATCH_SIZE)
-        delta_buf, x_buf, u_buf = np.empty((3, n))
+        delta_buf, x_buf = np.empty((2, n))
         accept_buf = np.empty(n, dtype=bool)
         # Columns read by every scenario get their own buffer only when a
         # second scenario reads them after the first has reused its columns.
@@ -284,7 +290,7 @@ def mc_single_offer(
         coin_buf = np.empty(n) if fused and accounting == "aggregate" else x_buf
 
         def batch(index: int, size: int):
-            delta, x, u, accept = delta_buf[:size], x_buf[:size], u_buf[:size], accept_buf[:size]
+            delta, x, accept = delta_buf[:size], x_buf[:size], accept_buf[:size]
             q, coin = q_buf[:size], coin_buf[:size]
             rng = streams.stream(seed, index)
             rng.random(out=q)
@@ -297,63 +303,36 @@ def mc_single_offer(
                     np.less_equal(delta, t.thr, out=accept)
                 else:
                     np.less(coin, t.p_model, out=accept)
-                # u_a is (a_default - delta) + transfer where A accepts and
-                # a_default where she declines; u_b is ub_deal or b_outside.
-                # Both are selected on the bits (``_select``), u_b twice:
-                # first to be added into welfare, then to be centred. Sums
-                # keep the order written here, (base - delta) + delta_b too,
-                # as each rounding step shows in the reported means.
-                flip = x.view(np.int64)
-                np.add(np.subtract(t.a_default, delta, out=x), t.transfer, out=x)
-                np.bitwise_xor(flip, t.ua_bits, out=flip)
-                ua = _select(accept, flip, t.ua_bits, out=u)
-                sw = _select(accept, t.ub_flip, t.ub_bits, out=x)
-                np.add(ua, sw, out=sw)
-                stats_ua = streams.centre(ua, ua)
-                ub = _select(accept, t.ub_flip, t.ub_bits, out=u)
-                stats_ub = streams.centre(ub, ub)
-                poa = delta
-                np.add(np.subtract(t.base, delta, out=poa), t.delta_b, out=poa)
-                np.maximum(poa, t.base, out=poa)
-                np.divide(poa, sw, out=poa)
+                # The accepted sacrifices' mean and centred second moment,
+                # reduced over the whole column with the declined draws
+                # multiplied to zero: a masked reduction is far slower.
+                hits = int(np.count_nonzero(accept))
+                mean = np.sum(np.multiply(delta, accept, out=x)) / hits if hits else 0.0
+                np.multiply(np.subtract(delta, mean, out=x), accept, out=x)
+                m2 = np.sum(np.square(x, out=x))
+                # PoA = max(base, base + e) / (base + e * accepted), with
+                # e = delta_b - delta the trade's welfare gain.
+                e = np.subtract(t.delta_b, delta, out=delta)
+                np.add(np.multiply(e, accept, out=x), t.base, out=x)
+                poa = np.maximum(np.add(e, t.base, out=e), t.base, out=e)
+                np.divide(poa, x, out=poa)
                 top = float(np.max(poa))
-                stats = (stats_ua, stats_ub, streams.centre(sw, sw), streams.centre(poa, poa))
-                per_scenario.append((stats, int(np.count_nonzero(accept)), top))
+                per_scenario.append((hits, mean, m2, *streams.centre(poa, poa), top))
             return size, per_scenario
 
         return batch
 
-    moments = [streams.Moments(4) for _ in terms]  # u_a, u_b, sw, poa
+    sacrifices = [streams.Moments(1) for _ in terms]  # of the accepted draws
+    poas = [streams.Moments(1) for _ in terms]
     max_poa = [0.0] * len(terms)
-    accepted = [0] * len(terms)
     for size, per_scenario in streams.run_batches(samples, make_batch):
-        for j, (stats, hits, top) in enumerate(per_scenario):
-            moments[j].merge(size, *zip(*stats))
-            accepted[j] += hits
+        for j, (hits, mean, m2, poa_mean, poa_m2, top) in enumerate(per_scenario):
+            sacrifices[j].merge(hits, [mean], [m2])
+            poas[j].merge(size, [poa_mean], [poa_m2])
             max_poa[j] = max(max_poa[j], top)
     return [
-        t.result(samples, accounting, m, hits, top) for t, m, hits, top in zip(terms, moments, accepted, max_poa)
+        t.result(samples, accounting, acc, poa, top) for t, acc, poa, top in zip(terms, sacrifices, poas, max_poa)
     ]
-
-
-def _select(accept: np.ndarray, flip, off, out: np.ndarray) -> np.ndarray:
-    """Write to ``out`` the float64 whose bits are ``off ^ flip`` where
-    ``accept`` holds and ``off`` where it does not. ``flip`` and ``off`` are
-    int64 bits, a column or a scalar each, and neither shares ``out``'s
-    memory.
-
-    The select is branch-free, ``off ^ (flip & mask)`` with a mask of all
-    ones where ``accept`` holds, and exact on every bit pattern (signed
-    zeros, NaN payloads, subnormals). It is several times faster than a
-    masked ``np.copyto``, whose branches follow a random mask, and faster
-    than a ``take`` from a two-entry table, which first converts the mask
-    to a new index column.
-    """
-    bits = out.view(np.int64)
-    np.negative(accept.view(np.int8), out=bits)  # -1 (all ones) where accepted
-    np.bitwise_and(bits, flip, out=bits)
-    np.bitwise_xor(bits, off, out=bits)
-    return out
 
 
 class _MCTerms:
@@ -366,28 +345,49 @@ class _MCTerms:
         self.thr = self.transfer = scenario.gamma * scenario.delta_b
         self.p_model = self.spec.cdf(self.thr)
         self.a_default = scenario.a_default
-        self.ua_bits = np.float64(scenario.a_default).view(np.int64)  # A's payoff if she declines
+        self.b_outside = scenario.b_outside
         self.base = scenario.a_default + scenario.b_outside
-        ub_deal = scenario.b_outside + scenario.delta_b - self.transfer
-        self.ub_bits = np.float64(scenario.b_outside).view(np.int64)  # B's payoff if A declines
-        self.ub_flip = np.float64(ub_deal).view(np.int64) ^ self.ub_bits  # its bits that change if she accepts
 
-    def result(self, samples: int, accounting: str, moments: streams.Moments, accepted: int, max_poa: float):
-        means = moments.means()
-        ci = Z99 * moments.standard_errors()
+    def result(
+        self, samples: int, accounting: str, accepted: streams.Moments, poa: streams.Moments, max_poa: float
+    ) -> MCResult:
+        """The result from the accepted sacrifices' moments and PoA's.
+
+        Each payoff takes one value on the declined draws and that value
+        plus a gap on the accepted ones, less the sacrifice's deviation from
+        its accepted mean where the payoff moves with the sacrifice. Merging
+        the two groups gives its mean, the declined value plus the accepted
+        share of the gap, and its centred second moment, the accepted
+        group's plus gap^2 k (n - k) / n. The gaps T - mu, delta_b - T and
+        delta_b - mu carry no payoff offset, so none cancels at large
+        payoffs.
+        """
+        n, k = samples, accepted.count
+        share, spread = k / n, k * (n - k) / n
+        mu, m2 = float(accepted.means()[0]), float(accepted.m2[0])
+        t = self.transfer
+
+        def merged(declined: float, gap: float, within: float) -> tuple[float, float]:
+            # gap * (gap * spread), not gap**2 * spread: when every draw
+            # lands in one group the spread is 0 even if gap**2 overflows.
+            return declined + share * gap, Z99 * math.sqrt(within + gap * (gap * spread)) / n
+
+        mean_u_a, ci_u_a = merged(self.a_default, t - mu, m2)
+        mean_u_b, ci_u_b = merged(self.b_outside, self.delta_b - t, 0.0)
+        mean_sw, ci_sw = merged(self.base, self.delta_b - mu, m2)
         ex_ante_opt = max(self.base, self.base - self.spec.mean() + self.delta_b)
         return MCResult(
             samples=samples,
             accounting=accounting,
-            acceptance_rate=accepted / samples,
-            mean_u_a=float(means[0]),
-            mean_u_b=float(means[1]),
-            mean_sw=float(means[2]),
-            mean_poa=float(means[3]),
+            acceptance_rate=k / samples,
+            mean_u_a=mean_u_a,
+            mean_u_b=mean_u_b,
+            mean_sw=mean_sw,
+            mean_poa=float(poa.means()[0]),
             max_poa=max_poa,
-            ci_u_a=float(ci[0]),
-            ci_u_b=float(ci[1]),
-            ci_sw=float(ci[2]),
-            ci_poa=float(ci[3]),
-            poa_vs_ex_ante=ex_ante_opt / float(means[2]),
+            ci_u_a=ci_u_a,
+            ci_u_b=ci_u_b,
+            ci_sw=ci_sw,
+            ci_poa=float(Z99 * poa.standard_errors()[0]),
+            poa_vs_ex_ante=ex_ante_opt / mean_sw,
         )

@@ -195,10 +195,13 @@ def simulate_schedule(
 
     A draw's payoffs depend only on its A type and whether it accepts, so
     they are read off tables with two cells per type (index 2 * type +
-    accepted). Batches run on ``os.cpu_count()`` threads
-    (``streams.run_batches``); each thread owns one uniform column (A's
-    type, then the coin), one output column that the tables take turns to
-    fill, a mask, and for the length of a batch the cell index that
+    accepted), and a batch returns per B type only how many draws landed in
+    each cell. The int64 counts are summed over batches, so the totals do
+    not depend on batch order, and the four tables' means and centred
+    second moments are computed once from them at the end. Batches run on
+    ``os.cpu_count()`` threads (``streams.run_batches``); each thread owns
+    one uniform column (A's type, then the coin), one float column for each
+    draw's reach, a mask, and for the length of a batch the cell index that
     ``searchsorted`` returns, which every B type reads.
     """
     if isinstance(types_b, str):
@@ -207,14 +210,15 @@ def simulate_schedule(
         raise ValueError("samples must be positive")
     n_types = len(game.types_a)
     cdf = np.cumsum(game.prior_a)
-    cells = []  # per B type: its reach and its four payoff tables, two cells per A type
+    reaches, tables = [], []  # per B type: its reach and its four payoff tables, two cells per A type
     for type_b in types_b:
         terms, _, reach, transfer = _settled(game, schedule, type_b)
         pb_deal = terms.ub_accept - transfer
         pa_cell = np.column_stack((game.selfish_payoff_a, game.payoff_a[:, terms.ia] + transfer)).ravel()
         pb_cell = np.column_stack((terms.ub_reject, pb_deal)).ravel()
         plan_cell = np.column_stack((np.full(n_types, terms.outside.payoff), pb_deal)).ravel()
-        cells.append((np.repeat(reach, 2), (pa_cell, pb_cell, pa_cell + pb_cell, plan_cell)))
+        reaches.append(np.repeat(reach, 2))
+        tables.append(np.stack((pa_cell, pb_cell, pa_cell + pb_cell, plan_cell)))
 
     def make_batch():
         n = min(samples, streams.BATCH_SIZE)
@@ -229,38 +233,35 @@ def simulate_schedule(
             np.clip(cell, 0, n_types - 1, out=cell)
             cell *= 2
             rng.random(out=u)
-            per_type = []
-            for reach, tables in cells:
+            counts = []
+            for reach in reaches:
                 # The indices are in range; mode="clip" lets take write
                 # straight into its out array, which the default mode would
                 # copy through a buffer.
                 np.take(reach, cell, out=out, mode="clip")  # 0 for types that never accept
                 np.less(u, out, out=accept)
                 cell += accept
-                stats = []
-                for table in tables:
-                    np.take(table, cell, out=out, mode="clip")
-                    stats.append(streams.centre(out, out))
+                counts.append(np.bincount(cell, minlength=2 * n_types))
                 cell -= accept  # back to the A type's first cell for the next B type
-                per_type.append((stats, int(np.count_nonzero(accept))))
-            return size, per_type
+            return counts
 
         return batch
 
-    moments = [streams.Moments(4) for _ in cells]  # u_a, u_b, sw, u_b planning view
-    accepted = [0] * len(cells)
-    for size, per_type in streams.run_batches(samples, make_batch):
-        for j, (stats, hits) in enumerate(per_type):
-            moments[j].merge(size, *zip(*stats))
-            accepted[j] += hits
+    counts = [np.zeros(2 * n_types, dtype=np.int64) for _ in types_b]
+    for per_type in streams.run_batches(samples, make_batch):
+        for total, c in zip(counts, per_type):
+            total += c
     results = []
-    for m, hits in zip(moments, accepted):
-        means = m.means()
-        ci = Z99 * m.standard_errors()
+    for c, table in zip(counts, tables):
+        # u_a, u_b, welfare and B's planning view, each a weighted sum over
+        # the cells and a centred second moment around it.
+        means = np.sum(c / samples * table, axis=1)
+        m2 = np.sum(c * np.square(table - means[:, None]), axis=1)
+        ci = Z99 * np.sqrt(m2 / samples / samples)
         results.append(
             SimulationResult(
                 samples=samples,
-                acceptance_rate=hits / samples,
+                acceptance_rate=int(np.sum(c[1::2])) / samples,
                 mean_u_a=float(means[0]),
                 mean_u_b=float(means[1]),
                 mean_sw=float(means[2]),

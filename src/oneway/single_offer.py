@@ -239,7 +239,14 @@ def _shares(terms: _Terms) -> np.ndarray:
     """Candidate shares, ascending: 0 plus every type's break-even share in
     [0, 1]. Only meaningful for a positive gain."""
     g = _minimal_shares(terms.sacrifice, terms.gain)
-    return np.unique(np.concatenate(([0.0], g[g <= 1.0])))
+    # np.unique's own rule for floats, sort then drop each value equal to its
+    # predecessor, without its check for masked arrays, which imports numpy.ma.
+    shares = np.concatenate(([0.0], g[g <= 1.0]))
+    shares.sort()
+    first = np.empty(shares.size, dtype=bool)
+    first[0] = True
+    np.not_equal(shares[1:], shares[:-1], out=first[1:])
+    return shares[first]
 
 
 def _acceptance_mass(game: OneWayGame, terms: _Terms, shares: np.ndarray) -> np.ndarray:

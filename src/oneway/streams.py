@@ -4,15 +4,16 @@ Every stochastic routine in the package draws from a counter-based generator
 (Philox) keyed by ``(master seed, stream index)``. Distinct indices give
 independent streams, so the batches of a Monte Carlo run need no shared
 state: ``run_batches`` runs them on ``os.cpu_count()`` threads and returns
-their results in batch order. Each batch reduces its columns to a count,
-sums and centred second moments (``centre``), and ``Moments.merge`` folds
-those in batch order, so results are bit-identical for a fixed seed on any
-number of cores.
+their results in batch order. Each batch reduces what it drew to sufficient
+statistics: a count, means and centred second moments (``centre``), which
+``Moments.merge`` folds in batch order, or integer cell counts, whose sum
+does not depend on the order at all. Results are therefore bit-identical
+for a fixed seed on any number of cores.
 
 A batch's draws depend only on ``(seed, index)``, so one batch can draw its
 columns once and run several simulations on them, each folding its own
-``Moments``. ``make_batch`` builds the buffers one thread owns for all its
-batches: ``analytics.mc_single_offer`` keeps three float columns and a mask
+statistics. ``make_batch`` builds the buffers one thread owns for all its
+batches: ``analytics.mc_single_offer`` keeps two float columns and a mask
 (one more column for the uniforms with a second scenario, and one for the
 coin too in aggregate mode); ``multi_offer.simulate_schedule`` keeps two
 float columns and a mask, plus the ``searchsorted`` index of each batch.
@@ -87,29 +88,31 @@ def run_batches(total: int, make_batch: Callable[[], Callable[[int, int], T]]) -
 
 
 def centre(column: np.ndarray, out: np.ndarray) -> tuple[float, float]:
-    """Sum of ``column`` and the sum of its squared deviations from its own
+    """Mean of ``column`` and the sum of its squared deviations from that
     mean. The squared deviations are written to ``out``, which may be
     ``column`` itself once nothing else reads it."""
-    total = np.sum(column)
-    np.square(np.subtract(column, total / column.size, out=out), out=out)
-    return total, np.sum(out)
+    mean = np.sum(column) / column.size
+    np.square(np.subtract(column, mean, out=out), out=out)
+    return mean, np.sum(out)
 
 
 class Moments:
-    """Count, sums and centred second moments of several columns, folded in
+    """Count, means and centred second moments of several columns, folded in
     one batch at a time.
 
     Each batch is centred on its own mean (``centre``) and merged with the
     update of Chan, Golub & LeVeque (1979). Raw sums of squares would cancel
     catastrophically once the values sit far from zero (at a payoff offset
     of 1e8 they report a zero-width interval); centred moments do not. The
+    fold keeps means rather than sums, so it stays finite wherever the
+    values do: n times a mean near the largest float would overflow. The
     update is not associative in floating point, so batches are merged in
     batch order whichever thread computed them.
     """
 
     def __init__(self, columns: int) -> None:
         self.count = 0
-        self.sums = np.zeros(columns)
+        self.mean = np.zeros(columns)
         self.m2 = np.zeros(columns)
 
     def add(self, *columns: np.ndarray) -> None:
@@ -117,20 +120,23 @@ class Moments:
         scratch = np.empty(columns[0].size)
         self.merge(columns[0].size, *zip(*(centre(c, scratch) for c in columns)))
 
-    def merge(self, size: int, sums: Sequence[float], m2: Sequence[float]) -> None:
+    def merge(self, size: int, means: Sequence[float], m2: Sequence[float]) -> None:
         """Fold in one batch of ``size`` values per column, given as the
-        per-column sums and centred second moments from ``centre``."""
-        sums = np.array(sums, dtype=np.float64)
+        per-column means and centred second moments from ``centre``. An
+        empty batch changes nothing."""
+        if not size:
+            return
         m2 = np.array(m2, dtype=np.float64)
+        total = self.count + size
+        delta = np.array(means, dtype=np.float64) - self.mean
         if self.count:
-            delta = sums / size - self.sums / self.count
-            m2 += delta * delta * (self.count * size / (self.count + size))
-        self.count += size
-        self.sums += sums
+            m2 += delta * delta * (self.count * size / total)
+        self.count = total
+        self.mean += delta * (size / total)
         self.m2 += m2
 
     def means(self) -> np.ndarray:
-        return self.sums / self.count
+        return self.mean.copy()
 
     def standard_errors(self) -> np.ndarray:
         """Standard errors of the column means (population variance)."""

@@ -1,13 +1,19 @@
-"""Replaced Monte Carlo batch loops, kept verbatim as test-only oracles.
+"""Replaced Monte Carlo batch loops, kept as test-only per-draw oracles.
 
 ``mc_single_offer`` and ``simulate_schedule`` as they stood before the
 batches were written into reused buffers: every batch draws both uniforms
-with ``rng.uniform(size=...)`` and builds its columns from fresh
-temporaries. ``Moments`` is the moment fold of the same version, which
-allocated its centring scratch on every ``add``, and ``ppf`` is the
-inverse CDF of the same version, out of place. Only the ``ppf`` call differs
-from the original (``ppf(spec, q)`` for ``spec.ppf(q)``). The result types,
-the streams and the schedule terms come from the package.
+with ``rng.uniform(size=...)`` and builds every payoff as a per-draw column
+from fresh temporaries. ``Moments`` is the moment fold of the same version,
+which kept sums and allocated its centring scratch on every ``add``, and
+``ppf`` is the inverse CDF of the same version, out of place. Two changes
+from the original: ``ppf(spec, q)`` for ``spec.ppf(q)``, and the single-offer
+batch body moved into ``single_offer_columns``, which also serves the per-draw
+columns to property tests. The result types, the streams and the schedule
+terms come from the package.
+
+The package now reduces each batch to sufficient statistics, so its fields
+agree with these to a few ulps of the payoff scale rather than bit for bit;
+the acceptance counts, which come from the same draws, agree exactly.
 """
 
 from __future__ import annotations
@@ -64,29 +70,11 @@ def mc_single_offer(
     if samples <= 0:
         raise ValueError("samples must be positive")
     spec = scenario.delta_a_spec
-    thr = scenario.gamma * scenario.delta_b
-    p_model = spec.cdf(thr)
     base = scenario.a_default + scenario.b_outside
-    transfer = scenario.gamma * scenario.delta_b
     moments = Moments(4)  # u_a, u_b, sw, poa
     max_poa = 0.0
     accepted = 0
-    for index, size in enumerate(streams.batch_sizes(samples)):
-        rng = streams.stream(seed, index)
-        u_delta = rng.uniform(size=size)
-        u_coin = rng.uniform(size=size)
-        delta = np.atleast_1d(ppf(spec, u_delta))
-        if accounting == "exact":
-            accept = delta <= thr
-        else:
-            accept = u_coin < p_model
-        ua = np.where(accept, scenario.a_default - delta + transfer, scenario.a_default)
-        ub = np.where(
-            accept, scenario.b_outside + scenario.delta_b - transfer, scenario.b_outside
-        )
-        sw = ua + ub
-        opt = np.maximum(base, base - delta + scenario.delta_b)
-        poa = opt / sw
+    for accept, ua, ub, sw, poa in single_offer_columns(scenario, samples, seed, accounting):
         accepted += int(np.count_nonzero(accept))
         max_poa = max(max_poa, float(np.max(poa)))
         moments.add(ua, ub, sw, poa)
@@ -108,6 +96,32 @@ def mc_single_offer(
         ci_poa=float(ci[3]),
         poa_vs_ex_ante=ex_ante_opt / float(means[2]),
     )
+
+
+def single_offer_columns(scenario: SingleOfferScenario, samples: int, seed: int, accounting: str = "exact"):
+    """Per batch: the accept flags and the u_a, u_b, welfare and PoA columns."""
+    spec = scenario.delta_a_spec
+    thr = scenario.gamma * scenario.delta_b
+    p_model = spec.cdf(thr)
+    base = scenario.a_default + scenario.b_outside
+    transfer = scenario.gamma * scenario.delta_b
+    for index, size in enumerate(streams.batch_sizes(samples)):
+        rng = streams.stream(seed, index)
+        u_delta = rng.uniform(size=size)
+        u_coin = rng.uniform(size=size)
+        delta = np.atleast_1d(ppf(spec, u_delta))
+        if accounting == "exact":
+            accept = delta <= thr
+        else:
+            accept = u_coin < p_model
+        ua = np.where(accept, scenario.a_default - delta + transfer, scenario.a_default)
+        ub = np.where(
+            accept, scenario.b_outside + scenario.delta_b - transfer, scenario.b_outside
+        )
+        sw = ua + ub
+        opt = np.maximum(base, base - delta + scenario.delta_b)
+        poa = opt / sw
+        yield accept, ua, ub, sw, poa
 
 
 def simulate_schedule(

@@ -293,6 +293,21 @@ def test_mc_ci_survives_large_payoff_offset(accounting):
         assert getattr(far, field) == pytest.approx(getattr(near, field), rel=1e-6), field
 
 
+@pytest.mark.parametrize("samples", [10, 200_001])
+@pytest.mark.parametrize("accounting", ["exact", "aggregate"])
+def test_mc_means_survive_payoffs_near_the_largest_float(accounting, samples):
+    # At x = 1e308 every draw's welfare is finite but ten of them sum to
+    # inf; means folded as means stay finite, and so PoA stays at least 1.
+    sc = ow.example1b_scenario(1e308)
+    with np.errstate(over="raise"):
+        (res,) = ow.mc_single_offer([sc], samples=samples, seed=1, accounting=accounting)
+    assert res.acceptance_rate == 1.0
+    for field in ("mean_u_a", "mean_u_b", "mean_sw", "mean_poa", "ci_sw"):
+        assert math.isfinite(getattr(res, field)), field
+    assert res.mean_sw > 1e307
+    assert res.poa_vs_ex_ante >= 1.0 and res.mean_poa >= 1.0
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
 @pytest.mark.parametrize(
     "fn,name",

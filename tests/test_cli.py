@@ -182,7 +182,7 @@ def test_single_offer_type_filter(capsys, instance):
 def test_unknown_type_b_exits_one(capsys, instance):
     code, out, err = _run(capsys, ["single-offer", instance, "--type-b", "zz"])
     assert code == 1
-    assert err.startswith("error:")
+    assert err == "error: unknown B type 'zz'\n"
 
 
 def test_multi_offer_needs_a_mode(capsys, instance):
@@ -236,7 +236,7 @@ def test_multi_offer_unknown_schedule_action(capsys, instance, workdir):
     )
     code, out, err = _run(capsys, ["multi-offer", instance, "--schedule", str(path)])
     assert code == 1
-    assert err.startswith("error:")
+    assert err == "error: unknown A action 'zzz'\n"
 
 
 def test_ms_check_instance(capsys, trade_file):

@@ -144,6 +144,30 @@ def test_subcommand_runs_only_the_modules_it_uses(inputs, argv, extra):
     )
 
 
+# The offer searches: they sort their candidate shares without np.unique,
+# whose check for masked arrays imports numpy.ma (about 15 ms).
+OFFER_SEARCHES = [
+    ["single-offer", "{d}/small.json"],
+    ["single-offer", "{d}/small.json", "--offer-strategy", "simplified"],
+    ["multi-offer", "{d}/small.json", "--optimize"],
+]
+
+
+@pytest.mark.parametrize("argv", OFFER_SEARCHES, ids=[" ".join(a).replace("{d}/", "") for a in OFFER_SEARCHES])
+def test_offer_search_leaves_numpy_ma_unloaded(inputs, argv):
+    _child(
+        """
+        import contextlib, io, sys
+        from oneway import cli
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(sys.argv[1:]) == 0, sys.argv[1:]
+        assert "numpy.ma" not in sys.modules
+        """,
+        *(a.format(d=inputs) for a in argv),
+    )
+
+
 EAGER = ("analytics", "bilateral", "equilibrium", "game", "generate", "io", "multi_offer", "single_offer", "streams")
 
 

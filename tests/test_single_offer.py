@@ -376,3 +376,25 @@ def test_corollary_bound_is_the_theorem_bound_at_the_tuned_share(beta):
     assert math.isclose(bound, ow.theorem_bound(gamma_star, gamma_star**beta), rel_tol=1e-12)
     grid = np.linspace(0.0, 1.0, 20_001)
     assert np.all(grid**beta * (1.0 - grid) <= gamma_star**beta * (1.0 - gamma_star))
+
+
+def test_shares_equal_np_unique_bit_for_bit():
+    """``_shares`` sorts and drops repeats itself; on every candidate set of
+    a suite it returns np.unique's array, signed zeros included."""
+    from oneway.single_offer import _minimal_shares, _shares, _terms
+
+    sets = repeats = 0
+    for game in ow.random_suite(50, 1):
+        for action in game.actions_a:
+            for tb in game.types_b:
+                terms = _terms(game, action, tb)
+                if terms.gain <= 0.0:
+                    continue
+                g = _minimal_shares(terms.sacrifice, terms.gain)
+                candidates = np.concatenate(([0.0], g[g <= 1.0]))
+                want = np.unique(candidates)
+                got = _shares(terms)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (action, tb)
+                sets += 1
+                repeats += want.size < candidates.size
+    assert sets > 100 and repeats > 0  # 331 sets, 166 with a repeated share

@@ -33,17 +33,18 @@ def test_batch_sizes():
 
 
 # Worst errors of ``Moments`` against the two-pass ``math.fsum`` reference,
-# measured over 3,400 random splits of up to 4 x 70,000 values: 6.1e-16 of
-# |mean| + standard error for the means, and 2.0e-9 relative for the
-# standard errors (offset 1e8; 3.4e-16 at offset 0). The tolerances sit a
-# few times above those. The measurement covers splits whose batches mostly
-# hold many values; 1,500 random splits of the shape drawn here (1 to 6
-# batches of 1 to 3,000 values) gave at most 1.5e-9 at offset 1e8. It does
-# not cover several one-value batches at offset 1e8, where the difference
-# of two batch means carries an ulp of 1e8 (about 1.5e-8) against a spread
-# of 1: ``batches=[1, 1, 1], seed=0`` reaches 1.03e-8 relative, above
-# SE_TOL, and ``seed=137`` 3.5e-8. The derandomized examples below never
-# draw such a split.
+# measured with the fold of means over 600 random splits of up to 4 x 70,000
+# values: 7.9e-16 of |mean| + standard error for the means (offset 0), and
+# 1.2e-10 relative for the standard errors (offset 1e8; 3.0e-16 at offset
+# 0). The fold of sums it replaced gave 6.1e-16 and 2.0e-9 over 3,400
+# splits. The tolerances sit a few times above those. The measurement
+# covers splits whose batches mostly hold many values; 1,500 random splits
+# of the shape drawn here (1 to 6 batches of 1 to 3,000 values) gave at
+# most 6.3e-10 at offset 1e8. It does not cover several one-value batches
+# at offset 1e8, where the difference of two batch means carries an ulp of
+# 1e8 (about 1.5e-8) against a spread of 1: ``batches=[1, 1, 1], seed=0``
+# reaches 1.03e-8 relative, above SE_TOL, and ``seed=137`` 3.5e-8. The
+# derandomized examples below never draw such a split.
 MEAN_TOL = 2e-15
 SE_TOL = 1e-8
 
@@ -124,7 +125,7 @@ def test_merge_of_batch_statistics_matches_add(offset, batches, seed):
         added.add(*columns)
         merged.merge(len(columns[0]), *zip(*(streams.centre(c, c) for c in [c.copy() for c in columns])))
     assert added.count == merged.count == sum(batches)
-    assert added.sums.tobytes() == merged.sums.tobytes()
+    assert added.mean.tobytes() == merged.mean.tobytes()
     assert added.m2.tobytes() == merged.m2.tobytes()
 
 
