@@ -19,15 +19,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "analytics": (
         "ContinuousSpec",
-        "CurvePoint",
         "MCResult",
         "SingleOfferScenario",
-        "acceptance_prob_example2",
-        "example1b",
-        "example1b_no_payment_poa",
         "example1b_scenario",
-        "example2",
-        "example2_poa_max",
         "mc_single_offer",
         "power_scenario",
     ),
@@ -49,6 +43,16 @@ _EXPORTS = {
         "refinement_sweep",
         "to_one_way",
         "uniform_grid_instance",
+    ),
+    "closed_form": (
+        "CurvePoint",
+        "acceptance_prob_example2",
+        "corollary_bound",
+        "example1b",
+        "example1b_no_payment_poa",
+        "example2",
+        "example2_poa_max",
+        "theorem_bound",
     ),
     "equilibrium": (
         "NashOutcome",
@@ -104,7 +108,6 @@ _EXPORTS = {
         "accept_reject_poa",
         "acceptance_prob",
         "bayes_poa_bound",
-        "corollary_bound",
         "delta_a",
         "delta_b",
         "evaluate_offer",
@@ -114,7 +117,6 @@ _EXPORTS = {
         "run_single_offer",
         "simplified_offer",
         "simplified_strategy_report",
-        "theorem_bound",
     ),
     "streams": ("Z99",),
 }

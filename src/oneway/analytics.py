@@ -1,11 +1,13 @@
-"""Closed-form worked examples, continuous-type scenarios and Monte Carlo.
+"""Continuous-type scenarios and their Monte Carlo simulator.
 
 The discrete engine in the other modules handles any finite game. The
 canonical illustrations, though, live in continuous type space: A's sacrifice
 for the cooperative action is drawn from a density, and the interesting
 quantities (equilibrium welfare, the optimal share, the price of anarchy
-curve) have closed forms. This module keeps those closed forms and a
-vectorized simulator that can sample a scenario directly.
+curve) have closed forms. Those live in ``closed_form``, which imports no
+numpy, so the commands that print only closed forms never load it; this
+module holds the scenarios as distributions and a vectorized simulator that
+samples them directly, and only ``--mc-samples`` runs it.
 
 Accounting note. The closed-form welfare curves book every accepting type's
 sacrifice at the population mean, i.e. acceptance is treated as independent
@@ -93,77 +95,6 @@ class ContinuousSpec:
 
 
 # ---------------------------------------------------------------------------
-# Worked example: A defaults to a payoff of 100; the cooperative action costs
-# her delta ~ U[0, 100] and raises B's payoff by x over an outside value of 0.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    param: float
-    threshold: float
-    expected_welfare: float
-    optimal_welfare: float
-    poa: float
-
-
-def _tuned_offer(stake: float, scale: float) -> CurvePoint:
-    """B's utility-maximizing single offer when A's sacrifice is uniform on
-    [0, scale] and B's stake is ``stake``: the threshold is stake/2, capped
-    at scale, and welfare books the mean sacrifice scale/2 against accepted
-    trades."""
-    c_star = stake / 2.0 if stake <= 2.0 * scale else scale
-    p = c_star / scale
-    sw = scale + p * (stake - scale / 2.0)
-    opt = max(scale, scale / 2.0 + stake)
-    return CurvePoint(param=stake, threshold=c_star, expected_welfare=sw, optimal_welfare=opt, poa=opt / sw)
-
-
-def example1b(x: float) -> CurvePoint:
-    """Welfare and PoA of the tuned single offer as B's stake x varies.
-
-    The offer maximizing B's utility sets the acceptance threshold at x/2
-    (capped at the largest possible sacrifice, 100). Welfare books the mean
-    sacrifice of 50 against accepted trades, matching the aggregate
-    accounting documented in the module docstring.
-    """
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"x must be finite and non-negative, got {x!r}")
-    return _tuned_offer(x, 100.0)
-
-
-def example1b_no_payment_poa(x: float) -> float:
-    """PoA with no bargaining at all: A plays her default, welfare is 100."""
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"x must be finite and non-negative, got {x!r}")
-    return max(100.0, 50.0 + x) / 100.0
-
-
-def example2(mu1: float) -> CurvePoint:
-    """Unit-scale variant: sacrifice ~ U[0, 1], B's stake is mu1."""
-    if not 0.0 <= mu1 < math.inf:
-        raise ValueError(f"mu1 must be finite and non-negative, got {mu1!r}")
-    return _tuned_offer(mu1, 1.0)
-
-
-def example2_poa_max() -> tuple[float, float]:
-    """Where the unit-scale PoA curve peaks, and its value, in closed form."""
-    mu_star = (math.sqrt(10.0) - 1.0) / 2.0
-    value = 4.0 * (3.0 + 2.0 * math.sqrt(10.0)) / 31.0
-    return mu_star, value
-
-
-def acceptance_prob_example2(c: float, n: int) -> float:
-    """Acceptance probability at threshold c with n-fold uniform competition;
-    tends to c as n grows."""
-    if not 0.0 <= c <= 1.0:
-        raise ValueError("c must lie in [0, 1]")
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    return (c * n - c**n) / (n - 1.0)
-
-
-# ---------------------------------------------------------------------------
 # Continuous single-offer scenarios and their simulator.
 # ---------------------------------------------------------------------------
 
@@ -193,7 +124,8 @@ class SingleOfferScenario:
 
 
 def example1b_scenario(x: float) -> SingleOfferScenario:
-    """The worked example above as a simulatable scenario (stake x)."""
+    """Worked example 1b (``closed_form.example1b``) as a simulatable
+    scenario (stake x)."""
     if not 0.0 <= x < math.inf:
         raise ValueError(f"x must be finite and non-negative, got {x!r}")
     gamma = 0.5 if x <= 200.0 else 100.0 / x

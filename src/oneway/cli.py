@@ -49,15 +49,20 @@ def _lazy(name: str):
     return module
 
 
-# Every subcommand writes a report, so ``io`` (and through it ``game`` and
-# numpy) loads now. Each other module runs only in the subcommands that read
-# it. No handler reads ``streams``; it is registered so that every module a
-# tracer wraps is in ``sys.modules`` once this module is imported.
+# Every subcommand writes a report, so ``io`` loads now; it imports no numpy.
+# Each other module runs only in the subcommands that read it, so numpy loads
+# with the first that needs arrays (``game``, through ``io.load_game``, in
+# every command that reads an instance). ``examples`` without
+# ``--mc-samples`` and ``sweep`` read only ``closed_form``, which imports the
+# standard library alone, and never load numpy. No handler reads ``game`` or
+# ``streams``; they are registered so that every module a tracer wraps is in
+# ``sys.modules`` once this module is imported.
 from . import io  # noqa: E402
 
-analytics, bilateral, equilibrium, generate, multi_offer, single_offer = map(
-    _lazy, ("analytics", "bilateral", "equilibrium", "generate", "multi_offer", "single_offer")
+analytics, bilateral, closed_form, equilibrium, generate, multi_offer, single_offer = map(
+    _lazy, ("analytics", "bilateral", "closed_form", "equilibrium", "generate", "multi_offer", "single_offer")
 )
+_lazy("game")
 _lazy("streams")
 
 SEED_DEFAULT = 42
@@ -171,7 +176,7 @@ def cmd_single_offer(args: argparse.Namespace) -> int:
         "expected_welfare": [ev.expected_sw for ev in evs],
         "null_offer": [res.null_offer for res in results],
         "poa_bound": [
-            single_offer.theorem_bound(res.offer.gamma, ev.acceptance_prob) if simplified else ""
+            closed_form.theorem_bound(res.offer.gamma, ev.acceptance_prob) if simplified else ""
             for res, ev in zip(results, evs)
         ],
     }
@@ -313,7 +318,7 @@ def _curve(name: str, params: list[float], point) -> dict[str, list]:
 
 def _bounds(betas: list[float]) -> dict[str, list]:
     """The power-law corollary's share and PoA bound at each beta."""
-    pairs = [single_offer.corollary_bound(beta) for beta in betas]
+    pairs = [closed_form.corollary_bound(beta) for beta in betas]
     return {
         "beta": betas,
         "gamma_star": [gamma for gamma, _ in pairs],
@@ -363,8 +368,8 @@ def cmd_examples(args: argparse.Namespace) -> int:
                 "which": "1b", "sweep": False, "x": xs[0],
                 "mc_samples": args.mc_samples, "seed": seed,
             }
-        table = _curve("x", xs, analytics.example1b)
-        table["no_payment_poa"] = [analytics.example1b_no_payment_poa(x) for x in xs]
+        table = _curve("x", xs, closed_form.example1b)
+        table["no_payment_poa"] = [closed_form.example1b_no_payment_poa(x) for x in xs]
         if args.mc_samples > 0:
             (mc,) = analytics.mc_single_offer(
                 [analytics.example1b_scenario(xs[0])], args.mc_samples, seed, "aggregate"
@@ -385,8 +390,8 @@ def cmd_examples(args: argparse.Namespace) -> int:
         else:
             mus = [1.0 if args.mu1 is None else args.mu1]
             config = {"which": "2", "sweep": False, "mu1": mus[0]}
-        table = _curve("mu1", mus, analytics.example2)
-        mu_star, poa_max = analytics.example2_poa_max()
+        table = _curve("mu1", mus, closed_form.example2)
+        mu_star, poa_max = closed_form.example2_poa_max()
         peak = {"mu1": "poa_max_closed_form", "threshold": mu_star, "poa": poa_max}
         for name, column in table.items():  # the closed-form peak as a last row
             column.append(peak.get(name, ""))

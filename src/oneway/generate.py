@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import streams
@@ -25,8 +27,8 @@ def _game_from_rng(
     ):
         if n < 1:
             raise ValueError(f"{name} must be at least 1")
-    if a_scale <= 0.0 or b_scale <= 0.0:
-        raise ValueError("scales must be positive")
+    if not (0.0 < a_scale < math.inf and 0.0 < b_scale < math.inf):
+        raise ValueError(f"scales must be finite and positive, got {a_scale!r} and {b_scale!r}")
     payoff_a = rng.uniform(0.0, a_scale, size=(n_types_a, n_actions_a))
     payoff_b = rng.uniform(0.0, b_scale, size=(n_types_b, n_actions_a, n_actions_b))
     return make_game(

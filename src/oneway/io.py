@@ -5,18 +5,25 @@ the offending field, and the expected shape. Report writers emit a comment
 header (version, subcommand, seed, config hash and, for commands that read
 an instance or a schedule, the hash of its content) followed by plain CSV;
 given the same configuration they produce byte-identical files.
+
+Every command writes a report, so ``oneway.cli`` imports this module at
+once; it imports neither numpy nor ``game`` at module level, so a command
+whose report holds only closed forms never loads numpy. ``load_game`` and
+``input_hash`` import what they need when they are called.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import IO, Any, Sequence
-
-import numpy as np
+import sys
+from typing import IO, TYPE_CHECKING, Any, Sequence
 
 from . import __version__ as TOOL_VERSION
-from .game import OneWayGame, validate
+
+if TYPE_CHECKING:
+    from .bilateral import BilateralTradeInstance
+    from .game import OneWayGame
 
 FORMAT_VERSION = 1
 _BLOCK_ROWS = 4096  # rows formatted at a time, bounding what a report holds as text
@@ -80,8 +87,9 @@ def _typed_prior(data: dict, field: str, path: str) -> tuple[list[str], list[flo
     return ids, probs
 
 
-def _rect(raw: Any, dims: Sequence[tuple[str, int]], field: str, path: str) -> np.ndarray:
-    """Convert nested lists to an array, naming the first axis that mismatches."""
+def _rect(raw: Any, dims: Sequence[tuple[str, int]], field: str, path: str) -> list:
+    """Check that nested lists of numbers have the shape ``dims``, naming the
+    first axis that mismatches; returns them as they are."""
 
     def walk(node: Any, depth: int, index: str) -> None:
         axis, size = dims[depth]
@@ -100,11 +108,15 @@ def _rect(raw: Any, dims: Sequence[tuple[str, int]], field: str, path: str) -> n
                     raise InstanceFormatError(path, f"{field}{index}[{k}]", "a number")
 
     walk(raw, 0, "")
-    return np.array(raw, dtype=np.float64)
+    return raw
 
 
 def load_game(path: str) -> OneWayGame:
     """Load a one-way game instance file (format version 1)."""
+    import numpy as np
+
+    from .game import OneWayGame, validate
+
     data = _load_json(path)
     _check_version(data, path)
     actions_a = _id_list(data, "actions_A", path)
@@ -130,8 +142,8 @@ def load_game(path: str) -> OneWayGame:
         types_b=tuple(types_b),
         prior_a=np.asarray(prior_a),
         prior_b=np.asarray(prior_b),
-        payoff_a=payoff_a,
-        payoff_b=payoff_b,
+        payoff_a=np.array(payoff_a, dtype=np.float64),
+        payoff_b=np.array(payoff_b, dtype=np.float64),
     )
     errors = validate(game)
     if errors:
@@ -184,7 +196,7 @@ def load_schedule_file(path: str) -> tuple[str, tuple[float, ...], tuple[float, 
     return str(action), tuple(float(g) for g in gammas), tuple(float(p) for p in probs)
 
 
-def load_bilateral(path: str) -> "BilateralTradeInstance":
+def load_bilateral(path: str) -> BilateralTradeInstance:
     from .bilateral import BilateralTradeInstance
 
     data = _load_json(path)
@@ -208,10 +220,12 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def input_hash(instance: "OneWayGame | BilateralTradeInstance") -> str:
+def input_hash(instance: OneWayGame | BilateralTradeInstance) -> str:
     """Hash of an instance's content, whatever path it was read from: the
     canonical JSON of ``game_to_dict`` or of the parsed trade instance (in
     the file format, each side sorted by value)."""
+    from .game import OneWayGame
+
     if isinstance(instance, OneWayGame):
         return config_hash(game_to_dict(instance))
     seller = {"values": list(instance.seller_values), "probs": list(instance.seller_probs)}
@@ -225,9 +239,6 @@ def schedule_hash(action: str, gammas: Sequence[float], probs: Sequence[float]) 
     return config_hash({"action": action, "gammas": list(gammas), "probs": list(probs)})
 
 
-_FLOAT_TYPES = frozenset((float, np.float64))  # cells ``float.__repr__`` formats as they are
-
-
 def format_column(values: Sequence[Any]) -> list[str]:
     """The cells of one report column as CSV text: floats (numpy's too) as
     the ``repr`` of the Python float, bools (numpy's too) as ``true`` or
@@ -235,22 +246,31 @@ def format_column(values: Sequence[Any]) -> list[str]:
     anything else through ``str``.
 
     The rule is chosen once for a column of only ``float``/``np.float64``
-    cells or only ``str`` cells, and per cell for any other column."""
+    cells or only ``str`` cells, and per cell for any other column. No cell
+    is a numpy scalar unless numpy was imported, so the numpy types are
+    tested only once it is in ``sys.modules``, and a command that never
+    loads numpy formats its report without it."""
+    np = sys.modules.get("numpy")
+    if np is None:
+        exact_floats, floats, bools, ints = {float}, float, bool, int
+    else:
+        exact_floats = {float, np.float64}  # cells ``float.__repr__`` formats as they are
+        floats, bools, ints = (float, np.floating), (bool, np.bool_), (int, np.integer)
     kinds = set(map(type, values))
-    if kinds <= _FLOAT_TYPES:
+    if kinds <= exact_floats:
         return list(map(float.__repr__, values))
     if kinds == {str}:
         return list(values)
     out: list[str] = []
     append = out.append
     for value in values:
-        if isinstance(value, (float, np.floating)):  # most cells, so tested first
+        if isinstance(value, floats):  # most cells, so tested first
             append(repr(float(value)))
         elif isinstance(value, str):
             append(value)
-        elif isinstance(value, (bool, np.bool_)):
+        elif isinstance(value, bools):
             append("true" if value else "false")
-        elif isinstance(value, (int, np.integer)):
+        elif isinstance(value, ints):
             append(str(int(value)))
         else:
             append(str(value))

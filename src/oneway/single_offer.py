@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .closed_form import theorem_bound
 from .equilibrium import _optimal_table, _ratio
 from .game import OneWayGame, StrategyProfile
 
@@ -374,30 +375,10 @@ def accept_reject_poa(gamma: float) -> tuple[float, float]:
     return (1.0 + gamma, reject)
 
 
-def theorem_bound(gamma: float, acceptance: float) -> float:
-    """Guaranteed expected-PoA bound ((gamma+1)/gamma) * (1 - P(1-gamma))."""
-    if gamma == 0.0:
-        return math.inf
-    return ((gamma + 1.0) / gamma) * (1.0 - acceptance * (1.0 - gamma))
-
-
 def bayes_poa_bound(game: OneWayGame, type_b: str) -> float:
     """Expected-PoA guarantee delivered by the simplified offer for a type."""
     res = simplified_offer(game, type_b)
     return theorem_bound(res.offer.gamma, res.evaluation.acceptance_prob)
-
-
-def corollary_bound(beta: float) -> tuple[float, float]:
-    """Closed-form share and expected-PoA bound for power-law sacrifices.
-
-    With acceptance probability (gamma)^beta the tuned share is beta/(beta+1)
-    and the guarantee is (2 + 1/beta) * (1 - beta^beta / (beta+1)^(beta+1)).
-    """
-    if not 0.0 < beta < math.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta!r}")
-    gamma_star = beta / (beta + 1.0)
-    bound = (2.0 + 1.0 / beta) * (1.0 - beta**beta / (beta + 1.0) ** (beta + 1.0))
-    return (gamma_star, bound)
 
 
 @dataclass(frozen=True)

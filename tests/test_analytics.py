@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oneway as ow
-from oneway import analytics, streams
+from oneway import analytics, closed_form, streams
 
 
 def test_continuous_spec_uniform():
@@ -312,10 +312,10 @@ def test_mc_means_survive_payoffs_near_the_largest_float(accounting, samples):
 @pytest.mark.parametrize(
     "fn,name",
     [
-        (analytics.example1b, "x"),
-        (analytics.example1b_no_payment_poa, "x"),
+        (closed_form.example1b, "x"),
+        (closed_form.example1b_no_payment_poa, "x"),
         (analytics.example1b_scenario, "x"),
-        (analytics.example2, "mu1"),
+        (closed_form.example2, "mu1"),
     ],
 )
 def test_worked_examples_reject_non_finite_stakes(fn, name, value):

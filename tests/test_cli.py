@@ -109,6 +109,25 @@ def test_gen_reruns_identical(capsys):
     assert out3 != out1
 
 
+@pytest.mark.parametrize(
+    "flags,got",
+    [
+        (["--a-scale", "nan"], "nan and 10.0"),
+        (["--a-scale", "inf"], "inf and 10.0"),
+        (["--b-scale", "nan"], "10.0 and nan"),
+        (["--b-scale", "inf"], "10.0 and inf"),
+        (["--b-scale", "0"], "10.0 and 0.0"),
+    ],
+)
+def test_gen_rejects_non_finite_and_non_positive_scales(capsys, flags, got):
+    """A scale that is not a finite positive number is a one-line error,
+    not numpy's traceback from drawing the payoffs."""
+    code, out, err = _run(capsys, ["gen", *flags])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: scales must be finite and positive, got {got}\n"
+
+
 def test_nash_report_shape(capsys, instance):
     code, out, err = _run(capsys, ["nash", instance])
     assert code == 0

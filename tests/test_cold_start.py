@@ -7,12 +7,15 @@ user sets ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``, the CLI sets
 ``OPENBLAS_NUM_THREADS=1``, so no idle OpenBLAS pool spins beside a
 single-threaded command. Library users never get that default.
 
-``import oneway.cli`` runs only ``cli``, ``io`` and ``game``. It registers
-the package's other modules in ``sys.modules`` lazily, so each is compiled
-and run only when a subcommand first reads one of its attributes. A module
-has run iff ``type(sys.modules[name]) is types.ModuleType``: ``type()`` does
-not trigger a lazy load, where reading an attribute would. The tests pin the
-modules each subcommand runs, and that a command whose thread pool starts on
+``import oneway.cli`` runs only ``cli`` and ``io``, and so loads no numpy.
+It registers the package's other modules in ``sys.modules`` lazily, so each
+is compiled and run only when a subcommand first reads one of its
+attributes. The closed forms live in ``closed_form``, which imports the
+standard library alone, so ``examples`` without ``--mc-samples`` and
+``sweep`` never load numpy. A module has run iff
+``type(sys.modules[name]) is types.ModuleType``: ``type()`` does not trigger
+a lazy load, where reading an attribute would. The tests pin the modules
+each subcommand runs, and that a command whose thread pool starts on
 lazily loaded modules prints what it prints after eager imports.
 
 ``scipy.optimize`` is most of the package's import time, and only the
@@ -85,7 +88,8 @@ def test_cli_import_registers_the_traced_modules():
         missing = [m for m in {TRACED_MODULES!r} if "oneway." + m not in sys.modules]
         assert not missing, missing
         ran = {RAN}
-        assert ran == ["cli", "game", "io"], ran
+        assert ran == ["cli", "io"], ran
+        assert "numpy" not in sys.modules
         """
     )
 
@@ -101,27 +105,27 @@ def inputs(tmp_path_factory):
     return d
 
 
-# The modules each subcommand runs besides cli, io and game.
+# The modules each subcommand runs besides cli and io.
+OFFERS = ["closed_form", "equilibrium", "game", "single_offer"]
 SUBCOMMAND_RUNS = [
-    (["validate", "{d}/small.json"], []),
-    (["nash", "{d}/small.json"], ["equilibrium"]),
-    (["poa", "{d}/small.json"], ["equilibrium"]),
-    (["single-offer", "{d}/small.json"], ["equilibrium", "single_offer"]),
-    (["sweep", "--param", "beta"], ["equilibrium", "single_offer"]),
-    (["multi-offer", "{d}/small.json", "--optimize"], ["equilibrium", "multi_offer", "single_offer", "streams"]),
+    (["validate", "{d}/small.json"], ["game"]),
+    (["nash", "{d}/small.json"], ["equilibrium", "game"]),
+    (["poa", "{d}/small.json"], ["equilibrium", "game"]),
+    (["single-offer", "{d}/small.json"], OFFERS),
+    (["sweep", "--param", "beta"], ["closed_form"]),
+    (["multi-offer", "{d}/small.json", "--optimize"], sorted([*OFFERS, "multi_offer", "streams"])),
     (
         ["multi-offer", "{d}/small.json", "--schedule", "{d}/sched.json", "--samples", "100"],
-        ["equilibrium", "multi_offer", "single_offer", "streams"],
+        sorted([*OFFERS, "multi_offer", "streams"]),
     ),
-    (["examples", "--which", "2"], ["analytics", "streams"]),
-    (["examples", "--which", "1b"], ["analytics", "streams"]),
-    (["examples", "--which", "corollary"], ["equilibrium", "single_offer"]),
-    (
-        ["examples", "--which", "corollary", "--mc-samples", "100"],
-        ["analytics", "equilibrium", "single_offer", "streams"],
-    ),
-    (["ms-check", "--refine", "3"], ["bilateral", "equilibrium"]),
-    (["gen", "--out", "{d}/new.json"], ["generate", "streams"]),
+    (["examples", "--which", "2"], ["closed_form"]),
+    (["examples", "--which", "2", "--sweep"], ["closed_form"]),
+    (["examples", "--which", "1b"], ["closed_form"]),
+    (["examples", "--which", "1b", "--mc-samples", "100"], ["analytics", "closed_form", "streams"]),
+    (["examples", "--which", "corollary"], ["closed_form"]),
+    (["examples", "--which", "corollary", "--mc-samples", "100"], ["analytics", "closed_form", "streams"]),
+    (["ms-check", "--refine", "3"], ["bilateral", "equilibrium", "game"]),
+    (["gen", "--out", "{d}/new.json"], ["game", "generate", "streams"]),
 ]
 
 
@@ -129,7 +133,7 @@ SUBCOMMAND_RUNS = [
     ("argv", "extra"), SUBCOMMAND_RUNS, ids=[" ".join(a).replace("{d}/", "") for a, _ in SUBCOMMAND_RUNS]
 )
 def test_subcommand_runs_only_the_modules_it_uses(inputs, argv, extra):
-    want = sorted(["cli", "game", "io", *extra])
+    want = sorted(["cli", "io", *extra])
     _child(
         f"""
         import contextlib, io, sys, types
@@ -141,6 +145,33 @@ def test_subcommand_runs_only_the_modules_it_uses(inputs, argv, extra):
         assert ran == {want!r}, ran
         """,
         *(a.format(d=inputs) for a in argv),
+    )
+
+
+# The closed-form commands, which load numpy only to simulate (--mc-samples).
+NUMPY_LOADS = [
+    (["examples", "--which", "2"], False),
+    (["examples", "--which", "1b"], False),
+    (["examples", "--which", "2", "--sweep"], False),
+    (["examples", "--which", "corollary"], False),
+    (["sweep", "--param", "beta"], False),
+    (["examples", "--which", "1b", "--mc-samples", "100"], True),
+    (["examples", "--which", "corollary", "--mc-samples", "100"], True),
+]
+
+
+@pytest.mark.parametrize(("argv", "loads"), NUMPY_LOADS, ids=[" ".join(a) for a, _ in NUMPY_LOADS])
+def test_closed_forms_run_without_numpy(argv, loads):
+    _child(
+        f"""
+        import contextlib, io, sys
+        from oneway import cli
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(sys.argv[1:]) == 0, sys.argv[1:]
+        assert ("numpy" in sys.modules) is {loads!r}
+        """,
+        *argv,
     )
 
 
@@ -168,7 +199,18 @@ def test_offer_search_leaves_numpy_ma_unloaded(inputs, argv):
     )
 
 
-EAGER = ("analytics", "bilateral", "equilibrium", "game", "generate", "io", "multi_offer", "single_offer", "streams")
+EAGER = (
+    "analytics",
+    "bilateral",
+    "closed_form",
+    "equilibrium",
+    "game",
+    "generate",
+    "io",
+    "multi_offer",
+    "single_offer",
+    "streams",
+)
 
 
 @pytest.mark.parametrize(
@@ -195,7 +237,7 @@ def test_first_touch_gives_the_eager_report(argv):
             *argv,
         )
 
-    lazy = report("", ["game", "io"])
+    lazy = report("", ["io"])
     eager = report("from oneway import " + ", ".join(EAGER), list(EAGER))
     assert lazy and lazy == eager
 

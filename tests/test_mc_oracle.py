@@ -323,18 +323,19 @@ SLACK = COLUMN // 4
 
 
 def test_memory_budget_per_thread(monkeypatch):
-    """On one thread, one scenario holds three float columns and a mask: no
-    more than before the draws were shared, which also made an index column
-    for a table read. A call over four scenarios keeps the uniforms in one
-    more column, and in aggregate mode the coin in a second. A schedule
-    call holds two float columns, a mask and the ``searchsorted`` index,
-    however many B types it runs."""
+    """On one thread, one scenario holds two float columns and a mask (the
+    uniforms become the sacrifice and then the per-draw PoA; the other
+    column holds the coin, the masked sacrifices and PoA's denominator), so
+    a third column would break the budget. A call over four scenarios keeps
+    the uniforms in one more column, and in aggregate mode the coin in a
+    second. A schedule call holds two float columns, a mask and the
+    ``searchsorted`` index, however many B types it runs."""
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     samples = 3 * streams.BATCH_SIZE
     four = [SCENARIOS[f"power-{b}"] for b in (0.25, 0.5, 0.75, 1.0)]
     for accounting, kept in (("exact", 1), ("aggregate", 2)):
         one = _peak_bytes(lambda: analytics.mc_single_offer(four[:1], samples, 1, accounting))
-        assert one <= 3 * COLUMN + COLUMN // 8 + SLACK, (accounting, one / COLUMN)
+        assert one <= 2 * COLUMN + COLUMN // 8 + SLACK, (accounting, one / COLUMN)
         fused = _peak_bytes(lambda: analytics.mc_single_offer(four, samples, 1, accounting))
         assert fused <= one + kept * COLUMN + SLACK, (accounting, fused / COLUMN)
     game, schedule = CASES[-1]

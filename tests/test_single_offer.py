@@ -1,8 +1,10 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oneway as ow
@@ -314,6 +316,46 @@ def test_value_tol_is_small():
 def test_corollary_bound_rejects_non_finite_and_non_positive_beta(beta):
     with pytest.raises(ValueError, match="beta must be positive and finite"):
         ow.corollary_bound(beta)
+
+
+def test_corollary_bound_rejects_a_beta_without_a_finite_reciprocal():
+    with pytest.raises(ValueError, match="beta must have a finite reciprocal, got 5e-324"):
+        ow.corollary_bound(5e-324)
+
+
+def _decimal_corollary_bound(beta: float) -> float:
+    """(2 + 1/beta) * (1 - beta^beta / (beta+1)^(beta+1)) at 60 digits, from
+    the logarithm of the power ratio; log(1 + x) and exp(x) - 1 are summed as
+    series for tiny x, where 1 + x would round to 1 even at 60 digits."""
+
+    def series(x: Decimal, coefficient) -> Decimal:
+        return sum(coefficient(k) * x**k for k in range(1, 13))
+
+    def log1p(x: Decimal) -> Decimal:
+        return series(x, lambda k: Decimal((-1) ** (k + 1)) / k) if x < Decimal("1e-6") else (1 + x).ln()
+
+    def expm1(x: Decimal) -> Decimal:
+        return series(x, lambda k: 1 / Decimal(math.factorial(k))) if abs(x) < Decimal("1e-6") else x.exp() - 1
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        b = Decimal(beta)
+        return float((2 + 1 / b) * -expm1(-b * log1p(1 / b) - log1p(b)))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(exponent=st.floats(-300.0, 300.0))
+@example(exponent=-300.0).via("1e-300 read 0.0, not 691.78")
+@example(exponent=-16.0).via("1e-16 read 36.64, not 37.84")
+@example(exponent=20.0).via("1e20 raised OverflowError")
+@example(exponent=300.0)
+def test_corollary_bound_matches_a_decimal_reference(exponent):
+    """The bound is accurate to a few ulps over beta in [1e-300, 1e300]: the
+    power ratio neither cancels against 1 at small beta nor overflows at
+    large beta."""
+    beta = 10.0**exponent
+    _, bound = ow.corollary_bound(beta)
+    assert math.isclose(bound, _decimal_corollary_bound(beta), rel_tol=4 * sys.float_info.epsilon), beta
 
 
 def _offer_mechanism(game, strategy):
