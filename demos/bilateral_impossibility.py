@@ -29,7 +29,7 @@ single = BilateralTradeInstance(
 res = feasibility_lp(single)
 print(f"single-pair instance: {res.verdict} (margin {res.margin:.4f})")
 print(f"  mechanism honest/voluntary/balanced: {check_properties(single, res.mechanism).all_hold}")
-print(f"  implied price: {res.mechanism.t_seller[0, 0]:.4f}")
+print(f"  implied price: {res.mechanism.payment_a[0, 0]:.4f}")
 
 print()
 print("uniform grids, k values per side, overlapping supports:")

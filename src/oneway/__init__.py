@@ -27,7 +27,6 @@ _EXPORTS = {
     ),
     "bilateral": (
         "BilateralTradeInstance",
-        "DirectMechanism",
         "FeasibilityResult",
         "OneWayMechanism",
         "PropertyReport",
@@ -38,7 +37,6 @@ _EXPORTS = {
         "check_properties",
         "efficient_allocation",
         "feasibility_lp",
-        "mechanism_to_one_way",
         "min_subsidy",
         "refinement_sweep",
         "to_one_way",

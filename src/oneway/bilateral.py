@@ -22,9 +22,9 @@ global on every call, so code that rebinds ``bilateral.linprog`` (a tracer,
 a test double) sees every solve.
 
 The same trade problem embeds into a one-way game (the seller's payoff does
-not depend on the buyer's single dummy action). There is one property audit,
-on one-way mechanisms stated as A types by B types tables; a trade mechanism
-is audited on its embedding.
+not depend on the buyer's single dummy action). There is one mechanism type,
+``OneWayMechanism``, A types by B types tables with one audit; the trade LPs
+return theirs on the embedding, the seller as A and the buyer as B.
 """
 
 from __future__ import annotations
@@ -38,9 +38,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .equilibrium import _optimal_table
-from .game import OneWayGame, make_game
+from .game import PRIOR_TOL, OneWayGame, make_game
 
-PROB_TOL = 1e-12
 MARGIN_TOL = 1e-7
 CERT_TOL = 1e-7
 MARGIN_CAP = 1e9
@@ -70,7 +69,7 @@ def _canonical_side(values: Sequence[float], probs: Sequence[float], side: str):
     for p in ps:
         if not math.isfinite(p) or p < 0.0:
             raise ValueError(f"{side}: probabilities must be finite and non-negative, got {p!r}")
-    if abs(sum(ps) - 1.0) > PROB_TOL:
+    if abs(sum(ps) - 1.0) > PRIOR_TOL:
         raise ValueError(f"{side}: probabilities sum to {sum(ps)!r}, expected 1")
     order = sorted(range(len(vals)), key=lambda i: vals[i])
     return tuple(vals[i] for i in order), tuple(ps[i] for i in order)
@@ -109,15 +108,6 @@ def efficient_allocation(instance: BilateralTradeInstance) -> np.ndarray:
     sv = np.asarray(instance.seller_values)
     bv = np.asarray(instance.buyer_values)
     return (sv[:, None] < bv[None, :]).astype(np.float64)
-
-
-@dataclass(frozen=True)
-class DirectMechanism:
-    """Allocation plus transfers paid TO each agent, indexed [seller, buyer]."""
-
-    allocation: np.ndarray
-    t_seller: np.ndarray
-    t_buyer: np.ndarray
 
 
 def to_one_way(instance: BilateralTradeInstance) -> OneWayGame:
@@ -160,15 +150,10 @@ class OneWayMechanism:
             object.__setattr__(self, f.name, arr)
 
 
-def mechanism_to_one_way(
-    instance: BilateralTradeInstance, mech: DirectMechanism
-) -> tuple[OneWayGame, OneWayMechanism]:
-    """The trade mechanism on ``to_one_way``'s game: the seller hands the good
-    over (action 1) where it trades, and keeps it (action 0) elsewhere."""
-    traded = (np.asarray(mech.allocation) > 0.5).astype(np.intp)
-    return to_one_way(instance), OneWayMechanism(
-        traded, np.zeros_like(traded), mech.t_seller, mech.t_buyer
-    )
+def _trade_mechanism(instance: BilateralTradeInstance, pay_seller, pay_buyer) -> OneWayMechanism:
+    """Efficient trade on ``to_one_way(instance)`` (action 1 hands the good over), with these payments."""
+    traded = efficient_allocation(instance).astype(np.intp)
+    return OneWayMechanism(traded, np.zeros_like(traded), pay_seller, pay_buyer)
 
 
 @dataclass(frozen=True)
@@ -201,14 +186,14 @@ def _ic_witnesses(u: np.ndarray, label: str, names: Sequence[str], tol: float) -
 
 
 def check_properties(
-    instance: BilateralTradeInstance, mech: DirectMechanism, tol: float = 1e-9
+    instance: BilateralTradeInstance, mech: OneWayMechanism, tol: float = 1e-9
 ) -> PropertyReport:
-    """Audit a trade mechanism: efficiency, budget balance, Bayes-Nash
-    incentive compatibility and interim individual rationality, read on its
-    one-way embedding. Near-ties in values (within tol) leave the
+    """Audit a trade mechanism on ``to_one_way(instance)``: efficiency,
+    budget balance, Bayes-Nash incentive compatibility and interim
+    individual rationality. Near-ties in values (within tol) leave the
     allocation free; the witnesses name seller types s1, s2, ... and buyer
     types b1, b2, ... in increasing order of value."""
-    return check_one_way_properties(*mechanism_to_one_way(instance, mech), tol)
+    return check_one_way_properties(to_one_way(instance), mech, tol)
 
 
 def _checked_tables(game: OneWayGame, mech: OneWayMechanism) -> None:
@@ -310,10 +295,13 @@ def _interim_system(
 
 @dataclass(frozen=True)
 class FeasibilityResult:
+    """Unless infeasible, ``mechanism`` is on ``to_one_way(instance)``, with
+    the seller's receipt in ``payment_a`` and the buyer's in ``payment_b``."""
+
     verdict: str  # "feasible" | "marginal" | "infeasible"
     margin: float
     constraints: int
-    mechanism: DirectMechanism | None
+    mechanism: OneWayMechanism | None
     certificate: np.ndarray | None
     certificate_residual: float | None
     certificate_value: float | None
@@ -327,9 +315,9 @@ def feasibility_lp(instance: BilateralTradeInstance, include_ir: bool = True) ->
     is realised ex post by x_ij = X_s_i + Y_j - f1 . X_s (the buyer pays
     the seller x), so this is the ex-post LP in ns + nb columns.
 
-    A margin above 1e-7 is feasible and the realising transfers are
-    returned as a concrete mechanism; in [-1e-7, 1e-7] the verdict is
-    "marginal" and deliberately unsigned. Below -1e-7 it is infeasible, and
+    A margin of at least -1e-7 returns the realising transfers as a
+    mechanism: above 1e-7 it is feasible, and in [-1e-7, 1e-7] the verdict
+    is "marginal" and deliberately unsigned. Below -1e-7 it is infeasible, and
     the LP's inequality duals y >= 0 (scaled to max 1) are a Farkas
     certificate for the ex-post system A x <= b: dual feasibility makes the
     interim rows' y-combination a multiple of the balance row (f1, -f2),
@@ -358,7 +346,7 @@ def feasibility_lp(instance: BilateralTradeInstance, include_ir: bool = True) ->
     if margin >= -MARGIN_TOL:
         X_s, Y = res.x[:ns], res.x[ns:-1]
         x = X_s[:, None] + Y[None, :] - f1 @ X_s
-        mech = DirectMechanism(allocation=efficient_allocation(instance), t_seller=x, t_buyer=-x)
+        mech = _trade_mechanism(instance, x, -x)
         verdict = "feasible" if margin > MARGIN_TOL else "marginal"
         return FeasibilityResult(verdict, margin, nrows, mech, None, None, None)
     y = np.maximum(-res.ineqlin.marginals, 0.0)
@@ -388,13 +376,13 @@ def certificate_is_valid(result: FeasibilityResult, tol: float = CERT_TOL) -> bo
 class SubsidyResult:
     subsidy: float
     raw_min_deficit: float
-    mechanism: DirectMechanism
+    mechanism: OneWayMechanism
 
 
 def min_subsidy(instance: BilateralTradeInstance) -> SubsidyResult:
     """Smallest pointwise budget deficit making an efficient IC + IR mechanism
-    possible. Budget balance is relaxed to t_seller + t_buyer <= d everywhere;
-    a feasible instance yields d <= 0 and the reported subsidy clamps at 0.
+    on ``to_one_way(instance)`` possible: payment_a + payment_b <= d
+    everywhere. A feasible instance yields d <= 0; the subsidy clamps at 0.
 
     The pointwise bound can never beat the expected deficit f1 . X_s + f2 . X_b
     (X_b = -Y is the buyer's expected receipt), and it meets it: the
@@ -420,7 +408,7 @@ def min_subsidy(instance: BilateralTradeInstance) -> SubsidyResult:
     d_star = float(f1 @ X_s + f2 @ X_b)
     t_s = X_s[:, None] + (f2 @ X_b - X_b)[None, :]
     t_b = X_b[None, :] + (f1 @ X_s - X_s)[:, None]
-    mech = DirectMechanism(allocation=efficient_allocation(instance), t_seller=t_s, t_buyer=t_b)
+    mech = _trade_mechanism(instance, t_s, t_b)
     return SubsidyResult(subsidy=max(0.0, d_star), raw_min_deficit=d_star, mechanism=mech)
 
 

@@ -68,6 +68,7 @@ _lazy("streams")
 SEED_DEFAULT = 42
 TOL_DEFAULT = 1e-9
 MAX_POINTS = 10**6  # the most points a --from/--to/--step range, and the most steps --n, may ask for
+MAX_TRADE_VALUES = 200  # ms-check's most values a side: its LP has 2k(k - 1) + 2k dense rows (245 MB at 200)
 
 
 def _frange(start: float, stop: float, step: float) -> list[float]:
@@ -289,13 +290,16 @@ def _emit_ms(args: argparse.Namespace, config: dict, rows, instance=None) -> int
 def cmd_ms_check(args: argparse.Namespace) -> int:
     if args.instance:
         inst = io.load_bilateral(args.instance)
+        if max(len(inst.seller_values), len(inst.buyer_values)) > MAX_TRADE_VALUES:
+            return _error(f"{args.instance} has more than {MAX_TRADE_VALUES} values on a side")
         config = {"instance": args.instance, "tolerance": bilateral.MARGIN_TOL}
         return _emit_ms(args, config, [bilateral.feasibility_row(inst)], inst)
-    ks = list(range(2, args.refine + 1))
-    if not ks:
+    if args.refine < 2:
         return _error("--refine must be at least 2")
+    if args.refine > MAX_TRADE_VALUES:
+        return _error(f"--refine {args.refine} is above {MAX_TRADE_VALUES} values per side")
     config = {"refine": args.refine, "tolerance": bilateral.MARGIN_TOL}
-    return _emit_ms(args, config, bilateral.refinement_sweep(ks))
+    return _emit_ms(args, config, bilateral.refinement_sweep(range(2, args.refine + 1)))
 
 
 def _range(args: argparse.Namespace, start: float, stop: float, step: float) -> tuple:

@@ -64,44 +64,28 @@ class OneWayGame:
     # -- identifier lookups ------------------------------------------------
 
     @cached_property
-    def _ia(self) -> dict[str, int]:
-        return {a: i for i, a in enumerate(self.actions_a)}
+    def _indices(self) -> dict[str, dict[str, int]]:
+        kinds = ("A action", "B action", "A type", "B type")
+        ids = (self.actions_a, self.actions_b, self.types_a, self.types_b)
+        return {kind: {x: i for i, x in enumerate(xs)} for kind, xs in zip(kinds, ids)}
 
-    @cached_property
-    def _ib(self) -> dict[str, int]:
-        return {b: i for i, b in enumerate(self.actions_b)}
-
-    @cached_property
-    def _ita(self) -> dict[str, int]:
-        return {t: i for i, t in enumerate(self.types_a)}
-
-    @cached_property
-    def _itb(self) -> dict[str, int]:
-        return {t: i for i, t in enumerate(self.types_b)}
+    def _index(self, kind: str, key: str) -> int:
+        try:
+            return self._indices[kind][key]
+        except KeyError:
+            raise KeyError(f"unknown {kind} {key!r}") from None
 
     def action_a_index(self, action: str) -> int:
-        try:
-            return self._ia[action]
-        except KeyError:
-            raise KeyError(f"unknown A action {action!r}") from None
+        return self._index("A action", action)
 
     def action_b_index(self, action: str) -> int:
-        try:
-            return self._ib[action]
-        except KeyError:
-            raise KeyError(f"unknown B action {action!r}") from None
+        return self._index("B action", action)
 
     def type_a_index(self, t: str) -> int:
-        try:
-            return self._ita[t]
-        except KeyError:
-            raise KeyError(f"unknown A type {t!r}") from None
+        return self._index("A type", t)
 
     def type_b_index(self, t: str) -> int:
-        try:
-            return self._itb[t]
-        except KeyError:
-            raise KeyError(f"unknown B type {t!r}") from None
+        return self._index("B type", t)
 
     # -- payoff lookups ----------------------------------------------------
 

@@ -32,6 +32,7 @@ import numpy as np
 from . import streams
 from .game import OneWayGame
 from .single_offer import (
+    VALUE_TOL,
     Offer,
     _settle,
     _terms,
@@ -179,6 +180,29 @@ class SimulationResult:
     ci_u_b_planning: float
 
 
+def _type_finder(prior: np.ndarray):
+    """``find(u, cell, out, accept)`` writes each uniform's A type into
+    ``cell`` as ``searchsorted(cdf, u, side="right")`` clipped to the last
+    type would: a branch-free binary search over the cdf's first n - 1
+    values, padded with +inf, that allocates nothing (``out`` and ``accept``
+    are scratch columns)."""
+    depth = (len(prior) - 1).bit_length()  # 2**depth >= n
+    padded = np.full(1 << depth, np.inf)
+    padded[: len(prior) - 1] = np.cumsum(prior)[:-1]
+    # level k: one pivot per block of 2**(depth - k) values, the last of its lower half
+    levels = [np.ascontiguousarray(padded[(1 << (depth - 1 - k)) - 1 :: 1 << (depth - k)]) for k in range(depth)]
+
+    def find(u: np.ndarray, cell: np.ndarray, out: np.ndarray, accept: np.ndarray) -> None:
+        cell.fill(0)
+        for level in levels:
+            np.take(level, cell, out=out, mode="clip")
+            np.less_equal(out, u, out=accept)
+            cell += cell
+            cell += accept
+
+    return find
+
+
 def simulate_schedule(
     game: OneWayGame, schedule: Schedule, types_b: Sequence[str], samples: int, seed: int
 ) -> list[SimulationResult]:
@@ -201,15 +225,15 @@ def simulate_schedule(
     second moments are computed once from them at the end. Batches run on
     ``os.cpu_count()`` threads (``streams.run_batches``); each thread owns
     one uniform column (A's type, then the coin), one float column for each
-    draw's reach, a mask, and for the length of a batch the cell index that
-    ``searchsorted`` returns, which every B type reads.
+    draw's reach, a mask, and each draw's cell index (``_type_finder``),
+    which every B type reads.
     """
     if isinstance(types_b, str):
         raise TypeError("types_b must be a sequence of B type ids, not one id")
     if samples <= 0:
         raise ValueError("samples must be positive")
     n_types = len(game.types_a)
-    cdf = np.cumsum(game.prior_a)
+    find_types = _type_finder(game.prior_a)
     reaches, tables = [], []  # per B type: its reach and its four payoff tables, two cells per A type
     for type_b in types_b:
         terms, _, reach, transfer = _settled(game, schedule, type_b)
@@ -224,14 +248,14 @@ def simulate_schedule(
         n = min(samples, streams.BATCH_SIZE)
         u_buf, out_buf = np.empty((2, n))
         accept_buf = np.empty(n, dtype=bool)
+        cell_buf = np.empty(n, dtype=np.intp)
 
         def batch(index: int, size: int):
-            u, out, accept = u_buf[:size], out_buf[:size], accept_buf[:size]
+            u, out, accept, cell = u_buf[:size], out_buf[:size], accept_buf[:size], cell_buf[:size]
             rng = streams.stream(seed, index)
             rng.random(out=u)
-            cell = np.searchsorted(cdf, u, side="right")  # A's type, then its table cell
-            np.clip(cell, 0, n_types - 1, out=cell)
-            cell *= 2
+            find_types(u, cell, out, accept)
+            cell += cell  # the A type's first table cell
             rng.random(out=u)
             counts = []
             for reach in reaches:
@@ -278,8 +302,8 @@ def simulate_schedule(
 @dataclass(frozen=True)
 class ScheduleOptimum:
     """The best n-step schedule; ``certified`` when ``certification_slack``
-    (``single_offer_value - value``) is at most 1e-9, which covers schedules
-    with nondecreasing thresholds on positive-gain actions only."""
+    (``single_offer_value - value``) is at most ``VALUE_TOL``, which covers
+    schedules with nondecreasing thresholds on positive-gain actions only."""
 
     schedule: Schedule
     value: float
@@ -329,7 +353,7 @@ def optimize_schedule(game: OneWayGame, type_b: str, n: int) -> ScheduleOptimum:
         single_offer=res.offer,
         single_offer_value=res.evaluation.expected_u_b,
         null_offer=res.null_offer,
-        certified=slack <= 1e-9,
+        certified=slack <= VALUE_TOL,
         certification_slack=slack,
         outcome=expected_outcome(game, schedule, type_b),
     )

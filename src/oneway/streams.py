@@ -16,7 +16,7 @@ statistics. ``make_batch`` builds the buffers one thread owns for all its
 batches: ``analytics.mc_single_offer`` keeps two float columns and a mask
 (one more column for the uniforms with a second scenario, and one for the
 coin too in aggregate mode); ``multi_offer.simulate_schedule`` keeps two
-float columns and a mask, plus the ``searchsorted`` index of each batch.
+float columns, a mask and an index column.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import TypeVar
 
 import numpy as np
-
-_MASK64 = (1 << 64) - 1
 
 # Number of simulated runs folded into one stream; see ``batch_sizes``.
 BATCH_SIZE = 1 << 16
@@ -41,8 +39,11 @@ T = TypeVar("T")
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
-    """Generator for stream ``index`` under ``seed``."""
-    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
+    """Generator for stream ``index`` under ``seed``, a seed in [0, 2**64):
+    each is one 64-bit word of the Philox key, so a wider seed would alias."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
+    key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -64,10 +65,10 @@ def run_batches(total: int, make_batch: Callable[[], Callable[[int, int], T]]) -
     the buffers it closes over. Batch ``i`` runs on thread ``i mod W``, with
     ``W = min(os.cpu_count(), batches)``; with one thread the batches run
     inline, without a pool. numpy releases the interpreter lock in the
-    stream fills, elementwise ufuncs, ``take`` and ``searchsorted``, which
-    is where a batch spends most of its time; its reductions (``np.sum``,
-    ``np.max``) hold the lock. An exception in a batch is raised here once
-    every thread has stopped.
+    stream fills, elementwise ufuncs and ``take``, which is where a batch
+    spends most of its time; its reductions (``np.sum``, ``np.max``) hold
+    the lock. An exception in a batch is raised here once every thread has
+    stopped.
     """
     sizes = batch_sizes(total)
     workers = min(os.cpu_count() or 1, len(sizes))

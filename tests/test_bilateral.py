@@ -51,7 +51,7 @@ def test_single_pair_with_gains_is_feasible():
     assert res.margin == pytest.approx(0.25, abs=1e-9)
     assert res.constraints == 2
     # the margin-maximizing price splits the surplus down the middle
-    assert res.mechanism.t_seller[0, 0] == pytest.approx(0.5, abs=1e-9)
+    assert res.mechanism.payment_a[0, 0] == pytest.approx(0.5, abs=1e-9)
     assert ow.check_properties(inst, res.mechanism).all_hold
 
 
@@ -139,7 +139,19 @@ def _verdicts(rep):
 
 def _both_checks(inst, mech):
     """The audit and the trade-form loop of ``trade_oracle``."""
-    return ow.check_properties(inst, mech), trade_oracle.check_properties(inst, mech)
+    return ow.check_properties(inst, mech), trade_oracle.check_properties(inst, trade_oracle.trade_form(mech))
+
+
+def _shifted(mech, shift):
+    """``mech`` with ``shift`` added to the seller's payments."""
+    return dataclasses.replace(mech, payment_a=mech.payment_a + shift)
+
+
+def _flipped(mech):
+    """``mech`` with the efficient trade at (s1, b3) turned off."""
+    action_a = mech.action_a.copy()
+    action_a[0, 2] = 0
+    return dataclasses.replace(mech, action_a=action_a)
 
 
 def test_representations_agree_verdict_for_verdict():
@@ -147,14 +159,11 @@ def test_representations_agree_verdict_for_verdict():
     base = ow.feasibility_lp(inst).mechanism
     variants = [base]
     # break budget balance on one cell
-    variants.append(ow.DirectMechanism(
-        base.allocation, base.t_seller + np.eye(3)[0][:, None] * 0.1, base.t_buyer))
-    # shift the seller's transfers down uniformly: IC survives, IR does not
-    variants.append(ow.DirectMechanism(base.allocation, base.t_seller - 0.5, base.t_buyer))
+    variants.append(_shifted(base, np.eye(3)[0][:, None] * 0.1))
+    # shift the seller's payments down uniformly: IC survives, IR does not
+    variants.append(_shifted(base, -0.5))
     # flip an efficient trade off
-    flipped = base.allocation.copy()
-    flipped[0, 2] = 0.0
-    variants.append(ow.DirectMechanism(flipped, base.t_seller, base.t_buyer))
+    variants.append(_flipped(base))
     # and the subsidized mechanism for an infeasible grid
     inst6 = ow.uniform_grid_instance(6)
     sub6 = ow.min_subsidy(inst6)
@@ -166,9 +175,7 @@ def test_representations_agree_verdict_for_verdict():
 
 def test_violation_witnesses_name_the_problem():
     inst = ow.uniform_grid_instance(3)
-    base = ow.feasibility_lp(inst).mechanism
-    bad = ow.DirectMechanism(base.allocation, base.t_seller - 0.5, base.t_buyer)
-    rep = ow.check_properties(inst, bad)
+    rep = ow.check_properties(inst, _shifted(ow.feasibility_lp(inst).mechanism, -0.5))
     assert not rep.all_hold
     assert any("walk-away" in w for w in rep.witnesses)
     assert any("sum to" in w for w in rep.witnesses)
@@ -177,16 +184,11 @@ def test_violation_witnesses_name_the_problem():
 def test_witnesses_print_plain_floats():
     inst = ow.uniform_grid_instance(3)
     base = ow.feasibility_lp(inst).mechanism
-    flipped = base.allocation.copy()
-    flipped[0, 2] = 0.0
-    for mech in (
-        ow.DirectMechanism(flipped, base.t_seller, base.t_buyer),
-        ow.DirectMechanism(base.allocation, base.t_seller - 0.5, base.t_buyer),
-    ):
+    for mech in (_flipped(base), _shifted(base, -0.5)):
         rep = ow.check_properties(inst, mech)
         assert rep.witnesses
         assert not [w for w in rep.witnesses if "np." in w]
-    rep = ow.check_properties(inst, ow.DirectMechanism(flipped, base.t_seller, base.t_buyer))
+    rep = ow.check_properties(inst, _flipped(base))
     # the trade is audited on its one-way embedding: seller types s1, s2, s3
     # and buyer types b1, b2, b3 in increasing order of value
     assert rep.witnesses == (
@@ -230,12 +232,43 @@ def test_refinement_sweep_structure():
     assert serial == rows
 
 
+def _trade_instance(seed):
+    """A random trade instance with one to four values per side: small
+    enough that some admit an efficient, balanced, IC and IR mechanism."""
+    rng = np.random.default_rng(seed)
+    ns, nb = rng.integers(1, 5, size=2)
+    return ow.BilateralTradeInstance(
+        rng.random(ns), rng.dirichlet(np.ones(ns)), rng.random(nb), rng.dirichlet(np.ones(nb))
+    )
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [ow.uniform_grid_instance(k) for k in range(2, 9)] + [_trade_instance(seed) for seed in range(60)],
+)
+def test_trade_mechanisms_are_audited_tables_on_the_embedding(inst):
+    # both LPs trade efficiently; the margin LP's mechanism, where it is
+    # feasible, has every property, and the subsidy LP's every one but
+    # budget balance
+    game = ow.to_one_way(inst)
+    feas, sub = ow.feasibility_lp(inst), ow.min_subsidy(inst)
+    mechs = [sub.mechanism] + ([feas.mechanism] if feas.verdict == "feasible" else [])
+    for mech in mechs:
+        assert np.array_equal(mech.action_a, ow.efficient_allocation(inst))
+        assert not mech.action_b.any()
+    rep = ow.check_one_way_properties(game, sub.mechanism)
+    assert rep.efficient and rep.incentive_compatible and rep.individually_rational, rep.witnesses
+    if feas.verdict == "feasible":
+        assert ow.check_one_way_properties(game, feas.mechanism).all_hold
+        assert ow.check_properties(inst, feas.mechanism) == ow.check_one_way_properties(game, feas.mechanism)
+
+
 def test_one_way_reservation_values():
     # B's walk-away in the embedding is her payoff against equilibrium play,
     # which is zero because the seller keeps the good on her own
     inst = ow.uniform_grid_instance(2)
-    game, om = ow.mechanism_to_one_way(inst, ow.feasibility_lp(inst).mechanism)
-    rep = ow.check_one_way_properties(game, om)
+    game = ow.to_one_way(inst)
+    rep = ow.check_one_way_properties(game, ow.feasibility_lp(inst).mechanism)
     assert rep.all_hold
     out = ow.nash_outcome(game)
     assert out.action_a["s1"] == "keep"
@@ -244,7 +277,7 @@ def test_one_way_reservation_values():
 
 def _grid_mechanism():
     inst = ow.uniform_grid_instance(3)
-    return ow.mechanism_to_one_way(inst, ow.feasibility_lp(inst).mechanism)
+    return ow.to_one_way(inst), ow.feasibility_lp(inst).mechanism
 
 
 @pytest.mark.parametrize("name", ["action_a", "action_b", "payment_a", "payment_b"])

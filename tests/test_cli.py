@@ -284,6 +284,61 @@ def test_ms_check_refine_too_small(capsys):
     assert "at least 2" in err
 
 
+@pytest.mark.parametrize("refine", ["201", "1000", str(10**12)])
+def test_ms_check_refine_too_large(capsys, refine):
+    """The trade LPs are dense, so a finer grid is a one-line error, not an
+    allocation of gigabytes (30 GB at 1,000 values a side)."""
+    code, out, err = _run(capsys, ["ms-check", "--refine", refine])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --refine {refine} is above 200 values per side\n"
+
+
+@pytest.mark.parametrize("sellers, buyers", [(201, 3), (2, 201)])
+def test_ms_check_instance_too_large(capsys, tmp_path, sellers, buyers):
+    path = tmp_path / "big.json"
+    path.write_text(
+        json.dumps(
+            {
+                "seller": {"values": [i / sellers for i in range(sellers)], "probs": [1 / sellers] * sellers},
+                "buyer": {"values": [i / buyers for i in range(buyers)], "probs": [1 / buyers] * buyers},
+            }
+        ),
+        encoding="utf-8",
+    )
+    code, out, err = _run(capsys, ["ms-check", "--instance", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path} has more than 200 values on a side\n"
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 3)])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["examples", "--which", "1b", "--mc-samples", "1000", "--seed"],
+        ["examples", "--which", "corollary", "--mc-samples", "1000", "--seed"],
+        ["multi-offer", "INSTANCE", "--schedule", "SCHEDULE", "--samples", "1000", "--seed"],
+        ["gen", "--seed"],
+    ],
+)
+def test_seeds_outside_64_bits_are_rejected(capsys, instance, schedule_file, argv, seed):
+    """A stream's key is one 64-bit word, so a seed outside [0, 2**64) is an
+    error rather than an alias of the seed it equals modulo 2**64."""
+    argv = [{"INSTANCE": instance, "SCHEDULE": schedule_file}.get(a, a) for a in argv] + [seed]
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: seed {seed} is outside [0, 2**64)\n"
+
+
+def test_largest_seed_is_accepted(capsys):
+    code, out, err = _run(capsys, ["examples", "--which", "1b", "--mc-samples", "1000", "--seed", str(2**64 - 1)])
+    assert code == 0 and err == ""
+    _, zero, _ = _run(capsys, ["examples", "--which", "1b", "--mc-samples", "1000", "--seed", "0"])
+    assert _split_report(out)[2] != _split_report(zero)[2]
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

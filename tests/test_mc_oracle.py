@@ -328,8 +328,8 @@ def test_memory_budget_per_thread(monkeypatch):
     column holds the coin, the masked sacrifices and PoA's denominator), so
     a third column would break the budget. A call over four scenarios keeps
     the uniforms in one more column, and in aggregate mode the coin in a
-    second. A schedule call holds two float columns, a mask and the
-    ``searchsorted`` index, however many B types it runs."""
+    second. A schedule call holds two float columns, a mask and the cell
+    index, however many B types it runs."""
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     samples = 3 * streams.BATCH_SIZE
     four = [SCENARIOS[f"power-{b}"] for b in (0.25, 0.5, 0.75, 1.0)]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oneway as ow
 from offer_oracle import certification_probe
+from oneway.multi_offer import _type_finder
 
 
 def sched(gammas, probs, action="a1"):
@@ -180,6 +181,24 @@ def test_optimize_schedule_certified_on_random_games():
     # the exact certificate costs one evaluation, so ten thousand steps stay cheap
     opt = ow.optimize_schedule(ow.random_game(1), "u1", 10_000)
     assert opt.certified and len(opt.schedule.gammas) == 10_000
+
+
+# Priors of 1 to 300 types with some zero weights (so repeated cdf values),
+# and uniforms drawn at random, at every cdf value and next to each one.
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    weights=st.lists(st.integers(0, 5), min_size=1, max_size=300).filter(any),
+    seed=st.integers(0, 2**16),
+)
+def test_type_lookup_matches_searchsorted(weights, seed):
+    prior = np.array(weights, dtype=np.float64) / sum(weights)
+    cdf = np.cumsum(prior)
+    near = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0)])
+    u = np.concatenate([np.random.default_rng(seed).random(64), near[(near >= 0.0) & (near < 1.0)], [0.0]])
+    cell, out, accept = np.empty(u.size, dtype=np.intp), np.empty(u.size), np.empty(u.size, dtype=bool)
+    _type_finder(prior)(u, cell, out, accept)
+    want = np.clip(np.searchsorted(cdf, u, side="right"), 0, len(prior) - 1)
+    assert np.array_equal(cell, want)
 
 
 def test_z99_constant():

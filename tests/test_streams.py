@@ -22,6 +22,18 @@ def test_distinct_indices_differ():
     assert not (a == b).all()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3])
+def test_seeds_outside_64_bits_are_rejected(seed):
+    # masked to 64 bits, -1 would alias 2**64 - 1 and 2**64 + 3 would alias 3
+    with pytest.raises(ValueError, match=r"is outside \[0, 2\*\*64\)"):
+        streams.stream(seed)
+
+
+def test_64_bit_seeds_are_distinct():
+    draws = [streams.stream(seed).uniform(size=4) for seed in (0, 3, 2**63, 2**64 - 1)]
+    assert len({d.tobytes() for d in draws}) == 4
+
+
 def test_batch_sizes():
     assert streams.batch_sizes(10, batch=4) == [4, 4, 2]
     assert streams.batch_sizes(8, batch=4) == [4, 4]

@@ -10,6 +10,7 @@ embedding, which must reach the audit's verdicts; the one-way loop must also
 give its witnesses, and the trade-form loop as many per property.
 """
 
+import dataclasses
 import re
 
 import numpy as np
@@ -64,7 +65,7 @@ def _assert_subsidy_agrees(inst):
     assert sub.raw_min_deficit == pytest.approx(dense.raw_min_deficit, abs=VALUE_TOL)
     assert sub.subsidy == pytest.approx(dense.subsidy, abs=VALUE_TOL)
     mech = sub.mechanism
-    assert float(np.max(mech.t_seller + mech.t_buyer)) <= sub.raw_min_deficit + VALUE_TOL
+    assert float(np.max(mech.payment_a + mech.payment_b)) <= sub.raw_min_deficit + VALUE_TOL
     rep = ow.check_properties(inst, mech)
     assert rep.efficient and rep.incentive_compatible and rep.individually_rational
 
@@ -133,20 +134,21 @@ def _assert_same_witnesses(tables, loop):
 def _mechanism(inst, kind, seed):
     """One of four mechanisms on ``inst``: the margin LP's (or, where there
     is none, the subsidy LP's), the subsidy LP's, the subsidy LP's with the
-    seller's transfers shifted down, or that one with random trades flipped
-    and noise on the seller's transfers."""
+    seller's payments shifted down, or that one with random trades flipped
+    and noise on the seller's payments."""
     base = ow.min_subsidy(inst).mechanism
     if kind == "feasible":
         return ow.feasibility_lp(inst).mechanism or base
     if kind == "subsidy":
         return base
     if kind == "shifted":
-        return ow.DirectMechanism(base.allocation, base.t_seller - 0.25, base.t_buyer)
+        return dataclasses.replace(base, payment_a=base.payment_a - 0.25)
     rng = np.random.default_rng(seed)
-    flips = rng.random(base.allocation.shape) < 0.3
-    allocation = np.where(flips, 1.0 - base.allocation, base.allocation)
-    noise = rng.normal(0.0, 0.05, base.t_seller.shape)
-    return ow.DirectMechanism(allocation, base.t_seller + noise, base.t_buyer)
+    flips = rng.random(base.action_a.shape) < 0.3
+    noise = rng.normal(0.0, 0.05, base.payment_a.shape)
+    return dataclasses.replace(
+        base, action_a=np.where(flips, 1 - base.action_a, base.action_a), payment_a=base.payment_a + noise
+    )
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -159,10 +161,11 @@ def _mechanism(inst, kind, seed):
 def test_audits_match_loop_oracle(seller, buyer, kind, seed):
     inst = ow.BilateralTradeInstance(*_side_args(seller), *_side_args(buyer))
     mech = _mechanism(inst, kind, seed)
-    audit, trade = ow.check_properties(inst, mech), trade_oracle.check_properties(inst, mech)
+    audit = ow.check_properties(inst, mech)
+    trade = trade_oracle.check_properties(inst, trade_oracle.trade_form(mech))
     assert _verdicts(audit) == _verdicts(trade)
     assert trade_oracle.witness_counts(audit) == trade_oracle.witness_counts(trade)
-    loop = trade_oracle.check_one_way_properties(*ow.mechanism_to_one_way(inst, mech))
+    loop = trade_oracle.check_one_way_properties(ow.to_one_way(inst), mech)
     assert _verdicts(loop) == _verdicts(audit)
     _assert_same_witnesses(audit.witnesses, loop.witnesses)
 

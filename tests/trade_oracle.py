@@ -7,10 +7,14 @@ subsidy LP, with rows filled by Python loops. They are exact but slow;
 the package solves the same problems in interim form, and the tests
 compare the two. The property audits here are the original per-type-pair
 loops, one on the trade form and one on the one-way embedding; the package
-has a single audit, on interim tables of the embedding.
+has a single audit, on interim tables of the embedding. The oracle states
+its mechanisms in its own trade form, ``TradeMechanism``, rather than in
+the package's ``OneWayMechanism``; ``trade_form`` converts the package's.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -19,7 +23,6 @@ from oneway.bilateral import (
     MARGIN_CAP,
     MARGIN_TOL,
     BilateralTradeInstance,
-    DirectMechanism,
     FeasibilityResult,
     OneWayMechanism,
     PropertyReport,
@@ -27,6 +30,20 @@ from oneway.bilateral import (
     efficient_allocation,
 )
 from oneway.game import OneWayGame, StrategyProfile, optimal_welfare, social_welfare
+
+
+class TradeMechanism(NamedTuple):
+    """Allocation plus transfers paid TO each agent, indexed [seller, buyer]."""
+
+    allocation: np.ndarray
+    t_seller: np.ndarray
+    t_buyer: np.ndarray
+
+
+def trade_form(mech: OneWayMechanism) -> TradeMechanism:
+    """A trade mechanism on ``to_one_way``'s game in the oracle's form: the
+    seller's action (1 hands the good over) is the allocation."""
+    return TradeMechanism(mech.action_a.astype(np.float64), mech.payment_a, mech.payment_b)
 
 
 def _constraint_system(
@@ -109,11 +126,11 @@ def feasibility_lp(instance: BilateralTradeInstance, include_ir: bool = True) ->
     sigma = efficient_allocation(instance)
     if margin > MARGIN_TOL:
         x = res.x[:nvar].reshape(len(instance.seller_values), len(instance.buyer_values))
-        mech = DirectMechanism(allocation=sigma, t_seller=x, t_buyer=-x)
+        mech = TradeMechanism(sigma, x, -x)
         return FeasibilityResult("feasible", margin, nrows, mech, None, None, None)
     if margin >= -MARGIN_TOL:
         x = res.x[:nvar].reshape(len(instance.seller_values), len(instance.buyer_values))
-        mech = DirectMechanism(allocation=sigma, t_seller=x, t_buyer=-x)
+        mech = TradeMechanism(sigma, x, -x)
         return FeasibilityResult("marginal", margin, nrows, mech, None, None, None)
     far = linprog(b, A_eq=A.T, b_eq=np.zeros(nvar), bounds=[(0.0, 1.0)] * nrows, method="highs")
     if far.status != 0:
@@ -205,12 +222,12 @@ def min_subsidy(instance: BilateralTradeInstance) -> SubsidyResult:
     d_star = float(res.x[d_col])
     t_s = res.x[:nv].reshape(ns, nb)
     t_b = res.x[nv : 2 * nv].reshape(ns, nb)
-    mech = DirectMechanism(allocation=sigma, t_seller=t_s, t_buyer=t_b)
+    mech = TradeMechanism(sigma, t_s, t_b)
     return SubsidyResult(subsidy=max(0.0, d_star), raw_min_deficit=d_star, mechanism=mech)
 
 
 def check_properties(
-    instance: BilateralTradeInstance, mech: DirectMechanism, tol: float = 1e-9
+    instance: BilateralTradeInstance, mech: TradeMechanism, tol: float = 1e-9
 ) -> PropertyReport:
     """Audit a trade mechanism: efficiency, budget balance, Bayes-Nash
     incentive compatibility and interim individual rationality.
