@@ -19,9 +19,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "analytics": (
         "ContinuousSpec",
+        "MCPoAResult",
         "MCResult",
         "SingleOfferScenario",
         "example1b_scenario",
+        "mc_poa",
         "mc_single_offer",
         "power_scenario",
     ),

@@ -7,7 +7,10 @@ quantities (equilibrium welfare, the optimal share, the price of anarchy
 curve) have closed forms. Those live in ``closed_form``, which imports no
 numpy, so the commands that print only closed forms never load it; this
 module holds the scenarios as distributions and a vectorized simulator that
-samples them directly, and only ``--mc-samples`` runs it.
+samples them directly, and only ``--mc-samples`` runs it. The simulator has
+one estimator per estimand, each folding only what it reports on a shared
+batch driver (``_simulate``): ``mc_single_offer`` the payoffs and welfare,
+``mc_poa`` the per-draw price of anarchy.
 
 Accounting note. The closed-form welfare curves book every accepting type's
 sacrifice at the population mean, i.e. acceptance is treated as independent
@@ -82,14 +85,12 @@ class ContinuousSpec:
         there in place instead of into a new array. A scalar q gives a scalar.
         """
         if out is None:
-            out = np.array(q, dtype=np.float64)
-        elif out is not q:
-            np.copyto(out, q)
+            out = np.empty(np.shape(q))
         if self.kind == "uniform":
-            out *= self.high - self.low
+            np.multiply(q, self.high - self.low, out=out)
             out += self.low
         else:
-            out **= 1.0 / self.beta
+            np.power(q, 1.0 / self.beta, out=out)
             out *= self.high
         return out[()] if out.ndim == 0 else out
 
@@ -155,26 +156,85 @@ def power_scenario(beta: float, delta_b: float = 1.0) -> SingleOfferScenario:
 
 @dataclass(frozen=True)
 class MCResult:
+    """Payoff estimates of one scenario (``mc_single_offer``)."""
+
     samples: int
     accounting: str
     acceptance_rate: float
     mean_u_a: float
     mean_u_b: float
     mean_sw: float
-    mean_poa: float
-    max_poa: float
     ci_u_a: float
     ci_u_b: float
     ci_sw: float
-    ci_poa: float
     poa_vs_ex_ante: float
+
+
+@dataclass(frozen=True)
+class MCPoAResult:
+    """Per-draw price-of-anarchy estimates of one scenario (``mc_poa``)."""
+
+    samples: int
+    accounting: str
+    acceptance_rate: float
+    mean_poa: float
+    ci_poa: float
+    max_poa: float
 
 
 def mc_single_offer(
     scenarios: Sequence[SingleOfferScenario], samples: int, seed: int, accounting: str = "exact"
 ) -> list[MCResult]:
-    """Simulate each scenario with batched counter-based streams; one result
-    per scenario, in order.
+    """Estimate each scenario's u_a, u_b and welfare by simulation; one
+    result per scenario, in order (batches as in ``_simulate``).
+
+    The three payoffs are constant on declined draws and fall one for one
+    with the sacrifice on accepted ones, so a batch keeps for them only the
+    accepted count and the accepted sacrifices' mean and centred second
+    moment; their moments follow from those by the two-group merge
+    (``_MCTerms.payoffs``). poa_vs_ex_ante divides the aggregate optimum by
+    mean welfare, which is what the closed-form curves report.
+    """
+    terms, batches = _simulate(scenarios, samples, seed, accounting, _fold_payoffs)
+    accepted = [streams.Moments(1) for _ in terms]
+    for _, per_scenario in batches:
+        for moments, (hits, mean, m2) in zip(accepted, per_scenario):
+            moments.merge(hits, [mean], [m2])
+    return [t.payoffs(samples, accounting, moments) for t, moments in zip(terms, accepted)]
+
+
+def mc_poa(
+    scenarios: Sequence[SingleOfferScenario], samples: int, seed: int, accounting: str = "exact"
+) -> list[MCPoAResult]:
+    """Estimate each scenario's per-draw price of anarchy, the draw's own
+    optimum over its welfare, by simulation: its mean, interval and largest
+    value. One result per scenario, in order (batches as in ``_simulate``).
+    PoA is a ratio, so each batch centres its own column of it."""
+    terms, batches = _simulate(scenarios, samples, seed, accounting, _fold_poa)
+    accepted = [0] * len(terms)
+    poas = [streams.Moments(1) for _ in terms]
+    max_poa = [0.0] * len(terms)
+    for size, per_scenario in batches:
+        for j, (hits, mean, m2, top) in enumerate(per_scenario):
+            accepted[j] += hits
+            poas[j].merge(size, [mean], [m2])
+            max_poa[j] = max(max_poa[j], top)
+    return [
+        MCPoAResult(
+            samples=samples,
+            accounting=accounting,
+            acceptance_rate=k / samples,
+            mean_poa=float(poa.means()[0]),
+            ci_poa=float(Z99 * poa.standard_errors()[0]),
+            max_poa=top,
+        )
+        for k, poa, top in zip(accepted, poas, max_poa)
+    ]
+
+
+def _simulate(scenarios: Sequence[SingleOfferScenario], samples: int, seed: int, accounting: str, fold):
+    """The scenarios' constants, and per batch its size and, per scenario,
+    the accepted count followed by ``fold(terms, delta, accept, hits)``.
 
     Each batch draws a sacrifice uniform per sample and, in aggregate mode
     only, a coin uniform after them. The coin is the batch stream's second
@@ -184,24 +244,13 @@ def mc_single_offer(
     turn; each scenario folds its own statistics in batch order, so its
     result is the same whether it is simulated alone or with others.
 
-    u_a, u_b and welfare are constant on declined draws and fall one for one
-    with the sacrifice on accepted ones, so a batch keeps for them only the
-    accepted count and the accepted sacrifices' mean and centred second
-    moment; the three payoffs' moments follow from those by the two-group
-    merge (``_MCTerms.result``). Per-draw PoA is a ratio and keeps its own
-    column, centred per batch.
-
     Batches run on ``os.cpu_count()`` threads (``streams.run_batches``).
-    Each thread owns two float columns and a mask of one batch each: the
-    uniforms, then the sacrifice, then the per-draw PoA; the coin (aggregate
-    mode), then the masked sacrifices and their deviations, then PoA's
-    denominator; the accept flags. With a second scenario the uniforms, and
-    in aggregate mode the coin, outlive each scenario, so the thread keeps
-    them in a column each of their own.
-
-    Per-draw PoA compares against the draw's own optimum; poa_vs_ex_ante
-    divides the aggregate optimum by mean welfare instead, which is what the
-    closed-form curves report.
+    Each thread owns two float columns of one batch each: the uniforms,
+    then the sacrifice ``delta``; the coin (aggregate mode), then the accept
+    weights ``accept``, 1.0 on accepted draws and 0.0 on declined ones. A
+    fold may overwrite both. With a second scenario the uniforms, and in
+    aggregate mode the coin, outlive each scenario, so the thread keeps them
+    in a column each of their own.
     """
     if isinstance(scenarios, SingleOfferScenario):
         raise TypeError("scenarios must be a sequence of SingleOfferScenario, not one scenario")
@@ -214,15 +263,14 @@ def mc_single_offer(
 
     def make_batch():
         n = min(samples, streams.BATCH_SIZE)
-        delta_buf, x_buf = np.empty((2, n))
-        accept_buf = np.empty(n, dtype=bool)
+        delta_buf, accept_buf = np.empty((2, n))
         # Columns read by every scenario get their own buffer only when a
         # second scenario reads them after the first has reused its columns.
         q_buf = np.empty(n) if fused else delta_buf
-        coin_buf = np.empty(n) if fused and accounting == "aggregate" else x_buf
+        coin_buf = np.empty(n) if fused and accounting == "aggregate" else accept_buf
 
         def batch(index: int, size: int):
-            delta, x, accept = delta_buf[:size], x_buf[:size], accept_buf[:size]
+            delta, accept = delta_buf[:size], accept_buf[:size]
             q, coin = q_buf[:size], coin_buf[:size]
             rng = streams.stream(seed, index)
             rng.random(out=q)
@@ -235,36 +283,37 @@ def mc_single_offer(
                     np.less_equal(delta, t.thr, out=accept)
                 else:
                     np.less(coin, t.p_model, out=accept)
-                # The accepted sacrifices' mean and centred second moment,
-                # reduced over the whole column with the declined draws
-                # multiplied to zero: a masked reduction is far slower.
-                hits = int(np.count_nonzero(accept))
-                mean = np.sum(np.multiply(delta, accept, out=x)) / hits if hits else 0.0
-                np.multiply(np.subtract(delta, mean, out=x), accept, out=x)
-                m2 = np.sum(np.square(x, out=x))
-                # PoA = max(base, base + e) / (base + e * accepted), with
-                # e = delta_b - delta the trade's welfare gain.
-                e = np.subtract(t.delta_b, delta, out=delta)
-                np.add(np.multiply(e, accept, out=x), t.base, out=x)
-                poa = np.maximum(np.add(e, t.base, out=e), t.base, out=e)
-                np.divide(poa, x, out=poa)
-                top = float(np.max(poa))
-                per_scenario.append((hits, mean, m2, *streams.centre(poa, poa), top))
+                # Exact: a batch's partial sums of 0.0 and 1.0 are integers
+                # far below 2**53, and summing floats beats counting them.
+                hits = int(np.sum(accept))
+                per_scenario.append((hits, *fold(t, delta, accept, hits)))
             return size, per_scenario
 
         return batch
 
-    sacrifices = [streams.Moments(1) for _ in terms]  # of the accepted draws
-    poas = [streams.Moments(1) for _ in terms]
-    max_poa = [0.0] * len(terms)
-    for size, per_scenario in streams.run_batches(samples, make_batch):
-        for j, (hits, mean, m2, poa_mean, poa_m2, top) in enumerate(per_scenario):
-            sacrifices[j].merge(hits, [mean], [m2])
-            poas[j].merge(size, [poa_mean], [poa_m2])
-            max_poa[j] = max(max_poa[j], top)
-    return [
-        t.result(samples, accounting, acc, poa, top) for t, acc, poa, top in zip(terms, sacrifices, poas, max_poa)
-    ]
+    return terms, streams.run_batches(samples, make_batch)
+
+
+def _fold_payoffs(t: "_MCTerms", delta: np.ndarray, accept: np.ndarray, hits: int) -> tuple[float, float]:
+    """The accepted sacrifices' mean and centred second moment, reduced over
+    the whole column with the declined draws weighted to zero: a masked
+    reduction is far slower."""
+    delta *= accept
+    mean = np.sum(delta) / hits if hits else 0.0
+    dev = np.subtract(delta, np.multiply(accept, mean, out=accept), out=accept)
+    return mean, np.sum(np.square(dev, out=dev))
+
+
+def _fold_poa(t: "_MCTerms", delta: np.ndarray, accept: np.ndarray, hits: int) -> tuple[float, float, float]:
+    """Mean, centred second moment and largest value of the per-draw PoA,
+    max(base, base + e) / (base + e * accept), with e = delta_b - delta the
+    trade's welfare gain."""
+    e = np.subtract(t.delta_b, delta, out=delta)
+    denominator = np.add(np.multiply(e, accept, out=accept), t.base, out=accept)
+    poa = np.maximum(np.add(e, t.base, out=e), t.base, out=e)
+    np.divide(poa, denominator, out=poa)
+    top = float(np.max(poa))
+    return (*streams.centre(poa, poa), top)
 
 
 class _MCTerms:
@@ -280,10 +329,8 @@ class _MCTerms:
         self.b_outside = scenario.b_outside
         self.base = scenario.a_default + scenario.b_outside
 
-    def result(
-        self, samples: int, accounting: str, accepted: streams.Moments, poa: streams.Moments, max_poa: float
-    ) -> MCResult:
-        """The result from the accepted sacrifices' moments and PoA's.
+    def payoffs(self, samples: int, accounting: str, accepted: streams.Moments) -> MCResult:
+        """The result from the accepted sacrifices' moments.
 
         Each payoff takes one value on the declined draws and that value
         plus a gap on the accepted ones, less the sacrifice's deviation from
@@ -315,11 +362,8 @@ class _MCTerms:
             mean_u_a=mean_u_a,
             mean_u_b=mean_u_b,
             mean_sw=mean_sw,
-            mean_poa=float(poa.means()[0]),
-            max_poa=max_poa,
             ci_u_a=ci_u_a,
             ci_u_b=ci_u_b,
             ci_sw=ci_sw,
-            ci_poa=float(Z99 * poa.standard_errors()[0]),
             poa_vs_ex_ante=ex_ante_opt / mean_sw,
         )

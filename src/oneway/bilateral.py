@@ -264,13 +264,35 @@ def check_one_way_properties(
     return PropertyReport(not eff, not bb, not ic, not ir, tuple(eff + bb + ic + ir))
 
 
+def _reports(n: int, adjacent: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(true type, report) pairs of one side's IC rows, the report varying
+    fastest: every other type, or with ``adjacent`` only the neighbours in
+    value order."""
+    if not adjacent:
+        return np.nonzero(~np.eye(n, dtype=bool))
+    true = np.arange(n).repeat(2)
+    report = true + np.tile([-1, 1], n)
+    keep = (report >= 0) & (report < n)
+    return true[keep], report[keep]
+
+
 def _interim_system(
-    instance: BilateralTradeInstance, include_ir: bool = True
+    instance: BilateralTradeInstance, include_ir: bool = True, adjacent: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (A, b) of A z <= b over z = (X_s, Y): the seller's expected
-    receipt per seller type, then the buyer's expected payment per buyer
-    type. Rows run seller IC, buyer IC, seller IR, buyer IR; IC rows are
-    ordered (true type, report) with the report varying fastest."""
+    """Rows (A, b) of A (z, m) <= b over z = (X_s, Y), the seller's expected
+    receipt per seller type and then the buyer's expected payment per buyer
+    type, and the margin LP's common slack m, whose column is all ones. Rows
+    run seller IC, buyer IC, seller IR, buyer IR; IC rows are ordered (true
+    type, report) with the report varying fastest. A is written into one
+    array, the only dense copy of the system.
+
+    With ``adjacent`` a type's IC rows name only its neighbours in value
+    order. Without a margin they imply the others: the efficient trade
+    makes K and G nondecreasing in value, so for i < k < l the rows
+    (i, k) and (k, l) add up to at least (i, l), since v_k (K_k - K_l) <=
+    v_i (K_k - K_l), and the same holds downwards and for the buyer. A
+    margin m would enter that sum twice, so a negative one needs every row.
+    """
     sv = np.asarray(instance.seller_values)
     bv = np.asarray(instance.buyer_values)
     f1 = np.asarray(instance.seller_probs)
@@ -279,18 +301,19 @@ def _interim_system(
     sigma = efficient_allocation(instance)
     K = (1.0 - sigma) @ f2
     G = f1 @ sigma
-    eye_s, eye_b = np.eye(ns), np.eye(nb)
-    i, k = np.nonzero(~np.eye(ns, dtype=bool))
-    j, l = np.nonzero(~np.eye(nb, dtype=bool))
-    rows = [
-        np.hstack([eye_s[k] - eye_s[i], np.zeros((len(i), nb))]),
-        np.hstack([np.zeros((len(j), ns)), eye_b[j] - eye_b[l]]),
-    ]
+    i, k = _reports(ns, adjacent)
+    j, l = _reports(nb, adjacent)
+    ic = len(i) + len(j)
+    A = np.zeros((ic + (ns + nb if include_ir else 0), ns + nb + 1))
+    rows = np.arange(ic)
+    A[rows, np.concatenate([k, ns + j])] = 1.0
+    A[rows, np.concatenate([i, ns + l])] = -1.0
     rhs = [sv[i] * (K[i] - K[k]), bv[j] * (G[j] - G[l])]
     if include_ir:
-        rows += [np.hstack([-eye_s, np.zeros((ns, nb))]), np.hstack([np.zeros((nb, ns)), eye_b])]
+        A[ic + np.arange(ns + nb), np.arange(ns + nb)] = np.repeat([-1.0, 1.0], [ns, nb])
         rhs += [sv * (K - 1.0), bv * G]
-    return np.vstack(rows), np.concatenate(rhs)
+    A[:, -1] = 1.0
+    return A, np.concatenate(rhs)
 
 
 @dataclass(frozen=True)
@@ -327,16 +350,16 @@ def feasibility_lp(instance: BilateralTradeInstance, include_ir: bool = True) ->
     A, b = _interim_system(instance, include_ir=include_ir)
     f1 = np.asarray(instance.seller_probs)
     f2 = np.asarray(instance.buyer_probs)
-    ns, nrows = len(f1), len(b)
-    c = np.zeros(A.shape[1] + 1)
+    (nrows, ncols), ns = A.shape, len(f1)
+    c = np.zeros(ncols)
     c[-1] = -1.0
     res = linprog(
         c,
-        A_ub=np.hstack([A, np.ones((nrows, 1))]),
+        A_ub=A,
         b_ub=b,
         A_eq=np.concatenate([f1, -f2, [0.0]])[None, :],
         b_eq=[0.0],
-        bounds=[(None, None)] * A.shape[1] + [(None, MARGIN_CAP)],
+        bounds=[(None, None)] * (ncols - 1) + [(None, MARGIN_CAP)],
         method="highs",
         options=_HIGHS_OPTIONS,
     )
@@ -353,7 +376,7 @@ def feasibility_lp(instance: BilateralTradeInstance, include_ir: bool = True) ->
     y = y / np.max(y)
     # the ex-post row of pair (i, j) is f2_j times seller column i plus
     # f1_i times buyer column j, so (A'y)_ij = f2_j u_i + f1_i v_j
-    u, v = np.split(A.T @ y, [ns])
+    u, v = np.split(A[:, :-1].T @ y, [ns])
     residual = float(np.max(np.abs(u[:, None] * f2[None, :] + f1[:, None] * v[None, :])))
     return FeasibilityResult("infeasible", margin, nrows, None, y, residual, float(b @ y))
 
@@ -389,16 +412,18 @@ def min_subsidy(instance: BilateralTradeInstance) -> SubsidyResult:
     transfers t_s = X_s_i + f2 . X_b - X_b_j and t_b = X_b_j + f1 . X_s - X_s_i
     have those interim means and sum to the expected deficit everywhere. So
     one LP over the interim rows, minimizing f1 . X_s - f2 . Y, gives d.
+    Its IC rows are the adjacent ones alone, which imply the rest
+    (``_interim_system``).
     """
-    A, b = _interim_system(instance)
+    A, b = _interim_system(instance, adjacent=True)
     f1 = np.asarray(instance.seller_probs)
     f2 = np.asarray(instance.buyer_probs)
     ns = len(f1)
     res = linprog(
         np.concatenate([f1, -f2]),
-        A_ub=A,
+        A_ub=A[:, :-1],
         b_ub=b,
-        bounds=[(None, None)] * A.shape[1],
+        bounds=[(None, None)] * (A.shape[1] - 1),
         method="highs",
         options=_HIGHS_OPTIONS,
     )

@@ -406,7 +406,7 @@ def cmd_examples(args: argparse.Namespace) -> int:
     table = _bounds(betas)
     if args.mc_samples > 0:
         scenarios = [analytics.power_scenario(beta) for beta in betas]
-        mcs = analytics.mc_single_offer(scenarios, args.mc_samples, seed, "exact")
+        mcs = analytics.mc_poa(scenarios, args.mc_samples, seed, "exact")
         table |= {
             "mc_mean_poa": [mc.mean_poa for mc in mcs],
             "mc_poa_ci99": [mc.ci_poa for mc in mcs],
@@ -541,6 +541,11 @@ def run(argv: list[str] | None = None) -> int:
         if exc.code is None:
             return 0
         return exc.code if isinstance(exc.code, int) else 2
+    # A stream's key holds the seed in one 64-bit word (``streams.stream``).
+    # Checked here, so that modes which draw nothing reject it too.
+    seed = getattr(args, "seed", None)
+    if seed is not None and not 0 <= seed < 1 << 64:
+        return _error(f"seed {seed} is outside [0, 2**64)")
     try:
         return args.func(args)
     except io.InstanceFormatError as exc:

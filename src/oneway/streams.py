@@ -13,10 +13,12 @@ for a fixed seed on any number of cores.
 A batch's draws depend only on ``(seed, index)``, so one batch can draw its
 columns once and run several simulations on them, each folding its own
 statistics. ``make_batch`` builds the buffers one thread owns for all its
-batches: ``analytics.mc_single_offer`` keeps two float columns and a mask
-(one more column for the uniforms with a second scenario, and one for the
-coin too in aggregate mode); ``multi_offer.simulate_schedule`` keeps two
-float columns, a mask and an index column.
+batches: each single-offer estimator (``analytics.mc_single_offer`` and
+``analytics.mc_poa``) keeps two float columns and no mask, its accept flags
+being a column of 1.0 and 0.0 weights (one more column for the uniforms
+with a second scenario, and one for the coin too in aggregate mode);
+``multi_offer.simulate_schedule`` keeps two float columns, a mask and an
+index column.
 """
 
 from __future__ import annotations

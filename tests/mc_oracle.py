@@ -8,8 +8,11 @@ which kept sums and allocated its centring scratch on every ``add``, and
 ``ppf`` is the inverse CDF of the same version, out of place. Two changes
 from the original: ``ppf(spec, q)`` for ``spec.ppf(q)``, and the single-offer
 batch body moved into ``single_offer_columns``, which also serves the per-draw
-columns to property tests. The result types, the streams and the schedule
-terms come from the package.
+columns to property tests. ``MCResult`` is that version's single-offer
+result, the payoff and PoA estimates in one record; the package now returns
+them from two estimators (``mc_single_offer`` and ``mc_poa``) as two records
+whose fields keep these names. The schedule result type, the streams and the
+schedule terms come from the package.
 
 The package now reduces each batch to sufficient statistics, so its fields
 agree with these to a few ulps of the payoff scale rather than bit for bit;
@@ -18,10 +21,12 @@ the acceptance counts, which come from the same draws, agree exactly.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from oneway import streams
-from oneway.analytics import ContinuousSpec, MCResult, SingleOfferScenario
+from oneway.analytics import ContinuousSpec, SingleOfferScenario
 from oneway.game import OneWayGame
 from oneway.multi_offer import Schedule, SimulationResult, _settled
 from oneway.streams import Z99
@@ -62,6 +67,23 @@ class Moments:
         return np.sqrt(self.m2 / self.count / self.count)
 
 
+@dataclass(frozen=True)
+class MCResult:
+    samples: int
+    accounting: str
+    acceptance_rate: float
+    mean_u_a: float
+    mean_u_b: float
+    mean_sw: float
+    mean_poa: float
+    max_poa: float
+    ci_u_a: float
+    ci_u_b: float
+    ci_sw: float
+    ci_poa: float
+    poa_vs_ex_ante: float
+
+
 def mc_single_offer(
     scenario: SingleOfferScenario, samples: int, seed: int, accounting: str = "exact"
 ) -> MCResult:
@@ -74,7 +96,7 @@ def mc_single_offer(
     moments = Moments(4)  # u_a, u_b, sw, poa
     max_poa = 0.0
     accepted = 0
-    for accept, ua, ub, sw, poa in single_offer_columns(scenario, samples, seed, accounting):
+    for accept, _, ua, ub, sw, poa in single_offer_columns(scenario, samples, seed, accounting):
         accepted += int(np.count_nonzero(accept))
         max_poa = max(max_poa, float(np.max(poa)))
         moments.add(ua, ub, sw, poa)
@@ -99,7 +121,8 @@ def mc_single_offer(
 
 
 def single_offer_columns(scenario: SingleOfferScenario, samples: int, seed: int, accounting: str = "exact"):
-    """Per batch: the accept flags and the u_a, u_b, welfare and PoA columns."""
+    """Per batch: the accept flags and the sacrifice, u_a, u_b, welfare and
+    PoA columns."""
     spec = scenario.delta_a_spec
     thr = scenario.gamma * scenario.delta_b
     p_model = spec.cdf(thr)
@@ -121,7 +144,7 @@ def single_offer_columns(scenario: SingleOfferScenario, samples: int, seed: int,
         sw = ua + ub
         opt = np.maximum(base, base - delta + scenario.delta_b)
         poa = opt / sw
-        yield accept, ua, ub, sw, poa
+        yield accept, delta, ua, ub, sw, poa
 
 
 def simulate_schedule(

@@ -320,11 +320,15 @@ def test_ms_check_instance_too_large(capsys, tmp_path, sellers, buyers):
         ["examples", "--which", "corollary", "--mc-samples", "1000", "--seed"],
         ["multi-offer", "INSTANCE", "--schedule", "SCHEDULE", "--samples", "1000", "--seed"],
         ["gen", "--seed"],
+        ["examples", "--which", "1b", "--seed"],
+        ["examples", "--which", "corollary", "--seed"],
+        ["multi-offer", "INSTANCE", "--schedule", "SCHEDULE", "--seed"],
     ],
 )
 def test_seeds_outside_64_bits_are_rejected(capsys, instance, schedule_file, argv, seed):
     """A stream's key is one 64-bit word, so a seed outside [0, 2**64) is an
-    error rather than an alias of the seed it equals modulo 2**64."""
+    error rather than an alias of the seed it equals modulo 2**64, also in
+    the modes that draw nothing and only print the seed in their header."""
     argv = [{"INSTANCE": instance, "SCHEDULE": schedule_file}.get(a, a) for a in argv] + [seed]
     code, out, err = _run(capsys, argv)
     assert code == 1

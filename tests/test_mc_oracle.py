@@ -3,8 +3,10 @@
 ``mc_oracle`` keeps ``mc_single_offer`` and ``simulate_schedule`` as they
 were when every batch built each payoff as a per-draw column from fresh
 temporaries. The package reduces a batch to sufficient statistics instead
-(the accepted sacrifices' moments for single offers, cell counts for
-schedules), on the same draws. So every acceptance rate must be
+(the accepted sacrifices' moments for single-offer payoffs, the per-draw
+PoA's own moments for ``mc_poa``, cell counts for schedules), on the same
+draws. Each single-offer estimator's fields are compared with the oracle's
+fields of the same name. So every acceptance rate must be
 ``repr``-equal to the oracle's, and every other field within ``ULPS``
 machine epsilons of the payoff scale: the largest payoff or sacrifice bound
 of the scenario or game. Sample counts cover one draw, a partial batch,
@@ -38,6 +40,7 @@ from oneway import analytics, streams
 ULPS = 16
 
 SAMPLES = (1, 1_000, streams.BATCH_SIZE, streams.BATCH_SIZE + 1, 200_001)
+ESTIMATORS = (analytics.mc_single_offer, analytics.mc_poa)
 SEEDS = (1, 2, 3)
 
 SCENARIOS = {
@@ -75,9 +78,9 @@ def _single_scale(sc: analytics.SingleOfferScenario) -> float:
 
 
 def _assert_close(got, want, scale: float, where) -> None:
-    """Acceptance ``repr``-equal; every other float field within ``ULPS``
+    """Each field of ``got`` against ``want``'s field of the same name:
+    acceptance ``repr``-equal; every other float field within ``ULPS``
     epsilons of ``scale``; the integer and string fields equal."""
-    assert type(got) is type(want)
     assert repr(got.acceptance_rate) == repr(want.acceptance_rate), where
     tol = ULPS * sys.float_info.epsilon * scale
     for field in dataclasses.fields(got):
@@ -92,28 +95,33 @@ def _assert_close(got, want, scale: float, where) -> None:
 @pytest.mark.parametrize("accounting", ["exact", "aggregate"])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_mc_single_offer_matches_oracle(name, accounting, samples):
+    """Both estimators: the payoffs (``mc_single_offer``) and the per-draw
+    PoA (``mc_poa``)."""
     scenario = SCENARIOS[name]
     for seed in SEEDS:
-        (got,) = analytics.mc_single_offer([scenario], samples, seed, accounting)
         want = oracle.mc_single_offer(scenario, samples, seed, accounting)
-        _assert_close(got, want, _single_scale(scenario), (name, accounting, samples, seed))
+        for estimator in ESTIMATORS:
+            (got,) = estimator([scenario], samples, seed, accounting)
+            _assert_close(got, want, _single_scale(scenario), (estimator.__name__, name, accounting, samples, seed))
 
 
 @pytest.mark.parametrize("samples", SAMPLES)
 @pytest.mark.parametrize("accounting", ["exact", "aggregate"])
 def test_one_call_over_every_scenario_matches_oracle(accounting, samples):
-    """The scenarios of one call share each batch's draws; each result is
-    still the package's for that scenario alone, and the oracle's."""
+    """The scenarios of one call share each batch's draws; each result of
+    either estimator is still its result for that scenario alone, and the
+    oracle's."""
     names = sorted(SCENARIOS)
     for seed in SEEDS:
-        got = analytics.mc_single_offer([SCENARIOS[n] for n in names], samples, seed, accounting)
-        assert len(got) == len(names)
-        for name, result in zip(names, got):
-            where = (name, accounting, samples, seed)
-            (alone,) = analytics.mc_single_offer([SCENARIOS[name]], samples, seed, accounting)
-            assert repr(result) == repr(alone), where
-            want = oracle.mc_single_offer(SCENARIOS[name], samples, seed, accounting)
-            _assert_close(result, want, _single_scale(SCENARIOS[name]), where)
+        wants = [oracle.mc_single_offer(SCENARIOS[n], samples, seed, accounting) for n in names]
+        for estimator in ESTIMATORS:
+            got = estimator([SCENARIOS[n] for n in names], samples, seed, accounting)
+            assert len(got) == len(names)
+            for name, result, want in zip(names, got, wants):
+                where = (estimator.__name__, name, accounting, samples, seed)
+                (alone,) = estimator([SCENARIOS[name]], samples, seed, accounting)
+                assert repr(result) == repr(alone), where
+                _assert_close(result, want, _single_scale(SCENARIOS[name]), where)
 
 
 def _two_pass(values: list[float]) -> tuple[float, float]:
@@ -121,6 +129,19 @@ def _two_pass(values: list[float]) -> tuple[float, float]:
     n = len(values)
     mean = math.fsum(values) / n
     return mean, streams.Z99 * math.sqrt(math.fsum((v - mean) ** 2 for v in values) / n / n)
+
+
+def _poa_column(sc: analytics.SingleOfferScenario, accept: list[bool], delta: list[float]) -> list[float]:
+    """Per-draw PoA over correctly rounded welfare sums (``math.fsum``). The
+    oracle's column sums base - delta + delta_b left to right, which cancels
+    when the sacrifice is large against the welfare: at a sacrifice near 1e8
+    and a welfare near 0.7 its PoA is off by about 1e-9 relative."""
+    base = sc.a_default + sc.b_outside
+    out = []
+    for a, d in zip(accept, delta):
+        traded = math.fsum((base, sc.delta_b, -d))
+        out.append(max(base, traded) / (traded if a else base))
+    return out
 
 
 # Payoff offsets: negative zero, zero, and values up to 1e8.
@@ -149,14 +170,19 @@ _offset = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, 1e8]), st.floats(0.0, 1e8))
     a_default=1e8, b_outside=1e8, power=False, low=1e8, width=1.0, beta=1.0,
     reach=0.5, gamma=0.5, samples=streams.BATCH_SIZE + 999, accounting="aggregate", seed=1,
 )
+@example(  # sacrifices near 1e8 against a welfare near 0.7 (see _poa_column)
+    a_default=-0.0, b_outside=-0.0, power=False, low=1e8, width=0.3516861419359604, beta=1.0,
+    reach=0.5, gamma=1.0, samples=1, accounting="aggregate", seed=1,
+)
 def test_two_group_moments_match_a_two_pass_reference(
     a_default, b_outside, power, low, width, beta, reach, gamma, samples, accounting, seed
 ):
-    """u_a, u_b and welfare from the two-group merge, and PoA from its own
-    column, against ``math.fsum`` two-pass moments of the oracle's per-draw
-    columns. The offer's threshold lands at ``reach`` of the sacrifice range,
-    and the default welfare is at least twice the range's width, so welfare
-    stays away from zero and PoA well conditioned."""
+    """u_a, u_b and welfare from the two-group merge (``mc_single_offer``),
+    and PoA from its own column (``mc_poa``), against ``math.fsum`` two-pass
+    moments of the oracle's per-draw columns, with PoA from ``_poa_column``.
+    The offer's threshold lands at ``reach`` of the sacrifice range, and the
+    default welfare is at least twice the range's width, so welfare stays
+    away from zero and PoA well conditioned."""
     if power:
         spec = ow.ContinuousSpec.power(beta, width)
         low = 0.0
@@ -166,9 +192,11 @@ def test_two_group_moments_match_a_two_pass_reference(
         b_outside = 2 * width
     sc = analytics.SingleOfferScenario(spec, (low + reach * width) / gamma, a_default, b_outside, gamma)
     (got,) = analytics.mc_single_offer([sc], samples, seed, accounting)
+    (got_poa,) = analytics.mc_poa([sc], samples, seed, accounting)
     batches = list(oracle.single_offer_columns(sc, samples, seed, accounting))
-    accept, ua, ub, sw, poa = (np.concatenate(c).tolist() for c in zip(*batches))
-    assert repr(got.acceptance_rate) == repr(sum(accept) / samples)
+    accept, delta, ua, ub, sw, _ = (np.concatenate(c).tolist() for c in zip(*batches))
+    poa = _poa_column(sc, accept, delta)
+    assert repr(got.acceptance_rate) == repr(got_poa.acceptance_rate) == repr(sum(accept) / samples)
     tol = ULPS * sys.float_info.epsilon * _single_scale(sc)
     for field, column in (("u_a", ua), ("u_b", ub), ("sw", sw)):
         mean, ci = _two_pass(column)
@@ -176,9 +204,9 @@ def test_two_group_moments_match_a_two_pass_reference(
         assert abs(getattr(got, f"ci_{field}") - ci) <= tol, field
     mean, ci = _two_pass(poa)
     poa_tol = ULPS * sys.float_info.epsilon * max(poa)
-    assert abs(got.mean_poa - mean) <= poa_tol
-    assert abs(got.ci_poa - ci) <= poa_tol
-    assert abs(got.max_poa - max(poa)) <= poa_tol
+    assert abs(got_poa.mean_poa - mean) <= poa_tol
+    assert abs(got_poa.ci_poa - ci) <= poa_tol
+    assert abs(got_poa.max_poa - max(poa)) <= poa_tol
 
 
 def _schedule(rng: np.random.Generator, action: str, n: int) -> ow.Schedule:
@@ -254,7 +282,8 @@ def _every_result(samples: int) -> list:
     names = sorted(SCENARIOS)
     out = []
     for accounting in ("exact", "aggregate"):
-        out += analytics.mc_single_offer([SCENARIOS[n] for n in names], samples, 7, accounting)
+        for estimator in ESTIMATORS:
+            out += estimator([SCENARIOS[n] for n in names], samples, 7, accounting)
     for game, schedule in CASES:
         out += ow.simulate_schedule(game, schedule, game.types_b, samples, 7)
     return out
@@ -286,8 +315,9 @@ def test_a_failing_batch_reaches_the_caller(monkeypatch, cpus):
 
     monkeypatch.setattr(streams, "stream", stream)
     game, schedule = CASES[0]
-    with pytest.raises(RuntimeError, match="batch 2 failed"):
-        analytics.mc_single_offer([SCENARIOS["1b-x100"]], 200_001, 1)
+    for estimator in ESTIMATORS:
+        with pytest.raises(RuntimeError, match="batch 2 failed"):
+            estimator([SCENARIOS["1b-x100"]], 200_001, 1)
     with pytest.raises(RuntimeError, match="batch 2 failed"):
         ow.simulate_schedule(game, schedule, game.types_b, 200_001, 1)
 
@@ -296,11 +326,12 @@ def test_a_bare_scenario_or_type_id_is_rejected():
     """Both take sequences; a ``str`` is one too, so a lone B type id would
     otherwise be read as one id per character."""
     game, schedule = CASES[0]
-    with pytest.raises(TypeError, match="sequence"):
-        analytics.mc_single_offer(SCENARIOS["1b-x100"], 1_000, 1)
+    for estimator in ESTIMATORS:
+        with pytest.raises(TypeError, match="sequence"):
+            estimator(SCENARIOS["1b-x100"], 1_000, 1)
+        assert estimator([], 1_000, 1) == []
     with pytest.raises(TypeError, match="sequence"):
         ow.simulate_schedule(game, schedule, game.types_b[0], 1_000, 1)
-    assert analytics.mc_single_offer([], 1_000, 1) == []
     assert ow.simulate_schedule(game, schedule, [], 1_000, 1) == []
 
 
@@ -323,21 +354,24 @@ SLACK = COLUMN // 4
 
 
 def test_memory_budget_per_thread(monkeypatch):
-    """On one thread, one scenario holds two float columns and a mask (the
-    uniforms become the sacrifice and then the per-draw PoA; the other
-    column holds the coin, the masked sacrifices and PoA's denominator), so
-    a third column would break the budget. A call over four scenarios keeps
+    """On one thread, one scenario holds two float columns and no mask under
+    either estimator (the uniforms become the sacrifice, and then the masked
+    sacrifices or the per-draw PoA; the other column holds the coin, the
+    accept weights, and then the deviations or PoA's denominator), so a
+    third column would break the budget. A call over four scenarios keeps
     the uniforms in one more column, and in aggregate mode the coin in a
     second. A schedule call holds two float columns, a mask and the cell
     index, however many B types it runs."""
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     samples = 3 * streams.BATCH_SIZE
     four = [SCENARIOS[f"power-{b}"] for b in (0.25, 0.5, 0.75, 1.0)]
-    for accounting, kept in (("exact", 1), ("aggregate", 2)):
-        one = _peak_bytes(lambda: analytics.mc_single_offer(four[:1], samples, 1, accounting))
-        assert one <= 2 * COLUMN + COLUMN // 8 + SLACK, (accounting, one / COLUMN)
-        fused = _peak_bytes(lambda: analytics.mc_single_offer(four, samples, 1, accounting))
-        assert fused <= one + kept * COLUMN + SLACK, (accounting, fused / COLUMN)
+    for estimator in ESTIMATORS:
+        for accounting, kept in (("exact", 1), ("aggregate", 2)):
+            where = (estimator.__name__, accounting)
+            one = _peak_bytes(lambda: estimator(four[:1], samples, 1, accounting))
+            assert one <= 2 * COLUMN + SLACK, (where, one / COLUMN)
+            fused = _peak_bytes(lambda: estimator(four, samples, 1, accounting))
+            assert fused <= one + kept * COLUMN + SLACK, (where, fused / COLUMN)
     game, schedule = CASES[-1]
     one = _peak_bytes(lambda: ow.simulate_schedule(game, schedule, game.types_b[:1], samples, 1))
     assert one <= 3 * COLUMN + COLUMN // 8 + SLACK, one / COLUMN

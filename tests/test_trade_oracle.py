@@ -113,6 +113,22 @@ def test_interim_and_dense_verdicts_agree(seller, buyer, include_ir):
     _assert_feasibility_agrees(inst, include_ir)
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(seller=_side, buyer=_side)
+def test_adjacent_ic_rows_imply_every_ic_row(seller, buyer):
+    """``min_subsidy`` keeps only the IC rows between neighbouring values.
+    Its optimum's interim transfers must satisfy every row of the full
+    interim system, ties in value and types of probability zero included,
+    and its deficit must be the dense LP's."""
+    inst = ow.BilateralTradeInstance(*_side_args(seller), *_side_args(buyer))
+    _assert_subsidy_agrees(inst)
+    mech = ow.min_subsidy(inst).mechanism
+    f1, f2 = np.asarray(inst.seller_probs), np.asarray(inst.buyer_probs)
+    z = np.concatenate([mech.payment_a @ f2, -(f1 @ mech.payment_b)])
+    A, b = ow.bilateral._interim_system(inst)
+    assert float(np.max(A[:, :-1] @ z - b)) <= 1e-9
+
+
 def _verdicts(rep):
     return (rep.efficient, rep.budget_balanced, rep.incentive_compatible, rep.individually_rational)
 
