@@ -88,7 +88,6 @@ _EXPORTS = {
         "Schedule",
         "ScheduleOptimum",
         "SimulationResult",
-        "acceptance_step",
         "equivalence_gap",
         "expected_outcome",
         "expected_utility_B",

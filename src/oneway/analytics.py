@@ -41,6 +41,7 @@ class ContinuousSpec:
 
     kind "uniform": flat on [low, high].
     kind "power": F(x) = (x / high)^beta on [0, high] (low is ignored, 0).
+    Every parameter must be finite.
     """
 
     kind: str
@@ -48,16 +49,19 @@ class ContinuousSpec:
     high: float
     beta: float = 1.0
 
+    def __post_init__(self) -> None:
+        _check_finite(self, "low", "high", "beta")
+        if self.kind == "uniform" and not self.high > self.low:
+            raise ValueError("uniform spec needs high > low")
+        if self.kind == "power" and not (self.beta > 0.0 and self.high > 0.0):
+            raise ValueError("power spec needs beta > 0 and scale > 0")
+
     @classmethod
     def uniform(cls, low: float, high: float) -> "ContinuousSpec":
-        if not high > low:
-            raise ValueError("uniform spec needs high > low")
         return cls("uniform", float(low), float(high))
 
     @classmethod
     def power(cls, beta: float, scale: float) -> "ContinuousSpec":
-        if beta <= 0.0 or scale <= 0.0:
-            raise ValueError("power spec needs beta > 0 and scale > 0")
         return cls("power", 0.0, float(scale), float(beta))
 
     def mean(self) -> float:
@@ -116,12 +120,19 @@ class SingleOfferScenario:
     gamma: float
 
     def __post_init__(self) -> None:
+        _check_finite(self, "delta_b", "a_default", "b_outside")
         if self.delta_b < 0.0:
             raise ValueError("delta_b must be non-negative")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
         if self.a_default + self.b_outside <= 0.0:
             raise ValueError("default welfare must be positive")
+
+
+def _check_finite(record, *names: str) -> None:
+    for name in names:
+        if not math.isfinite(value := getattr(record, name)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def example1b_scenario(x: float) -> SingleOfferScenario:
@@ -196,10 +207,10 @@ def mc_single_offer(
     mean welfare, which is what the closed-form curves report.
     """
     terms, batches = _simulate(scenarios, samples, seed, accounting, _fold_payoffs)
-    accepted = [streams.Moments(1) for _ in terms]
+    accepted = [streams.Moments() for _ in terms]
     for _, per_scenario in batches:
         for moments, (hits, mean, m2) in zip(accepted, per_scenario):
-            moments.merge(hits, [mean], [m2])
+            moments.merge(hits, mean, m2)
     return [t.payoffs(samples, accounting, moments) for t, moments in zip(terms, accepted)]
 
 
@@ -212,20 +223,20 @@ def mc_poa(
     PoA is a ratio, so each batch centres its own column of it."""
     terms, batches = _simulate(scenarios, samples, seed, accounting, _fold_poa)
     accepted = [0] * len(terms)
-    poas = [streams.Moments(1) for _ in terms]
+    poas = [streams.Moments() for _ in terms]
     max_poa = [0.0] * len(terms)
     for size, per_scenario in batches:
         for j, (hits, mean, m2, top) in enumerate(per_scenario):
             accepted[j] += hits
-            poas[j].merge(size, [mean], [m2])
+            poas[j].merge(size, mean, m2)
             max_poa[j] = max(max_poa[j], top)
     return [
         MCPoAResult(
             samples=samples,
             accounting=accounting,
             acceptance_rate=k / samples,
-            mean_poa=float(poa.means()[0]),
-            ci_poa=float(Z99 * poa.standard_errors()[0]),
+            mean_poa=poa.mean,
+            ci_poa=Z99 * poa.standard_error(),
             max_poa=top,
         )
         for k, poa, top in zip(accepted, poas, max_poa)
@@ -343,7 +354,7 @@ class _MCTerms:
         """
         n, k = samples, accepted.count
         share, spread = k / n, k * (n - k) / n
-        mu, m2 = float(accepted.means()[0]), float(accepted.m2[0])
+        mu, m2 = accepted.mean, accepted.m2
         t = self.transfer
 
         def merged(declined: float, gap: float, within: float) -> tuple[float, float]:

@@ -79,11 +79,13 @@ def _typed_prior(data: dict, field: str, path: str) -> tuple[list[str], list[flo
     for k, entry in enumerate(raw):
         if not isinstance(entry, dict) or "id" not in entry or "prob" not in entry:
             raise InstanceFormatError(path, f"{field}[{k}]", 'an object with "id" and "prob"')
-        ids.append(str(entry["id"]))
-        try:
-            probs.append(float(entry["prob"]))
-        except (TypeError, ValueError):
-            raise InstanceFormatError(path, f"{field}[{k}].prob", "a number") from None
+        ident, prob = entry["id"], entry["prob"]
+        if not isinstance(ident, str):
+            raise InstanceFormatError(path, f"{field}[{k}].id", "a string")
+        if not isinstance(prob, (int, float)) or isinstance(prob, bool):
+            raise InstanceFormatError(path, f"{field}[{k}].prob", "a number")
+        ids.append(ident)
+        probs.append(float(prob))
     return ids, probs
 
 

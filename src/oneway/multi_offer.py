@@ -30,7 +30,7 @@ from operator import mul
 import numpy as np
 
 from . import streams
-from .game import OneWayGame
+from .game import OneWayGame, _frozen
 from .single_offer import (
     VALUE_TOL,
     Offer,
@@ -114,12 +114,6 @@ def _settled(game: OneWayGame, schedule: Schedule, type_b: str):
     return (terms, *_settle(terms, s_values(schedule)[1:], reach_probs(schedule), schedule.gammas))
 
 
-def acceptance_step(game: OneWayGame, schedule: Schedule, type_a: str, type_b: str) -> int | None:
-    """First step (1-indexed) whose threshold covers A's sacrifice, else None."""
-    _, step, _, _ = _settled(game, schedule, type_b)
-    return int(step[game.type_a_index(type_a)]) or None
-
-
 def expected_utility_B(game: OneWayGame, schedule: Schedule, type_b: str) -> float:
     """B's planning-view expected utility of committing to the schedule.
 
@@ -132,9 +126,11 @@ def expected_utility_B(game: OneWayGame, schedule: Schedule, type_b: str) -> flo
     return terms.expected(game, reach, transfer).u_b_planning
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiOfferEvaluation:
-    """Realized-payoff expectations of a schedule (not B's planning view)."""
+    """Realized-payoff expectations of a schedule (not B's planning view);
+    ``step`` is a read-only intp array of each A type's accepting step
+    (1-indexed, 0 for never), in the game's A-type order."""
 
     schedule: Schedule
     type_b: str
@@ -142,7 +138,7 @@ class MultiOfferEvaluation:
     expected_u_b: float
     expected_sw: float
     acceptance_prob: float
-    step_of_type: dict[str, int | None]
+    step: np.ndarray
 
 
 def expected_outcome(game: OneWayGame, schedule: Schedule, type_b: str) -> MultiOfferEvaluation:
@@ -162,7 +158,7 @@ def expected_outcome(game: OneWayGame, schedule: Schedule, type_b: str) -> Multi
         expected_u_b=e.u_b,
         expected_sw=e.welfare,
         acceptance_prob=e.acceptance,
-        step_of_type=dict(zip(game.types_a, [k or None for k in step.tolist()])),
+        step=_frozen(step),
     )
 
 
@@ -312,7 +308,6 @@ class ScheduleOptimum:
     null_offer: bool
     certified: bool
     certification_slack: float
-    outcome: MultiOfferEvaluation
 
 
 def _padded_gammas(x: float, n: int) -> tuple[float, ...]:
@@ -355,7 +350,6 @@ def optimize_schedule(game: OneWayGame, type_b: str, n: int) -> ScheduleOptimum:
         null_offer=res.null_offer,
         certified=slack <= VALUE_TOL,
         certification_slack=slack,
-        outcome=expected_outcome(game, schedule, type_b),
     )
 
 

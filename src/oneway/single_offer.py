@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
 
 from .closed_form import theorem_bound
 from .equilibrium import _optimal_table, _ratio
-from .game import OneWayGame, StrategyProfile
+from .game import OneWayGame, StrategyProfile, _frozen
 
 VALUE_TOL = 1e-9
 
@@ -47,12 +46,13 @@ class OutsideOption:
 
     action_b: str
     payoff: float
-    restricted_types: tuple[str, ...]
-    restricted_mass: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OfferEvaluation:
+    """An offer's prior expectations; ``accepted`` is a read-only bool
+    array, True for the A types that accept, in the game's A-type order."""
+
     offer: Offer
     type_b: str
     acceptance_prob: float
@@ -61,10 +61,10 @@ class OfferEvaluation:
     expected_u_a: float
     expected_u_b: float
     expected_sw: float
-    accepting_types: tuple[str, ...]
+    accepted: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OfferSearchResult:
     """An offer plus its evaluation.
 
@@ -100,7 +100,6 @@ def delta_a(game: OneWayGame, action_a: str) -> np.ndarray:
 def _outside(game: OneWayGame, ia: int, itb: int) -> tuple[OutsideOption, int]:
     """B type ``itb``'s fallback against action ``ia``, and its reply index."""
     mask = game.sacrifice_a[:, ia] > 0.0
-    restricted = tuple(compress(game.types_a, mask.tolist()))
     mass = float(np.sum(game.prior_a[mask]))
     if mass <= 0.0:
         ib = int(game.reply_b[itb, ia])
@@ -109,7 +108,7 @@ def _outside(game: OneWayGame, ia: int, itb: int) -> tuple[OutsideOption, int]:
         vals = (game.prior_a[mask] / mass) @ game.payoff_b[itb, game.selfish_a[mask], :]
         ib = int(np.argmax(vals))
         value = vals[ib]
-    return OutsideOption(game.actions_b[ib], float(value), restricted, mass), ib
+    return OutsideOption(game.actions_b[ib], float(value)), ib
 
 
 def outside_option(game: OneWayGame, action_a: str, type_b: str) -> OutsideOption:
@@ -124,7 +123,7 @@ class _Expected(NamedTuple):
     u_b_planning: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Terms:
     """What offering one action means to one type of B.
 
@@ -291,7 +290,7 @@ def evaluate_offer(game: OneWayGame, offer: Offer, type_b: str) -> OfferEvaluati
         expected_u_a=e.u_a,
         expected_u_b=e.u_b_planning,
         expected_sw=e.welfare,
-        accepting_types=tuple(compress(game.types_a, (step > 0).tolist())),
+        accepted=_frozen(step > 0),
     )
 
 
@@ -381,28 +380,23 @@ def bayes_poa_bound(game: OneWayGame, type_b: str) -> float:
     return theorem_bound(res.offer.gamma, res.evaluation.acceptance_prob)
 
 
-@dataclass(frozen=True)
-class OutcomeRecord:
-    """One A-type's outcome under the simplified offer, planning view.
-
-    Rejection values B's side at the fallback payoff (what B counts on when
-    committing to the offer); the per-outcome bound is then a theorem.
+@dataclass(frozen=True, eq=False)
+class SimplifiedReport:
+    """The simplified offer to one B type, audited per A type in read-only
+    arrays (the game's A-type order): acceptance, the outcome's welfare, its
+    optimum, their ratio and its accept/reject bound. Welfare is B's
+    planning view: rejection books B's side at the fallback payoff (what B
+    counts on when committing), which makes the per-outcome bound a theorem.
     """
 
-    type_a: str
-    accepted: bool
-    welfare: float
-    optimal: float
-    poa: float
-    branch_bound: float
-
-
-@dataclass(frozen=True)
-class SimplifiedReport:
     type_b: str
     offer: Offer
     acceptance_prob: float
-    records: tuple[OutcomeRecord, ...]
+    accepted: np.ndarray
+    welfare: np.ndarray
+    optimal: np.ndarray
+    poa: np.ndarray
+    branch_bound: np.ndarray
     expected_poa: float
     poa_bound: float
 
@@ -416,21 +410,21 @@ def simplified_strategy_report(game: OneWayGame) -> dict[str, SimplifiedReport]:
         res = simplified_offer(game, tb)
         gamma = res.offer.gamma
         terms = _terms(game, res.offer.action_a, tb)
-        step, _, _ = _settle(terms, (gamma,), (1.0,), (gamma,))
-        accepted = step > 0
+        accepted = res.evaluation.accepted
         deal = game.payoff_a[:, terms.ia] + terms.ub_accept
         welfare = np.where(accepted, deal, game.selfish_payoff_a + terms.outside.payoff)
         optimal = optimal_table[:, itb]
         poa = _ratio(optimal, welfare)
-        bounds = np.where(accepted, *accept_reject_poa(gamma))
-        columns = (accepted, welfare, optimal, poa, bounds)
-        records = map(OutcomeRecord, game.types_a, *(c.tolist() for c in columns))
         p = res.evaluation.acceptance_prob
         reports[tb] = SimplifiedReport(
             type_b=tb,
             offer=res.offer,
             acceptance_prob=p,
-            records=tuple(records),
+            accepted=accepted,
+            welfare=_frozen(welfare),
+            optimal=_frozen(optimal),
+            poa=_frozen(poa),
+            branch_bound=_frozen(np.where(accepted, *accept_reject_poa(gamma))),
             expected_poa=float(game.prior_a[live] @ poa[live]),
             poa_bound=theorem_bound(gamma, p),
         )

@@ -5,7 +5,7 @@ Every stochastic routine in the package draws from a counter-based generator
 independent streams, so the batches of a Monte Carlo run need no shared
 state: ``run_batches`` runs them on ``os.cpu_count()`` threads and returns
 their results in batch order. Each batch reduces what it drew to sufficient
-statistics: a count, means and centred second moments (``centre``), which
+statistics: a count, a mean and a centred second moment (``centre``), which
 ``Moments.merge`` folds in batch order, or integer cell counts, whose sum
 does not depend on the order at all. Results are therefore bit-identical
 for a fixed seed on any number of cores.
@@ -23,8 +23,9 @@ index column.
 
 from __future__ import annotations
 
+import math
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from typing import TypeVar
 
@@ -100,8 +101,8 @@ def centre(column: np.ndarray, out: np.ndarray) -> tuple[float, float]:
 
 
 class Moments:
-    """Count, means and centred second moments of several columns, folded in
-    one batch at a time.
+    """Count, mean and centred second moment of one column, folded in one
+    batch at a time.
 
     Each batch is centred on its own mean (``centre``) and merged with the
     update of Chan, Golub & LeVeque (1979). Raw sums of squares would cancel
@@ -113,34 +114,30 @@ class Moments:
     batch order whichever thread computed them.
     """
 
-    def __init__(self, columns: int) -> None:
+    def __init__(self) -> None:
         self.count = 0
-        self.mean = np.zeros(columns)
-        self.m2 = np.zeros(columns)
+        self.mean = 0.0
+        self.m2 = 0.0
 
-    def add(self, *columns: np.ndarray) -> None:
-        """Fold in one batch; the columns are left unchanged."""
-        scratch = np.empty(columns[0].size)
-        self.merge(columns[0].size, *zip(*(centre(c, scratch) for c in columns)))
-
-    def merge(self, size: int, means: Sequence[float], m2: Sequence[float]) -> None:
-        """Fold in one batch of ``size`` values per column, given as the
-        per-column means and centred second moments from ``centre``. An
-        empty batch changes nothing."""
+    def merge(self, size: int, mean: float, m2: float) -> None:
+        """Fold in one batch of ``size`` values, given as its mean and
+        centred second moment from ``centre``. An empty batch changes
+        nothing."""
         if not size:
             return
-        m2 = np.array(m2, dtype=np.float64)
         total = self.count + size
-        delta = np.array(means, dtype=np.float64) - self.mean
+        mean, m2 = float(mean), float(m2)
+        delta = mean - self.mean
         if self.count:
             m2 += delta * delta * (self.count * size / total)
+        # Step from the larger side, as the step's rounding scales with it.
+        if size > self.count:
+            self.mean = mean - delta * (self.count / total)
+        else:
+            self.mean += delta * (size / total)
         self.count = total
-        self.mean += delta * (size / total)
         self.m2 += m2
 
-    def means(self) -> np.ndarray:
-        return self.mean.copy()
-
-    def standard_errors(self) -> np.ndarray:
-        """Standard errors of the column means (population variance)."""
-        return np.sqrt(self.m2 / self.count / self.count)
+    def standard_error(self) -> float:
+        """Standard error of the mean (population variance)."""
+        return math.sqrt(self.m2 / self.count / self.count)

@@ -64,12 +64,12 @@ def outside_option(game: OneWayGame, action_a: str, type_b: str) -> OutsideOptio
     itb = game.type_b_index(type_b)
     if not idx or mass <= 0.0:
         ab = best_response_B(game, action_a, type_b)
-        return OutsideOption(ab, float(game.u_b((action_a, ab), type_b)), restricted, mass)
+        return OutsideOption(ab, float(game.u_b((action_a, ab), type_b)))
     weights = game.prior_a[idx] / mass
     nash_actions = np.argmax(game.payoff_a, axis=1)
     vals = weights @ game.payoff_b[itb, nash_actions[idx], :]
     ib = int(np.argmax(vals))
-    return OutsideOption(game.actions_b[ib], float(vals[ib]), restricted, mass)
+    return OutsideOption(game.actions_b[ib], float(vals[ib]))
 
 
 def delta_b(game: OneWayGame, action_a: str, type_b: str) -> float:
@@ -118,7 +118,7 @@ def evaluate_offer(game: OneWayGame, offer: Offer, type_b: str) -> OfferEvaluati
         expected_u_a=e_ua,
         expected_u_b=float(e_ub),
         expected_sw=e_sw,
-        accepting_types=tuple(t for i, t in enumerate(game.types_a) if accept_mask[i]),
+        accepted=accept_mask,
     )
 
 
@@ -223,7 +223,7 @@ def expected_outcome(game: OneWayGame, schedule: Schedule, type_b: str) -> Multi
         expected_u_b=e_ub,
         expected_sw=e_sw,
         acceptance_prob=p_accept,
-        step_of_type=steps,
+        step=np.array([k or 0 for k in steps.values()], dtype=np.intp),
     )
 
 

@@ -175,6 +175,30 @@ def test_scenario_validation():
         ow.SingleOfferScenario(spec, 1.0, 0.0, 0.0, 0.5)
 
 
+_UNIT = ow.ContinuousSpec.uniform(0.0, 1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("beta", lambda v: ow.ContinuousSpec.power(v, 1.0)),
+        ("high", lambda v: ow.ContinuousSpec.power(1.0, v)),
+        ("low", lambda v: ow.ContinuousSpec.uniform(v, 1.0)),
+        ("high", lambda v: ow.ContinuousSpec.uniform(0.0, v)),
+        ("delta_b", lambda v: ow.SingleOfferScenario(_UNIT, v, 1.0, 0.0, 0.5)),
+        ("a_default", lambda v: ow.SingleOfferScenario(_UNIT, 1.0, v, 0.0, 0.5)),
+        ("b_outside", lambda v: ow.SingleOfferScenario(_UNIT, 1.0, 1.0, v, 0.5)),
+    ],
+    ids=["power-beta", "power-scale", "uniform-low", "uniform-high", "delta_b", "a_default", "b_outside"],
+)
+def test_non_finite_parameters_are_rejected(name, make, value):
+    """A NaN or infinite parameter would make every Monte Carlo estimate
+    NaN; it is refused when the spec or scenario is built."""
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+        make(value)
+
+
 def test_example_scenarios():
     sc = ow.example1b_scenario(100.0)
     assert sc.gamma == 0.5

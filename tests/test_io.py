@@ -81,6 +81,30 @@ def test_load_game_rejects_invalid_game(tmp_path, g1):
         ow.load_game(path)
 
 
+@pytest.mark.parametrize(
+    "side, key, value",
+    [
+        ("types_A", "prob", "0.5"),
+        ("types_A", "prob", True),
+        ("types_B", "prob", None),
+        ("types_A", "id", None),
+        ("types_A", "id", 7),
+        ("types_B", "id", ["u1"]),
+    ],
+    ids=["prob-text", "prob-bool", "prob-null", "id-null", "id-number", "id-list"],
+)
+def test_load_game_rejects_uncoerced_prior_entries(tmp_path, g1, side, key, value):
+    """A type's id must be a string and its probability a number, as
+    action ids and payoff cells must be: nothing is coerced."""
+    data = ow.game_to_dict(g1)
+    data[side][0][key] = value
+    path = _write(tmp_path, "t.json", data)
+    expected = "a string" if key == "id" else "a number"
+    with pytest.raises(ow.InstanceFormatError) as exc:
+        ow.load_game(path)
+    assert str(exc.value) == f"{path}: field '{side}[0].{key}': expected {expected}"
+
+
 def test_load_schedule_file(tmp_path):
     path = _write(tmp_path, "s.json",
                   {"action": "a1", "gammas": [0.2, 0.5], "probs": [1.0, 0.5]})

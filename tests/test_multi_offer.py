@@ -48,13 +48,14 @@ def test_reach_probs():
 
 
 def test_acceptance_step_g1(g1):
-    s = sched([0.3, 0.5], [1.0, 0.5])
-    assert ow.acceptance_step(g1, s, "t1", "u1") == 1
-    assert ow.acceptance_step(g1, s, "t2", "u1") == 2
+    def step(schedule):
+        return ow.expected_outcome(g1, schedule, "u1").step.tolist()
+
+    assert step(sched([0.3, 0.5], [1.0, 0.5])) == [1, 2]
     # negative interior threshold delays even a zero-sacrifice type
-    assert ow.acceptance_step(g1, sched([0.2, 0.5], [1.0, 0.5]), "t1", "u1") == 2
+    assert step(sched([0.2, 0.5], [1.0, 0.5]))[0] == 2
     # threshold too low for t2 altogether
-    assert ow.acceptance_step(g1, sched([0.1], [1.0]), "t2", "u1") is None
+    assert step(sched([0.1], [1.0]))[1] == 0
 
 
 def test_expected_utility_b_g1(g1):
@@ -73,7 +74,8 @@ def test_one_step_schedule_equals_single_offer(g1):
 
 def test_expected_outcome_g1(g1):
     out = ow.expected_outcome(g1, sched([0.3, 0.5], [1.0, 0.5]), "u1")
-    assert out.step_of_type == {"t1": 1, "t2": 2}
+    assert out.step.dtype == np.intp and out.step.tolist() == [1, 2]
+    assert not out.step.flags.writeable
     assert out.acceptance_prob == 0.75
     assert out.expected_u_a == 2.35
     assert out.expected_u_b == 1.9
@@ -114,7 +116,7 @@ def test_optimize_schedule_g1(g1):
     assert not opt.null_offer
     assert opt.certified
     assert opt.certification_slack <= 1e-9
-    assert opt.outcome.acceptance_prob == 1.0
+    assert ow.expected_outcome(g1, opt.schedule, "u1").acceptance_prob == 1.0
     with pytest.raises(ValueError):
         ow.optimize_schedule(g1, "u1", 0)
 

@@ -12,8 +12,10 @@ from oneway.single_offer import VALUE_TOL
 
 
 def test_restricted_types_g1(g1):
-    assert ow.outside_option(g1, "a1", "u1").restricted_types == ("t2",)
-    assert ow.outside_option(g1, "a2", "u1").restricted_types == ("t1",)
+    # the types that would ever decline an action are those that decline it
+    # at share 0: the ones for which it is not a selfish optimum
+    assert ow.evaluate_offer(g1, ow.Offer("a1", 0.0), "u1").accepted.tolist() == [True, False]
+    assert ow.evaluate_offer(g1, ow.Offer("a2", 0.0), "u1").accepted.tolist() == [False, True]
 
 
 def test_delta_a_g1(g1):
@@ -26,8 +28,6 @@ def test_outside_option_g1(g1):
     # only t2 declines a1; it plays a2 and B's best reply earns nothing
     assert out1.action_b == "b1"
     assert out1.payoff == 0.0
-    assert out1.restricted_types == ("t2",)
-    assert out1.restricted_mass == 0.5
     out2 = ow.outside_option(g1, "a2", "u1")
     assert out2.payoff == 4.0
 
@@ -39,8 +39,7 @@ def test_outside_option_zero_mass_degenerates():
         [[3.0, 1.0]], [[[1.0, 5.0], [0.0, 0.0]]],
     )
     out = ow.outside_option(game, "a1", "u1")
-    assert out.restricted_types == ()
-    assert out.restricted_mass == 0.0
+    assert out == ow.OutsideOption("b2", 5.0)
     assert out.action_b == "b2"
     assert out.payoff == 5.0
     assert ow.delta_b(game, "a1", "u1") == 0.0
@@ -75,7 +74,8 @@ def test_evaluate_offer_g1(g1):
     assert ev.expected_u_b == 3.0
     assert ev.expected_u_a == 2.0
     assert ev.expected_sw == 5.0
-    assert ev.accepting_types == ("t1", "t2")
+    assert ev.accepted.dtype == bool and ev.accepted.tolist() == [True, True]
+    assert not ev.accepted.flags.writeable
     assert ow.evaluate_offer(g1, ow.Offer("a1", 0.0), "u1").expected_u_b == 2.0
     assert ow.evaluate_offer(g1, ow.Offer("a1", 1.0), "u1").expected_u_b == 0.0
 
@@ -172,11 +172,12 @@ def test_simplified_strategy_report_g1(g1):
     assert rep.acceptance_prob == 1.0
     assert rep.poa_bound == 1.25
     assert rep.expected_poa == 1.0
-    by_type = {r.type_a: r for r in rep.records}
-    assert by_type["t1"].welfare == 6.0 and by_type["t1"].poa == 1.0
-    assert by_type["t2"].welfare == 4.0 and by_type["t2"].poa == 1.0
-    assert all(r.accepted for r in rep.records)
-    assert all(r.branch_bound == 1.25 for r in rep.records)
+    assert rep.welfare.tolist() == [6.0, 4.0]
+    assert rep.poa.tolist() == [1.0, 1.0]
+    assert rep.accepted.tolist() == [True, True]
+    assert rep.branch_bound.tolist() == [1.25, 1.25]
+    for table in (rep.accepted, rep.welfare, rep.optimal, rep.poa, rep.branch_bound):
+        assert not table.flags.writeable
 
 
 # -- invariants on random instances ----------------------------------------
@@ -241,7 +242,7 @@ def test_run_single_offer_consistency():
                 outcome = ow.run_single_offer(game, res.offer, ta, tb)
                 assert outcome.payoff_a + outcome.payoff_b == outcome.welfare
                 if not res.null_offer:
-                    assert outcome.accepted == (ta in ev.accepting_types)
+                    assert outcome.accepted == ev.accepted[game.type_a_index(ta)]
                 assert outcome.transfer >= 0.0
 
 
@@ -251,8 +252,7 @@ def test_simplified_report_bounds_hold():
     for game in _random_games(30):
         for tb, rep in ow.simplified_strategy_report(game).items():
             assert rep.expected_poa > 0.0
-            for record in rep.records:
-                assert record.poa <= record.branch_bound + 1e-9
+            assert np.all(rep.poa <= rep.branch_bound + 1e-9)
             if math.isfinite(rep.poa_bound):
                 assert rep.expected_poa <= rep.poa_bound + 1e-9
 
@@ -370,7 +370,7 @@ def _offer_mechanism(game, strategy):
     for k, tb in enumerate(game.types_b):
         res = strategy(game, tb)
         a = res.offer.action_a
-        deal = np.isin(game.types_a, res.evaluation.accepting_types)
+        deal = res.evaluation.accepted
         reply[:, k] = game.action_b_index(res.evaluation.outside.action_b)
         act[deal, k] = game.action_a_index(a)
         reply[deal, k] = game.action_b_index(ow.best_response_B(game, a, tb))
@@ -395,6 +395,22 @@ def test_single_offer_is_a_side_ic_ex_post_ir_and_budget_balanced(seed, strategy
     rows = np.arange(len(game.types_a))[:, None]
     realised = game.payoff_a[rows, mech.action_a] + mech.payment_a
     assert np.all(realised >= np.max(game.payoff_a, axis=1)[:, None] - 1e-9)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), strategy=st.sampled_from([ow.optimal_offer, ow.simplified_offer]))
+def test_single_offer_reveals_one_bit_of_a_type(seed, strategy):
+    """The abstract's claim that the mechanism is privacy-preserving: A
+    never reports her type, and B's reply and both payments depend on it
+    only through whether she accepts. For each B type they are constant
+    over the accepting A types and over the declining ones."""
+    game = ow.random_suite(1, seed, max_types_a=8)[0]
+    mech = _offer_mechanism(game, strategy)
+    for k, tb in enumerate(game.types_b):
+        accepted = strategy(game, tb).evaluation.accepted
+        for branch in (accepted, ~accepted):
+            seen = zip(mech.action_b[branch, k], mech.payment_a[branch, k], mech.payment_b[branch, k])
+            assert len(set(seen)) <= 1, (tb, accepted)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -55,31 +55,33 @@ def test_batch_sizes():
 # most 6.3e-10 at offset 1e8. It does not cover several one-value batches
 # at offset 1e8, where the difference of two batch means carries an ulp of
 # 1e8 (about 1.5e-8) against a spread of 1: ``batches=[1, 1, 1], seed=0``
-# reaches 1.03e-8 relative, above SE_TOL, and ``seed=137`` 3.5e-8. The
-# derandomized examples below never draw such a split.
+# reaches 1.03e-8 relative, above SE_TOL (a strict xfail below), and
+# ``seed=137`` 3.5e-8. The derandomized examples of the two-pass test do not
+# draw such a split; which examples they draw depends also on the literals
+# of the package's modules, which Hypothesis mixes into its draws.
 MEAN_TOL = 2e-15
 SE_TOL = 1e-8
 
 
 class _RawMoments:
-    """The fold ``Moments`` replaced: raw sums and sums of squares."""
+    """The fold ``Moments`` replaced: raw sums and sums of squares, here
+    rebuilt from each batch's centred statistics."""
 
-    def __init__(self, columns: int) -> None:
+    def __init__(self) -> None:
         self.count = 0
-        self.sums = np.zeros(columns)
-        self.squares = np.zeros(columns)
+        self.sum = self.squares = 0.0
 
-    def add(self, *columns: np.ndarray) -> None:
-        self.count += columns[0].size
-        self.sums += [np.sum(c) for c in columns]
-        self.squares += [np.sum(c * c) for c in columns]
+    def merge(self, size: int, mean: float, m2: float) -> None:
+        self.count += size
+        self.sum += size * mean
+        self.squares += m2 + size * mean * mean
 
-    def means(self) -> np.ndarray:
-        return self.sums / self.count
+    @property
+    def mean(self) -> float:
+        return self.sum / self.count
 
-    def standard_errors(self) -> np.ndarray:
-        var = self.squares / self.count - self.means() ** 2
-        return np.sqrt(var / self.count)
+    def standard_error(self) -> float:
+        return np.sqrt((self.squares / self.count - self.mean**2) / self.count)
 
 
 def _data(batches: list[int], seed: int, offset: float) -> np.ndarray:
@@ -87,22 +89,16 @@ def _data(batches: list[int], seed: int, offset: float) -> np.ndarray:
     return offset + np.random.default_rng(seed).standard_normal((2, sum(batches))) * [[1.0], [100.0]]
 
 
-def _split(data: np.ndarray, batches: list[int]):
-    start = 0
-    for size in batches:
-        yield [column[start : start + size] for column in data]
-        start += size
-
-
 def _check_fold(fold, batches: list[int], seed: int, offset: float) -> None:
-    """Fold the columns of ``_data`` in the given batches and compare with a
-    two-pass ``math.fsum`` reference."""
-    data = _data(batches, seed, offset)
-    moments = fold(2)
-    for columns in _split(data, batches):
-        moments.add(*columns)
-    for column, mean, se in zip(data, moments.means(), moments.standard_errors()):
+    """Fold each column of ``_data`` on its own, each batch centred in
+    place and merged as the simulators do, and compare with a two-pass
+    ``math.fsum`` reference."""
+    for column in _data(batches, seed, offset):
         values = column.tolist()
+        moments = fold()
+        for batch in np.split(column.copy(), np.cumsum(batches)[:-1]):
+            moments.merge(batch.size, *streams.centre(batch, batch))
+        mean, se = moments.mean, moments.standard_error()
         ref_mean = math.fsum(values) / len(values)
         ref_se = math.sqrt(math.fsum((v - ref_mean) ** 2 for v in values) / len(values) / len(values))
         assert abs(mean - ref_mean) <= MEAN_TOL * (abs(ref_mean) + ref_se)
@@ -121,24 +117,23 @@ def test_moments_match_two_pass_reference(offset, batches, seed):
     _check_fold(streams.Moments, batches, seed, offset)
 
 
-@pytest.mark.parametrize("offset", [0.0, 1e8])
-@settings(derandomize=True, deadline=None, max_examples=150)
-@given(
-    batches=st.lists(st.integers(1, 3_000), min_size=1, max_size=6),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(batches=[3, 2_500], seed=0)
-def test_merge_of_batch_statistics_matches_add(offset, batches, seed):
-    """Folding per-batch statistics with ``merge``, each column centred in
-    place as the simulators do, gives the same bytes as ``add``."""
-    data = _data(batches, seed, offset)
-    added, merged = streams.Moments(2), streams.Moments(2)
-    for columns in _split(data, batches):
-        added.add(*columns)
-        merged.merge(len(columns[0]), *zip(*(streams.centre(c, c) for c in [c.copy() for c in columns])))
-    assert added.count == merged.count == sum(batches)
-    assert added.mean.tobytes() == merged.mean.tobytes()
-    assert added.m2.tobytes() == merged.m2.tobytes()
+def test_moments_mean_after_a_one_value_leading_batch():
+    """A merge moves the mean by a share of the difference of the two
+    means, and that step rounds relative to its own size. Stepping from the
+    one-value batch to the larger one would move nearly the whole
+    difference, as wide as the data's spread, and put this mean 4.5e-15 of
+    |mean| + standard error off, above MEAN_TOL; stepping from the larger
+    side moves 1/1402 of it. ``mc_single_offer`` merges its accepted draws'
+    batches, which hold one value when acceptance is rare."""
+    _check_fold(streams.Moments, [1, 1401], 1, 0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="batch means at offset 1e8 carry an ulp of 1e8 against a spread of 1")
+def test_moments_standard_error_of_one_value_batches_at_a_large_offset():
+    """The split the SE_TOL measurement does not cover: each merge's
+    difference of means carries an ulp of 1e8 (about 1.5e-8) against a
+    spread of 1, which puts the standard error 1.03e-8 relative off."""
+    _check_fold(streams.Moments, [1, 1, 1], 0, 1e8)
 
 
 def test_centre_in_place_matches_centre_into_scratch():
