@@ -13,7 +13,6 @@ from oneway import (
     Schedule,
     equivalence_gap,
     expected_outcome,
-    expected_utility_B,
     optimize_schedule,
     random_game,
     s_values,
@@ -32,10 +31,9 @@ print(f"schedule on {sched.action_a!r}: gammas {sched.gammas}, reach probs {sche
 print(f"effective per-step acceptance thresholds S_i: {s_values(sched)}")
 print("(a type accepts at step i once its share-of-gain need is below S_i)")
 
-value = expected_utility_B(game, sched, tb)
 outcome = expected_outcome(game, sched, tb)
 print()
-print(f"B's planning value:    {value:.6f}")
+print(f"B's planning value:    {outcome.planning_u_b:.6f}")
 print(f"exact expected payoffs: u_A {outcome.expected_u_a:.6f}, "
       f"u_B {outcome.expected_u_b:.6f}, welfare {outcome.expected_sw:.6f}")
 print(f"overall acceptance probability: {outcome.acceptance_prob:.4f}")

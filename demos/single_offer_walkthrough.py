@@ -43,12 +43,12 @@ print()
 for g in cands:
     ev = evaluate_offer(game, Offer("careful", g), tb)
     print(f"  gamma={g:<8.4f} accept prob {ev.acceptance_prob:.2f}  "
-          f"E[u_B]={ev.expected_u_b:.4f}  E[welfare]={ev.expected_sw:.4f}")
+          f"E[u_B]={ev.planning_u_b:.4f}  E[welfare]={ev.expected_sw:.4f}")
 
 best = optimal_offer(game, tb)
 print()
 print(f"selfish optimum for B: offer {best.offer.action_a!r} at "
-      f"gamma={best.offer.gamma:.4f}, E[u_B]={best.evaluation.expected_u_b:.4f}")
+      f"gamma={best.offer.gamma:.4f}, E[u_B]={best.evaluation.planning_u_b:.4f}")
 
 simple = simplified_offer(game, tb)
 bound = bayes_poa_bound(game, tb)

@@ -84,7 +84,6 @@ _EXPORTS = {
         "schedule_hash",
     ),
     "multi_offer": (
-        "MultiOfferEvaluation",
         "Schedule",
         "ScheduleOptimum",
         "SimulationResult",

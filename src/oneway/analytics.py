@@ -41,7 +41,7 @@ class ContinuousSpec:
 
     kind "uniform": flat on [low, high].
     kind "power": F(x) = (x / high)^beta on [0, high] (low is ignored, 0).
-    Every parameter must be finite.
+    No other kind exists, and every parameter must be finite.
     """
 
     kind: str
@@ -50,6 +50,8 @@ class ContinuousSpec:
     beta: float = 1.0
 
     def __post_init__(self) -> None:
+        if self.kind not in ("uniform", "power"):
+            raise ValueError(f"kind must be 'uniform' or 'power', got {self.kind!r}")
         _check_finite(self, "low", "high", "beta")
         if self.kind == "uniform" and not self.high > self.low:
             raise ValueError("uniform spec needs high > low")

@@ -173,7 +173,7 @@ def cmd_single_offer(args: argparse.Namespace) -> int:
         "outside_action": [ev.outside.action_b for ev in evs],
         "outside_payoff": [ev.outside.payoff for ev in evs],
         "expected_u_A": [ev.expected_u_a for ev in evs],
-        "expected_u_B": [ev.expected_u_b for ev in evs],
+        "expected_u_B": [ev.planning_u_b for ev in evs],
         "expected_welfare": [ev.expected_sw for ev in evs],
         "null_offer": [res.null_offer for res in results],
         "poa_bound": [
@@ -239,7 +239,7 @@ def cmd_multi_offer(args: argparse.Namespace) -> int:
         "type_B": types,
         "action": [schedule.action_a] * len(types),
         "n": [schedule.n] * len(types),
-        "planning_value": [multi_offer.expected_utility_B(game, schedule, tb) for tb in types],
+        "planning_value": [out.planning_u_b for out in outcomes],
         "expected_u_A": [out.expected_u_a for out in outcomes],
         "expected_u_B": [out.expected_u_b for out in outcomes],
         "expected_welfare": [out.expected_sw for out in outcomes],

@@ -192,10 +192,12 @@ def load_schedule_file(path: str) -> tuple[str, tuple[float, ...], tuple[float, 
     """Read a posted transfer schedule: {"action", "gammas", "probs"}."""
     data = _load_json(path)
     action = _require(data, "action", path, "an A action identifier")
+    if not isinstance(action, str):
+        raise InstanceFormatError(path, "action", "a string")
     gammas = _require(data, "gammas", path, "a list of numbers")
     probs = _require(data, "probs", path, "a list of numbers")
     _number_lists(path, "", gammas=gammas, probs=probs)
-    return str(action), tuple(float(g) for g in gammas), tuple(float(p) for p in probs)
+    return action, tuple(float(g) for g in gammas), tuple(float(p) for p in probs)
 
 
 def load_bilateral(path: str) -> BilateralTradeInstance:

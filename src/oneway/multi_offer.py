@@ -14,9 +14,9 @@ value to B is a convex combination of single-offer values, so the best such
 schedule recovers exactly the best single offer; the functions here make
 both the equivalence and the simulation checkable.
 
-The acceptance rule and the per-type terms are those of ``single_offer``
-(a single offer is the one-step schedule), so the equivalence gap of the
-optimizer is exactly zero rather than float noise.
+The evaluator and its record are those of ``single_offer`` (a single
+offer is the one-step schedule), so the equivalence gap of the optimizer is
+exactly zero rather than float noise.
 """
 
 from __future__ import annotations
@@ -30,10 +30,11 @@ from operator import mul
 import numpy as np
 
 from . import streams
-from .game import OneWayGame, _frozen
+from .game import OneWayGame
 from .single_offer import (
     VALUE_TOL,
     Offer,
+    OfferEvaluation,
     _settle,
     _terms,
     delta_a,  # noqa: F401  unused here; perfbench's tracer and self-test wrap this binding
@@ -108,10 +109,12 @@ def reach_probs(schedule: Schedule) -> tuple[float, ...]:
     return tuple(accumulate(schedule.probs, mul))
 
 
-def _settled(game: OneWayGame, schedule: Schedule, type_b: str):
-    """The schedule's terms and, per A type, its accepting step, reach and transfer."""
+def expected_outcome(game: OneWayGame, schedule: Schedule, type_b: str) -> OfferEvaluation:
+    """The schedule's evaluation: realised expectations, and B's planning
+    view in ``planning_u_b``. Both are reported so simulations can be
+    checked against the estimand they actually sample."""
     terms = _terms(game, schedule.action_a, type_b)
-    return (terms, *_settle(terms, s_values(schedule)[1:], reach_probs(schedule), schedule.gammas))
+    return terms.evaluate(game, s_values(schedule)[1:], reach_probs(schedule), schedule.gammas)
 
 
 def expected_utility_B(game: OneWayGame, schedule: Schedule, type_b: str) -> float:
@@ -122,44 +125,7 @@ def expected_utility_B(game: OneWayGame, schedule: Schedule, type_b: str) -> flo
     process survives to step i. Types that never accept contribute the
     fallback value alone.
     """
-    terms, _, reach, transfer = _settled(game, schedule, type_b)
-    return terms.expected(game, reach, transfer).u_b_planning
-
-
-@dataclass(frozen=True, eq=False)
-class MultiOfferEvaluation:
-    """Realized-payoff expectations of a schedule (not B's planning view);
-    ``step`` is a read-only intp array of each A type's accepting step
-    (1-indexed, 0 for never), in the game's A-type order."""
-
-    schedule: Schedule
-    type_b: str
-    expected_u_a: float
-    expected_u_b: float
-    expected_sw: float
-    acceptance_prob: float
-    step: np.ndarray
-
-
-def expected_outcome(game: OneWayGame, schedule: Schedule, type_b: str) -> MultiOfferEvaluation:
-    """Exact expected realized payoffs under the schedule.
-
-    Differs from expected_utility_B on the rejection branch: here B's payoff
-    is what she actually earns replying to A's selfish play, not the fallback
-    value she planned around. Both are reported so simulations can be checked
-    against the estimand they actually sample.
-    """
-    terms, step, reach, transfer = _settled(game, schedule, type_b)
-    e = terms.expected(game, reach, transfer)
-    return MultiOfferEvaluation(
-        schedule=schedule,
-        type_b=type_b,
-        expected_u_a=e.u_a,
-        expected_u_b=e.u_b,
-        expected_sw=e.welfare,
-        acceptance_prob=e.acceptance,
-        step=_frozen(step),
-    )
+    return expected_outcome(game, schedule, type_b).planning_u_b
 
 
 @dataclass(frozen=True)
@@ -232,7 +198,8 @@ def simulate_schedule(
     find_types = _type_finder(game.prior_a)
     reaches, tables = [], []  # per B type: its reach and its four payoff tables, two cells per A type
     for type_b in types_b:
-        terms, _, reach, transfer = _settled(game, schedule, type_b)
+        terms = _terms(game, schedule.action_a, type_b)
+        _, reach, transfer = _settle(terms, s_values(schedule)[1:], reach_probs(schedule), schedule.gammas)
         pb_deal = terms.ub_accept - transfer
         pa_cell = np.column_stack((game.selfish_payoff_a, game.payoff_a[:, terms.ia] + transfer)).ravel()
         pb_cell = np.column_stack((terms.ub_reject, pb_deal)).ravel()
@@ -341,12 +308,12 @@ def optimize_schedule(game: OneWayGame, type_b: str, n: int) -> ScheduleOptimum:
     res = optimal_offer(game, type_b)
     schedule = Schedule(res.offer.action_a, _padded_gammas(res.offer.gamma, n), (1.0,) + (0.0,) * (n - 1))
     value = expected_utility_B(game, schedule, type_b)
-    slack = res.evaluation.expected_u_b - value
+    slack = res.evaluation.planning_u_b - value
     return ScheduleOptimum(
         schedule=schedule,
         value=value,
         single_offer=res.offer,
-        single_offer_value=res.evaluation.expected_u_b,
+        single_offer_value=res.evaluation.planning_u_b,
         null_offer=res.null_offer,
         certified=slack <= VALUE_TOL,
         certification_slack=slack,

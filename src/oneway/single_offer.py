@@ -7,10 +7,10 @@ the offer is evaluated against a rational threat point rather than a fixed
 one. A accepts exactly when the shared gain covers her own sacrifice.
 
 A single offer is the one-step schedule of ``multi_offer``: threshold and
-share gamma, reached with certainty. Every evaluator here and there reads
-the same per-type terms (``_terms``) and settles them with the same
-acceptance rule (``_settle``), so a single offer and its one-step schedule
-evaluate to identical floats.
+share gamma, reached with certainty. One evaluator (``_Terms.evaluate``)
+serves both: it settles the per-type terms (``_terms``) by the acceptance
+rule (``_settle``) and returns one record (``OfferEvaluation``), so a single
+offer and its one-step schedule evaluate to identical floats.
 """
 
 from __future__ import annotations
@@ -50,18 +50,23 @@ class OutsideOption:
 
 @dataclass(frozen=True, eq=False)
 class OfferEvaluation:
-    """An offer's prior expectations; ``accepted`` is a read-only bool
-    array, True for the A types that accept, in the game's A-type order."""
+    """Prior expectations of an offer, or of a schedule, to one type of B.
 
-    offer: Offer
-    type_b: str
+    ``expected_u_b`` is realised: a type that declines plays selfishly and B
+    earns her actual reply to that play. ``planning_u_b`` is B's planning
+    view, which books the fallback value on rejection instead. ``step`` is a
+    read-only intp array of each A type's accepting step (1-indexed, 0 for
+    never; a single offer has one step), in the game's A-type order.
+    """
+
     acceptance_prob: float
     delta_b: float
     outside: OutsideOption
     expected_u_a: float
     expected_u_b: float
+    planning_u_b: float
     expected_sw: float
-    accepted: np.ndarray
+    step: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,14 +120,6 @@ def outside_option(game: OneWayGame, action_a: str, type_b: str) -> OutsideOptio
     return _outside(game, game.action_a_index(action_a), game.type_b_index(type_b))[0]
 
 
-class _Expected(NamedTuple):
-    acceptance: float
-    u_a: float
-    u_b: float
-    welfare: float
-    u_b_planning: float
-
-
 @dataclass(frozen=True, eq=False)
 class _Terms:
     """What offering one action means to one type of B.
@@ -142,25 +139,32 @@ class _Terms:
     sacrifice: np.ndarray
     ub_reject: np.ndarray
 
-    def expected(self, game: OneWayGame, reach: np.ndarray, transfer: np.ndarray) -> _Expected:
-        """Prior expectations when each type strikes the deal with probability
-        ``reach`` at ``transfer`` and otherwise plays selfishly.
+    def evaluate(self, game: OneWayGame, thresholds, reach, shares) -> OfferEvaluation:
+        """The schedule's evaluation: each type of A settles at its step
+        (``_settle``), strikes the deal there with that step's ``reach``
+        probability at its share of the gain, and otherwise plays selfishly.
 
-        Realized accounting pays B her actual reply to selfish play; the
-        planning view books the fallback value instead.
+        Each expectation is numpy's own sum of the prior-weighted terms,
+        never a BLAS dot product, whose summation order (and so last bits)
+        depends on the BLAS thread count.
         """
-        f = game.prior_a
+        step, reach, transfer = _settle(self, thresholds, reach, shares)
         miss, ua_selfish = 1.0 - reach, game.selfish_payoff_a
         ua_deal = game.payoff_a[:, self.ia]
         ub_deal = self.ub_accept - transfer
-        return _Expected(
-            acceptance=float(f @ reach),
-            u_a=float(f @ (reach * (ua_deal + transfer) + miss * ua_selfish)),
-            u_b=float(f @ (reach * ub_deal + miss * self.ub_reject)),
-            welfare=float(
-                f @ (reach * (ua_deal + self.ub_accept) + miss * (ua_selfish + self.ub_reject))
-            ),
-            u_b_planning=self.outside.payoff + float(f @ (reach * (self.gain - transfer))),
+
+        def expect(x: np.ndarray) -> float:
+            return float(np.sum(game.prior_a * x))
+
+        return OfferEvaluation(
+            acceptance_prob=expect(reach),
+            delta_b=self.gain,
+            outside=self.outside,
+            expected_u_a=expect(reach * (ua_deal + transfer) + miss * ua_selfish),
+            expected_u_b=expect(reach * ub_deal + miss * self.ub_reject),
+            planning_u_b=self.outside.payoff + expect(reach * (self.gain - transfer)),
+            expected_sw=expect(reach * (ua_deal + self.ub_accept) + miss * (ua_selfish + self.ub_reject)),
+            step=_frozen(step),
         )
 
     def realized(
@@ -209,9 +213,7 @@ def delta_b(game: OneWayGame, action_a: str, type_b: str) -> float:
 
 def acceptance_prob(game: OneWayGame, offer: Offer, type_b: str) -> float:
     """Prior mass of A types accepting: sacrifice at most gamma * gain."""
-    terms = _terms(game, offer.action_a, type_b)
-    _, reach, _ = _settle(terms, (offer.gamma,), (1.0,), (offer.gamma,))
-    return float(game.prior_a @ reach)
+    return evaluate_offer(game, offer, type_b).acceptance_prob
 
 
 def _minimal_shares(da: np.ndarray, db: float) -> np.ndarray:
@@ -271,27 +273,9 @@ def gamma_candidates(game: OneWayGame, action_a: str, type_b: str) -> list[float
 
 
 def evaluate_offer(game: OneWayGame, offer: Offer, type_b: str) -> OfferEvaluation:
-    """Expected utilities and welfare of an offer, exact per-type accounting.
-
-    B's utility uses her planning view: the fallback value on rejection plus
-    the retained share of the gain on acceptance. A's utility and welfare
-    are computed per type from realized play (accept: the offered profile
-    with the transfer; reject: A's selfish action against B's fallback reply).
-    """
-    terms = _terms(game, offer.action_a, type_b)
-    step, reach, transfer = _settle(terms, (offer.gamma,), (1.0,), (offer.gamma,))
-    e = terms.expected(game, reach, transfer)
-    return OfferEvaluation(
-        offer=offer,
-        type_b=type_b,
-        acceptance_prob=e.acceptance,
-        delta_b=terms.gain,
-        outside=terms.outside,
-        expected_u_a=e.u_a,
-        expected_u_b=e.u_b_planning,
-        expected_sw=e.welfare,
-        accepted=_frozen(step > 0),
-    )
+    """The offer's evaluation as its one-step schedule: threshold and share
+    gamma, reached with certainty."""
+    return _terms(game, offer.action_a, type_b).evaluate(game, (offer.gamma,), (1.0,), (offer.gamma,))
 
 
 def optimal_offer(game: OneWayGame, type_b: str) -> OfferSearchResult:
@@ -339,12 +323,12 @@ def simplified_offer(game: OneWayGame, type_b: str) -> OfferSearchResult:
         v = _acceptance_mass(game, terms, g) * (1.0 - g)
         # The sweep sums the prior in another order than acceptance_prob, so
         # its scores may differ in the last bits (a sum of n terms by at most
-        # about n ulps). Shares that close to the best are rescored with
-        # acceptance_prob, which settles exact ties as it always has.
+        # about n ulps). Shares that close to the best are rescored by the
+        # evaluator, which settles exact ties as acceptance_prob always has.
         slack = 4.0 * (len(game.types_a) + 1) * np.finfo(np.float64).eps
         near = g[v >= v.max() - slack].tolist()
         if len(near) > 1:
-            scores = [acceptance_prob(game, Offer(action, x), type_b) * (1.0 - x) for x in near]
+            scores = [terms.evaluate(game, (x,), (1.0,), (x,)).acceptance_prob * (1.0 - x) for x in near]
             near = near[int(np.argmax(scores)):]
         gamma = near[0]
     offer = Offer(action, gamma)
@@ -410,7 +394,7 @@ def simplified_strategy_report(game: OneWayGame) -> dict[str, SimplifiedReport]:
         res = simplified_offer(game, tb)
         gamma = res.offer.gamma
         terms = _terms(game, res.offer.action_a, tb)
-        accepted = res.evaluation.accepted
+        accepted = _frozen(res.evaluation.step > 0)
         deal = game.payoff_a[:, terms.ia] + terms.ub_accept
         welfare = np.where(accepted, deal, game.selfish_payoff_a + terms.outside.payoff)
         optimal = optimal_table[:, itb]

@@ -28,7 +28,8 @@ import numpy as np
 from oneway import streams
 from oneway.analytics import ContinuousSpec, SingleOfferScenario
 from oneway.game import OneWayGame
-from oneway.multi_offer import Schedule, SimulationResult, _settled
+from oneway.multi_offer import Schedule, SimulationResult, reach_probs, s_values
+from oneway.single_offer import _settle, _terms
 from oneway.streams import Z99
 
 
@@ -152,7 +153,8 @@ def simulate_schedule(
 ) -> SimulationResult:
     if samples <= 0:
         raise ValueError("samples must be positive")
-    terms, _, reach, transfer = _settled(game, schedule, type_b)
+    terms = _terms(game, schedule.action_a, type_b)
+    _, reach, transfer = _settle(terms, s_values(schedule)[1:], reach_probs(schedule), schedule.gammas)
     ua_deal = game.payoff_a[:, terms.ia]
     n_types = len(game.types_a)
     cdf = np.cumsum(game.prior_a)

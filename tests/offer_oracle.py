@@ -32,7 +32,7 @@ import numpy as np
 from oneway import multi_offer
 from oneway import single_offer as package
 from oneway.game import OneWayGame, best_response_B
-from oneway.multi_offer import MultiOfferEvaluation, Schedule
+from oneway.multi_offer import Schedule
 from oneway.single_offer import (
     VALUE_TOL,
     Offer,
@@ -110,15 +110,14 @@ def evaluate_offer(game: OneWayGame, offer: Offer, type_b: str) -> OfferEvaluati
             e_ua += f * ua
             e_sw += f * (ua + float(game.u_b((game.actions_a[int(nash_idx[i])], out.action_b), type_b)))
     return OfferEvaluation(
-        offer=offer,
-        type_b=type_b,
         acceptance_prob=p,
         delta_b=db,
         outside=out,
         expected_u_a=e_ua,
-        expected_u_b=float(e_ub),
+        expected_u_b=e_sw - e_ua,
+        planning_u_b=float(e_ub),
         expected_sw=e_sw,
-        accepted=accept_mask,
+        step=accept_mask.astype(np.intp),
     )
 
 
@@ -174,7 +173,7 @@ def expected_utility_B(game: OneWayGame, schedule: Schedule, type_b: str) -> flo
     return total
 
 
-def expected_outcome(game: OneWayGame, schedule: Schedule, type_b: str) -> MultiOfferEvaluation:
+def expected_outcome(game: OneWayGame, schedule: Schedule, type_b: str) -> OfferEvaluation:
     """Exact expected realized payoffs under the schedule.
 
     Differs from expected_utility_B on the rejection branch: here B's payoff
@@ -216,13 +215,14 @@ def expected_outcome(game: OneWayGame, schedule: Schedule, type_b: str) -> Multi
         e_ua += f * (r * (ua_accept + transfer) + (1.0 - r) * ua_nash)
         e_ub += f * (r * (ub_accept - transfer) + (1.0 - r) * ub_reject)
         e_sw += f * (r * (ua_accept + ub_accept) + (1.0 - r) * (ua_nash + ub_reject))
-    return MultiOfferEvaluation(
-        schedule=schedule,
-        type_b=type_b,
+    return OfferEvaluation(
+        acceptance_prob=p_accept,
+        delta_b=db,
+        outside=out,
         expected_u_a=e_ua,
         expected_u_b=e_ub,
+        planning_u_b=expected_utility_B(game, schedule, type_b),
         expected_sw=e_sw,
-        acceptance_prob=p_accept,
         step=np.array([k or 0 for k in steps.values()], dtype=np.intp),
     )
 
@@ -281,7 +281,7 @@ def optimal_offer(game: OneWayGame, type_b: str) -> OfferSearchResult:
             continue
         for g in gamma_candidates(game, action, type_b):
             ev = package.evaluate_offer(game, Offer(action, g), type_b)
-            scored.append((ev.expected_u_b, g, ia, ev))
+            scored.append((ev.planning_u_b, g, ia, ev))
     if not scored:
         dbs = np.asarray([package.delta_b(game, a, type_b) for a in game.actions_a])
         offer = Offer(game.actions_a[int(np.argmax(dbs))], 0.0)

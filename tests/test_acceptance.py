@@ -265,7 +265,7 @@ def test_optimizer_and_metrics_match_brute_force():
             if res.null_offer:
                 assert grid is None
             else:
-                assert abs(res.evaluation.expected_u_b - grid) <= 1e-6, (tb, grid)
+                assert abs(res.evaluation.planning_u_b - grid) <= 1e-6, (tb, grid)
 
     for game in ow.random_suite(
         25, SUITE_SEED + 3, max_actions_a=4, max_actions_b=4, max_types_a=4, max_types_b=4

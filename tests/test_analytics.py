@@ -36,6 +36,12 @@ def test_continuous_spec_power():
         ow.ContinuousSpec.power(1.0, -2.0)
 
 
+@pytest.mark.parametrize("kind", ["normal", "Uniform", ""])
+def test_continuous_spec_rejects_unknown_kinds(kind):
+    with pytest.raises(ValueError, match="kind must be 'uniform' or 'power'"):
+        ow.ContinuousSpec(kind, 0.0, 2.0)
+
+
 def test_spec_sampling_matches_cdf():
     # inverse-transform sampling, as the Monte Carlo batches draw
     spec = ow.ContinuousSpec.power(0.5, 1.0)

@@ -153,8 +153,11 @@ _SCHEDULE = {"action": "a1", "gammas": [0.2, 0.5], "probs": [1.0, 0.5]}
         ("probs", None, "field 'probs': expected a non-empty list of numbers"),
         ("probs", [1.0], "field 'probs': expected length 2 to match gammas"),
         ("gammas", [0.2], "field 'probs': expected length 1 to match gammas"),
+        ("action", 1, "field 'action': expected a string"),
+        ("action", None, "field 'action': expected a string"),
+        ("action", ["a1"], "field 'action': expected a string"),
     ],
-    ids=["string", "empty", "bool", "text", "null", "short", "long"],
+    ids=["string", "empty", "bool", "text", "null", "short", "long", "action-number", "action-null", "action-list"],
 )
 def test_load_schedule_messages(tmp_path, field, value, message):
     path = _write(tmp_path, "s.json", {**_SCHEDULE, field: value})

@@ -244,7 +244,7 @@ def test_schedule_cases_cover_the_corners():
     for game, schedule in CASES:
         zero_prior |= bool(np.any(game.prior_a == 0.0))
         for tb in game.types_b:
-            _, step, _, _ = ow.multi_offer._settled(game, schedule, tb)
+            step = ow.expected_outcome(game, schedule, tb).step
             never |= bool(np.any((step == 0) & (game.prior_a > 0.0)))
             accepts |= bool(np.any(step > 0))
     assert zero_prior and never and accepts
@@ -254,7 +254,10 @@ def test_schedule_cases_cover_the_corners():
 def _schedule_scale(game: ow.OneWayGame, schedule: ow.Schedule, type_b: str) -> float:
     """A bound on every payoff a draw can book: A's, with the transfer, plus
     B's, realised or planned."""
-    terms, _, _, transfer = ow.multi_offer._settled(game, schedule, type_b)
+    terms = ow.single_offer._terms(game, schedule.action_a, type_b)
+    _, _, transfer = ow.single_offer._settle(
+        terms, ow.s_values(schedule)[1:], ow.reach_probs(schedule), schedule.gammas
+    )
     a = np.abs(np.concatenate((game.selfish_payoff_a, game.payoff_a[:, terms.ia] + transfer)))
     b = np.abs(np.concatenate((terms.ub_reject, terms.ub_accept - transfer, [terms.outside.payoff])))
     return float(a.max() + b.max())

@@ -68,7 +68,7 @@ def test_expected_utility_b_g1(g1):
 
 def test_one_step_schedule_equals_single_offer(g1):
     v = ow.expected_utility_B(g1, sched([0.25], [1.0]), "u1")
-    assert v == ow.evaluate_offer(g1, ow.Offer("a1", 0.25), "u1").expected_u_b
+    assert v == ow.evaluate_offer(g1, ow.Offer("a1", 0.25), "u1").planning_u_b
     assert v == 3.0
 
 
@@ -78,7 +78,7 @@ def test_expected_outcome_g1(g1):
     assert not out.step.flags.writeable
     assert out.acceptance_prob == 0.75
     assert out.expected_u_a == 2.35
-    assert out.expected_u_b == 1.9
+    assert out.expected_u_b == out.planning_u_b == 1.9
     assert out.expected_sw == 4.25
 
 
@@ -149,7 +149,7 @@ def test_schedule_value_never_beats_single_offer():
             for action in game.actions_a:
                 shares = ow.gamma_candidates(game, action, tb) + [1.0]
                 target = max(
-                    ow.evaluate_offer(game, ow.Offer(action, g), tb).expected_u_b
+                    ow.evaluate_offer(game, ow.Offer(action, g), tb).planning_u_b
                     for g in shares
                 )
                 for _ in range(8):
@@ -250,12 +250,12 @@ def test_monotone_schedule_never_beats_the_best_single_offer(seed, data):
     schedule = ow.Schedule(action, gammas, (1.0, *probs))
     thresholds = ow.s_values(schedule)[1:]
     assume(all(a <= b for a, b in zip(thresholds, thresholds[1:])))
-    best = ow.optimal_offer(game, tb).evaluation.expected_u_b
+    best = ow.optimal_offer(game, tb).evaluation.planning_u_b
     value = ow.expected_utility_B(game, schedule, tb)
     assert value <= best + 1e-9
     reach, onward = ow.reach_probs(schedule), (*probs, 0.0)
     decomposed = sum(
-        r * (1.0 - p) * ow.evaluate_offer(game, ow.Offer(action, s), tb).expected_u_b
+        r * (1.0 - p) * ow.evaluate_offer(game, ow.Offer(action, s), tb).planning_u_b
         for r, p, s in zip(reach, onward, thresholds)
     )
     assert math.isclose(value, decomposed, rel_tol=1e-12)
@@ -269,5 +269,5 @@ def test_non_monotone_schedule_does_not_beat_the_best_single_offer():
     game = ow.random_suite(120, 1, max_types_a=12)[119]
     assert ow.delta_b(game, "a2", "u2") > 0.0
     schedule = ow.Schedule("a2", (0.1386, 0.1424, 0.5848), (1.0, 0.666, 0.851))
-    best = ow.optimal_offer(game, "u2").evaluation.expected_u_b
+    best = ow.optimal_offer(game, "u2").evaluation.planning_u_b
     assert ow.expected_utility_B(game, schedule, "u2") <= best + 1e-9

@@ -14,8 +14,8 @@ from oneway.single_offer import VALUE_TOL
 def test_restricted_types_g1(g1):
     # the types that would ever decline an action are those that decline it
     # at share 0: the ones for which it is not a selfish optimum
-    assert ow.evaluate_offer(g1, ow.Offer("a1", 0.0), "u1").accepted.tolist() == [True, False]
-    assert ow.evaluate_offer(g1, ow.Offer("a2", 0.0), "u1").accepted.tolist() == [False, True]
+    assert ow.evaluate_offer(g1, ow.Offer("a1", 0.0), "u1").step.tolist() == [1, 0]
+    assert ow.evaluate_offer(g1, ow.Offer("a2", 0.0), "u1").step.tolist() == [0, 1]
 
 
 def test_delta_a_g1(g1):
@@ -71,26 +71,26 @@ def test_evaluate_offer_g1(g1):
     ev = ow.evaluate_offer(g1, ow.Offer("a1", 0.25), "u1")
     assert ev.acceptance_prob == 1.0
     assert ev.delta_b == 4.0
-    assert ev.expected_u_b == 3.0
+    assert ev.planning_u_b == ev.expected_u_b == 3.0  # every type accepts
     assert ev.expected_u_a == 2.0
     assert ev.expected_sw == 5.0
-    assert ev.accepted.dtype == bool and ev.accepted.tolist() == [True, True]
-    assert not ev.accepted.flags.writeable
-    assert ow.evaluate_offer(g1, ow.Offer("a1", 0.0), "u1").expected_u_b == 2.0
-    assert ow.evaluate_offer(g1, ow.Offer("a1", 1.0), "u1").expected_u_b == 0.0
+    assert ev.step.dtype == np.intp and ev.step.tolist() == [1, 1]
+    assert not ev.step.flags.writeable
+    assert ow.evaluate_offer(g1, ow.Offer("a1", 0.0), "u1").planning_u_b == 2.0
+    assert ow.evaluate_offer(g1, ow.Offer("a1", 1.0), "u1").planning_u_b == 0.0
 
 
 def test_optimal_offer_g1(g1):
     res = ow.optimal_offer(g1, "u1")
     assert not res.null_offer
     assert res.offer == ow.Offer("a1", 0.25)
-    assert res.evaluation.expected_u_b == 3.0
+    assert res.evaluation.planning_u_b == 3.0
 
 
 def test_optimal_offer_g2(g2):
     res = ow.optimal_offer(g2, "u1")
     assert res.offer == ow.Offer("a1", 0.2)
-    assert res.evaluation.expected_u_b == 4.0
+    assert res.evaluation.planning_u_b == 4.0
 
 
 def test_simplified_offer_g1(g1):
@@ -213,7 +213,7 @@ def test_expected_u_b_matches_per_type_planning_sum():
                             total += f * (ev.outside.payoff + (1.0 - gamma) * ev.delta_b)
                         else:
                             total += f * ev.outside.payoff
-                    assert ev.expected_u_b == pytest.approx(total, abs=1e-9)
+                    assert ev.planning_u_b == pytest.approx(total, abs=1e-9)
 
 
 def test_optimal_offer_dominates_gamma_grid():
@@ -227,10 +227,10 @@ def test_optimal_offer_dominates_gamma_grid():
                     continue
                 for g in np.linspace(0.0, 1.0, 201):
                     ev = ow.evaluate_offer(game, ow.Offer(action, float(g)), tb)
-                    assert res.evaluation.expected_u_b >= ev.expected_u_b - 1e-12
+                    assert res.evaluation.planning_u_b >= ev.planning_u_b - 1e-12
             # the reported value is attained by re-evaluating the offer
             again = ow.evaluate_offer(game, res.offer, tb)
-            assert again.expected_u_b == res.evaluation.expected_u_b
+            assert again.planning_u_b == res.evaluation.planning_u_b
 
 
 def test_run_single_offer_consistency():
@@ -242,7 +242,7 @@ def test_run_single_offer_consistency():
                 outcome = ow.run_single_offer(game, res.offer, ta, tb)
                 assert outcome.payoff_a + outcome.payoff_b == outcome.welfare
                 if not res.null_offer:
-                    assert outcome.accepted == ev.accepted[game.type_a_index(ta)]
+                    assert outcome.accepted == (ev.step[game.type_a_index(ta)] > 0)
                 assert outcome.transfer >= 0.0
 
 
@@ -295,7 +295,7 @@ def test_optimal_offer_welfare_vs_simplified_logged():
             simp = ow.simplified_offer(game, tb)
             if not opt.null_offer and ow.delta_b(game, simp.offer.action_a, tb) > 0.0:
                 # up to VALUE_TOL may be traded away by the stable tie-break
-                assert opt.evaluation.expected_u_b >= simp.evaluation.expected_u_b - VALUE_TOL
+                assert opt.evaluation.planning_u_b >= simp.evaluation.planning_u_b - VALUE_TOL
             checks += 1
             if opt.evaluation.expected_sw < simp.evaluation.expected_sw - 1e-9:
                 welfare_losses.append(
@@ -370,7 +370,7 @@ def _offer_mechanism(game, strategy):
     for k, tb in enumerate(game.types_b):
         res = strategy(game, tb)
         a = res.offer.action_a
-        deal = res.evaluation.accepted
+        deal = res.evaluation.step > 0
         reply[:, k] = game.action_b_index(res.evaluation.outside.action_b)
         act[deal, k] = game.action_a_index(a)
         reply[deal, k] = game.action_b_index(ow.best_response_B(game, a, tb))
@@ -407,7 +407,7 @@ def test_single_offer_reveals_one_bit_of_a_type(seed, strategy):
     game = ow.random_suite(1, seed, max_types_a=8)[0]
     mech = _offer_mechanism(game, strategy)
     for k, tb in enumerate(game.types_b):
-        accepted = strategy(game, tb).evaluation.accepted
+        accepted = strategy(game, tb).evaluation.step > 0
         for branch in (accepted, ~accepted):
             seen = zip(mech.action_b[branch, k], mech.payment_a[branch, k], mech.payment_b[branch, k])
             assert len(set(seen)) <= 1, (tb, accepted)
