@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .equilibrium import _optimal_table
-from .game import PRIOR_TOL, OneWayGame, make_game
+from .game import PRIOR_TOL, OneWayGame, _selfish_reply, make_game
 
 MARGIN_TOL = 1e-7
 CERT_TOL = 1e-7
@@ -253,7 +253,7 @@ def check_one_way_properties(
     u_b = pb.reshape(nb, -1) @ W_b.T + game.prior_a @ pay_b
     ic = _ic_witnesses(u_a, "A type", game.types_a, tol)
     ic += _ic_witnesses(u_b, "B type", game.types_b, tol)
-    walk_b = game.prior_a @ pb[np.arange(nb), game.selfish_a[:, None], game.nash_b]
+    walk_b = _selfish_reply(game, game.prior_a)[1]
     sides = (("A", game.types_a, u_a, game.selfish_payoff_a), ("B", game.types_b, u_b, walk_b))
     ir = [
         f"{side} type {t} gets {x!r} < walk-away {r!r}"

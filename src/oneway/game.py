@@ -8,9 +8,11 @@ non-negative amounts of money (quasi-linear utilities).
 
 Public functions take and return string identifiers. The game also carries
 read-only per-game tables of no-payment play (A's selfish map, payoffs and
-sacrifices; B's best replies) as index arrays in the game's own order, so
-that every layer reads one copy of that play. Ties are always broken toward
-the lowest index, which makes every operation in the package deterministic.
+sacrifices; B's best replies, her equilibrium reply and her fallback if A
+declines an action) as arrays in the game's own order, so that every layer
+reads one copy of that play. B's replies to A's selfish play all come from
+one rule, ``_selfish_reply``. Ties are always broken toward the lowest
+index, which makes every operation in the package deterministic.
 """
 
 from __future__ import annotations
@@ -118,8 +120,7 @@ class OneWayGame:
     def sacrifice_a(self) -> np.ndarray:
         """A types by A actions: what playing the action costs the type
         against her selfish payoff. Column-major, so that each action's
-        column is contiguous (a dot product over a strided column can round
-        differently)."""
+        column is contiguous."""
         return _frozen(np.asfortranarray(self.selfish_payoff_a[:, None] - self.payoff_a))
 
     @cached_property
@@ -130,10 +131,36 @@ class OneWayGame:
     @cached_property
     def nash_b(self) -> np.ndarray:
         """B's equilibrium reply index per B type: her best reply, in prior
-        expectation, to A's selfish map. One B type at a time, as a batched
-        product can round differently and flip a near-tie."""
-        rows = (self.payoff_b[itb, self.selfish_a, :] for itb in range(len(self.types_b)))
-        return _frozen(np.array([np.argmax(self.prior_a @ r) for r in rows], dtype=np.intp))
+        expectation, to A's selfish map."""
+        return _selfish_reply(self, self.prior_a)[0]
+
+    @cached_property
+    def _fallback(self) -> tuple[np.ndarray, np.ndarray]:
+        """B's reply if A declines each action, and its value: her best
+        reply to the selfish play of the types that decline (positive
+        sacrifice) under their renormalised prior; where they have zero
+        mass, her best reply to the action itself."""
+        replies, values = self.reply_b.copy(), np.max(self.payoff_b, axis=2)
+        for ia, declines in enumerate(self.sacrifice_a.T > 0.0):
+            if (mass := float(np.sum(self.prior_a[declines]))) > 0.0:
+                replies[:, ia], values[:, ia] = _selfish_reply(self, np.where(declines, self.prior_a / mass, 0.0))
+        return _frozen(replies), _frozen(values)
+
+    fallback_b = property(lambda self: self._fallback[0], doc="B types by A actions: B's fallback reply index.")
+    fallback_payoff_b = property(lambda self: self._fallback[1], doc="B types by A actions: its value to B.")
+
+
+def _selfish_reply(game: OneWayGame, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each B type's best reply (lowest index on ties) to A's selfish play
+    under ``weights`` over A's types, and its value. B's payoff depends on
+    A's type only through her action, so the weights are summed per selfish
+    action (in type order), then the actions' payoff rows in index order."""
+    mix = np.bincount(game.selfish_a, weights, len(game.actions_a))
+    value = np.zeros((len(game.types_b), len(game.actions_b)))
+    for a in np.flatnonzero(mix):
+        value += mix[a] * game.payoff_b[:, a, :]
+    reply = np.argmax(value, axis=1)
+    return _frozen(reply), _frozen(value[np.arange(len(reply)), reply])
 
 
 def _frozen(table: np.ndarray) -> np.ndarray:

@@ -60,7 +60,7 @@ def _load_json(path: str) -> dict:
 
 def _check_version(data: dict, path: str) -> None:
     version = _require(data, "version", path, f"integer {FORMAT_VERSION}")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise InstanceFormatError(path, "version", f"{FORMAT_VERSION}, got {version!r}")
 
 
@@ -115,9 +115,7 @@ def _rect(raw: Any, dims: Sequence[tuple[str, int]], field: str, path: str) -> l
 
 def load_game(path: str) -> OneWayGame:
     """Load a one-way game instance file (format version 1)."""
-    import numpy as np
-
-    from .game import OneWayGame, validate
+    from .game import make_game
 
     data = _load_json(path)
     _check_version(data, path)
@@ -137,20 +135,10 @@ def load_game(path: str) -> OneWayGame:
         "payoff_B",
         path,
     )
-    game = OneWayGame(
-        actions_a=tuple(actions_a),
-        actions_b=tuple(actions_b),
-        types_a=tuple(types_a),
-        types_b=tuple(types_b),
-        prior_a=np.asarray(prior_a),
-        prior_b=np.asarray(prior_b),
-        payoff_a=np.array(payoff_a, dtype=np.float64),
-        payoff_b=np.array(payoff_b, dtype=np.float64),
-    )
-    errors = validate(game)
-    if errors:
-        raise InstanceFormatError(path, "<instance>", "a valid game: " + "; ".join(errors))
-    return game
+    try:
+        return make_game(actions_a, actions_b, zip(types_a, prior_a), zip(types_b, prior_b), payoff_a, payoff_b)
+    except ValueError as exc:
+        raise InstanceFormatError(path, "<instance>", f"a valid game: {exc}") from None
 
 
 def game_to_dict(game: OneWayGame) -> dict:

@@ -35,14 +35,8 @@ class Offer(NamedTuple):
 
 @dataclass(frozen=True)
 class OutsideOption:
-    """B's fallback reply and its expected value if the offer is declined.
-
-    The fallback conditions on rejection: only types of A for which the
-    offered action is not already a selfish optimum would decline, so B
-    best-responds to their equilibrium play under the renormalized prior.
-    When that event has zero probability the fallback degenerates to the
-    best reply against the offered action itself.
-    """
+    """B's fallback reply and its expected value if the offer is declined,
+    read off the game's ``fallback_b`` and ``fallback_payoff_b`` tables."""
 
     action_b: str
     payoff: float
@@ -102,22 +96,9 @@ def delta_a(game: OneWayGame, action_a: str) -> np.ndarray:
     return game.sacrifice_a[:, game.action_a_index(action_a)]
 
 
-def _outside(game: OneWayGame, ia: int, itb: int) -> tuple[OutsideOption, int]:
-    """B type ``itb``'s fallback against action ``ia``, and its reply index."""
-    mask = game.sacrifice_a[:, ia] > 0.0
-    mass = float(np.sum(game.prior_a[mask]))
-    if mass <= 0.0:
-        ib = int(game.reply_b[itb, ia])
-        value = game.payoff_b[itb, ia, ib]
-    else:
-        vals = (game.prior_a[mask] / mass) @ game.payoff_b[itb, game.selfish_a[mask], :]
-        ib = int(np.argmax(vals))
-        value = vals[ib]
-    return OutsideOption(game.actions_b[ib], float(value)), ib
-
-
 def outside_option(game: OneWayGame, action_a: str, type_b: str) -> OutsideOption:
-    return _outside(game, game.action_a_index(action_a), game.type_b_index(type_b))[0]
+    ia, itb = game.action_a_index(action_a), game.type_b_index(type_b)
+    return OutsideOption(game.actions_b[game.fallback_b[itb, ia]], float(game.fallback_payoff_b[itb, ia]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,10 +161,10 @@ class _Terms:
 
 def _terms(game: OneWayGame, action_a: str, type_b: str) -> _Terms:
     ia, itb = game.action_a_index(action_a), game.type_b_index(type_b)
-    out, ib_out = _outside(game, ia, itb)
+    out = outside_option(game, action_a, type_b)
     reply = int(game.reply_b[itb, ia])
     ub_accept = float(game.payoff_b[itb, ia, reply])
-    ub_reject = game.payoff_b[itb, game.selfish_a, ib_out]
+    ub_reject = game.payoff_b[itb, game.selfish_a, game.fallback_b[itb, ia]]
     gain = ub_accept - out.payoff
     return _Terms(ia, out, reply, ub_accept, gain, game.sacrifice_a[:, ia], ub_reject)
 
@@ -409,7 +390,7 @@ def simplified_strategy_report(game: OneWayGame) -> dict[str, SimplifiedReport]:
             optimal=_frozen(optimal),
             poa=_frozen(poa),
             branch_bound=_frozen(np.where(accepted, *accept_reject_poa(gamma))),
-            expected_poa=float(game.prior_a[live] @ poa[live]),
+            expected_poa=float(np.sum(game.prior_a[live] * poa[live])),
             poa_bound=theorem_bound(gamma, p),
         )
     return reports

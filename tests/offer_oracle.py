@@ -8,7 +8,12 @@ per-type-loop implementations; ``restricted_types``, ``delta_a``,
 with the evaluators it checks beyond the game model, ``best_response_B``
 and the result types; so do ``s_values`` and ``reach_probs``. Only the
 imports differ from the originals: the schedule evaluators' function-local
-``delta_b`` import is the module-level one here.
+``delta_b`` import is the module-level one here. The exception is
+``outside_option``, which computes B's fallback by the package's
+documented rule (the restricted types' action mix, then the actions in
+index order) in plain Python loops, so that it matches the package bit for
+bit; the per-type weighted product it replaced is checked against the
+package in ``test_offer_oracle.py``.
 
 The schedule optimizer's certification sweep as it stood before the exact
 decomposition: ``certification_probe`` re-evaluates the neighbouring
@@ -65,11 +70,19 @@ def outside_option(game: OneWayGame, action_a: str, type_b: str) -> OutsideOptio
     if not idx or mass <= 0.0:
         ab = best_response_B(game, action_a, type_b)
         return OutsideOption(ab, float(game.u_b((action_a, ab), type_b)))
-    weights = game.prior_a[idx] / mass
+    # B's payoff depends on A's type only through her action: accumulate
+    # each restricted type's renormalised prior on her selfish action in
+    # type order, then sum the actions' payoff rows in index order.
     nash_actions = np.argmax(game.payoff_a, axis=1)
-    vals = weights @ game.payoff_b[itb, nash_actions[idx], :]
-    ib = int(np.argmax(vals))
-    return OutsideOption(game.actions_b[ib], float(vals[ib]))
+    mix = [0.0] * len(game.actions_a)
+    for i in idx:
+        mix[int(nash_actions[i])] += float(game.prior_a[i]) / mass
+    vals = [0.0] * len(game.actions_b)
+    for a, weight in enumerate(mix):
+        for m in range(len(vals)):
+            vals[m] += weight * float(game.payoff_b[itb, a, m])
+    ib = vals.index(max(vals))
+    return OutsideOption(game.actions_b[ib], vals[ib])
 
 
 def delta_b(game: OneWayGame, action_a: str, type_b: str) -> float:

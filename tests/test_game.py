@@ -96,7 +96,7 @@ def test_best_response_picks_max(g2):
     assert ow.best_response_B(g2, "a2", "u1") == "b1"
 
 
-TABLES = ("selfish_a", "selfish_payoff_a", "sacrifice_a", "reply_b", "nash_b")
+TABLES = ("selfish_a", "selfish_payoff_a", "sacrifice_a", "reply_b", "nash_b", "fallback_b", "fallback_payoff_b")
 
 
 def test_no_payment_tables_g2(g2):
@@ -107,6 +107,10 @@ def test_no_payment_tables_g2(g2):
     assert g2.sacrifice_a.tolist() == [[0.0, 1.0], [1.0, 0.0]]
     assert g2.reply_b.tolist() == [[1, 0]]
     assert g2.nash_b.tolist() == [1]
+    # declining a1 leaves t2 on a2, where both replies earn 0; declining a2
+    # leaves t1 on a1, where b2 earns 5
+    assert g2.fallback_b.tolist() == [[0, 1]]
+    assert g2.fallback_payoff_b.tolist() == [[0.0, 5.0]]
 
 
 def test_no_payment_tables_are_cached_read_only_and_column_contiguous():

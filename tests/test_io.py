@@ -50,6 +50,16 @@ def test_load_game_bad_version(tmp_path):
         ow.load_game(path)
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_load_game_version_must_be_the_integer(tmp_path, g1, version):
+    """``true`` and ``1.0`` compare equal to 1 in Python but are not the
+    format's integer version."""
+    data = dict(ow.game_to_dict(g1), version=version)
+    path = _write(tmp_path, "v.json", data)
+    with pytest.raises(ow.InstanceFormatError, match="field 'version'"):
+        ow.load_game(path)
+
+
 def test_load_game_missing_field_names_field(tmp_path, g1):
     data = ow.game_to_dict(g1)
     del data["payoff_B"]

@@ -221,19 +221,46 @@ def _relabel_a_types(game, order) -> ow.OneWayGame:
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(index=st.integers(0, 199), seed=st.integers(1, 4), shuffle=st.integers(0, 2**32 - 1))
 def test_offers_invariant_under_relabelling_a_types(index, seed, shuffle):
-    """B's fallback and gain are prior-weighted sums, whose last bits depend
-    on the order of A's types, and each candidate share is a quotient by the
-    gain; so the share may move by an ulp, while the action, the accepting
-    types and the values stay put."""
+    """B's fallback sums the declining types' prior per selfish action in
+    type order; with A's types equally weighted, as in ``random_suite``,
+    those sums do not depend on the order, so the offer, its fallback and
+    B's gain are exactly equal. Only the evaluation's expectations, sums
+    over A's types, may move in the last bits."""
     game = _search_suite(seed, 40)[index]
     order = np.random.default_rng(shuffle).permutation(len(game.types_a))
     relabelled = _relabel_a_types(game, order)
     for tb in game.types_b:
         for search in (ow.optimal_offer, ow.simplified_offer):
             got, want = search(relabelled, tb), search(game, tb)
-            assert (got.offer.action_a, got.null_offer) == (want.offer.action_a, want.null_offer), tb
-            assert _close(got.offer.gamma, want.offer.gamma), (tb, got.offer, want.offer)
+            assert (got.offer, got.null_offer) == (want.offer, want.null_offer), tb
+            assert (got.evaluation.outside, got.evaluation.delta_b) == (want.evaluation.outside, want.evaluation.delta_b)
             assert np.array_equal(got.evaluation.step, want.evaluation.step[order])
             for field in VALUES:
                 a, b = getattr(got.evaluation, field), getattr(want.evaluation, field)
                 assert _close(a, b), (tb, field, a, b)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_reply_to_selfish_play_matches_per_type_product(seed):
+    """The replaced algorithm: B's fallback as the per-type weighted product
+    ``weights @ payoff_b[itb, selfish[idx], :]`` and ``nash_b`` as the
+    argmax of ``prior_a @ payoff_b[itb, selfish, :]``. The reply may differ
+    only where the top two values lie within 1e-12; the value within 1e-12
+    relative."""
+    cells = 0
+    for game in _suite(seed):
+        selfish = np.argmax(game.payoff_a, axis=1)
+        for itb in range(len(game.types_b)):
+            assert game.nash_b[itb] == np.argmax(game.prior_a @ game.payoff_b[itb, selfish, :])
+            for ia in range(len(game.actions_a)):
+                idx = np.flatnonzero(game.payoff_a[:, ia] != np.max(game.payoff_a, axis=1))
+                mass = float(np.sum(game.prior_a[idx]))
+                if mass <= 0.0:
+                    continue
+                vals = (game.prior_a[idx] / mass) @ game.payoff_b[itb, selfish[idx], :]
+                reply, value = int(game.fallback_b[itb, ia]), float(game.fallback_payoff_b[itb, ia])
+                top = np.sort(vals)[::-1]
+                assert reply == np.argmax(vals) or top[0] - top[1] <= 1e-12, (itb, ia)
+                assert math.isclose(value, vals.max(), rel_tol=REL, abs_tol=0.0), (itb, ia)
+                cells += 1
+    assert cells > 1500
