@@ -272,6 +272,8 @@ def _simulate(scenarios: Sequence[SingleOfferScenario], samples: int, seed: int,
     if samples <= 0:
         raise ValueError("samples must be positive")
     terms = [_MCTerms(sc) for sc in scenarios]
+    if not terms:
+        return terms, []
     fused = len(terms) > 1
 
     def make_batch():

@@ -541,7 +541,8 @@ def run(argv: list[str] | None = None) -> int:
         if exc.code is None:
             return 0
         return exc.code if isinstance(exc.code, int) else 2
-    # A stream's key holds the seed in one 64-bit word (``streams.stream``).
+    # An instance's Philox key holds the seed in one 64-bit word (``generate``)
+    # and the Monte Carlo streams keep its range (``streams.stream``).
     # Checked here, so that modes which draw nothing reject it too.
     seed = getattr(args, "seed", None)
     if seed is not None and not 0 <= seed < 1 << 64:

@@ -6,8 +6,18 @@ import math
 
 import numpy as np
 
-from . import streams
 from .game import OneWayGame, make_game
+
+
+def _instance_stream(seed: int, index: int = 0) -> np.random.Generator:
+    """Philox generator keyed ``(seed, index)`` for instance ``index`` under
+    ``seed``, a seed in [0, 2**64): each is one 64-bit word of the key, so a
+    wider seed would alias. Instances keep this counter-based key, not the
+    Monte Carlo batches' generator (``streams.stream``), so the games a seed
+    names do not move when the simulation streams change."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
 def _game_from_rng(
@@ -51,7 +61,7 @@ def random_game(
     b_scale: float = 10.0,
 ) -> OneWayGame:
     """One game with uniform random payoffs and equal-weight priors."""
-    rng = streams.stream(seed)
+    rng = _instance_stream(seed)
     return _game_from_rng(rng, n_actions_a, n_actions_b, n_types_a, n_types_b, a_scale, b_scale)
 
 
@@ -67,12 +77,14 @@ def random_suite(
 ) -> list[OneWayGame]:
     """A reproducible batch of games with sizes drawn per instance.
 
-    Instance i uses the counter-based stream (seed, i), so the suite is
-    stable under reordering and extending the count only appends.
+    Instance i draws from the Philox stream keyed (seed, i), not from the
+    Monte Carlo batches' PCG64DXSM streams, so the suite is stable under
+    reordering, extending the count only appends, and a change to the
+    simulation streams leaves every generated game as it was.
     """
     games = []
     for i in range(count):
-        rng = streams.stream(seed, i)
+        rng = _instance_stream(seed, i)
         n_aa = int(rng.integers(2, max_actions_a + 1))
         n_ab = int(rng.integers(1, max_actions_b + 1))
         n_ta = int(rng.integers(1, max_types_a + 1))

@@ -173,8 +173,11 @@ def simulate_schedule(
 
     Reports realized means (matching expected_outcome) and the planning-view
     mean for B, where a failed process is booked at the fallback value
-    (matching expected_utility_B). Batches use counter-based streams keyed by
-    (seed, batch index), so results are independent of batching and threads.
+    (matching expected_utility_B). Batch i draws from ``streams.stream(seed,
+    i)``, a PCG64DXSM on the seed's i-th spawned child, which fills doubles
+    faster than the Philox streams that generated games keep so that they
+    never move with the simulations (see ``streams``). Results do not depend
+    on the thread count.
     A batch draws its A types and coins once for all the B types of a call;
     each B type folds its own moments in batch order, so its result is the
     same whether it is simulated alone or with others.
@@ -194,6 +197,8 @@ def simulate_schedule(
         raise TypeError("types_b must be a sequence of B type ids, not one id")
     if samples <= 0:
         raise ValueError("samples must be positive")
+    if not types_b:
+        return []
     n_types = len(game.types_a)
     find_types = _type_finder(game.prior_a)
     reaches, tables = [], []  # per B type: its reach and its four payoff tables, two cells per A type

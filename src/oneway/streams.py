@@ -1,14 +1,18 @@
 """Deterministic random streams.
 
-Every stochastic routine in the package draws from a counter-based generator
-(Philox) keyed by ``(master seed, stream index)``. Distinct indices give
-independent streams, so the batches of a Monte Carlo run need no shared
-state: ``run_batches`` runs them on ``os.cpu_count()`` threads and returns
-their results in batch order. Each batch reduces what it drew to sufficient
-statistics: a count, a mean and a centred second moment (``centre``), which
-``Moments.merge`` folds in batch order, or integer cell counts, whose sum
-does not depend on the order at all. Results are therefore bit-identical
-for a fixed seed on any number of cores.
+Every Monte Carlo batch draws from its own PCG64DXSM generator, seeded by
+the ``index``-th child that numpy's ``SeedSequence`` spawns from the master
+seed: numpy's documented scheme for independent parallel streams, and a
+generator that fills doubles more than twice as fast as Philox. Distinct
+indices give independent streams, so the batches of a Monte Carlo run need
+no shared state: ``run_batches`` runs them on ``os.cpu_count()`` threads
+and returns their results in batch order. (Generated instances draw from a
+Philox key of their own, in ``generate``, so that the games a seed names
+stay fixed whatever the Monte Carlo streams become.) Each batch reduces
+what it drew to sufficient statistics: a count, a mean and a centred second
+moment (``centre``), which ``Moments.merge`` folds in batch order, or
+integer cell counts, whose sum does not depend on the order at all. Results
+are therefore bit-identical for a fixed seed on any number of cores.
 
 A batch's draws depend only on ``(seed, index)``, so one batch can draw its
 columns once and run several simulations on them, each folding its own
@@ -42,12 +46,14 @@ T = TypeVar("T")
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
-    """Generator for stream ``index`` under ``seed``, a seed in [0, 2**64):
-    each is one 64-bit word of the Philox key, so a wider seed would alias."""
+    """Generator for Monte Carlo batch ``index`` under ``seed``, a seed in
+    [0, 2**64): a PCG64DXSM on the seed's ``index``-th spawned child, equal
+    to ``SeedSequence(seed).spawn(index + 1)[index]``. Seeds keep the range
+    of the instance generator's Philox key, one 64-bit word, so one seed
+    names both a game and its simulations."""
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
 def batch_sizes(total: int, batch: int = BATCH_SIZE) -> list[int]:

@@ -126,7 +126,7 @@ SUBCOMMAND_RUNS = [
     (["examples", "--which", "corollary"], ["closed_form"]),
     (["examples", "--which", "corollary", "--mc-samples", "100"], ["analytics", "closed_form", "streams"]),
     (["ms-check", "--refine", "3"], ["bilateral", "equilibrium", "game"]),
-    (["gen", "--out", "{d}/new.json"], ["game", "generate", "streams"]),
+    (["gen", "--out", "{d}/new.json"], ["game", "generate"]),
 ]
 
 

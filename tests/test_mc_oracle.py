@@ -325,6 +325,17 @@ def test_a_failing_batch_reaches_the_caller(monkeypatch, cpus):
         ow.simulate_schedule(game, schedule, game.types_b, 200_001, 1)
 
 
+def test_empty_inputs_draw_nothing(monkeypatch):
+    def stream(seed, index=0):
+        raise AssertionError("an empty call opened a batch stream")
+
+    monkeypatch.setattr(streams, "stream", stream)
+    game, schedule = CASES[0]
+    for estimator in ESTIMATORS:
+        assert estimator([], 10**7, 1) == []
+    assert ow.simulate_schedule(game, schedule, [], 10**7, 1) == []
+
+
 def test_a_bare_scenario_or_type_id_is_rejected():
     """Both take sequences; a ``str`` is one too, so a lone B type id would
     otherwise be read as one id per character."""

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import threading
@@ -5,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from oneway import streams
+from oneway import cli, generate, streams
 
 
 def test_same_key_reproduces():
@@ -30,6 +31,34 @@ def test_seeds_outside_64_bits_are_rejected(seed):
 def test_64_bit_seeds_are_distinct():
     draws = [streams.stream(seed).uniform(size=4) for seed in (0, 3, 2**63, 2**64 - 1)]
     assert len({d.tobytes() for d in draws}) == 4
+
+
+@pytest.mark.parametrize(
+    ("seed", "index"), [(0, 0), (1, 0), (1, 152), (7, 3), (2**63, 1), (2**64 - 1, 0), (2**64 - 1, 458)]
+)
+def test_batch_stream_is_the_seeds_spawned_pcg64dxsm_child(seed, index):
+    child = np.random.SeedSequence(seed).spawn(index + 1)[index]
+    want = np.random.Generator(np.random.PCG64DXSM(child)).random(8)
+    assert streams.stream(seed, index).random(8).tobytes() == want.tobytes()
+
+
+# sha256 of ``oneway gen --seed 7 --types-a 200 --types-b 200``'s stdout, and
+# of the payoff_a then payoff_b bytes of ``random_suite(50, 1)``, game by game.
+# Every benchmark input and pinned suite is a generated game, so a change to
+# the instance streams, or a Monte Carlo stream change that reaches them, must
+# fail here rather than silently move them.
+GEN_DIGEST = "7a04eab6d13007254f0fbda2cbc672f614704ca55d0422ff7a984330b8cbf013"
+SUITE_DIGEST = "430dad1fdc036cbbca710f0a07b635d45f3d6a8ad212fae722df7fd19cfcfd1e"
+
+
+def test_generated_instances_keep_their_bytes(capsys):
+    assert cli.run(["gen", "--seed", "7", "--types-a", "200", "--types-b", "200"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GEN_DIGEST
+    digest = hashlib.sha256()
+    for game in generate.random_suite(50, 1):
+        digest.update(game.payoff_a.tobytes())
+        digest.update(game.payoff_b.tobytes())
+    assert digest.hexdigest() == SUITE_DIGEST
 
 
 def test_batch_sizes():
