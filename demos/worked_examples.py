@@ -52,7 +52,7 @@ for n in (2, 10, 1000):
 print()
 print("power-law costs: tuned share and guaranteed expected PoA")
 betas = (0.25, 0.5, 1.0)
-mcs = mc_poa([power_scenario(beta) for beta in betas], 100_000, seed=2, accounting="exact")
+mcs = mc_poa([power_scenario(beta) for beta in betas], 100_000, seed=2)
 for beta, mc in zip(betas, mcs):
     gamma_star, bound = corollary_bound(beta)
     print(f"  beta={beta:.2f}: share {gamma_star:.4f}, bound {bound:.4f}, "

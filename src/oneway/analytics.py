@@ -9,8 +9,10 @@ numpy, so the commands that print only closed forms never load it; this
 module holds the scenarios as distributions and a vectorized simulator that
 samples them directly, and only ``--mc-samples`` runs it. The simulator has
 one estimator per estimand, each folding only what it reports on a shared
-batch driver (``_simulate``): ``mc_single_offer`` the payoffs and welfare,
-``mc_poa`` the per-draw price of anarchy.
+batch driver (``_simulate``): ``mc_single_offer`` the accepted draws'
+sacrifices, for the payoffs and welfare, and ``mc_poa`` the declined
+draws' forgone gains, for the per-draw price of anarchy. Both fold their
+group by ``_group_moments`` and merge it with the other by ``_two_groups``.
 
 Accounting note. The closed-form welfare curves book every accepting type's
 sacrifice at the population mean, i.e. acceptance is treated as independent
@@ -18,9 +20,9 @@ of the drawn sacrifice. The simulator therefore has two modes: "aggregate"
 draws acceptance as an independent coin with the right probability and
 converges to the closed forms; "exact" applies the real threshold rule
 (accept exactly when the sacrifice is covered), which is the right estimand
-for per-draw inefficiency bounds. The two agree on acceptance probability
-and on B's utility, and differ on welfare whenever sacrifice and acceptance
-are correlated.
+for per-draw inefficiency bounds and the only one ``mc_poa`` runs. The two
+agree on acceptance probability and on B's utility, and differ on welfare
+whenever sacrifice and acceptance are correlated.
 """
 
 from __future__ import annotations
@@ -188,7 +190,6 @@ class MCPoAResult:
     """Per-draw price-of-anarchy estimates of one scenario (``mc_poa``)."""
 
     samples: int
-    accounting: str
     acceptance_rate: float
     mean_poa: float
     ci_poa: float
@@ -203,51 +204,35 @@ def mc_single_offer(
 
     The three payoffs are constant on declined draws and fall one for one
     with the sacrifice on accepted ones, so a batch keeps for them only the
-    accepted count and the accepted sacrifices' mean and centred second
-    moment; their moments follow from those by the two-group merge
-    (``_MCTerms.payoffs``). poa_vs_ex_ante divides the aggregate optimum by
-    mean welfare, which is what the closed-form curves report.
+    accepted sacrifices' group moments; their means and intervals follow
+    from those by the two-group merge (``_MCTerms.payoffs``). poa_vs_ex_ante
+    divides the aggregate optimum by mean welfare, which is what the
+    closed-form curves report.
     """
-    terms, batches = _simulate(scenarios, samples, seed, accounting, _fold_payoffs)
-    accepted = [streams.Moments() for _ in terms]
-    for _, per_scenario in batches:
-        for moments, (hits, mean, m2) in zip(accepted, per_scenario):
-            moments.merge(hits, mean, m2)
-    return [t.payoffs(samples, accounting, moments) for t, moments in zip(terms, accepted)]
+    terms, folds = _simulate(scenarios, samples, seed, accounting, _fold_accepted)
+    return [t.payoffs(samples, accounting, _merge(f)) for t, f in zip(terms, folds)]
 
 
-def mc_poa(
-    scenarios: Sequence[SingleOfferScenario], samples: int, seed: int, accounting: str = "exact"
-) -> list[MCPoAResult]:
+def mc_poa(scenarios: Sequence[SingleOfferScenario], samples: int, seed: int) -> list[MCPoAResult]:
     """Estimate each scenario's per-draw price of anarchy, the draw's own
-    optimum over its welfare, by simulation: its mean, interval and largest
-    value. One result per scenario, in order (batches as in ``_simulate``).
-    PoA is a ratio, so each batch centres its own column of it."""
-    terms, batches = _simulate(scenarios, samples, seed, accounting, _fold_poa)
-    accepted = [0] * len(terms)
-    poas = [streams.Moments() for _ in terms]
-    max_poa = [0.0] * len(terms)
-    for size, per_scenario in batches:
-        for j, (hits, mean, m2, top) in enumerate(per_scenario):
-            accepted[j] += hits
-            poas[j].merge(size, mean, m2)
-            max_poa[j] = max(max_poa[j], top)
-    return [
-        MCPoAResult(
-            samples=samples,
-            accounting=accounting,
-            acceptance_rate=k / samples,
-            mean_poa=poa.mean,
-            ci_poa=Z99 * poa.standard_error(),
-            max_poa=top,
-        )
-        for k, poa, top in zip(accepted, poas, max_poa)
-    ]
+    optimum over its welfare, by simulation in exact accounting: its mean,
+    interval and largest value. One result per scenario, in order (batches
+    as in ``_simulate``).
+
+    An accepted draw's sacrifice is at most gamma * delta_b <= delta_b, so
+    its trade gains welfare and its PoA is exactly 1. A declined draw keeps
+    the default welfare base, and its PoA is 1 + g / base with g =
+    max(delta_b - delta, 0) the gain it forgoes. A batch therefore keeps
+    only the declined draws' gains: their group moments and largest value.
+    """
+    terms, folds = _simulate(scenarios, samples, seed, "exact", _fold_declined)
+    return [t.poa(samples, f) for t, f in zip(terms, folds)]
 
 
 def _simulate(scenarios: Sequence[SingleOfferScenario], samples: int, seed: int, accounting: str, fold):
-    """The scenarios' constants, and per batch its size and, per scenario,
-    the accepted count followed by ``fold(terms, delta, accept, hits)``.
+    """The scenarios' constants, and per scenario its batches' folds, in
+    batch order: ``fold(terms, delta, accept, hits)`` with ``hits`` the
+    batch's accepted count.
 
     Each batch draws a sacrifice uniform per sample and, in aggregate mode
     only, a coin uniform after them. The coin is the batch stream's second
@@ -300,35 +285,56 @@ def _simulate(scenarios: Sequence[SingleOfferScenario], samples: int, seed: int,
                     np.less(coin, t.p_model, out=accept)
                 # Exact: a batch's partial sums of 0.0 and 1.0 are integers
                 # far below 2**53, and summing floats beats counting them.
-                hits = int(np.sum(accept))
-                per_scenario.append((hits, *fold(t, delta, accept, hits)))
-            return size, per_scenario
+                per_scenario.append(fold(t, delta, accept, int(np.sum(accept))))
+            return per_scenario
 
         return batch
 
-    return terms, streams.run_batches(samples, make_batch)
+    return terms, list(zip(*streams.run_batches(samples, make_batch)))
 
 
-def _fold_payoffs(t: "_MCTerms", delta: np.ndarray, accept: np.ndarray, hits: int) -> tuple[float, float]:
-    """The accepted sacrifices' mean and centred second moment, reduced over
-    the whole column with the declined draws weighted to zero: a masked
-    reduction is far slower."""
-    delta *= accept
-    mean = np.sum(delta) / hits if hits else 0.0
-    dev = np.subtract(delta, np.multiply(accept, mean, out=accept), out=accept)
-    return mean, np.sum(np.square(dev, out=dev))
+def _group_moments(values: np.ndarray, weights: np.ndarray, count: int) -> tuple[int, float, float]:
+    """Count, mean and centred second moment of the ``count`` values of
+    weight 1.0, reduced over the whole column with the others weighted to
+    zero: a masked reduction is far slower. ``values`` keeps the weighted
+    values, and ``weights`` is overwritten."""
+    values *= weights
+    mean = np.sum(values) / count if count else 0.0
+    dev = np.subtract(values, np.multiply(weights, mean, out=weights), out=weights)
+    return count, mean, np.sum(np.square(dev, out=dev))
 
 
-def _fold_poa(t: "_MCTerms", delta: np.ndarray, accept: np.ndarray, hits: int) -> tuple[float, float, float]:
-    """Mean, centred second moment and largest value of the per-draw PoA,
-    max(base, base + e) / (base + e * accept), with e = delta_b - delta the
-    trade's welfare gain."""
-    e = np.subtract(t.delta_b, delta, out=delta)
-    denominator = np.add(np.multiply(e, accept, out=accept), t.base, out=accept)
-    poa = np.maximum(np.add(e, t.base, out=e), t.base, out=e)
-    np.divide(poa, denominator, out=poa)
-    top = float(np.max(poa))
-    return (*streams.centre(poa, poa), top)
+def _fold_accepted(t: "_MCTerms", delta: np.ndarray, accept: np.ndarray, hits: int) -> tuple[int, float, float]:
+    """The accepted sacrifices' group moments."""
+    return _group_moments(delta, accept, hits)
+
+
+def _fold_declined(
+    t: "_MCTerms", delta: np.ndarray, accept: np.ndarray, hits: int
+) -> tuple[int, float, float, float]:
+    """The declined draws' forgone gains max(delta_b - delta, 0): their
+    group moments and largest value (0.0 when every draw accepts)."""
+    gain = np.maximum(np.subtract(t.delta_b, delta, out=delta), 0.0, out=delta)
+    moments = _group_moments(gain, np.subtract(1.0, accept, out=accept), delta.size - hits)
+    return (*moments, float(np.max(gain)))
+
+
+def _merge(folds) -> streams.Moments:
+    """One group's moments over every batch, merged in batch order from
+    each batch's leading (count, mean, centred second moment)."""
+    moments = streams.Moments()
+    for count, mean, m2, *_ in folds:
+        moments.merge(count, mean, m2)
+    return moments
+
+
+def _two_groups(n: int, k: int, rest: float, gap: float, within: float) -> tuple[float, float]:
+    """Mean and 99 percent half-width of n draws: n - k equal to ``rest``,
+    and k lying ``gap`` above it on average with centred second moment
+    ``within`` among themselves. The merge adds gap^2 k (n - k) / n."""
+    # gap * (gap * k (n - k) / n), not gap**2 * (...): when every draw lands
+    # in one group the factor is 0 even if gap**2 overflows.
+    return rest + k / n * gap, Z99 * math.sqrt(within + gap * (gap * (k * (n - k) / n))) / n
 
 
 class _MCTerms:
@@ -349,26 +355,15 @@ class _MCTerms:
 
         Each payoff takes one value on the declined draws and that value
         plus a gap on the accepted ones, less the sacrifice's deviation from
-        its accepted mean where the payoff moves with the sacrifice. Merging
-        the two groups gives its mean, the declined value plus the accepted
-        share of the gap, and its centred second moment, the accepted
-        group's plus gap^2 k (n - k) / n. The gaps T - mu, delta_b - T and
-        delta_b - mu carry no payoff offset, so none cancels at large
-        payoffs.
+        its accepted mean where the payoff moves with the sacrifice
+        (``_two_groups``). The gaps T - mu, delta_b - T and delta_b - mu
+        carry no payoff offset, so none cancels at large payoffs.
         """
-        n, k = samples, accepted.count
-        share, spread = k / n, k * (n - k) / n
-        mu, m2 = accepted.mean, accepted.m2
+        n, k, mu, m2 = samples, accepted.count, accepted.mean, accepted.m2
         t = self.transfer
-
-        def merged(declined: float, gap: float, within: float) -> tuple[float, float]:
-            # gap * (gap * spread), not gap**2 * spread: when every draw
-            # lands in one group the spread is 0 even if gap**2 overflows.
-            return declined + share * gap, Z99 * math.sqrt(within + gap * (gap * spread)) / n
-
-        mean_u_a, ci_u_a = merged(self.a_default, t - mu, m2)
-        mean_u_b, ci_u_b = merged(self.b_outside, self.delta_b - t, 0.0)
-        mean_sw, ci_sw = merged(self.base, self.delta_b - mu, m2)
+        mean_u_a, ci_u_a = _two_groups(n, k, self.a_default, t - mu, m2)
+        mean_u_b, ci_u_b = _two_groups(n, k, self.b_outside, self.delta_b - t, 0.0)
+        mean_sw, ci_sw = _two_groups(n, k, self.base, self.delta_b - mu, m2)
         ex_ante_opt = max(self.base, self.base - self.spec.mean() + self.delta_b)
         return MCResult(
             samples=samples,
@@ -381,4 +376,17 @@ class _MCTerms:
             ci_u_b=ci_u_b,
             ci_sw=ci_sw,
             poa_vs_ex_ante=ex_ante_opt / mean_sw,
+        )
+
+    def poa(self, samples: int, folds) -> MCPoAResult:
+        """The result from the declined draws' gains: PoA - 1 is gain / base
+        on a declined draw and 0 on an accepted one."""
+        declined = _merge(folds)
+        gain, ci_gain = _two_groups(samples, declined.count, 0.0, declined.mean, declined.m2)
+        return MCPoAResult(
+            samples=samples,
+            acceptance_rate=(samples - declined.count) / samples,
+            mean_poa=1.0 + gain / self.base,
+            ci_poa=ci_gain / self.base,
+            max_poa=1.0 + max(top for *_, top in folds) / self.base,
         )

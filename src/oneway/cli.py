@@ -406,7 +406,7 @@ def cmd_examples(args: argparse.Namespace) -> int:
     table = _bounds(betas)
     if args.mc_samples > 0:
         scenarios = [analytics.power_scenario(beta) for beta in betas]
-        mcs = analytics.mc_poa(scenarios, args.mc_samples, seed, "exact")
+        mcs = analytics.mc_poa(scenarios, args.mc_samples, seed)
         table |= {
             "mc_mean_poa": [mc.mean_poa for mc in mcs],
             "mc_poa_ci99": [mc.ci_poa for mc in mcs],

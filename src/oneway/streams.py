@@ -10,9 +10,10 @@ and returns their results in batch order. (Generated instances draw from a
 Philox key of their own, in ``generate``, so that the games a seed names
 stay fixed whatever the Monte Carlo streams become.) Each batch reduces
 what it drew to sufficient statistics: a count, a mean and a centred second
-moment (``centre``), which ``Moments.merge`` folds in batch order, or
-integer cell counts, whose sum does not depend on the order at all. Results
-are therefore bit-identical for a fixed seed on any number of cores.
+moment of one group of draws, which ``Moments.merge`` folds in batch
+order, or integer cell counts, whose sum does not depend on the order at
+all. Results are therefore bit-identical for a fixed seed on any number of
+cores.
 
 A batch's draws depend only on ``(seed, index)``, so one batch can draw its
 columns once and run several simulations on them, each folding its own
@@ -27,7 +28,6 @@ index column.
 
 from __future__ import annotations
 
-import math
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -97,21 +97,12 @@ def run_batches(total: int, make_batch: Callable[[], Callable[[int, int], T]]) -
     return results
 
 
-def centre(column: np.ndarray, out: np.ndarray) -> tuple[float, float]:
-    """Mean of ``column`` and the sum of its squared deviations from that
-    mean. The squared deviations are written to ``out``, which may be
-    ``column`` itself once nothing else reads it."""
-    mean = np.sum(column) / column.size
-    np.square(np.subtract(column, mean, out=out), out=out)
-    return mean, np.sum(out)
-
-
 class Moments:
     """Count, mean and centred second moment of one column, folded in one
     batch at a time.
 
-    Each batch is centred on its own mean (``centre``) and merged with the
-    update of Chan, Golub & LeVeque (1979). Raw sums of squares would cancel
+    Each batch is centred on its own mean and merged with the update of
+    Chan, Golub & LeVeque (1979). Raw sums of squares would cancel
     catastrophically once the values sit far from zero (at a payoff offset
     of 1e8 they report a zero-width interval); centred moments do not. The
     fold keeps means rather than sums, so it stays finite wherever the
@@ -127,8 +118,7 @@ class Moments:
 
     def merge(self, size: int, mean: float, m2: float) -> None:
         """Fold in one batch of ``size`` values, given as its mean and
-        centred second moment from ``centre``. An empty batch changes
-        nothing."""
+        centred second moment. An empty batch changes nothing."""
         if not size:
             return
         total = self.count + size
@@ -143,7 +133,3 @@ class Moments:
             self.mean += delta * (size / total)
         self.count = total
         self.m2 += m2
-
-    def standard_error(self) -> float:
-        """Standard error of the mean (population variance)."""
-        return math.sqrt(self.m2 / self.count / self.count)

@@ -113,7 +113,7 @@ def test_power_law_bound_exact_pair_and_simulation():
     assert ow.corollary_bound(1.0) == (0.5, 2.25)
 
     betas = (0.25, 0.5, 0.75, 1.0)
-    mcs = ow.mc_poa([ow.power_scenario(beta) for beta in betas], 10**5, SUITE_SEED, "exact")
+    mcs = ow.mc_poa([ow.power_scenario(beta) for beta in betas], 10**5, SUITE_SEED)
     for beta, mc in zip(betas, mcs):
         _, bound = ow.corollary_bound(beta)
         assert mc.mean_poa <= bound, (beta, mc.mean_poa, bound)

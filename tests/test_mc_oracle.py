@@ -3,10 +3,14 @@
 ``mc_oracle`` keeps ``mc_single_offer`` and ``simulate_schedule`` as they
 were when every batch built each payoff as a per-draw column from fresh
 temporaries. The package reduces a batch to sufficient statistics instead
-(the accepted sacrifices' moments for single-offer payoffs, the per-draw
-PoA's own moments for ``mc_poa``, cell counts for schedules), on the same
-draws. Each single-offer estimator's fields are compared with the oracle's
-fields of the same name. So every acceptance rate must be
+(the accepted sacrifices' moments for single-offer payoffs, the declined
+draws' forgone gains for ``mc_poa``, cell counts for schedules), on the
+same draws. ``mc_poa`` rests on an identity that a property below checks
+on the oracle's per-draw columns: in exact accounting, the only one it
+runs, an accepted draw's PoA is exactly 1 and a declined draw's is 1 plus
+its forgone gain over the default welfare. Each single-offer estimator's
+fields are compared with the oracle's fields of the same name. So every
+acceptance rate must be
 ``repr``-equal to the oracle's, and every other field within ``ULPS``
 machine epsilons of the payoff scale: the largest payoff or sacrifice bound
 of the scenario or game. Sample counts cover one draw, a partial batch,
@@ -42,6 +46,17 @@ ULPS = 16
 SAMPLES = (1, 1_000, streams.BATCH_SIZE, streams.BATCH_SIZE + 1, 200_001)
 ESTIMATORS = (analytics.mc_single_offer, analytics.mc_poa)
 SEEDS = (1, 2, 3)
+
+
+def _runs(accounting: str) -> dict:
+    """Each single-offer estimator that runs in ``accounting``, by name, as
+    a function of (scenarios, samples, seed): ``mc_poa`` runs in exact
+    accounting only."""
+    runs = {"mc_single_offer": lambda *args: analytics.mc_single_offer(*args, accounting)}
+    if accounting == "exact":
+        runs["mc_poa"] = analytics.mc_poa
+    return runs
+
 
 SCENARIOS = {
     "1b-x100": analytics.example1b_scenario(100.0),  # gamma = 1/2 branch
@@ -95,14 +110,14 @@ def _assert_close(got, want, scale: float, where) -> None:
 @pytest.mark.parametrize("accounting", ["exact", "aggregate"])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_mc_single_offer_matches_oracle(name, accounting, samples):
-    """Both estimators: the payoffs (``mc_single_offer``) and the per-draw
-    PoA (``mc_poa``)."""
+    """Both estimators: the payoffs (``mc_single_offer``) and, in exact
+    accounting, the per-draw PoA (``mc_poa``)."""
     scenario = SCENARIOS[name]
     for seed in SEEDS:
         want = oracle.mc_single_offer(scenario, samples, seed, accounting)
-        for estimator in ESTIMATORS:
-            (got,) = estimator([scenario], samples, seed, accounting)
-            _assert_close(got, want, _single_scale(scenario), (estimator.__name__, name, accounting, samples, seed))
+        for estimator, run in _runs(accounting).items():
+            (got,) = run([scenario], samples, seed)
+            _assert_close(got, want, _single_scale(scenario), (estimator, name, accounting, samples, seed))
 
 
 @pytest.mark.parametrize("samples", SAMPLES)
@@ -114,12 +129,12 @@ def test_one_call_over_every_scenario_matches_oracle(accounting, samples):
     names = sorted(SCENARIOS)
     for seed in SEEDS:
         wants = [oracle.mc_single_offer(SCENARIOS[n], samples, seed, accounting) for n in names]
-        for estimator in ESTIMATORS:
-            got = estimator([SCENARIOS[n] for n in names], samples, seed, accounting)
+        for estimator, run in _runs(accounting).items():
+            got = run([SCENARIOS[n] for n in names], samples, seed)
             assert len(got) == len(names)
             for name, result, want in zip(names, got, wants):
-                where = (estimator.__name__, name, accounting, samples, seed)
-                (alone,) = estimator([SCENARIOS[name]], samples, seed, accounting)
+                where = (estimator, name, accounting, samples, seed)
+                (alone,) = run([SCENARIOS[name]], samples, seed)
                 assert repr(result) == repr(alone), where
                 _assert_close(result, want, _single_scale(SCENARIOS[name]), where)
 
@@ -148,6 +163,21 @@ def _poa_column(sc: analytics.SingleOfferScenario, accept: list[bool], delta: li
 _offset = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, 1e8]), st.floats(0.0, 1e8))
 
 
+def _scenario(a_default, b_outside, power, low, width, beta, reach, gamma) -> analytics.SingleOfferScenario:
+    """Sacrifices on [low, low + width] (power: on [0, width]), with the
+    offer's threshold at ``reach`` of that range. The default welfare is at
+    least twice the range's width, so welfare stays away from zero and PoA
+    well conditioned."""
+    if power:
+        spec = ow.ContinuousSpec.power(beta, width)
+        low = 0.0
+    else:
+        spec = ow.ContinuousSpec.uniform(low, low + width)
+    if a_default + b_outside < 2 * width:
+        b_outside = 2 * width
+    return analytics.SingleOfferScenario(spec, (low + reach * width) / gamma, a_default, b_outside, gamma)
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(
     a_default=_offset,
@@ -170,43 +200,78 @@ _offset = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, 1e8]), st.floats(0.0, 1e8))
     a_default=1e8, b_outside=1e8, power=False, low=1e8, width=1.0, beta=1.0,
     reach=0.5, gamma=0.5, samples=streams.BATCH_SIZE + 999, accounting="aggregate", seed=1,
 )
-@example(  # sacrifices near 1e8 against a welfare near 0.7 (see _poa_column)
+@example(  # sacrifices near 1e8 against a welfare near 0.7
     a_default=-0.0, b_outside=-0.0, power=False, low=1e8, width=0.3516861419359604, beta=1.0,
     reach=0.5, gamma=1.0, samples=1, accounting="aggregate", seed=1,
 )
 def test_two_group_moments_match_a_two_pass_reference(
     a_default, b_outside, power, low, width, beta, reach, gamma, samples, accounting, seed
 ):
-    """u_a, u_b and welfare from the two-group merge (``mc_single_offer``),
-    and PoA from its own column (``mc_poa``), against ``math.fsum`` two-pass
-    moments of the oracle's per-draw columns, with PoA from ``_poa_column``.
-    The offer's threshold lands at ``reach`` of the sacrifice range, and the
-    default welfare is at least twice the range's width, so welfare stays
-    away from zero and PoA well conditioned."""
-    if power:
-        spec = ow.ContinuousSpec.power(beta, width)
-        low = 0.0
-    else:
-        spec = ow.ContinuousSpec.uniform(low, low + width)
-    if a_default + b_outside < 2 * width:
-        b_outside = 2 * width
-    sc = analytics.SingleOfferScenario(spec, (low + reach * width) / gamma, a_default, b_outside, gamma)
+    """u_a, u_b and welfare (``mc_single_offer``), and in exact accounting
+    PoA (``mc_poa``), each from the two-group merge, against ``math.fsum``
+    two-pass moments of the oracle's per-draw columns, with PoA from
+    ``_poa_column``."""
+    sc = _scenario(a_default, b_outside, power, low, width, beta, reach, gamma)
     (got,) = analytics.mc_single_offer([sc], samples, seed, accounting)
-    (got_poa,) = analytics.mc_poa([sc], samples, seed, accounting)
     batches = list(oracle.single_offer_columns(sc, samples, seed, accounting))
     accept, delta, ua, ub, sw, _ = (np.concatenate(c).tolist() for c in zip(*batches))
-    poa = _poa_column(sc, accept, delta)
-    assert repr(got.acceptance_rate) == repr(got_poa.acceptance_rate) == repr(sum(accept) / samples)
+    assert repr(got.acceptance_rate) == repr(sum(accept) / samples)
     tol = ULPS * sys.float_info.epsilon * _single_scale(sc)
     for field, column in (("u_a", ua), ("u_b", ub), ("sw", sw)):
         mean, ci = _two_pass(column)
         assert abs(getattr(got, f"mean_{field}") - mean) <= tol, field
         assert abs(getattr(got, f"ci_{field}") - ci) <= tol, field
+    if accounting != "exact":
+        return
+    (got_poa,) = analytics.mc_poa([sc], samples, seed)
+    assert repr(got_poa.acceptance_rate) == repr(got.acceptance_rate)
+    poa = _poa_column(sc, accept, delta)
     mean, ci = _two_pass(poa)
     poa_tol = ULPS * sys.float_info.epsilon * max(poa)
     assert abs(got_poa.mean_poa - mean) <= poa_tol
     assert abs(got_poa.ci_poa - ci) <= poa_tol
     assert abs(got_poa.max_poa - max(poa)) <= poa_tol
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    a_default=_offset,
+    b_outside=_offset,
+    power=st.booleans(),
+    low=_offset,
+    width=st.floats(1e-3, 10.0),
+    beta=st.floats(0.1, 4.0),
+    reach=st.floats(0.0, 1.5),
+    gamma=st.floats(0.05, 1.0),
+    samples=st.sampled_from([1, 2, 3, 1_000, streams.BATCH_SIZE + 999]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(  # every offset at 1e8, over two batches
+    a_default=1e8, b_outside=1e8, power=False, low=1e8, width=1.0, beta=1.0,
+    reach=0.5, gamma=0.5, samples=streams.BATCH_SIZE + 999, seed=1,
+)
+def test_accepted_draws_have_poa_one_and_declined_ones_their_forgone_gain(
+    a_default, b_outside, power, low, width, beta, reach, gamma, samples, seed
+):
+    """The identity ``mc_poa`` folds on, on the oracle's exact-accounting
+    columns: an accepted draw's sacrifice is at most gamma * delta_b <=
+    delta_b, so its PoA is exactly 1, and a declined draw's PoA is
+    1 + max(delta_b - delta, 0) / base. So the largest PoA is 1 + the
+    largest declined gain / base, as ``mc_poa`` reports it."""
+    sc = _scenario(a_default, b_outside, power, low, width, beta, reach, gamma)
+    base = sc.a_default + sc.b_outside
+    batches = list(oracle.single_offer_columns(sc, samples, seed, "exact"))
+    accept, delta = (np.concatenate(c).tolist() for c in list(zip(*batches))[:2])
+    gains = []
+    for a, d, poa in zip(accept, delta, _poa_column(sc, accept, delta)):
+        if a:
+            assert d <= sc.delta_b, (d, sc.delta_b)
+            assert poa == 1.0, poa
+        else:
+            gains.append(max(sc.delta_b - d, 0.0))
+            assert abs(poa - (1.0 + gains[-1] / base)) <= ULPS * sys.float_info.epsilon * poa, (d, poa)
+    (got,) = analytics.mc_poa([sc], samples, seed)
+    assert got.max_poa == 1.0 + max(gains, default=0.0) / base
 
 
 def _schedule(rng: np.random.Generator, action: str, n: int) -> ow.Schedule:
@@ -285,8 +350,8 @@ def _every_result(samples: int) -> list:
     names = sorted(SCENARIOS)
     out = []
     for accounting in ("exact", "aggregate"):
-        for estimator in ESTIMATORS:
-            out += estimator([SCENARIOS[n] for n in names], samples, 7, accounting)
+        for run in _runs(accounting).values():
+            out += run([SCENARIOS[n] for n in names], samples, 7)
     for game, schedule in CASES:
         out += ow.simulate_schedule(game, schedule, game.types_b, samples, 7)
     return out
@@ -370,8 +435,8 @@ SLACK = COLUMN // 4
 def test_memory_budget_per_thread(monkeypatch):
     """On one thread, one scenario holds two float columns and no mask under
     either estimator (the uniforms become the sacrifice, and then the masked
-    sacrifices or the per-draw PoA; the other column holds the coin, the
-    accept weights, and then the deviations or PoA's denominator), so a
+    sacrifices or the declined draws' gains; the other column holds the
+    coin, the accept or decline weights, and then the deviations), so a
     third column would break the budget. A call over four scenarios keeps
     the uniforms in one more column, and in aggregate mode the coin in a
     second. A schedule call holds two float columns, a mask and the cell
@@ -379,12 +444,12 @@ def test_memory_budget_per_thread(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     samples = 3 * streams.BATCH_SIZE
     four = [SCENARIOS[f"power-{b}"] for b in (0.25, 0.5, 0.75, 1.0)]
-    for estimator in ESTIMATORS:
-        for accounting, kept in (("exact", 1), ("aggregate", 2)):
-            where = (estimator.__name__, accounting)
-            one = _peak_bytes(lambda: estimator(four[:1], samples, 1, accounting))
+    for accounting, kept in (("exact", 1), ("aggregate", 2)):
+        for estimator, run in _runs(accounting).items():
+            where = (estimator, accounting)
+            one = _peak_bytes(lambda: run(four[:1], samples, 1))
             assert one <= 2 * COLUMN + SLACK, (where, one / COLUMN)
-            fused = _peak_bytes(lambda: estimator(four, samples, 1, accounting))
+            fused = _peak_bytes(lambda: run(four, samples, 1))
             assert fused <= one + kept * COLUMN + SLACK, (where, fused / COLUMN)
     game, schedule = CASES[-1]
     one = _peak_bytes(lambda: ow.simulate_schedule(game, schedule, game.types_b[:1], samples, 1))

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from oneway import cli, generate, streams
+from oneway import analytics, cli, generate, streams
 
 
 def test_same_key_reproduces():
@@ -110,8 +110,9 @@ class _RawMoments:
     def mean(self) -> float:
         return self.sum / self.count
 
-    def standard_error(self) -> float:
-        return np.sqrt((self.squares / self.count - self.mean**2) / self.count)
+    @property
+    def m2(self) -> float:
+        return self.squares - self.sum * self.mean
 
 
 def _data(batches: list[int], seed: int, offset: float) -> np.ndarray:
@@ -120,15 +121,15 @@ def _data(batches: list[int], seed: int, offset: float) -> np.ndarray:
 
 
 def _check_fold(fold, batches: list[int], seed: int, offset: float) -> None:
-    """Fold each column of ``_data`` on its own, each batch centred in
-    place and merged as the simulators do, and compare with a two-pass
-    ``math.fsum`` reference."""
+    """Fold each column of ``_data`` on its own, each batch reduced by the
+    simulators' group fold (every value of weight 1.0) and merged as the
+    simulators do, and compare with a two-pass ``math.fsum`` reference."""
     for column in _data(batches, seed, offset):
         values = column.tolist()
         moments = fold()
         for batch in np.split(column.copy(), np.cumsum(batches)[:-1]):
-            moments.merge(batch.size, *streams.centre(batch, batch))
-        mean, se = moments.mean, moments.standard_error()
+            moments.merge(*analytics._group_moments(batch, np.ones(batch.size), batch.size))
+        mean, se = moments.mean, np.sqrt(moments.m2 / moments.count / moments.count)
         ref_mean = math.fsum(values) / len(values)
         ref_se = math.sqrt(math.fsum((v - ref_mean) ** 2 for v in values) / len(values) / len(values))
         assert abs(mean - ref_mean) <= MEAN_TOL * (abs(ref_mean) + ref_se)
@@ -182,14 +183,22 @@ def test_moments_standard_error_below_the_scope_at_a_large_offset():
         _check_fold(streams.Moments, batches, int(rng.integers(2**32)), 1e8)
 
 
-def test_centre_in_place_matches_centre_into_scratch():
-    column = 1e8 + np.random.default_rng(3).standard_normal(1_001)
+def test_group_moments_of_a_weighted_column_are_the_groups_own():
+    """The values of weight 0.0 change neither the group's mean nor its
+    centred second moment, whatever their size, and the group keeps its
+    weighted values in place."""
+    rng = np.random.default_rng(3)
+    weights = (rng.random(1_001) < 0.4).astype(float)
+    column = 1e8 + rng.standard_normal(1_001)
+    group = column[weights == 1.0]
+    count, mean, m2 = analytics._group_moments(column.copy(), weights.copy(), group.size)
+    assert count == group.size
+    assert abs(mean - math.fsum(group.tolist()) / group.size) <= MEAN_TOL * abs(mean)
+    assert abs(m2 - math.fsum((v - mean) ** 2 for v in group.tolist())) <= 1e-12 * m2
     kept = column.copy()
-    scratch = np.empty_like(column)
-    assert streams.centre(kept, scratch) == streams.centre(column, column)
-    assert (kept == 1e8 + np.random.default_rng(3).standard_normal(1_001)).all()  # left unchanged
-    assert column.tobytes() == scratch.tobytes()  # the squared deviations
-    assert column.min() >= 0.0
+    analytics._group_moments(kept, weights.copy(), group.size)
+    assert kept.tobytes() == (column * weights).tobytes()
+    assert analytics._group_moments(column.copy(), np.zeros(column.size), 0) == (0, 0.0, 0.0)
 
 
 def test_run_batches_keeps_batch_order_and_one_factory_per_lane(monkeypatch):
