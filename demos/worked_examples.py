@@ -32,7 +32,7 @@ for x in (50.0, 100.0, 200.0, 400.0):
           f"optimal {p.optimal_welfare:7.2f}, PoA {p.poa:.4f}")
 print(f"  worst over the sweep: PoA {worst.poa:.4f} at x={worst.param:.0f} (< 1.21)")
 
-(mc,) = mc_single_offer([example1b_scenario(100.0)], 200_000, seed=1, accounting="aggregate")
+(mc,) = mc_single_offer([example1b_scenario(100.0)], 200_000, seed=1)
 print(f"  simulation at x=100: PoA {mc.poa_vs_ex_ante:.4f} "
       f"(analytic {example1b(100.0).poa:.4f})")
 

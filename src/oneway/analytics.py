@@ -15,14 +15,13 @@ draws' forgone gains, for the per-draw price of anarchy. Both fold their
 group by ``_group_moments`` and merge it with the other by ``_two_groups``.
 
 Accounting note. The closed-form welfare curves book every accepting type's
-sacrifice at the population mean, i.e. acceptance is treated as independent
-of the drawn sacrifice. The simulator therefore has two modes: "aggregate"
-draws acceptance as an independent coin with the right probability and
-converges to the closed forms; "exact" applies the real threshold rule
-(accept exactly when the sacrifice is covered), which is the right estimand
-for per-draw inefficiency bounds and the only one ``mc_poa`` runs. The two
-agree on acceptance probability and on B's utility, and differ on welfare
-whenever sacrifice and acceptance are correlated.
+sacrifice at the population mean ("aggregate" accounting), so
+``mc_single_offer`` accepts on a coin of probability F(gamma * delta_b),
+independent of the drawn sacrifice. ``mc_poa`` applies the real threshold
+rule ("exact" accounting: accept exactly when the transfer covers the
+sacrifice), the estimand of per-draw inefficiency bounds. The two agree on
+acceptance and on B's utility, and differ on welfare whenever sacrifice and
+acceptance are correlated.
 """
 
 from __future__ import annotations
@@ -174,7 +173,6 @@ class MCResult:
     """Payoff estimates of one scenario (``mc_single_offer``)."""
 
     samples: int
-    accounting: str
     acceptance_rate: float
     mean_u_a: float
     mean_u_b: float
@@ -196,11 +194,10 @@ class MCPoAResult:
     max_poa: float
 
 
-def mc_single_offer(
-    scenarios: Sequence[SingleOfferScenario], samples: int, seed: int, accounting: str = "exact"
-) -> list[MCResult]:
-    """Estimate each scenario's u_a, u_b and welfare by simulation; one
-    result per scenario, in order (batches as in ``_simulate``).
+def mc_single_offer(scenarios: Sequence[SingleOfferScenario], samples: int, seed: int) -> list[MCResult]:
+    """Estimate each scenario's u_a, u_b and welfare by simulation in
+    aggregate accounting (``_by_coin``); one result per scenario, in order
+    (batches as in ``_simulate``).
 
     The three payoffs are constant on declined draws and fall one for one
     with the sacrifice on accepted ones, so a batch keeps for them only the
@@ -209,8 +206,8 @@ def mc_single_offer(
     divides the aggregate optimum by mean welfare, which is what the
     closed-form curves report.
     """
-    terms, folds = _simulate(scenarios, samples, seed, accounting, _fold_accepted)
-    return [t.payoffs(samples, accounting, _merge(f)) for t, f in zip(terms, folds)]
+    terms, folds = _simulate(scenarios, samples, seed, _by_coin, _fold_accepted)
+    return [t.payoffs(samples, _merge(f)) for t, f in zip(terms, folds)]
 
 
 def mc_poa(scenarios: Sequence[SingleOfferScenario], samples: int, seed: int) -> list[MCPoAResult]:
@@ -225,41 +222,39 @@ def mc_poa(scenarios: Sequence[SingleOfferScenario], samples: int, seed: int) ->
     max(delta_b - delta, 0) the gain it forgoes. A batch therefore keeps
     only the declined draws' gains: their group moments and largest value.
     """
-    terms, folds = _simulate(scenarios, samples, seed, "exact", _fold_declined)
+    terms, folds = _simulate(scenarios, samples, seed, _by_threshold, _fold_declined)
     return [t.poa(samples, f) for t, f in zip(terms, folds)]
 
 
-def _simulate(scenarios: Sequence[SingleOfferScenario], samples: int, seed: int, accounting: str, fold):
+def _simulate(scenarios: Sequence[SingleOfferScenario], samples: int, seed: int, accept_rule, fold):
     """The scenarios' constants, and per scenario its batches' folds, in
     batch order: ``fold(terms, delta, accept, hits)`` with ``hits`` the
     batch's accepted count.
 
-    Each batch draws a sacrifice uniform per sample and, in aggregate mode
-    only, a coin uniform after them. The coin is the batch stream's second
-    draw, so exact mode skips it and still samples the same sacrifices:
-    switching accounting never reshuffles them. A batch draws its uniforms
+    ``accept_rule(terms, delta, coin, out)`` writes the accept weights, 1.0
+    on accepted draws and 0.0 on declined ones. Each batch draws a sacrifice
+    uniform per sample and, for ``_by_coin`` only, a coin uniform after
+    them, so both rules see the same sacrifices. A batch draws its uniforms
     once for all the scenarios of a call and runs the scenarios on them in
     turn; each scenario folds its own statistics in batch order, so its
     result is the same whether it is simulated alone or with others.
 
     Batches run on ``os.cpu_count()`` threads (``streams.run_batches``).
     Each thread owns two float columns of one batch each: the uniforms,
-    then the sacrifice ``delta``; the coin (aggregate mode), then the accept
-    weights ``accept``, 1.0 on accepted draws and 0.0 on declined ones. A
-    fold may overwrite both. With a second scenario the uniforms, and in
-    aggregate mode the coin, outlive each scenario, so the thread keeps them
-    in a column each of their own.
+    then the sacrifice ``delta``; the coin, then the accept weights
+    ``accept``. A fold may overwrite both. With a second scenario the
+    uniforms, and the coin where one is drawn, outlive each scenario, so
+    the thread keeps them in a column each of their own.
     """
     if isinstance(scenarios, SingleOfferScenario):
         raise TypeError("scenarios must be a sequence of SingleOfferScenario, not one scenario")
-    if accounting not in ("exact", "aggregate"):
-        raise ValueError('accounting must be "exact" or "aggregate"')
     if samples <= 0:
         raise ValueError("samples must be positive")
     terms = [_MCTerms(sc) for sc in scenarios]
     if not terms:
         return terms, []
     fused = len(terms) > 1
+    tossed = accept_rule is _by_coin
 
     def make_batch():
         n = min(samples, streams.BATCH_SIZE)
@@ -267,22 +262,19 @@ def _simulate(scenarios: Sequence[SingleOfferScenario], samples: int, seed: int,
         # Columns read by every scenario get their own buffer only when a
         # second scenario reads them after the first has reused its columns.
         q_buf = np.empty(n) if fused else delta_buf
-        coin_buf = np.empty(n) if fused and accounting == "aggregate" else accept_buf
+        coin_buf = np.empty(n) if fused and tossed else accept_buf
 
         def batch(index: int, size: int):
             delta, accept = delta_buf[:size], accept_buf[:size]
             q, coin = q_buf[:size], coin_buf[:size]
             rng = streams.stream(seed, index)
             rng.random(out=q)
-            if accounting == "aggregate":
+            if tossed:
                 rng.random(out=coin)
             per_scenario = []
             for t in terms:
                 t.spec.ppf(q, out=delta)
-                if accounting == "exact":
-                    np.less_equal(delta, t.thr, out=accept)
-                else:
-                    np.less(coin, t.p_model, out=accept)
+                accept_rule(t, delta, coin, accept)
                 # Exact: a batch's partial sums of 0.0 and 1.0 are integers
                 # far below 2**53, and summing floats beats counting them.
                 per_scenario.append(fold(t, delta, accept, int(np.sum(accept))))
@@ -291,6 +283,16 @@ def _simulate(scenarios: Sequence[SingleOfferScenario], samples: int, seed: int,
         return batch
 
     return terms, list(zip(*streams.run_batches(samples, make_batch)))
+
+
+def _by_coin(t: "_MCTerms", delta: np.ndarray, coin: np.ndarray, out: np.ndarray) -> None:
+    """Aggregate accounting: accept on the coin, with probability F(T)."""
+    np.less(coin, t.p_model, out=out)
+
+
+def _by_threshold(t: "_MCTerms", delta: np.ndarray, coin: np.ndarray, out: np.ndarray) -> None:
+    """Exact accounting: accept exactly when the transfer covers the sacrifice."""
+    np.less_equal(delta, t.thr, out=out)
 
 
 def _group_moments(values: np.ndarray, weights: np.ndarray, count: int) -> tuple[int, float, float]:
@@ -350,7 +352,7 @@ class _MCTerms:
         self.b_outside = scenario.b_outside
         self.base = scenario.a_default + scenario.b_outside
 
-    def payoffs(self, samples: int, accounting: str, accepted: streams.Moments) -> MCResult:
+    def payoffs(self, samples: int, accepted: streams.Moments) -> MCResult:
         """The result from the accepted sacrifices' moments.
 
         Each payoff takes one value on the declined draws and that value
@@ -367,7 +369,6 @@ class _MCTerms:
         ex_ante_opt = max(self.base, self.base - self.spec.mean() + self.delta_b)
         return MCResult(
             samples=samples,
-            accounting=accounting,
             acceptance_rate=k / samples,
             mean_u_a=mean_u_a,
             mean_u_b=mean_u_b,

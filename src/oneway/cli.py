@@ -375,9 +375,7 @@ def cmd_examples(args: argparse.Namespace) -> int:
         table = _curve("x", xs, closed_form.example1b)
         table["no_payment_poa"] = [closed_form.example1b_no_payment_poa(x) for x in xs]
         if args.mc_samples > 0:
-            (mc,) = analytics.mc_single_offer(
-                [analytics.example1b_scenario(xs[0])], args.mc_samples, seed, "aggregate"
-            )
+            (mc,) = analytics.mc_single_offer([analytics.example1b_scenario(xs[0])], args.mc_samples, seed)
             table |= {
                 "mc_welfare": [mc.mean_sw],
                 "mc_welfare_ci99": [mc.ci_sw],

@@ -21,7 +21,7 @@ statistics. ``make_batch`` builds the buffers one thread owns for all its
 batches: each single-offer estimator (``analytics.mc_single_offer`` and
 ``analytics.mc_poa``) keeps two float columns and no mask, its accept flags
 being a column of 1.0 and 0.0 weights (one more column for the uniforms
-with a second scenario, and one for the coin too in aggregate mode);
+with a second scenario, and one for ``mc_single_offer``'s coin too);
 ``multi_offer.simulate_schedule`` keeps two float columns, a mask and an
 index column.
 """
@@ -56,13 +56,13 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
-def batch_sizes(total: int, batch: int = BATCH_SIZE) -> list[int]:
-    """Split ``total`` draws into fixed-size batches (last one ragged)."""
+def batch_sizes(total: int) -> list[int]:
+    """Split ``total`` draws into batches of ``BATCH_SIZE`` (last one ragged)."""
     if total < 0:
         raise ValueError("total must be non-negative")
-    out = [batch] * (total // batch)
-    if total % batch:
-        out.append(total % batch)
+    out = [BATCH_SIZE] * (total // BATCH_SIZE)
+    if total % BATCH_SIZE:
+        out.append(total % BATCH_SIZE)
     return out
 
 

@@ -11,8 +11,13 @@ batch body moved into ``single_offer_columns``, which also serves the per-draw
 columns to property tests. ``MCResult`` is that version's single-offer
 result, the payoff and PoA estimates in one record; the package now returns
 them from two estimators (``mc_single_offer`` and ``mc_poa``) as two records
-whose fields keep these names. The schedule result type, the streams and the
-schedule terms come from the package.
+whose fields keep these names. That version took an ``accounting`` of
+"exact" (accept when the transfer covers the sacrifice) or "aggregate"
+(accept on an independent coin, drawn after the sacrifices); the oracle
+keeps both as the per-draw reference, since each package estimator runs in
+one of them: ``mc_single_offer`` in aggregate accounting and ``mc_poa`` in
+exact. The schedule result type, the streams and the schedule terms come
+from the package.
 
 The package now reduces each batch to sufficient statistics, so its fields
 agree with these to a few ulps of the payoff scale rather than bit for bit;

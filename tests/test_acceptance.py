@@ -69,7 +69,7 @@ def test_stake_sweep_matches_piecewise_curves_and_simulation(capsys):
     at_100 = ow.example1b(100.0)
     assert abs(at_100.poa - 1.2) <= 1e-9
 
-    (mc,) = ow.mc_single_offer([ow.example1b_scenario(100.0)], 10**6, SUITE_SEED, "aggregate")
+    (mc,) = ow.mc_single_offer([ow.example1b_scenario(100.0)], 10**6, SUITE_SEED)
     assert abs(mc.poa_vs_ex_ante - 1.2) <= 0.012  # within 1% of the analytic value
 
     elapsed = time.perf_counter() - started

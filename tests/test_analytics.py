@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -254,8 +255,7 @@ def test_aggregate_accounting_on_full_acceptance(g1):
 
 def test_mc_single_offer_aggregate_matches_curve():
     sc = ow.example1b_scenario(100.0)
-    (res,) = ow.mc_single_offer([sc], samples=200_000, seed=11, accounting="aggregate")
-    assert res.accounting == "aggregate"
+    (res,) = ow.mc_single_offer([sc], samples=200_000, seed=11)
     assert abs(res.acceptance_rate - 0.5) < 0.005
     assert abs(res.mean_sw - 125.0) <= 5.0 * res.ci_sw
     assert abs(res.poa_vs_ex_ante - 1.2) < 0.01
@@ -264,17 +264,13 @@ def test_mc_single_offer_aggregate_matches_curve():
 
 def test_mc_single_offer_exact_per_draw_bounds():
     sc = ow.example1b_scenario(100.0)
-    (res,) = ow.mc_single_offer([sc], samples=100_000, seed=11, accounting="exact")
     (poa,) = ow.mc_poa([sc], samples=100_000, seed=11)
-    assert poa.acceptance_rate == res.acceptance_rate
     accept_bound, reject_bound = ow.accept_reject_poa(sc.gamma)
     assert poa.max_poa <= max(accept_bound, reject_bound) + 1e-9
     assert poa.mean_poa >= 1.0
-    # same draws as the aggregate run, so acceptance rates nearly coincide
-    (agg,) = ow.mc_single_offer([sc], samples=100_000, seed=11, accounting="aggregate")
-    assert abs(res.acceptance_rate - agg.acceptance_rate) < 0.01
-    # but welfare differs: exact accounting keeps the cheap sacrifices
-    assert res.mean_sw > agg.mean_sw
+    # the threshold and the coin accept with the same probability F(T)
+    (res,) = ow.mc_single_offer([sc], samples=100_000, seed=11)
+    assert abs(poa.acceptance_rate - res.acceptance_rate) < 0.01
 
 
 def test_mc_single_offer_deterministic():
@@ -286,8 +282,6 @@ def test_mc_single_offer_deterministic():
     assert c[0].mean_sw != a[0].mean_sw
     with pytest.raises(ValueError):
         ow.mc_single_offer([sc], samples=0, seed=1)
-    with pytest.raises(ValueError):
-        ow.mc_single_offer([sc], samples=10, seed=1, accounting="other")
     assert ow.mc_poa([sc], samples=70_000, seed=2) == ow.mc_poa([sc], samples=70_000, seed=2)
     with pytest.raises(ValueError):
         ow.mc_poa([sc], samples=0, seed=1)
@@ -304,12 +298,82 @@ def test_power_scenario_bound_holds_in_expectation():
         assert res.max_poa <= max(accept_bound, reject_bound) + 1e-9
 
 
+def _corollary_mean(beta):
+    """Exact E[PoA] of ``power_scenario(beta)``, 2 - g - g^beta + g^(beta+2)
+    with g = beta / (beta + 1), written with ``expm1`` so that 1 - g^beta
+    does not cancel at small beta."""
+    g = beta / (beta + 1.0)
+    return (1.0 - g) - math.expm1(beta * math.log(g)) + g ** (beta + 2.0)
+
+
+def test_corollary_bound_exceeds_the_exact_mean():
+    # The smallest margin on this grid is 1.0000000026.
+    for beta in np.logspace(-4.0, 4.0, 401).tolist():
+        _, bound = ow.corollary_bound(beta)
+        assert bound - _corollary_mean(beta) >= 1.0 - 1e-9, beta
+
+
+def _miss_limit(trials, alarm=1e-6):
+    """The fewest misses of a 99 percent interval in ``trials`` independent
+    tries whose binomial tail probability is below ``alarm``, in exact
+    rationals: 39 for 1,600 tries."""
+    p = Fraction(1, 100)
+    below = Fraction(0)
+    for m in range(trials + 1):
+        if 1 - below < alarm:
+            return m
+        below += math.comb(trials, m) * p**m * (1 - p) ** (trials - m)
+    raise AssertionError("no limit")
+
+
+COVERAGE_SEEDS = range(400)
+
+
+def test_mc_poa_interval_covers_the_exact_mean():
+    # 400 seeds x 4 betas at 20,000 draws: 13 misses against a limit of 39.
+    betas = (0.25, 0.5, 0.75, 1.0)
+    scenarios = [ow.power_scenario(beta) for beta in betas]
+    misses = 0
+    for seed in COVERAGE_SEEDS:
+        for beta, res in zip(betas, ow.mc_poa(scenarios, 20_000, seed)):
+            misses += abs(res.mean_poa - _corollary_mean(beta)) > res.ci_poa
+    assert misses < _miss_limit(len(COVERAGE_SEEDS) * len(betas)), misses
+
+
+def test_mc_single_offer_intervals_cover_the_exact_payoffs():
+    # Aggregate accounting: with p = F(T) and mu the mean sacrifice,
+    # E[u_a] = a_default + p (T - mu), E[u_b] = b_outside + p (delta_b - T)
+    # and E[welfare] = base + p (delta_b - mu). 400 seeds x 4 scenarios at
+    # 20,000 draws: 16, 12 and 23 misses against a limit of 39.
+    scenarios = [
+        ow.example1b_scenario(100.0),
+        ow.example1b_scenario(300.0),
+        ow.power_scenario(0.5),
+        ow.SingleOfferScenario(ow.ContinuousSpec.uniform(2.0, 7.0), 9.0, 10.0, 1.5, 0.6),
+    ]
+    exact = []
+    for sc in scenarios:
+        t = sc.gamma * sc.delta_b
+        p, mu = sc.delta_a_spec.cdf(t), sc.delta_a_spec.mean()
+        exact.append({
+            "u_a": sc.a_default + p * (t - mu),
+            "u_b": sc.b_outside + p * (sc.delta_b - t),
+            "sw": sc.a_default + sc.b_outside + p * (sc.delta_b - mu),
+        })
+    misses = dict.fromkeys(exact[0], 0)
+    for seed in COVERAGE_SEEDS:
+        for res, want in zip(ow.mc_single_offer(scenarios, 20_000, seed), exact):
+            for field, value in want.items():
+                misses[field] += abs(getattr(res, f"mean_{field}") - value) > getattr(res, f"ci_{field}")
+    limit = _miss_limit(len(COVERAGE_SEEDS) * len(scenarios))
+    assert max(misses.values()) < limit, misses
+
+
 def test_z99_reexport():
     assert analytics.Z99 == ow.Z99
 
 
-@pytest.mark.parametrize("accounting", ["exact", "aggregate"])
-def test_mc_ci_survives_large_payoff_offset(accounting):
+def test_mc_ci_survives_large_payoff_offset():
     # Shifting A's default payoff moves u_A and welfare by a constant, so
     # their interval widths must not change; raw sums of squares at 1e8
     # cancel to a zero width.
@@ -318,7 +382,7 @@ def test_mc_ci_survives_large_payoff_offset(accounting):
             ow.ContinuousSpec.uniform(0.0, 1.0), delta_b=1.0, a_default=offset,
             b_outside=0.0, gamma=0.5,
         )
-        (res,) = ow.mc_single_offer([sc], samples=200_000, seed=5, accounting=accounting)
+        (res,) = ow.mc_single_offer([sc], samples=200_000, seed=5)
         return res
 
     near, far = run(1.0), run(1e8)
@@ -333,16 +397,24 @@ def test_mc_ci_survives_large_payoff_offset(accounting):
 def test_mc_means_survive_payoffs_near_the_largest_float(accounting, samples):
     # At x = 1e308 every draw's welfare is finite but ten of them sum to
     # inf; means folded as means stay finite, and so PoA stays at least 1.
+    # Each estimator runs in its own accounting: the payoffs
+    # (``mc_single_offer``) in aggregate, the per-draw PoA (``mc_poa``) in
+    # exact.
     sc = ow.example1b_scenario(1e308)
     with np.errstate(over="raise"):
-        (res,) = ow.mc_single_offer([sc], samples=samples, seed=1, accounting=accounting)
-        (poa,) = ow.mc_poa([sc], samples=samples, seed=1)
-    assert res.acceptance_rate == poa.acceptance_rate == 1.0
-    for field in ("mean_u_a", "mean_u_b", "mean_sw", "ci_sw"):
-        assert math.isfinite(getattr(res, field)), field
-    assert math.isfinite(poa.mean_poa)
-    assert res.mean_sw > 1e307
-    assert res.poa_vs_ex_ante >= 1.0 and poa.mean_poa >= 1.0
+        if accounting == "aggregate":
+            (res,) = ow.mc_single_offer([sc], samples=samples, seed=1)
+        else:
+            (res,) = ow.mc_poa([sc], samples=samples, seed=1)
+    assert res.acceptance_rate == 1.0
+    if accounting == "aggregate":
+        for field in ("mean_u_a", "mean_u_b", "mean_sw", "ci_sw"):
+            assert math.isfinite(getattr(res, field)), field
+        assert res.mean_sw > 1e307
+        assert res.poa_vs_ex_ante >= 1.0
+    else:
+        assert math.isfinite(res.mean_poa)
+        assert res.mean_poa >= 1.0
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])

@@ -2,23 +2,25 @@
 
 ``mc_oracle`` keeps ``mc_single_offer`` and ``simulate_schedule`` as they
 were when every batch built each payoff as a per-draw column from fresh
-temporaries. The package reduces a batch to sufficient statistics instead
-(the accepted sacrifices' moments for single-offer payoffs, the declined
-draws' forgone gains for ``mc_poa``, cell counts for schedules), on the
-same draws. ``mc_poa`` rests on an identity that a property below checks
-on the oracle's per-draw columns: in exact accounting, the only one it
-runs, an accepted draw's PoA is exactly 1 and a declined draw's is 1 plus
-its forgone gain over the default welfare. Each single-offer estimator's
-fields are compared with the oracle's fields of the same name. So every
-acceptance rate must be
-``repr``-equal to the oracle's, and every other field within ``ULPS``
-machine epsilons of the payoff scale: the largest payoff or sacrifice bound
-of the scenario or game. Sample counts cover one draw, a partial batch,
-exactly one batch, one batch plus one draw and several batches with a ragged
-tail. A call over several scenarios or B types shares each batch's draws
-between them, and must give each the package's own result for it alone.
-The batches run on worker threads, and the results must be ``repr``-equal
-to the package's own on one thread under several ``os.cpu_count()`` values.
+temporaries, the single offer in both accountings. The package reduces a
+batch to sufficient statistics instead (the accepted sacrifices' moments
+for single-offer payoffs, the declined draws' forgone gains for ``mc_poa``,
+cell counts for schedules), on the same draws. Each single-offer estimator
+runs in one accounting and is paired with the oracle in that one:
+``mc_single_offer`` in aggregate accounting, ``mc_poa`` in exact. ``mc_poa``
+rests on an identity that a property below checks on the oracle's
+exact-accounting columns: an accepted draw's PoA is exactly 1 and a
+declined draw's is 1 plus its forgone gain over the default welfare. Each
+estimator's fields are compared with the oracle's fields of the same name.
+So every acceptance rate must be ``repr``-equal to the oracle's, and every
+other field within ``ULPS`` machine epsilons of the payoff scale: the
+largest payoff or sacrifice bound of the scenario or game. Sample counts
+cover one draw, a partial batch, exactly one batch, one batch plus one draw
+and several batches with a ragged tail. A call over several scenarios or B
+types shares each batch's draws between them, and must give each the
+package's own result for it alone. The batches run on worker threads, and
+the results must be ``repr``-equal to the package's own on one thread
+under several ``os.cpu_count()`` values.
 """
 
 from __future__ import annotations
@@ -44,18 +46,10 @@ from oneway import analytics, streams
 ULPS = 16
 
 SAMPLES = (1, 1_000, streams.BATCH_SIZE, streams.BATCH_SIZE + 1, 200_001)
-ESTIMATORS = (analytics.mc_single_offer, analytics.mc_poa)
+# Each single-offer estimator by the one oracle accounting it runs in.
+BY_ACCOUNTING = {"aggregate": analytics.mc_single_offer, "exact": analytics.mc_poa}
+ESTIMATORS = tuple(BY_ACCOUNTING.values())
 SEEDS = (1, 2, 3)
-
-
-def _runs(accounting: str) -> dict:
-    """Each single-offer estimator that runs in ``accounting``, by name, as
-    a function of (scenarios, samples, seed): ``mc_poa`` runs in exact
-    accounting only."""
-    runs = {"mc_single_offer": lambda *args: analytics.mc_single_offer(*args, accounting)}
-    if accounting == "exact":
-        runs["mc_poa"] = analytics.mc_poa
-    return runs
 
 
 SCENARIOS = {
@@ -110,33 +104,32 @@ def _assert_close(got, want, scale: float, where) -> None:
 @pytest.mark.parametrize("accounting", ["exact", "aggregate"])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_mc_single_offer_matches_oracle(name, accounting, samples):
-    """Both estimators: the payoffs (``mc_single_offer``) and, in exact
-    accounting, the per-draw PoA (``mc_poa``)."""
-    scenario = SCENARIOS[name]
+    """Each estimator against the oracle in its accounting: the payoffs
+    (``mc_single_offer``) in aggregate, the per-draw PoA (``mc_poa``) in
+    exact."""
+    scenario, run = SCENARIOS[name], BY_ACCOUNTING[accounting]
     for seed in SEEDS:
         want = oracle.mc_single_offer(scenario, samples, seed, accounting)
-        for estimator, run in _runs(accounting).items():
-            (got,) = run([scenario], samples, seed)
-            _assert_close(got, want, _single_scale(scenario), (estimator, name, accounting, samples, seed))
+        (got,) = run([scenario], samples, seed)
+        _assert_close(got, want, _single_scale(scenario), (run.__name__, name, samples, seed))
 
 
 @pytest.mark.parametrize("samples", SAMPLES)
 @pytest.mark.parametrize("accounting", ["exact", "aggregate"])
 def test_one_call_over_every_scenario_matches_oracle(accounting, samples):
     """The scenarios of one call share each batch's draws; each result of
-    either estimator is still its result for that scenario alone, and the
-    oracle's."""
-    names = sorted(SCENARIOS)
+    the estimator that runs in ``accounting`` is still its result for that
+    scenario alone, and the oracle's."""
+    names, run = sorted(SCENARIOS), BY_ACCOUNTING[accounting]
     for seed in SEEDS:
-        wants = [oracle.mc_single_offer(SCENARIOS[n], samples, seed, accounting) for n in names]
-        for estimator, run in _runs(accounting).items():
-            got = run([SCENARIOS[n] for n in names], samples, seed)
-            assert len(got) == len(names)
-            for name, result, want in zip(names, got, wants):
-                where = (estimator, name, accounting, samples, seed)
-                (alone,) = run([SCENARIOS[name]], samples, seed)
-                assert repr(result) == repr(alone), where
-                _assert_close(result, want, _single_scale(SCENARIOS[name]), where)
+        got = run([SCENARIOS[n] for n in names], samples, seed)
+        assert len(got) == len(names)
+        for name, result in zip(names, got):
+            where = (run.__name__, name, samples, seed)
+            (alone,) = run([SCENARIOS[name]], samples, seed)
+            assert repr(result) == repr(alone), where
+            want = oracle.mc_single_offer(SCENARIOS[name], samples, seed, accounting)
+            _assert_close(result, want, _single_scale(SCENARIOS[name]), where)
 
 
 def _two_pass(values: list[float]) -> tuple[float, float]:
@@ -189,42 +182,42 @@ def _scenario(a_default, b_outside, power, low, width, beta, reach, gamma) -> an
     reach=st.floats(0.0, 1.5),
     gamma=st.floats(0.05, 1.0),
     samples=st.sampled_from([1, 2, 3, 1_000, streams.BATCH_SIZE + 999]),
-    accounting=st.sampled_from(["exact", "aggregate"]),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(  # A's default payoff is negative zero
     a_default=-0.0, b_outside=2.0, power=False, low=0.0, width=1.0, beta=1.0,
-    reach=0.5, gamma=0.5, samples=1_000, accounting="exact", seed=0,
+    reach=0.5, gamma=0.5, samples=1_000, seed=0,
 )
 @example(  # every offset at 1e8, over two batches
     a_default=1e8, b_outside=1e8, power=False, low=1e8, width=1.0, beta=1.0,
-    reach=0.5, gamma=0.5, samples=streams.BATCH_SIZE + 999, accounting="aggregate", seed=1,
+    reach=0.5, gamma=0.5, samples=streams.BATCH_SIZE + 999, seed=1,
 )
 @example(  # sacrifices near 1e8 against a welfare near 0.7
     a_default=-0.0, b_outside=-0.0, power=False, low=1e8, width=0.3516861419359604, beta=1.0,
-    reach=0.5, gamma=1.0, samples=1, accounting="aggregate", seed=1,
+    reach=0.5, gamma=1.0, samples=1, seed=1,
 )
 def test_two_group_moments_match_a_two_pass_reference(
-    a_default, b_outside, power, low, width, beta, reach, gamma, samples, accounting, seed
+    a_default, b_outside, power, low, width, beta, reach, gamma, samples, seed
 ):
-    """u_a, u_b and welfare (``mc_single_offer``), and in exact accounting
-    PoA (``mc_poa``), each from the two-group merge, against ``math.fsum``
-    two-pass moments of the oracle's per-draw columns, with PoA from
+    """u_a, u_b and welfare (``mc_single_offer``) against the oracle's
+    aggregate-accounting columns, and PoA (``mc_poa``) against its
+    exact-accounting columns, each from the two-group merge, against
+    ``math.fsum`` two-pass moments of the per-draw columns, with PoA from
     ``_poa_column``."""
     sc = _scenario(a_default, b_outside, power, low, width, beta, reach, gamma)
-    (got,) = analytics.mc_single_offer([sc], samples, seed, accounting)
-    batches = list(oracle.single_offer_columns(sc, samples, seed, accounting))
-    accept, delta, ua, ub, sw, _ = (np.concatenate(c).tolist() for c in zip(*batches))
+    (got,) = analytics.mc_single_offer([sc], samples, seed)
+    batches = list(oracle.single_offer_columns(sc, samples, seed, "aggregate"))
+    accept, _, ua, ub, sw, _ = (np.concatenate(c).tolist() for c in zip(*batches))
     assert repr(got.acceptance_rate) == repr(sum(accept) / samples)
     tol = ULPS * sys.float_info.epsilon * _single_scale(sc)
     for field, column in (("u_a", ua), ("u_b", ub), ("sw", sw)):
         mean, ci = _two_pass(column)
         assert abs(getattr(got, f"mean_{field}") - mean) <= tol, field
         assert abs(getattr(got, f"ci_{field}") - ci) <= tol, field
-    if accounting != "exact":
-        return
     (got_poa,) = analytics.mc_poa([sc], samples, seed)
-    assert repr(got_poa.acceptance_rate) == repr(got.acceptance_rate)
+    batches = list(oracle.single_offer_columns(sc, samples, seed, "exact"))
+    accept, delta = (np.concatenate(c).tolist() for c in list(zip(*batches))[:2])
+    assert repr(got_poa.acceptance_rate) == repr(sum(accept) / samples)
     poa = _poa_column(sc, accept, delta)
     mean, ci = _two_pass(poa)
     poa_tol = ULPS * sys.float_info.epsilon * max(poa)
@@ -349,9 +342,8 @@ THREAD_SAMPLES = (1, streams.BATCH_SIZE, streams.BATCH_SIZE + 1, 200_001)
 def _every_result(samples: int) -> list:
     names = sorted(SCENARIOS)
     out = []
-    for accounting in ("exact", "aggregate"):
-        for run in _runs(accounting).values():
-            out += run([SCENARIOS[n] for n in names], samples, 7)
+    for run in ESTIMATORS:
+        out += run([SCENARIOS[n] for n in names], samples, 7)
     for game, schedule in CASES:
         out += ow.simulate_schedule(game, schedule, game.types_b, samples, 7)
     return out
@@ -438,19 +430,17 @@ def test_memory_budget_per_thread(monkeypatch):
     sacrifices or the declined draws' gains; the other column holds the
     coin, the accept or decline weights, and then the deviations), so a
     third column would break the budget. A call over four scenarios keeps
-    the uniforms in one more column, and in aggregate mode the coin in a
+    the uniforms in one more column, and ``mc_single_offer`` its coin in a
     second. A schedule call holds two float columns, a mask and the cell
     index, however many B types it runs."""
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     samples = 3 * streams.BATCH_SIZE
     four = [SCENARIOS[f"power-{b}"] for b in (0.25, 0.5, 0.75, 1.0)]
-    for accounting, kept in (("exact", 1), ("aggregate", 2)):
-        for estimator, run in _runs(accounting).items():
-            where = (estimator, accounting)
-            one = _peak_bytes(lambda: run(four[:1], samples, 1))
-            assert one <= 2 * COLUMN + SLACK, (where, one / COLUMN)
-            fused = _peak_bytes(lambda: run(four, samples, 1))
-            assert fused <= one + kept * COLUMN + SLACK, (where, fused / COLUMN)
+    for run, kept in ((analytics.mc_single_offer, 2), (analytics.mc_poa, 1)):
+        one = _peak_bytes(lambda: run(four[:1], samples, 1))
+        assert one <= 2 * COLUMN + SLACK, (run.__name__, one / COLUMN)
+        fused = _peak_bytes(lambda: run(four, samples, 1))
+        assert fused <= one + kept * COLUMN + SLACK, (run.__name__, fused / COLUMN)
     game, schedule = CASES[-1]
     one = _peak_bytes(lambda: ow.simulate_schedule(game, schedule, game.types_b[:1], samples, 1))
     assert one <= 3 * COLUMN + COLUMN // 8 + SLACK, one / COLUMN

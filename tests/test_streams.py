@@ -62,11 +62,12 @@ def test_generated_instances_keep_their_bytes(capsys):
 
 
 def test_batch_sizes():
-    assert streams.batch_sizes(10, batch=4) == [4, 4, 2]
-    assert streams.batch_sizes(8, batch=4) == [4, 4]
-    assert streams.batch_sizes(3, batch=4) == [3]
-    assert streams.batch_sizes(0, batch=4) == []
-    assert sum(streams.batch_sizes(1_000_000)) == 1_000_000
+    size = streams.BATCH_SIZE
+    assert streams.batch_sizes(0) == []
+    assert streams.batch_sizes(1) == [1]
+    assert streams.batch_sizes(size) == [size]
+    assert streams.batch_sizes(size + 1) == [size, 1]
+    assert streams.batch_sizes(2 * size + 5) == [size, size, 5]
     with pytest.raises(ValueError):
         streams.batch_sizes(-1)
 
