@@ -16,7 +16,10 @@ both the equivalence and the simulation checkable.
 
 The evaluator and its record are those of ``single_offer`` (a single
 offer is the one-step schedule), so the equivalence gap of the optimizer is
-exactly zero rather than float noise.
+exactly zero rather than float noise. The simulation draws how many runs
+of each A type accept (multinomial over the types, then binomial over each
+type's reach) rather than the runs themselves, so its cost does not grow
+with the sample count.
 """
 
 from __future__ import annotations
@@ -142,118 +145,64 @@ class SimulationResult:
     ci_u_b_planning: float
 
 
-def _type_finder(prior: np.ndarray):
-    """``find(u, cell, out, accept)`` writes each uniform's A type into
-    ``cell`` as ``searchsorted(cdf, u, side="right")`` clipped to the last
-    type would: a branch-free binary search over the cdf's first n - 1
-    values, padded with +inf, that allocates nothing (``out`` and ``accept``
-    are scratch columns)."""
-    depth = (len(prior) - 1).bit_length()  # 2**depth >= n
-    padded = np.full(1 << depth, np.inf)
-    padded[: len(prior) - 1] = np.cumsum(prior)[:-1]
-    # level k: one pivot per block of 2**(depth - k) values, the last of its lower half
-    levels = [np.ascontiguousarray(padded[(1 << (depth - 1 - k)) - 1 :: 1 << (depth - k)]) for k in range(depth)]
-
-    def find(u: np.ndarray, cell: np.ndarray, out: np.ndarray, accept: np.ndarray) -> None:
-        cell.fill(0)
-        for level in levels:
-            np.take(level, cell, out=out, mode="clip")
-            np.less_equal(out, u, out=accept)
-            cell += cell
-            cell += accept
-
-    return find
-
-
 def simulate_schedule(
     game: OneWayGame, schedule: Schedule, types_b: Sequence[str], samples: int, seed: int
 ) -> list[SimulationResult]:
-    """Monte Carlo check of a schedule against each B type, vectorized in
-    fixed-size batches; one result per B type, in order.
+    """Monte Carlo check of a schedule against each B type; one result per
+    B type, in order, for ``samples`` in [1, 2**63) (numpy counts draws in
+    int64).
 
     Reports realized means (matching expected_outcome) and the planning-view
     mean for B, where a failed process is booked at the fallback value
-    (matching expected_utility_B). Batch i draws from ``streams.stream(seed,
-    i)``, a PCG64DXSM on the seed's i-th spawned child, which fills doubles
-    faster than the Philox streams that generated games keep so that they
-    never move with the simulations (see ``streams``). Results do not depend
-    on the thread count.
-    A batch draws its A types and coins once for all the B types of a call;
-    each B type folds its own moments in batch order, so its result is the
-    same whether it is simulated alone or with others.
+    (matching expected_utility_B).
 
     A draw's payoffs depend only on its A type and whether it accepts, so
     they are read off tables with two cells per type (index 2 * type +
-    accepted), and a batch returns per B type only how many draws landed in
-    each cell. The int64 counts are summed over batches, so the totals do
-    not depend on batch order, and the four tables' means and centred
-    second moments are computed once from them at the end. Batches run on
-    ``os.cpu_count()`` threads (``streams.run_batches``); each thread owns
-    one uniform column (A's type, then the coin), one float column for each
-    draw's reach, a mask, and each draw's cell index (``_type_finder``),
-    which every B type reads.
+    accepted), and how many draws land in each cell is a sufficient
+    statistic, drawn here directly: the A types' counts are
+    Multinomial(samples, prior) over the types of positive prior, and each
+    type's accepted count is Binomial(count, R), R being the probability
+    that the step the type accepts at is reached (0 if it never accepts).
+    The four tables' means and centred second moments follow from the
+    counts, so the work does not grow with ``samples``. B type k of the game
+    draws from ``streams.stream(seed, k)``, so its result is the same
+    whether it is simulated alone or with others.
     """
     if isinstance(types_b, str):
         raise TypeError("types_b must be a sequence of B type ids, not one id")
-    if samples <= 0:
-        raise ValueError("samples must be positive")
-    if not types_b:
-        return []
+    if not 0 < samples < 1 << 63:
+        raise ValueError(f"samples {samples} is outside [1, 2**63)")
+    positive = np.flatnonzero(game.prior_a > 0.0)
+    prior = game.prior_a[positive] / np.sum(game.prior_a[positive])
     n_types = len(game.types_a)
-    find_types = _type_finder(game.prior_a)
-    reaches, tables = [], []  # per B type: its reach and its four payoff tables, two cells per A type
+    results = []
     for type_b in types_b:
         terms = _terms(game, schedule.action_a, type_b)
         _, reach, transfer = _settle(terms, s_values(schedule)[1:], reach_probs(schedule), schedule.gammas)
+        rng = streams.stream(seed, game.type_b_index(type_b))
+        drawn = rng.multinomial(samples, prior)
+        accepted = rng.binomial(drawn, reach[positive])
+        c = np.zeros((n_types, 2), dtype=np.int64)
+        c[positive] = np.column_stack((drawn - accepted, accepted))
+        c = c.ravel()
         pb_deal = terms.ub_accept - transfer
         pa_cell = np.column_stack((game.selfish_payoff_a, game.payoff_a[:, terms.ia] + transfer)).ravel()
         pb_cell = np.column_stack((terms.ub_reject, pb_deal)).ravel()
         plan_cell = np.column_stack((np.full(n_types, terms.outside.payoff), pb_deal)).ravel()
-        reaches.append(np.repeat(reach, 2))
-        tables.append(np.stack((pa_cell, pb_cell, pa_cell + pb_cell, plan_cell)))
-
-    def make_batch():
-        n = min(samples, streams.BATCH_SIZE)
-        u_buf, out_buf = np.empty((2, n))
-        accept_buf = np.empty(n, dtype=bool)
-        cell_buf = np.empty(n, dtype=np.intp)
-
-        def batch(index: int, size: int):
-            u, out, accept, cell = u_buf[:size], out_buf[:size], accept_buf[:size], cell_buf[:size]
-            rng = streams.stream(seed, index)
-            rng.random(out=u)
-            find_types(u, cell, out, accept)
-            cell += cell  # the A type's first table cell
-            rng.random(out=u)
-            counts = []
-            for reach in reaches:
-                # The indices are in range; mode="clip" lets take write
-                # straight into its out array, which the default mode would
-                # copy through a buffer.
-                np.take(reach, cell, out=out, mode="clip")  # 0 for types that never accept
-                np.less(u, out, out=accept)
-                cell += accept
-                counts.append(np.bincount(cell, minlength=2 * n_types))
-                cell -= accept  # back to the A type's first cell for the next B type
-            return counts
-
-        return batch
-
-    counts = [np.zeros(2 * n_types, dtype=np.int64) for _ in types_b]
-    for per_type in streams.run_batches(samples, make_batch):
-        for total, c in zip(counts, per_type):
-            total += c
-    results = []
-    for c, table in zip(counts, tables):
-        # u_a, u_b, welfare and B's planning view, each a weighted sum over
-        # the cells and a centred second moment around it.
-        means = np.sum(c / samples * table, axis=1)
+        # u_a, u_b, welfare and B's planning view over the drawn cells, each
+        # the smallest value plus a weighted sum of the gaps above it (so a
+        # table constant on the drawn cells has exactly that mean and a zero
+        # width) and a centred second moment around it.
+        table = np.stack((pa_cell, pb_cell, pa_cell + pb_cell, plan_cell))[:, c > 0]
+        c = c[c > 0]
+        low = np.min(table, axis=1)
+        means = low + np.sum(c / samples * (table - low[:, None]), axis=1)
         m2 = np.sum(c * np.square(table - means[:, None]), axis=1)
         ci = Z99 * np.sqrt(m2 / samples / samples)
         results.append(
             SimulationResult(
                 samples=samples,
-                acceptance_rate=int(np.sum(c[1::2])) / samples,
+                acceptance_rate=int(np.sum(accepted)) / samples,
                 mean_u_a=float(means[0]),
                 mean_u_b=float(means[1]),
                 mean_sw=float(means[2]),

@@ -11,9 +11,8 @@ Philox key of their own, in ``generate``, so that the games a seed names
 stay fixed whatever the Monte Carlo streams become.) Each batch reduces
 what it drew to sufficient statistics: a count, a mean and a centred second
 moment of one group of draws, which ``Moments.merge`` folds in batch
-order, or integer cell counts, whose sum does not depend on the order at
-all. Results are therefore bit-identical for a fixed seed on any number of
-cores.
+order. Results are therefore bit-identical for a fixed seed on any number
+of cores.
 
 A batch's draws depend only on ``(seed, index)``, so one batch can draw its
 columns once and run several simulations on them, each folding its own
@@ -21,9 +20,9 @@ statistics. ``make_batch`` builds the buffers one thread owns for all its
 batches: each single-offer estimator (``analytics.mc_single_offer`` and
 ``analytics.mc_poa``) keeps two float columns and no mask, its accept flags
 being a column of 1.0 and 0.0 weights (one more column for the uniforms
-with a second scenario, and one for ``mc_single_offer``'s coin too);
-``multi_offer.simulate_schedule`` keeps two float columns, a mask and an
-index column.
+with a second scenario, and one for ``mc_single_offer``'s coin too).
+``multi_offer.simulate_schedule`` runs no batches: it draws each B type's
+cell counts from stream ``index``, the B type's index in its game.
 """
 
 from __future__ import annotations
@@ -74,9 +73,8 @@ def run_batches(total: int, make_batch: Callable[[], Callable[[int, int], T]]) -
     the buffers it closes over. Batch ``i`` runs on thread ``i mod W``, with
     ``W = min(os.cpu_count(), batches)``; with one thread the batches run
     inline, without a pool. numpy releases the interpreter lock in the
-    stream fills, elementwise ufuncs and ``take``, which is where a batch
-    spends most of its time; its reductions (``np.sum``, ``np.max``) hold
-    the lock. An exception in a batch is raised here once every thread has
+    stream fills and elementwise ufuncs, which is where a batch spends most
+    of its time; its reductions (``np.sum``, ``np.max``) hold the lock. An exception in a batch is raised here once every thread has
     stopped.
     """
     sizes = batch_sizes(total)

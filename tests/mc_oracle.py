@@ -19,9 +19,13 @@ one of them: ``mc_single_offer`` in aggregate accounting and ``mc_poa`` in
 exact. The schedule result type, the streams and the schedule terms come
 from the package.
 
-The package now reduces each batch to sufficient statistics, so its fields
-agree with these to a few ulps of the payoff scale rather than bit for bit;
-the acceptance counts, which come from the same draws, agree exactly.
+The package now reduces each single-offer batch to sufficient statistics,
+so its fields agree with these to a few ulps of the payoff scale rather than
+bit for bit; the acceptance counts, which come from the same draws, agree
+exactly. A schedule simulation in the package draws its (A type, accepted)
+cell counts from their multinomial and binomial laws instead of drawing per
+run, so it shares no draws with ``simulate_schedule`` here, which remains
+the per-draw reference that both must agree with in distribution.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import oneway as ow
+from interval_coverage import COVERAGE_SEEDS, miss_limit
 from oneway import analytics, closed_form, streams
 
 
@@ -313,22 +313,6 @@ def test_corollary_bound_exceeds_the_exact_mean():
         assert bound - _corollary_mean(beta) >= 1.0 - 1e-9, beta
 
 
-def _miss_limit(trials, alarm=1e-6):
-    """The fewest misses of a 99 percent interval in ``trials`` independent
-    tries whose binomial tail probability is below ``alarm``, in exact
-    rationals: 39 for 1,600 tries."""
-    p = Fraction(1, 100)
-    below = Fraction(0)
-    for m in range(trials + 1):
-        if 1 - below < alarm:
-            return m
-        below += math.comb(trials, m) * p**m * (1 - p) ** (trials - m)
-    raise AssertionError("no limit")
-
-
-COVERAGE_SEEDS = range(400)
-
-
 def test_mc_poa_interval_covers_the_exact_mean():
     # 400 seeds x 4 betas at 20,000 draws: 13 misses against a limit of 39.
     betas = (0.25, 0.5, 0.75, 1.0)
@@ -337,7 +321,7 @@ def test_mc_poa_interval_covers_the_exact_mean():
     for seed in COVERAGE_SEEDS:
         for beta, res in zip(betas, ow.mc_poa(scenarios, 20_000, seed)):
             misses += abs(res.mean_poa - _corollary_mean(beta)) > res.ci_poa
-    assert misses < _miss_limit(len(COVERAGE_SEEDS) * len(betas)), misses
+    assert misses < miss_limit(len(COVERAGE_SEEDS) * len(betas)), misses
 
 
 def test_mc_single_offer_intervals_cover_the_exact_payoffs():
@@ -365,7 +349,7 @@ def test_mc_single_offer_intervals_cover_the_exact_payoffs():
         for res, want in zip(ow.mc_single_offer(scenarios, 20_000, seed), exact):
             for field, value in want.items():
                 misses[field] += abs(getattr(res, f"mean_{field}") - value) > getattr(res, f"ci_{field}")
-    limit = _miss_limit(len(COVERAGE_SEEDS) * len(scenarios))
+    limit = miss_limit(len(COVERAGE_SEEDS) * len(scenarios))
     assert max(misses.values()) < limit, misses
 
 

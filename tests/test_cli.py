@@ -353,11 +353,16 @@ def test_largest_seed_is_accepted(capsys):
         (["examples", "--which", "corollary", "--mc-samples", "-5"], "--mc-samples must be non-negative"),
         (["multi-offer", "INSTANCE", "--optimize", "--samples", "1000"], "--samples applies to --schedule"),
         (["multi-offer", "INSTANCE", "--schedule", "SCHEDULE", "--samples", "-1"], "--samples must be non-negative"),
+        (
+            ["multi-offer", "INSTANCE", "--schedule", "SCHEDULE", "--samples", str(2**63)],
+            f"samples {2**63} is outside [1, 2**63)",
+        ),
     ],
 )
 def test_sample_flags_without_a_simulation_are_rejected(capsys, instance, schedule_file, argv, message):
-    """A sample count that no simulation would use is an error, not a
-    report without the simulation."""
+    """A sample count that no simulation would use, or more draws than a
+    simulation counts in 64 bits, is an error, not a report without the
+    simulation or a traceback."""
     argv = [{"INSTANCE": instance, "SCHEDULE": schedule_file}.get(a, a) for a in argv]
     code, out, err = _run(capsys, argv)
     assert code == 1

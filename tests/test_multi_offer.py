@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import oneway as ow
 from offer_oracle import certification_probe
-from oneway.multi_offer import _type_finder
 
 
 def sched(gammas, probs, action="a1"):
@@ -102,8 +101,48 @@ def test_simulate_schedule_deterministic(g1):
     assert a == b
     c = ow.simulate_schedule(g1, s, ["u1"], samples=70_000, seed=5)
     assert c[0].mean_sw != a[0].mean_sw
-    with pytest.raises(ValueError):
-        ow.simulate_schedule(g1, s, ["u1"], samples=0, seed=1)
+    for samples in (0, -1, 2**63, 2**64):
+        with pytest.raises(ValueError, match=r"outside \[1, 2\*\*63\)"):
+            ow.simulate_schedule(g1, s, ["u1"], samples=samples, seed=1)
+
+
+TOP = 2**63 - 1  # the most draws a simulation takes
+
+
+def corner_game(prior):
+    """B gains 10 when A plays a1 and nothing otherwise. t1 and t2 give up 1
+    and 2 to play a1, and t3 gives up 0.1: at a share of 0.05 (a transfer of
+    0.5) only t3 accepts, and at 0.5 (a transfer of 5) every type does."""
+    return ow.make_game(
+        ["a1", "a2"], ["b1"], zip(("t1", "t2", "t3"), prior), [("u1", 1.0)],
+        [[0.0, 1.0], [0.0, 2.0], [0.0, 0.1]], [[[10.0], [0.0]]],
+    )
+
+
+@pytest.mark.parametrize("samples", [1, 1_000, TOP])
+def test_simulation_corners_are_exact(samples):
+    """Exact corners, also at the most draws: a type of prior 0 draws
+    nothing, so a schedule that only it would accept reads no acceptance and
+    a zero-width planning view; one that every type accepts at step 1 reads
+    1.0. (A multinomial over every cell would hand the zero-prior last cell
+    the draws that rounding leaves over: about 700 at this prior.)"""
+    game, only_t3, every = corner_game((1 / 3, 2 / 3, 0.0)), sched([0.05], [1.0]), sched([0.5], [1.0])
+    assert ow.expected_outcome(game, only_t3, "u1").step.tolist() == [0, 0, 1]
+    assert ow.expected_outcome(game, every, "u1").step.tolist() == [1, 1, 1]
+    (sim,) = ow.simulate_schedule(game, only_t3, ["u1"], samples, seed=3)
+    assert sim.acceptance_rate == 0.0 and sim.ci_u_b_planning == 0.0
+    assert sim.mean_u_b_planning == ow.expected_utility_B(game, only_t3, "u1")
+    (sim,) = ow.simulate_schedule(game, every, ["u1"], samples, seed=3)
+    assert sim.acceptance_rate == 1.0
+
+
+@pytest.mark.parametrize("drift", [-9e-13, 9e-13])
+def test_a_prior_off_one_within_tolerance_simulates(drift):
+    assert abs(drift) < ow.game.PRIOR_TOL
+    game = corner_game((1 / 3, 2 / 3 + drift, 0.0))
+    for samples in (1_000, TOP):
+        (sim,) = ow.simulate_schedule(game, sched([0.5], [1.0]), ["u1"], samples, seed=3)
+        assert sim.acceptance_rate == 1.0
 
 
 def test_optimize_schedule_g1(g1):
@@ -183,24 +222,6 @@ def test_optimize_schedule_certified_on_random_games():
     # the exact certificate costs one evaluation, so ten thousand steps stay cheap
     opt = ow.optimize_schedule(ow.random_game(1), "u1", 10_000)
     assert opt.certified and len(opt.schedule.gammas) == 10_000
-
-
-# Priors of 1 to 300 types with some zero weights (so repeated cdf values),
-# and uniforms drawn at random, at every cdf value and next to each one.
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    weights=st.lists(st.integers(0, 5), min_size=1, max_size=300).filter(any),
-    seed=st.integers(0, 2**16),
-)
-def test_type_lookup_matches_searchsorted(weights, seed):
-    prior = np.array(weights, dtype=np.float64) / sum(weights)
-    cdf = np.cumsum(prior)
-    near = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0)])
-    u = np.concatenate([np.random.default_rng(seed).random(64), near[(near >= 0.0) & (near < 1.0)], [0.0]])
-    cell, out, accept = np.empty(u.size, dtype=np.intp), np.empty(u.size), np.empty(u.size, dtype=bool)
-    _type_finder(prior)(u, cell, out, accept)
-    want = np.clip(np.searchsorted(cdf, u, side="right"), 0, len(prior) - 1)
-    assert np.array_equal(cell, want)
 
 
 def test_z99_constant():
