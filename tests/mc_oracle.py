@@ -26,6 +26,9 @@ exactly. A schedule simulation in the package draws its (A type, accepted)
 cell counts from their multinomial and binomial laws instead of drawing per
 run, so it shares no draws with ``simulate_schedule`` here, which remains
 the per-draw reference that both must agree with in distribution.
+``simulate_schedule_cells`` draws the package's cell counts, lays them out
+as per-draw columns and folds them as ``simulate_schedule`` does, so the
+package's moment arithmetic is checked on the same draws.
 """
 
 from __future__ import annotations
@@ -163,20 +166,52 @@ def simulate_schedule(
     if samples <= 0:
         raise ValueError("samples must be positive")
     terms = _terms(game, schedule.action_a, type_b)
-    _, reach, transfer = _settle(terms, s_values(schedule)[1:], reach_probs(schedule), schedule.gammas)
-    ua_deal = game.payoff_a[:, terms.ia]
+    _, reach, _ = _settle(terms, s_values(schedule)[1:], reach_probs(schedule), schedule.gammas)
     n_types = len(game.types_a)
     cdf = np.cumsum(game.prior_a)
 
+    def draws():
+        for index, size in enumerate(streams.batch_sizes(samples)):
+            rng = streams.stream(seed, index)
+            u_type = rng.uniform(size=size)
+            u_cont = rng.uniform(size=size)
+            types = np.searchsorted(cdf, u_type, side="right")
+            np.clip(types, 0, n_types - 1, out=types)
+            yield types, u_cont < reach[types]  # reach is 0 for types that never accept
+
+    return _fold_draws(game, schedule, type_b, samples, draws())
+
+
+def simulate_schedule_cells(
+    game: OneWayGame, schedule: Schedule, type_b: str, samples: int, seed: int
+) -> SimulationResult:
+    """The package's (A type, accepted) cell counts for ``type_b``, drawn
+    from the same stream with the same calls, laid out as per-draw columns
+    in type order and folded batch by batch as ``simulate_schedule`` folds
+    its draws."""
+    terms = _terms(game, schedule.action_a, type_b)
+    _, reach, _ = _settle(terms, s_values(schedule)[1:], reach_probs(schedule), schedule.gammas)
+    positive = np.flatnonzero(game.prior_a > 0.0)
+    rng = streams.stream(seed, game.type_b_index(type_b))
+    drawn = rng.multinomial(samples, game.prior_a[positive] / np.sum(game.prior_a[positive]))
+    accepted = rng.binomial(drawn, reach[positive])
+    cells = np.column_stack((drawn - accepted, accepted)).ravel()
+    types = np.repeat(np.repeat(positive, 2), cells)
+    accept = np.repeat(np.tile([False, True], len(positive)), cells)
+    ends = np.cumsum(streams.batch_sizes(samples))
+    draws = zip(np.split(types, ends[:-1]), np.split(accept, ends[:-1]))
+    return _fold_draws(game, schedule, type_b, samples, draws)
+
+
+def _fold_draws(game: OneWayGame, schedule: Schedule, type_b: str, samples: int, draws) -> SimulationResult:
+    """Each batch of (A type, accepted) draws as per-draw payoff columns,
+    folded into ``Moments``."""
+    terms = _terms(game, schedule.action_a, type_b)
+    _, _, transfer = _settle(terms, s_values(schedule)[1:], reach_probs(schedule), schedule.gammas)
+    ua_deal = game.payoff_a[:, terms.ia]
     moments = Moments(4)  # u_a, u_b, sw, u_b planning view
     accepted_total = 0
-    for index, size in enumerate(streams.batch_sizes(samples)):
-        rng = streams.stream(seed, index)
-        u_type = rng.uniform(size=size)
-        u_cont = rng.uniform(size=size)
-        types = np.searchsorted(cdf, u_type, side="right")
-        np.clip(types, 0, n_types - 1, out=types)
-        accept = u_cont < reach[types]  # reach is 0 for types that never accept
+    for types, accept in draws:
         t = transfer[types]
         pa = np.where(accept, ua_deal[types] + t, game.selfish_payoff_a[types])
         pb_deal = terms.ub_accept - t

@@ -24,9 +24,12 @@ values.
 
 A schedule simulation draws each B type's (A type, accepted) cell counts
 from their law in place of the draws, so it shares no draws with the
-oracle: each of the two must cover the exact outcome as often as its 99
-percent intervals promise, and each B type's result must be the same alone
-or in one call with the others.
+oracle's per-draw loop: each of the two must cover the exact outcome as
+often as its 99 percent intervals promise. The oracle also lays the
+package's own cell counts out as draws and folds them per draw, and the
+package's fields must agree with that fold as a single offer's do with its
+oracle. Each B type's result must be the same alone or in one call with
+the others.
 """
 
 from __future__ import annotations
@@ -47,9 +50,9 @@ import oneway as ow
 from interval_coverage import COVERAGE_SEEDS, miss_limit
 from oneway import analytics, streams
 
-# The worst error over the cases and the property below is 1.6 machine
-# epsilons of the payoff scale, on a mean PoA (0.9 on any interval); the
-# bound sits above that.
+# The worst error over the cases and the property below is 1.9 machine
+# epsilons of the payoff scale, on a schedule's mean welfare (1.6 on a
+# single offer's mean PoA, 0.9 on any interval); the bound sits above that.
 ULPS = 16
 
 SAMPLES = (1, 1_000, streams.BATCH_SIZE, streams.BATCH_SIZE + 1, 200_001)
@@ -316,6 +319,31 @@ def test_schedule_cases_cover_the_corners():
     assert max(len(game.types_a) for game, _ in CASES) >= 40
 
 
+def _schedule_scale(game: ow.OneWayGame, schedule: ow.Schedule, type_b: str) -> float:
+    """A bound on every payoff a draw can book: A's, with the transfer, plus
+    B's, realised or planned."""
+    terms = ow.single_offer._terms(game, schedule.action_a, type_b)
+    _, _, transfer = ow.single_offer._settle(
+        terms, ow.s_values(schedule)[1:], ow.reach_probs(schedule), schedule.gammas
+    )
+    a = np.abs(np.concatenate((game.selfish_payoff_a, game.payoff_a[:, terms.ia] + transfer)))
+    b = np.abs(np.concatenate((terms.ub_reject, terms.ub_accept - transfer, [terms.outside.payoff])))
+    return float(a.max() + b.max())
+
+
+@pytest.mark.parametrize("samples", SAMPLES)
+def test_simulate_schedule_matches_oracle(samples):
+    """Every B type of a game in one call against the oracle's per-draw
+    fold of the same cell counts, laid out as draws."""
+    for i, (game, schedule) in enumerate(CASES):
+        for seed in SEEDS:
+            got = ow.simulate_schedule(game, schedule, game.types_b, samples, seed)
+            assert len(got) == len(game.types_b)
+            for tb, result in zip(game.types_b, got):
+                want = oracle.simulate_schedule_cells(game, schedule, tb, samples, seed)
+                _assert_close(result, want, _schedule_scale(game, schedule, tb), (i, tb, samples, seed))
+
+
 SCHEDULE_FIELDS = {"u_a": "expected_u_a", "u_b": "expected_u_b", "sw": "expected_sw", "u_b_planning": "planning_u_b"}
 # The per-draw oracle takes about 2.4 ms a B type at 20,000 draws, so it
 # runs on a tenth of the package's seeds.
@@ -340,7 +368,7 @@ def _schedule_misses(simulate, seeds) -> tuple[dict, dict]:
     return misses, trials
 
 
-def test_simulate_schedule_matches_oracle():
+def test_schedule_intervals_cover_the_exact_outcome():
     """The package draws each B type's cell counts from their law, and the
     oracle draw by draw, so they share no draws; each passes one coverage
     check against the exact outcome. At 400 seeds the package misses 149
