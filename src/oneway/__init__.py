@@ -48,6 +48,7 @@ _EXPORTS = {
         "CurvePoint",
         "acceptance_prob_example2",
         "corollary_bound",
+        "corollary_poa",
         "example1b",
         "example1b_no_payment_poa",
         "example2",

@@ -11,17 +11,22 @@ samples them directly, and only ``--mc-samples`` runs it. The simulator has
 one estimator per estimand, each folding only what it reports on a shared
 batch driver (``_simulate``): ``mc_single_offer`` the accepted draws'
 sacrifices, for the payoffs and welfare, and ``mc_poa`` the declined
-draws' forgone gains, for the per-draw price of anarchy. Both fold their
-group by ``_group_moments`` and merge it with the other by ``_two_groups``.
+draws' forgone gains, for the per-draw price of anarchy. A draw of the
+other group adds only a constant, so a batch draws no run of it: it draws
+its group's size from the group's binomial law, then only that group's
+sacrifices, folds them by ``_group_moments`` and merges the result with
+the other group by ``_two_groups``.
 
 Accounting note. The closed-form welfare curves book every accepting type's
 sacrifice at the population mean ("aggregate" accounting), so
-``mc_single_offer`` accepts on a coin of probability F(gamma * delta_b),
-independent of the drawn sacrifice. ``mc_poa`` applies the real threshold
-rule ("exact" accounting: accept exactly when the transfer covers the
-sacrifice), the estimand of per-draw inefficiency bounds. The two agree on
-acceptance and on B's utility, and differ on welfare whenever sacrifice and
-acceptance are correlated.
+``mc_single_offer`` accepts with probability F(gamma * delta_b),
+independent of the sacrifice: its accepted sacrifices follow the
+unconditional law. ``mc_poa`` applies the real threshold rule ("exact"
+accounting: accept exactly when the transfer covers the sacrifice), the
+estimand of per-draw inefficiency bounds: its declined sacrifices follow
+the law above the threshold. The two agree on acceptance and on B's
+utility, and differ on welfare whenever sacrifice and acceptance are
+correlated.
 """
 
 from __future__ import annotations
@@ -196,8 +201,8 @@ class MCPoAResult:
 
 def mc_single_offer(scenarios: Sequence[SingleOfferScenario], samples: int, seed: int) -> list[MCResult]:
     """Estimate each scenario's u_a, u_b and welfare by simulation in
-    aggregate accounting (``_by_coin``); one result per scenario, in order
-    (batches as in ``_simulate``).
+    aggregate accounting; one result per scenario, in order (batches as in
+    ``_simulate``).
 
     The three payoffs are constant on declined draws and fall one for one
     with the sacrifice on accepted ones, so a batch keeps for them only the
@@ -206,7 +211,7 @@ def mc_single_offer(scenarios: Sequence[SingleOfferScenario], samples: int, seed
     divides the aggregate optimum by mean welfare, which is what the
     closed-form curves report.
     """
-    terms, folds = _simulate(scenarios, samples, seed, _by_coin, _fold_accepted)
+    terms, folds = _simulate(scenarios, samples, seed, _fold_accepted)
     return [t.payoffs(samples, _merge(f)) for t, f in zip(terms, folds)]
 
 
@@ -222,103 +227,85 @@ def mc_poa(scenarios: Sequence[SingleOfferScenario], samples: int, seed: int) ->
     max(delta_b - delta, 0) the gain it forgoes. A batch therefore keeps
     only the declined draws' gains: their group moments and largest value.
     """
-    terms, folds = _simulate(scenarios, samples, seed, _by_threshold, _fold_declined)
+    terms, folds = _simulate(scenarios, samples, seed, _fold_declined)
     return [t.poa(samples, f) for t, f in zip(terms, folds)]
 
 
-def _simulate(scenarios: Sequence[SingleOfferScenario], samples: int, seed: int, accept_rule, fold):
+def _simulate(scenarios: Sequence[SingleOfferScenario], samples: int, seed: int, fold):
     """The scenarios' constants, and per scenario its batches' folds, in
-    batch order: ``fold(terms, delta, accept, hits)`` with ``hits`` the
-    batch's accepted count.
+    batch order: ``fold(terms, rng, size, column)`` for a batch of ``size``
+    runs drawn from ``rng``.
 
-    ``accept_rule(terms, delta, coin, out)`` writes the accept weights, 1.0
-    on accepted draws and 0.0 on declined ones. Each batch draws a sacrifice
-    uniform per sample and, for ``_by_coin`` only, a coin uniform after
-    them, so both rules see the same sacrifices. A batch draws its uniforms
-    once for all the scenarios of a call and runs the scenarios on them in
-    turn; each scenario folds its own statistics in batch order, so its
-    result is the same whether it is simulated alone or with others.
+    Each estimator folds one group of a batch's runs, so a fold draws only
+    that group (``_draw_group``): its size from its binomial law, then one
+    uniform per member, mapped to the member's sacrifice. Every scenario of
+    a call reopens the batch's stream, so its result is the same whether it
+    is simulated alone or with others.
 
     Batches run on ``os.cpu_count()`` threads (``streams.run_batches``).
-    Each thread owns two float columns of one batch each: the uniforms,
-    then the sacrifice ``delta``; the coin, then the accept weights
-    ``accept``. A fold may overwrite both. With a second scenario the
-    uniforms, and the coin where one is drawn, outlive each scenario, so
-    the thread keeps them in a column each of their own.
+    Each thread owns one float column of one batch, which every fold fills
+    and overwrites in turn.
     """
     if isinstance(scenarios, SingleOfferScenario):
         raise TypeError("scenarios must be a sequence of SingleOfferScenario, not one scenario")
-    if samples <= 0:
-        raise ValueError("samples must be positive")
+    if not 0 < samples < 1 << 63:
+        raise ValueError(f"samples {samples} is outside [1, 2**63)")
     terms = [_MCTerms(sc) for sc in scenarios]
     if not terms:
         return terms, []
-    fused = len(terms) > 1
-    tossed = accept_rule is _by_coin
 
     def make_batch():
-        n = min(samples, streams.BATCH_SIZE)
-        delta_buf, accept_buf = np.empty((2, n))
-        # Columns read by every scenario get their own buffer only when a
-        # second scenario reads them after the first has reused its columns.
-        q_buf = np.empty(n) if fused else delta_buf
-        coin_buf = np.empty(n) if fused and tossed else accept_buf
+        column = np.empty(min(samples, streams.BATCH_SIZE))
 
         def batch(index: int, size: int):
-            delta, accept = delta_buf[:size], accept_buf[:size]
-            q, coin = q_buf[:size], coin_buf[:size]
-            rng = streams.stream(seed, index)
-            rng.random(out=q)
-            if tossed:
-                rng.random(out=coin)
-            per_scenario = []
-            for t in terms:
-                t.spec.ppf(q, out=delta)
-                accept_rule(t, delta, coin, accept)
-                # Exact: a batch's partial sums of 0.0 and 1.0 are integers
-                # far below 2**53, and summing floats beats counting them.
-                per_scenario.append(fold(t, delta, accept, int(np.sum(accept))))
-            return per_scenario
+            return [fold(t, streams.stream(seed, index), size, column) for t in terms]
 
         return batch
 
     return terms, list(zip(*streams.run_batches(samples, make_batch)))
 
 
-def _by_coin(t: "_MCTerms", delta: np.ndarray, coin: np.ndarray, out: np.ndarray) -> None:
-    """Aggregate accounting: accept on the coin, with probability F(T)."""
-    np.less(coin, t.p_model, out=out)
+def _draw_group(rng: np.random.Generator, size: int, p: float, column: np.ndarray) -> np.ndarray:
+    """Uniforms for the members of a group that each of ``size`` runs joins
+    with probability ``p``: their count from Binomial(size, p), then one
+    uniform each, written to the head of ``column``."""
+    return rng.random(out=column[: rng.binomial(size, p)])
 
 
-def _by_threshold(t: "_MCTerms", delta: np.ndarray, coin: np.ndarray, out: np.ndarray) -> None:
-    """Exact accounting: accept exactly when the transfer covers the sacrifice."""
-    np.less_equal(delta, t.thr, out=out)
+def _group_moments(values: np.ndarray) -> tuple[int, float, float]:
+    """Count, mean and centred second moment of a group's values, which are
+    overwritten; an empty group gives (0, 0.0, 0.0)."""
+    if not values.size:
+        return 0, 0.0, 0.0
+    mean = np.sum(values) / values.size
+    dev = np.subtract(values, mean, out=values)
+    return values.size, mean, np.sum(np.square(dev, out=dev))
 
 
-def _group_moments(values: np.ndarray, weights: np.ndarray, count: int) -> tuple[int, float, float]:
-    """Count, mean and centred second moment of the ``count`` values of
-    weight 1.0, reduced over the whole column with the others weighted to
-    zero: a masked reduction is far slower. ``values`` keeps the weighted
-    values, and ``weights`` is overwritten."""
-    values *= weights
-    mean = np.sum(values) / count if count else 0.0
-    dev = np.subtract(values, np.multiply(weights, mean, out=weights), out=weights)
-    return count, mean, np.sum(np.square(dev, out=dev))
-
-
-def _fold_accepted(t: "_MCTerms", delta: np.ndarray, accept: np.ndarray, hits: int) -> tuple[int, float, float]:
-    """The accepted sacrifices' group moments."""
-    return _group_moments(delta, accept, hits)
+def _fold_accepted(
+    t: "_MCTerms", rng: np.random.Generator, size: int, column: np.ndarray
+) -> tuple[int, float, float]:
+    """The accepted sacrifices' group moments. Acceptance is independent of
+    the sacrifice, so the group is Binomial(size, F(T)) draws of the
+    unconditional law."""
+    delta = _draw_group(rng, size, t.p_accept, column)
+    return _group_moments(t.spec.ppf(delta, out=delta))
 
 
 def _fold_declined(
-    t: "_MCTerms", delta: np.ndarray, accept: np.ndarray, hits: int
+    t: "_MCTerms", rng: np.random.Generator, size: int, column: np.ndarray
 ) -> tuple[int, float, float, float]:
     """The declined draws' forgone gains max(delta_b - delta, 0): their
-    group moments and largest value (0.0 when every draw accepts)."""
+    group moments and largest value (0.0 when every draw accepts). The group
+    is Binomial(size, 1 - F(T)) draws of the law above T, at the quantiles
+    1 - (1 - F(T)) u."""
+    q = _draw_group(rng, size, t.p_decline, column)
+    q *= -t.p_decline
+    q += 1.0
+    delta = t.spec.ppf(q, out=q)
     gain = np.maximum(np.subtract(t.delta_b, delta, out=delta), 0.0, out=delta)
-    moments = _group_moments(gain, np.subtract(1.0, accept, out=accept), delta.size - hits)
-    return (*moments, float(np.max(gain)))
+    top = float(np.max(gain)) if gain.size else 0.0
+    return (*_group_moments(gain), top)
 
 
 def _merge(folds) -> streams.Moments:
@@ -345,9 +332,10 @@ class _MCTerms:
     def __init__(self, scenario: SingleOfferScenario) -> None:
         self.spec = scenario.delta_a_spec
         self.delta_b = scenario.delta_b
-        # A accepts exactly when the transfer covers her sacrifice.
-        self.thr = self.transfer = scenario.gamma * scenario.delta_b
-        self.p_model = self.spec.cdf(self.thr)
+        # A accepts with probability F(T) in either accounting.
+        self.transfer = scenario.gamma * scenario.delta_b
+        self.p_accept = self.spec.cdf(self.transfer)
+        self.p_decline = 1.0 - self.p_accept
         self.a_default = scenario.a_default
         self.b_outside = scenario.b_outside
         self.base = scenario.a_default + scenario.b_outside

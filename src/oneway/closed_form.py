@@ -3,6 +3,7 @@
 Worked examples 1b and 2 put A's sacrifice on a uniform density and give
 welfare, the tuned threshold and the price of anarchy (PoA) as formulas in
 B's stake; the single-offer theorem and its power-law corollary bound the
+expected PoA, and ``corollary_poa`` gives the corollary scenario's exact
 expected PoA. None of them needs an array, so this module imports only the
 standard library: ``examples`` (without ``--mc-samples``) and ``sweep``
 read nothing else and run without numpy. ``analytics`` holds the same
@@ -117,3 +118,21 @@ def corollary_bound(beta: float) -> tuple[float, float]:
     log_ratio = -beta * math.log1p(1.0 / beta) - math.log1p(beta)
     bound = (2.0 + 1.0 / beta) * -math.expm1(log_ratio)
     return (gamma_star, bound)
+
+
+def corollary_poa(beta: float) -> tuple[float, float, float]:
+    """Exact expected PoA, its supremum and the acceptance probability of
+    the corollary's scenario (``analytics.power_scenario``: F(x) = x^beta
+    on [0, 1], stake and default payoff 1, share gamma = beta/(beta+1)).
+
+    A draw accepts when its sacrifice is at most gamma, with probability
+    gamma^beta, and then has PoA 1; a declined draw's PoA is 2 - delta. So
+    E[PoA] = 2 - gamma - gamma^beta + gamma^(beta+2), written with
+    1 - gamma^beta = -expm1(beta log gamma) so that it does not cancel at
+    small beta, and sup PoA = 2 - gamma.
+    """
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta!r}")
+    gamma = beta / (beta + 1.0)
+    mean = (1.0 - gamma) - math.expm1(beta * math.log(gamma)) + gamma ** (beta + 2.0)
+    return (mean, 2.0 - gamma, gamma**beta)

@@ -14,13 +14,13 @@ moment of one group of draws, which ``Moments.merge`` folds in batch
 order. Results are therefore bit-identical for a fixed seed on any number
 of cores.
 
-A batch's draws depend only on ``(seed, index)``, so one batch can draw its
-columns once and run several simulations on them, each folding its own
-statistics. ``make_batch`` builds the buffers one thread owns for all its
-batches: each single-offer estimator (``analytics.mc_single_offer`` and
-``analytics.mc_poa``) keeps two float columns and no mask, its accept flags
-being a column of 1.0 and 0.0 weights (one more column for the uniforms
-with a second scenario, and one for ``mc_single_offer``'s coin too).
+A batch's draws depend only on ``(seed, index)``, so a simulation that
+reopens a batch's stream draws the same values again: each scenario of a
+single-offer call (``analytics.mc_single_offer`` and ``analytics.mc_poa``)
+reopens it, and so gets the same result alone or with others.
+``make_batch`` builds the buffers one thread owns for all its batches: a
+single-offer estimator keeps one float column and no mask, because it
+draws only the group of runs it folds, the group's size first.
 ``multi_offer.simulate_schedule`` runs no batches: it draws each B type's
 cell counts from stream ``index``, the B type's index in its game.
 """

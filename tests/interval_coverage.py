@@ -10,6 +10,9 @@ from __future__ import annotations
 
 # Seeds of the coverage tests, at 20,000 draws a simulation.
 COVERAGE_SEEDS = range(400)
+# The per-draw oracles of ``mc_oracle`` take a few milliseconds a
+# simulation at 20,000 draws, so they run on a tenth of those seeds.
+ORACLE_SEEDS = range(40)
 
 
 def miss_limit(trials: int, alarm: float = 1e-6) -> int:

@@ -8,7 +8,8 @@ which kept sums and allocated its centring scratch on every ``add``, and
 ``ppf`` is the inverse CDF of the same version, out of place. Two changes
 from the original: ``ppf(spec, q)`` for ``spec.ppf(q)``, and the single-offer
 batch body moved into ``single_offer_columns``, which also serves the per-draw
-columns to property tests. ``MCResult`` is that version's single-offer
+columns to property tests, and whose payoff columns and fold are shared with
+``single_offer_cells``. ``MCResult`` is that version's single-offer
 result, the payoff and PoA estimates in one record; the package now returns
 them from two estimators (``mc_single_offer`` and ``mc_poa``) as two records
 whose fields keep these names. That version took an ``accounting`` of
@@ -19,16 +20,22 @@ one of them: ``mc_single_offer`` in aggregate accounting and ``mc_poa`` in
 exact. The schedule result type, the streams and the schedule terms come
 from the package.
 
-The package now reduces each single-offer batch to sufficient statistics,
-so its fields agree with these to a few ulps of the payoff scale rather than
-bit for bit; the acceptance counts, which come from the same draws, agree
-exactly. A schedule simulation in the package draws its (A type, accepted)
+The package now draws, for each single-offer batch, only the group of runs
+it folds (the accepted draws for ``mc_single_offer``, the declined ones for
+``mc_poa``): the group's size from its binomial law, then the group's
+sacrifices alone. So it shares no draws with ``mc_single_offer`` here,
+which remains the per-draw reference that both must agree with in
+distribution. ``single_offer_cells`` draws the package's group sizes and
+uniforms with the same calls, lays them out as per-draw columns (the
+group's draws, then the other group's at a constant sacrifice) and folds
+them as ``mc_single_offer`` does, so the package's moment arithmetic is
+checked on the same draws: its fields agree with these to a few ulps of the
+payoff scale rather than bit for bit, and its acceptance counts exactly.
+A schedule simulation in the package likewise draws its (A type, accepted)
 cell counts from their multinomial and binomial laws instead of drawing per
-run, so it shares no draws with ``simulate_schedule`` here, which remains
-the per-draw reference that both must agree with in distribution.
+run, and ``simulate_schedule`` here remains its per-draw reference.
 ``simulate_schedule_cells`` draws the package's cell counts, lays them out
-as per-draw columns and folds them as ``simulate_schedule`` does, so the
-package's moment arithmetic is checked on the same draws.
+as per-draw columns and folds them as ``simulate_schedule`` does.
 """
 
 from __future__ import annotations
@@ -104,12 +111,26 @@ def mc_single_offer(
         raise ValueError('accounting must be "exact" or "aggregate"')
     if samples <= 0:
         raise ValueError("samples must be positive")
+    columns = single_offer_columns(scenario, samples, seed, accounting)
+    return _fold_columns(scenario, samples, accounting, columns)
+
+
+def single_offer_cells(scenario: SingleOfferScenario, samples: int, seed: int, accounting: str) -> MCResult:
+    """The package's draws for ``scenario`` in ``accounting``, laid out by
+    ``single_offer_cell_columns`` and folded batch by batch as
+    ``mc_single_offer`` folds its draws."""
+    columns = single_offer_cell_columns(scenario, samples, seed, accounting)
+    return _fold_columns(scenario, samples, accounting, columns)
+
+
+def _fold_columns(scenario: SingleOfferScenario, samples: int, accounting: str, columns) -> MCResult:
+    """Each batch's per-draw columns folded into ``Moments``."""
     spec = scenario.delta_a_spec
     base = scenario.a_default + scenario.b_outside
     moments = Moments(4)  # u_a, u_b, sw, poa
     max_poa = 0.0
     accepted = 0
-    for accept, _, ua, ub, sw, poa in single_offer_columns(scenario, samples, seed, accounting):
+    for accept, _, ua, ub, sw, poa in columns:
         accepted += int(np.count_nonzero(accept))
         max_poa = max(max_poa, float(np.max(poa)))
         moments.add(ua, ub, sw, poa)
@@ -139,8 +160,6 @@ def single_offer_columns(scenario: SingleOfferScenario, samples: int, seed: int,
     spec = scenario.delta_a_spec
     thr = scenario.gamma * scenario.delta_b
     p_model = spec.cdf(thr)
-    base = scenario.a_default + scenario.b_outside
-    transfer = scenario.gamma * scenario.delta_b
     for index, size in enumerate(streams.batch_sizes(samples)):
         rng = streams.stream(seed, index)
         u_delta = rng.uniform(size=size)
@@ -150,14 +169,44 @@ def single_offer_columns(scenario: SingleOfferScenario, samples: int, seed: int,
             accept = delta <= thr
         else:
             accept = u_coin < p_model
-        ua = np.where(accept, scenario.a_default - delta + transfer, scenario.a_default)
-        ub = np.where(
-            accept, scenario.b_outside + scenario.delta_b - transfer, scenario.b_outside
-        )
-        sw = ua + ub
-        opt = np.maximum(base, base - delta + scenario.delta_b)
-        poa = opt / sw
-        yield accept, delta, ua, ub, sw, poa
+        yield _payoff_columns(scenario, accept, delta)
+
+
+def single_offer_cell_columns(scenario: SingleOfferScenario, samples: int, seed: int, accounting: str):
+    """Per batch, the columns of ``single_offer_columns`` over the package's
+    draws: the size k of the group the package folds, from the same stream
+    with the same ``binomial`` call, and k uniforms after it, mapped to the
+    group's sacrifices. In aggregate accounting the group is the accepted
+    draws, at the quantiles u; in exact it is the declined draws, at the
+    quantiles 1 - (1 - F(T)) u above the threshold T. The batch's other
+    size - k draws, whose payoffs the estimator reads as constants, follow
+    the group with their sacrifice at T."""
+    spec = scenario.delta_a_spec
+    thr = scenario.gamma * scenario.delta_b
+    p_accept = spec.cdf(thr)
+    p_decline = 1.0 - p_accept
+    for index, size in enumerate(streams.batch_sizes(samples)):
+        rng = streams.stream(seed, index)
+        if accounting == "aggregate":
+            k = rng.binomial(size, p_accept)
+            group, accept = ppf(spec, rng.random(k)), np.arange(size) < k
+        else:
+            k = rng.binomial(size, p_decline)
+            group, accept = ppf(spec, 1.0 - p_decline * rng.random(k)), np.arange(size) >= k
+        yield _payoff_columns(scenario, accept, np.concatenate((group, np.full(size - k, thr))))
+
+
+def _payoff_columns(scenario: SingleOfferScenario, accept: np.ndarray, delta: np.ndarray):
+    """The accept flags, the sacrifices, and the u_a, u_b, welfare and PoA
+    columns they give."""
+    base = scenario.a_default + scenario.b_outside
+    transfer = scenario.gamma * scenario.delta_b
+    ua = np.where(accept, scenario.a_default - delta + transfer, scenario.a_default)
+    ub = np.where(accept, scenario.b_outside + scenario.delta_b - transfer, scenario.b_outside)
+    sw = ua + ub
+    opt = np.maximum(base, base - delta + scenario.delta_b)
+    poa = opt / sw
+    return accept, delta, ua, ub, sw, poa
 
 
 def simulate_schedule(

@@ -1,10 +1,11 @@
 import math
 
+import mc_oracle as oracle
 import numpy as np
 import pytest
 
 import oneway as ow
-from interval_coverage import COVERAGE_SEEDS, miss_limit
+from interval_coverage import COVERAGE_SEEDS, ORACLE_SEEDS, miss_limit
 from oneway import analytics, closed_form, streams
 
 
@@ -280,11 +281,12 @@ def test_mc_single_offer_deterministic():
     assert a == b
     c = ow.mc_single_offer([sc], samples=70_000, seed=3)
     assert c[0].mean_sw != a[0].mean_sw
-    with pytest.raises(ValueError):
-        ow.mc_single_offer([sc], samples=0, seed=1)
     assert ow.mc_poa([sc], samples=70_000, seed=2) == ow.mc_poa([sc], samples=70_000, seed=2)
-    with pytest.raises(ValueError):
-        ow.mc_poa([sc], samples=0, seed=1)
+    # numpy counts draws in int64, as the schedule simulation does
+    for samples in (0, -1, 2**63, 2**64):
+        for estimator in (ow.mc_single_offer, ow.mc_poa):
+            with pytest.raises(ValueError, match=r"outside \[1, 2\*\*63\)"):
+                estimator([sc], samples=samples, seed=1)
 
 
 def test_power_scenario_bound_holds_in_expectation():
@@ -298,37 +300,79 @@ def test_power_scenario_bound_holds_in_expectation():
         assert res.max_poa <= max(accept_bound, reject_bound) + 1e-9
 
 
-def _corollary_mean(beta):
-    """Exact E[PoA] of ``power_scenario(beta)``, 2 - g - g^beta + g^(beta+2)
-    with g = beta / (beta + 1), written with ``expm1`` so that 1 - g^beta
-    does not cancel at small beta."""
-    g = beta / (beta + 1.0)
-    return (1.0 - g) - math.expm1(beta * math.log(g)) + g ** (beta + 2.0)
+def test_corollary_poa_matches_its_integral():
+    """E[PoA] is the acceptance times 1 plus the integral of 2 - delta
+    against beta delta^(beta-1) above gamma, and the supremum is the
+    declined PoA at the threshold."""
+    for beta in (0.25, 0.5, 0.75, 1.0, 3.0):
+        mean, supremum, acceptance = ow.corollary_poa(beta)
+        gamma, _ = ow.corollary_bound(beta)
+        declined = 2.0 * (1.0 - gamma**beta) - beta / (beta + 1.0) * (1.0 - gamma ** (beta + 1.0))
+        assert mean == pytest.approx(acceptance + declined, rel=1e-14), beta
+        assert supremum == 2.0 - gamma and acceptance == gamma**beta, beta
+    assert ow.corollary_poa(1.0) == (1.125, 1.5, 0.5)
+    for beta in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            ow.corollary_poa(beta)
 
 
 def test_corollary_bound_exceeds_the_exact_mean():
     # The smallest margin on this grid is 1.0000000026.
     for beta in np.logspace(-4.0, 4.0, 401).tolist():
         _, bound = ow.corollary_bound(beta)
-        assert bound - _corollary_mean(beta) >= 1.0 - 1e-9, beta
+        assert bound - ow.corollary_poa(beta)[0] >= 1.0 - 1e-9, beta
+
+
+COROLLARY_BETAS = (0.25, 0.5, 0.75, 1.0)  # the defaults of ``examples --which corollary``
 
 
 def test_mc_poa_interval_covers_the_exact_mean():
-    # 400 seeds x 4 betas at 20,000 draws: 13 misses against a limit of 39.
-    betas = (0.25, 0.5, 0.75, 1.0)
-    scenarios = [ow.power_scenario(beta) for beta in betas]
-    misses = 0
-    for seed in COVERAGE_SEEDS:
-        for beta, res in zip(betas, ow.mc_poa(scenarios, 20_000, seed)):
-            misses += abs(res.mean_poa - _corollary_mean(beta)) > res.ci_poa
-    assert misses < miss_limit(len(COVERAGE_SEEDS) * len(betas)), misses
+    """The package and the per-draw oracle (exact accounting), which share
+    no draws, each pass one coverage check against the exact mean. 400
+    seeds x 4 betas at 20,000 draws: the package misses 5 against a limit
+    of 39 (the betas share each batch's stream, so their misses come
+    together); at 40 seeds the oracle misses 2 against a limit of 11."""
+    scenarios = [ow.power_scenario(beta) for beta in COROLLARY_BETAS]
+    exact = [ow.corollary_poa(beta)[0] for beta in COROLLARY_BETAS]
+
+    def package(seed):
+        return ow.mc_poa(scenarios, 20_000, seed)
+
+    def per_draw(seed):
+        return [oracle.mc_single_offer(sc, 20_000, seed, "exact") for sc in scenarios]
+
+    for simulate, seeds in ((package, COVERAGE_SEEDS), (per_draw, ORACLE_SEEDS)):
+        misses = sum(
+            abs(res.mean_poa - mean) > res.ci_poa
+            for seed in seeds
+            for res, mean in zip(simulate(seed), exact)
+        )
+        assert misses < miss_limit(len(seeds) * len(scenarios)), (simulate.__name__, misses)
+
+
+def test_mc_poa_covers_the_exact_mean_at_ten_million_draws():
+    """At the north star's 10^7 draws, seed 1: each default beta's 99
+    percent interval covers the exact mean, the acceptance lies within its
+    binomial 99 percent half-width of gamma^beta, and no draw's PoA exceeds
+    the supremum by more than rounding."""
+    n = 10**7
+    results = ow.mc_poa([ow.power_scenario(beta) for beta in COROLLARY_BETAS], n, 1)
+    for beta, res in zip(COROLLARY_BETAS, results):
+        mean, supremum, acceptance = ow.corollary_poa(beta)
+        assert abs(res.mean_poa - mean) <= res.ci_poa, (beta, res.mean_poa, mean, res.ci_poa)
+        half_width = streams.Z99 * math.sqrt(acceptance * (1.0 - acceptance) / n)
+        assert abs(res.acceptance_rate - acceptance) <= half_width, beta
+        assert 1.0 <= res.max_poa <= supremum + 1e-12, beta
 
 
 def test_mc_single_offer_intervals_cover_the_exact_payoffs():
-    # Aggregate accounting: with p = F(T) and mu the mean sacrifice,
-    # E[u_a] = a_default + p (T - mu), E[u_b] = b_outside + p (delta_b - T)
-    # and E[welfare] = base + p (delta_b - mu). 400 seeds x 4 scenarios at
-    # 20,000 draws: 16, 12 and 23 misses against a limit of 39.
+    """Aggregate accounting: with p = F(T) and mu the mean sacrifice,
+    E[u_a] = a_default + p (T - mu), E[u_b] = b_outside + p (delta_b - T)
+    and E[welfare] = base + p (delta_b - mu). The package and the per-draw
+    oracle, which share no draws, each pass one coverage check. 400 seeds x
+    4 scenarios at 20,000 draws: the package misses 17, 19 and 18 against a
+    limit of 39; at 40 seeds the oracle misses 0, 1 and 1 against a limit
+    of 11."""
     scenarios = [
         ow.example1b_scenario(100.0),
         ow.example1b_scenario(300.0),
@@ -344,13 +388,20 @@ def test_mc_single_offer_intervals_cover_the_exact_payoffs():
             "u_b": sc.b_outside + p * (sc.delta_b - t),
             "sw": sc.a_default + sc.b_outside + p * (sc.delta_b - mu),
         })
-    misses = dict.fromkeys(exact[0], 0)
-    for seed in COVERAGE_SEEDS:
-        for res, want in zip(ow.mc_single_offer(scenarios, 20_000, seed), exact):
-            for field, value in want.items():
-                misses[field] += abs(getattr(res, f"mean_{field}") - value) > getattr(res, f"ci_{field}")
-    limit = miss_limit(len(COVERAGE_SEEDS) * len(scenarios))
-    assert max(misses.values()) < limit, misses
+
+    def package(seed):
+        return ow.mc_single_offer(scenarios, 20_000, seed)
+
+    def per_draw(seed):
+        return [oracle.mc_single_offer(sc, 20_000, seed, "aggregate") for sc in scenarios]
+
+    for simulate, seeds in ((package, COVERAGE_SEEDS), (per_draw, ORACLE_SEEDS)):
+        misses = dict.fromkeys(exact[0], 0)
+        for seed in seeds:
+            for res, want in zip(simulate(seed), exact):
+                for field, value in want.items():
+                    misses[field] += abs(getattr(res, f"mean_{field}") - value) > getattr(res, f"ci_{field}")
+        assert max(misses.values()) < miss_limit(len(seeds) * len(scenarios)), (simulate.__name__, misses)
 
 
 def test_z99_reexport():

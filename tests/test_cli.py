@@ -357,6 +357,8 @@ def test_largest_seed_is_accepted(capsys):
             ["multi-offer", "INSTANCE", "--schedule", "SCHEDULE", "--samples", str(2**63)],
             f"samples {2**63} is outside [1, 2**63)",
         ),
+        (["examples", "--which", "1b", "--mc-samples", str(2**63)], f"samples {2**63} is outside [1, 2**63)"),
+        (["examples", "--which", "corollary", "--mc-samples", str(2**63)], f"samples {2**63} is outside [1, 2**63)"),
     ],
 )
 def test_sample_flags_without_a_simulation_are_rejected(capsys, instance, schedule_file, argv, message):

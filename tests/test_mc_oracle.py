@@ -2,25 +2,28 @@
 
 ``mc_oracle`` keeps ``mc_single_offer`` and ``simulate_schedule`` as they
 were when every batch built each payoff as a per-draw column from fresh
-temporaries, the single offer in both accountings. The package reduces a
-single-offer batch to sufficient statistics instead (the accepted
-sacrifices' moments for the payoffs, the declined draws' forgone gains for
-``mc_poa``), on the same draws. Each single-offer estimator runs in one
-accounting and is paired with the oracle in that one: ``mc_single_offer``
-in aggregate accounting, ``mc_poa`` in exact. ``mc_poa`` rests on an
-identity that a property below checks on the oracle's exact-accounting
-columns: an accepted draw's PoA is exactly 1 and a declined draw's is 1
-plus its forgone gain over the default welfare. Each estimator's fields are
-compared with the oracle's fields of the same name. So every acceptance
-rate must be ``repr``-equal to the oracle's, and every other field within
-``ULPS`` machine epsilons of the payoff scale: the largest payoff or
-sacrifice bound of the scenario. Sample counts cover one draw, a partial
-batch, exactly one batch, one batch plus one draw and several batches with
-a ragged tail. A call over several scenarios shares each batch's draws
-between them, and must give each the package's own result for it alone.
-The batches run on worker threads, and the results must be ``repr``-equal
-to the package's own on one thread under several ``os.cpu_count()``
-values.
+temporaries, the single offer in both accountings. The package draws, for
+each single-offer batch, only the group of runs it folds (the accepted
+sacrifices for the payoffs, the declined draws' forgone gains for
+``mc_poa``): the group's size from its binomial law, then the group alone.
+Each single-offer estimator runs in one accounting and is paired with the
+oracle in that one: ``mc_single_offer`` in aggregate accounting, ``mc_poa``
+in exact. ``mc_poa`` rests on an identity that a property below checks on
+the oracle's exact-accounting columns: an accepted draw's PoA is exactly 1
+and a declined draw's is 1 plus its forgone gain over the default welfare.
+The oracle lays the package's own group draws out as per-draw columns
+(``single_offer_cells``), and each estimator's fields are compared with
+that fold's fields of the same name. So every acceptance rate must be
+``repr``-equal to the oracle's, and every other field within ``ULPS``
+machine epsilons of the payoff scale: the largest payoff or sacrifice
+bound of the scenario. Sample counts cover one draw, a partial batch,
+exactly one batch, one batch plus one draw and several batches with a
+ragged tail. Every scenario of a call reopens each batch's stream, and
+must get the package's own result for it alone. The per-draw loop shares
+no draws with the package; it is the reference in distribution, through
+the coverage tests in ``test_analytics``. The batches run on worker
+threads, and the results must be ``repr``-equal to the package's own on
+one thread under several ``os.cpu_count()`` values.
 
 A schedule simulation draws each B type's (A type, accepted) cell counts
 from their law in place of the draws, so it shares no draws with the
@@ -47,12 +50,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oneway as ow
-from interval_coverage import COVERAGE_SEEDS, miss_limit
+from interval_coverage import COVERAGE_SEEDS, ORACLE_SEEDS, miss_limit
 from oneway import analytics, streams
 
 # The worst error over the cases and the property below is 1.9 machine
-# epsilons of the payoff scale, on a schedule's mean welfare (1.6 on a
-# single offer's mean PoA, 0.9 on any interval); the bound sits above that.
+# epsilons of the payoff scale, on a schedule's mean welfare (1.0 on a
+# single offer's mean or largest PoA, 0.9 on any interval); the bound sits
+# above that.
 ULPS = 16
 
 SAMPLES = (1, 1_000, streams.BATCH_SIZE, streams.BATCH_SIZE + 1, 200_001)
@@ -114,12 +118,12 @@ def _assert_close(got, want, scale: float, where) -> None:
 @pytest.mark.parametrize("accounting", ["exact", "aggregate"])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_mc_single_offer_matches_oracle(name, accounting, samples):
-    """Each estimator against the oracle in its accounting: the payoffs
-    (``mc_single_offer``) in aggregate, the per-draw PoA (``mc_poa``) in
-    exact."""
+    """Each estimator against the oracle's fold of the same draws in its
+    accounting: the payoffs (``mc_single_offer``) in aggregate, the per-draw
+    PoA (``mc_poa``) in exact."""
     scenario, run = SCENARIOS[name], BY_ACCOUNTING[accounting]
     for seed in SEEDS:
-        want = oracle.mc_single_offer(scenario, samples, seed, accounting)
+        want = oracle.single_offer_cells(scenario, samples, seed, accounting)
         (got,) = run([scenario], samples, seed)
         _assert_close(got, want, _single_scale(scenario), (run.__name__, name, samples, seed))
 
@@ -127,9 +131,9 @@ def test_mc_single_offer_matches_oracle(name, accounting, samples):
 @pytest.mark.parametrize("samples", SAMPLES)
 @pytest.mark.parametrize("accounting", ["exact", "aggregate"])
 def test_one_call_over_every_scenario_matches_oracle(accounting, samples):
-    """The scenarios of one call share each batch's draws; each result of
-    the estimator that runs in ``accounting`` is still its result for that
-    scenario alone, and the oracle's."""
+    """Each scenario of one call reopens each batch's stream; each result of
+    the estimator that runs in ``accounting`` is its result for that
+    scenario alone, and the oracle's fold of the same draws."""
     names, run = sorted(SCENARIOS), BY_ACCOUNTING[accounting]
     for seed in SEEDS:
         got = run([SCENARIOS[n] for n in names], samples, seed)
@@ -138,7 +142,7 @@ def test_one_call_over_every_scenario_matches_oracle(accounting, samples):
             where = (run.__name__, name, samples, seed)
             (alone,) = run([SCENARIOS[name]], samples, seed)
             assert repr(result) == repr(alone), where
-            want = oracle.mc_single_offer(SCENARIOS[name], samples, seed, accounting)
+            want = oracle.single_offer_cells(SCENARIOS[name], samples, seed, accounting)
             _assert_close(result, want, _single_scale(SCENARIOS[name]), where)
 
 
@@ -209,14 +213,14 @@ def _scenario(a_default, b_outside, power, low, width, beta, reach, gamma) -> an
 def test_two_group_moments_match_a_two_pass_reference(
     a_default, b_outside, power, low, width, beta, reach, gamma, samples, seed
 ):
-    """u_a, u_b and welfare (``mc_single_offer``) against the oracle's
-    aggregate-accounting columns, and PoA (``mc_poa``) against its
-    exact-accounting columns, each from the two-group merge, against
-    ``math.fsum`` two-pass moments of the per-draw columns, with PoA from
-    ``_poa_column``."""
+    """u_a, u_b and welfare (``mc_single_offer``), and PoA (``mc_poa``),
+    each from the two-group merge, against ``math.fsum`` two-pass moments
+    of the package's own draws laid out as per-draw columns
+    (``single_offer_cell_columns``, aggregate and exact accounting), with
+    PoA from ``_poa_column``."""
     sc = _scenario(a_default, b_outside, power, low, width, beta, reach, gamma)
     (got,) = analytics.mc_single_offer([sc], samples, seed)
-    batches = list(oracle.single_offer_columns(sc, samples, seed, "aggregate"))
+    batches = list(oracle.single_offer_cell_columns(sc, samples, seed, "aggregate"))
     accept, _, ua, ub, sw, _ = (np.concatenate(c).tolist() for c in zip(*batches))
     assert repr(got.acceptance_rate) == repr(sum(accept) / samples)
     tol = ULPS * sys.float_info.epsilon * _single_scale(sc)
@@ -225,7 +229,7 @@ def test_two_group_moments_match_a_two_pass_reference(
         assert abs(getattr(got, f"mean_{field}") - mean) <= tol, field
         assert abs(getattr(got, f"ci_{field}") - ci) <= tol, field
     (got_poa,) = analytics.mc_poa([sc], samples, seed)
-    batches = list(oracle.single_offer_columns(sc, samples, seed, "exact"))
+    batches = list(oracle.single_offer_cell_columns(sc, samples, seed, "exact"))
     accept, delta = (np.concatenate(c).tolist() for c in list(zip(*batches))[:2])
     assert repr(got_poa.acceptance_rate) == repr(sum(accept) / samples)
     poa = _poa_column(sc, accept, delta)
@@ -257,22 +261,24 @@ def test_accepted_draws_have_poa_one_and_declined_ones_their_forgone_gain(
     a_default, b_outside, power, low, width, beta, reach, gamma, samples, seed
 ):
     """The identity ``mc_poa`` folds on, on the oracle's exact-accounting
-    columns: an accepted draw's sacrifice is at most gamma * delta_b <=
-    delta_b, so its PoA is exactly 1, and a declined draw's PoA is
-    1 + max(delta_b - delta, 0) / base. So the largest PoA is 1 + the
-    largest declined gain / base, as ``mc_poa`` reports it."""
+    columns, drawn per draw and laid out from the package's draws: an
+    accepted draw's sacrifice is at most gamma * delta_b <= delta_b, so its
+    PoA is exactly 1, and a declined draw's PoA is 1 + max(delta_b - delta,
+    0) / base. So the largest PoA is 1 + the largest declined gain / base,
+    as ``mc_poa`` reports it from its own draws."""
     sc = _scenario(a_default, b_outside, power, low, width, beta, reach, gamma)
     base = sc.a_default + sc.b_outside
-    batches = list(oracle.single_offer_columns(sc, samples, seed, "exact"))
-    accept, delta = (np.concatenate(c).tolist() for c in list(zip(*batches))[:2])
-    gains = []
-    for a, d, poa in zip(accept, delta, _poa_column(sc, accept, delta)):
-        if a:
-            assert d <= sc.delta_b, (d, sc.delta_b)
-            assert poa == 1.0, poa
-        else:
-            gains.append(max(sc.delta_b - d, 0.0))
-            assert abs(poa - (1.0 + gains[-1] / base)) <= ULPS * sys.float_info.epsilon * poa, (d, poa)
+    for columns in (oracle.single_offer_columns, oracle.single_offer_cell_columns):
+        batches = list(columns(sc, samples, seed, "exact"))
+        accept, delta = (np.concatenate(c).tolist() for c in list(zip(*batches))[:2])
+        gains = []
+        for a, d, poa in zip(accept, delta, _poa_column(sc, accept, delta)):
+            if a:
+                assert d <= sc.delta_b, (columns.__name__, d, sc.delta_b)
+                assert poa == 1.0, (columns.__name__, poa)
+            else:
+                gains.append(max(sc.delta_b - d, 0.0))
+                assert abs(poa - (1.0 + gains[-1] / base)) <= ULPS * sys.float_info.epsilon * poa, (d, poa)
     (got,) = analytics.mc_poa([sc], samples, seed)
     assert got.max_poa == 1.0 + max(gains, default=0.0) / base
 
@@ -345,9 +351,6 @@ def test_simulate_schedule_matches_oracle(samples):
 
 
 SCHEDULE_FIELDS = {"u_a": "expected_u_a", "u_b": "expected_u_b", "sw": "expected_sw", "u_b_planning": "planning_u_b"}
-# The per-draw oracle takes about 2.4 ms a B type at 20,000 draws, so it
-# runs on a tenth of the package's seeds.
-ORACLE_SEEDS = range(40)
 
 
 def _schedule_misses(simulate, seeds) -> tuple[dict, dict]:
@@ -517,22 +520,19 @@ SLACK = COLUMN // 4
 
 
 def test_memory_budget_per_thread(monkeypatch):
-    """On one thread, one scenario holds two float columns and no mask under
-    either estimator (the uniforms become the sacrifice, and then the masked
-    sacrifices or the declined draws' gains; the other column holds the
-    coin, the accept or decline weights, and then the deviations), so a
-    third column would break the budget. A call over four scenarios keeps
-    the uniforms in one more column, and ``mc_single_offer`` its coin in a
-    second. A schedule call draws its cell counts directly and holds no
+    """On one thread, either estimator holds one float column and no mask,
+    whatever the number of scenarios: each scenario of a batch draws only
+    its group's uniforms into that column, and maps them to sacrifices (and
+    gains) and folds them in place, so a second column would break the
+    budget. A schedule call draws its cell counts directly and holds no
     batch column at all, however many B types it runs."""
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     samples = 3 * streams.BATCH_SIZE
     four = [SCENARIOS[f"power-{b}"] for b in (0.25, 0.5, 0.75, 1.0)]
-    for run, kept in ((analytics.mc_single_offer, 2), (analytics.mc_poa, 1)):
-        one = _peak_bytes(lambda: run(four[:1], samples, 1))
-        assert one <= 2 * COLUMN + SLACK, (run.__name__, one / COLUMN)
-        fused = _peak_bytes(lambda: run(four, samples, 1))
-        assert fused <= one + kept * COLUMN + SLACK, (run.__name__, fused / COLUMN)
+    for run in ESTIMATORS:
+        for scenarios in (four[:1], four):
+            held = _peak_bytes(lambda: run(scenarios, samples, 1))
+            assert held <= COLUMN + SLACK, (run.__name__, len(scenarios), held / COLUMN)
     game, schedule = CASES[-1]
     for types in (game.types_b[:1], game.types_b):
         held = _peak_bytes(lambda: ow.simulate_schedule(game, schedule, types, samples, 1))

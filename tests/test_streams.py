@@ -123,13 +123,12 @@ def _data(batches: list[int], seed: int, offset: float) -> np.ndarray:
 
 def _check_fold(fold, batches: list[int], seed: int, offset: float) -> None:
     """Fold each column of ``_data`` on its own, each batch reduced by the
-    simulators' group fold (every value of weight 1.0) and merged as the
-    simulators do, and compare with a two-pass ``math.fsum`` reference."""
+    simulators' group fold and merged as the simulators do, and compare with a two-pass ``math.fsum`` reference."""
     for column in _data(batches, seed, offset):
         values = column.tolist()
         moments = fold()
         for batch in np.split(column.copy(), np.cumsum(batches)[:-1]):
-            moments.merge(*analytics._group_moments(batch, np.ones(batch.size), batch.size))
+            moments.merge(*analytics._group_moments(batch))
         mean, se = moments.mean, np.sqrt(moments.m2 / moments.count / moments.count)
         ref_mean = math.fsum(values) / len(values)
         ref_se = math.sqrt(math.fsum((v - ref_mean) ** 2 for v in values) / len(values) / len(values))
@@ -182,24 +181,6 @@ def test_moments_standard_error_below_the_scope_at_a_large_offset():
     for _ in range(150):
         batches = rng.integers(1, 3, size=rng.integers(2, 7)).tolist()
         _check_fold(streams.Moments, batches, int(rng.integers(2**32)), 1e8)
-
-
-def test_group_moments_of_a_weighted_column_are_the_groups_own():
-    """The values of weight 0.0 change neither the group's mean nor its
-    centred second moment, whatever their size, and the group keeps its
-    weighted values in place."""
-    rng = np.random.default_rng(3)
-    weights = (rng.random(1_001) < 0.4).astype(float)
-    column = 1e8 + rng.standard_normal(1_001)
-    group = column[weights == 1.0]
-    count, mean, m2 = analytics._group_moments(column.copy(), weights.copy(), group.size)
-    assert count == group.size
-    assert abs(mean - math.fsum(group.tolist()) / group.size) <= MEAN_TOL * abs(mean)
-    assert abs(m2 - math.fsum((v - mean) ** 2 for v in group.tolist())) <= 1e-12 * m2
-    kept = column.copy()
-    analytics._group_moments(kept, weights.copy(), group.size)
-    assert kept.tobytes() == (column * weights).tobytes()
-    assert analytics._group_moments(column.copy(), np.zeros(column.size), 0) == (0, 0.0, 0.0)
 
 
 def test_run_batches_keeps_batch_order_and_one_factory_per_lane(monkeypatch):
