@@ -244,12 +244,14 @@ def _simulate(scenarios: Sequence[SingleOfferScenario], samples: int, seed: int,
 
     Batches run on ``os.cpu_count()`` threads (``streams.run_batches``).
     Each thread owns one float column of one batch, which every fold fills
-    and overwrites in turn.
+    and overwrites in turn. Every batch's folds are kept until all have
+    run, so ``samples`` is capped at 2**32: 65,536 batches, whose folds
+    take about 58 MB for four scenarios.
     """
     if isinstance(scenarios, SingleOfferScenario):
         raise TypeError("scenarios must be a sequence of SingleOfferScenario, not one scenario")
-    if not 0 < samples < 1 << 63:
-        raise ValueError(f"samples {samples} is outside [1, 2**63)")
+    if not 0 < samples <= 1 << 32:
+        raise ValueError(f"samples {samples} is outside [1, 2**32]")
     terms = [_MCTerms(sc) for sc in scenarios]
     if not terms:
         return terms, []

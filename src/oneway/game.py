@@ -124,6 +124,12 @@ class OneWayGame:
         return _frozen(np.asfortranarray(self.selfish_payoff_a[:, None] - self.payoff_a))
 
     @cached_property
+    def sacrifice_order(self) -> np.ndarray:
+        """A types by A actions: each action's A types by their sacrifice for
+        it, ascending, ties in type order."""
+        return _frozen(np.argsort(self.sacrifice_a, axis=0, kind="stable"))
+
+    @cached_property
     def reply_b(self) -> np.ndarray:
         """B types by A actions: B's best reply index to the action."""
         return _frozen(np.argmax(self.payoff_b, axis=2))

@@ -45,6 +45,16 @@ def _require(data: dict, field: str, path: str, expected: str) -> Any:
     return data[field]
 
 
+def _float(x: int | float, path: str, field: str) -> float:
+    """A JSON number as a float. json reads an integer exactly, however
+    long, so one beyond the float range is rejected here, naming its field,
+    rather than by an OverflowError where it is converted."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise InstanceFormatError(path, field, "a number within the float range") from None
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -85,13 +95,14 @@ def _typed_prior(data: dict, field: str, path: str) -> tuple[list[str], list[flo
         if not isinstance(prob, (int, float)) or isinstance(prob, bool):
             raise InstanceFormatError(path, f"{field}[{k}].prob", "a number")
         ids.append(ident)
-        probs.append(float(prob))
+        probs.append(_float(prob, path, f"{field}[{k}].prob"))
     return ids, probs
 
 
 def _rect(raw: Any, dims: Sequence[tuple[str, int]], field: str, path: str) -> list:
     """Check that nested lists of numbers have the shape ``dims``, naming the
-    first axis that mismatches; returns them as they are."""
+    first axis that mismatches, and that each number converts to a float;
+    returns them as they are."""
 
     def walk(node: Any, depth: int, index: str) -> None:
         axis, size = dims[depth]
@@ -108,6 +119,8 @@ def _rect(raw: Any, dims: Sequence[tuple[str, int]], field: str, path: str) -> l
             for k, cell in enumerate(node):
                 if not isinstance(cell, (int, float)) or isinstance(cell, bool):
                     raise InstanceFormatError(path, f"{field}{index}[{k}]", "a number")
+                if type(cell) is int:
+                    _float(cell, path, f"{field}{index}[{k}]")
 
     walk(raw, 0, "")
     return raw
@@ -163,9 +176,10 @@ def save_game(game: OneWayGame, path: str) -> None:
         fh.write("\n")
 
 
-def _number_lists(path: str, prefix: str, **lists: Any) -> None:
+def _number_lists(path: str, prefix: str, **lists: Any) -> list[tuple[float, ...]]:
     """Check that each named field is a non-empty list of numbers and that
-    the second is as long as the first; fields are reported as prefix+name."""
+    the second is as long as the first; returns them as tuples of floats.
+    Fields are reported as prefix+name."""
     for name, raw in lists.items():
         if not isinstance(raw, list) or not raw or not all(
             isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
@@ -174,6 +188,9 @@ def _number_lists(path: str, prefix: str, **lists: Any) -> None:
     (first, a), (second, b) = lists.items()
     if len(a) != len(b):
         raise InstanceFormatError(path, prefix + second, f"length {len(a)} to match {first}")
+    return [
+        tuple(_float(x, path, f"{prefix}{name}[{k}]") for k, x in enumerate(raw)) for name, raw in lists.items()
+    ]
 
 
 def load_schedule_file(path: str) -> tuple[str, tuple[float, ...], tuple[float, ...]]:
@@ -184,8 +201,8 @@ def load_schedule_file(path: str) -> tuple[str, tuple[float, ...], tuple[float, 
         raise InstanceFormatError(path, "action", "a string")
     gammas = _require(data, "gammas", path, "a list of numbers")
     probs = _require(data, "probs", path, "a list of numbers")
-    _number_lists(path, "", gammas=gammas, probs=probs)
-    return action, tuple(float(g) for g in gammas), tuple(float(p) for p in probs)
+    gammas, probs = _number_lists(path, "", gammas=gammas, probs=probs)
+    return action, gammas, probs
 
 
 def load_bilateral(path: str) -> BilateralTradeInstance:
@@ -197,9 +214,7 @@ def load_bilateral(path: str) -> BilateralTradeInstance:
         block = _require(data, side, path, 'an object {"values", "probs"}')
         if not isinstance(block, dict):
             raise InstanceFormatError(path, side, 'an object {"values", "probs"}')
-        values, probs = block.get("values"), block.get("probs")
-        _number_lists(path, f"{side}.", values=values, probs=probs)
-        out.append((values, probs))
+        out.append(_number_lists(path, f"{side}.", values=block.get("values"), probs=block.get("probs")))
     try:
         return BilateralTradeInstance(*out[0], *out[1])
     except ValueError as exc:

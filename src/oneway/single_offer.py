@@ -198,46 +198,40 @@ def acceptance_prob(game: OneWayGame, offer: Offer, type_b: str) -> float:
 
 
 def _minimal_shares(da: np.ndarray, db: float) -> np.ndarray:
-    """Smallest floats g with da <= g * db, elementwise, starting from the
-    exact ratios.
+    """Smallest floats g >= 0 with da <= g * db, elementwise.
 
     The plain quotient da / db can land one ulp to either side of the set
     {g : da <= g * db}, which would make an offer built from it silently miss
-    (or overpay) the type it is meant to capture. A couple of nextafter steps
-    settle each share on its boundary.
-    """
+    (or overpay) the type it is meant to capture. Each share steps up until
+    it covers, then bisects down on its bit pattern, which orders
+    nonnegative floats: the boundary lies within two ulps unless a subnormal
+    db rounds the product coarsely."""
     g = da / db
     g[g < 0.0] = 0.0
     while (up := g * db < da).any():
         g[up] = np.nextafter(g[up], np.inf)
-    while True:
-        lower = np.nextafter(g, -np.inf)
-        down = (g > 0.0) & (lower >= 0.0) & (lower * db >= da)
-        if not down.any():
-            return g
-        g[down] = lower[down]
+    hi = g.view(np.int64)
+    lo = np.maximum(hi - 2, 0)
+    lo[lo.view(np.float64) * db >= da] = -1  # lo must not cover; -1 lies below 0.0
+    while (hi - lo > 1).any():
+        mid = lo + (hi - lo) // 2
+        covers = mid.view(np.float64) * db >= da
+        hi, lo = np.where(covers, mid, hi), np.where(covers, lo, mid)
+    return hi.view(np.float64)
 
 
-def _shares(terms: _Terms) -> np.ndarray:
+def _sweep(game: OneWayGame, terms: _Terms) -> tuple[np.ndarray, np.ndarray]:
     """Candidate shares, ascending: 0 plus every type's break-even share in
-    [0, 1]. Only meaningful for a positive gain."""
-    g = _minimal_shares(terms.sacrifice, terms.gain)
-    # np.unique's own rule for floats, sort then drop each value equal to its
-    # predecessor, without its check for masked arrays, which imports numpy.ma.
-    shares = np.concatenate(([0.0], g[g <= 1.0]))
-    shares.sort()
-    first = np.empty(shares.size, dtype=bool)
-    first[0] = True
-    np.not_equal(shares[1:], shares[:-1], out=first[1:])
-    return shares[first]
-
-
-def _acceptance_mass(game: OneWayGame, terms: _Terms, shares: np.ndarray) -> np.ndarray:
-    """Prior mass of the A types accepting each share, ``_settle``'s rule
-    (sacrifice at most share * gain) read off one sort of the sacrifices."""
-    order = np.argsort(terms.sacrifice, kind="stable")
-    mass = np.concatenate(([0.0], np.cumsum(game.prior_a[order])))
-    return mass[np.searchsorted(terms.sacrifice[order], shares * terms.gain, side="right")]
+    [0, 1], and the prior mass of the A types accepting each (``_settle``'s
+    rule). Only meaningful for a positive gain. The least covering share
+    rises with the sacrifice, so in ``sacrifice_order``, after a share 0 of
+    no mass, the shares come out sorted, and a share's accepting mass is the
+    prior's prefix sum at the end of its run of equal shares."""
+    order = game.sacrifice_order[:, terms.ia]
+    g = np.concatenate(([0.0], _minimal_shares(terms.sacrifice[order], terms.gain)))
+    g = g[: np.searchsorted(g, 1.0, side="right")]
+    last = np.flatnonzero(np.append(g[1:] != g[:-1], True))
+    return g[last], np.cumsum(np.concatenate(([0.0], game.prior_a[order])))[last]
 
 
 def gamma_candidates(game: OneWayGame, action_a: str, type_b: str) -> list[float]:
@@ -250,7 +244,7 @@ def gamma_candidates(game: OneWayGame, action_a: str, type_b: str) -> list[float
     come from one vectorised pass over A's types.
     """
     terms = _terms(game, action_a, type_b)
-    return _shares(terms).tolist() if terms.gain > 0.0 else [0.0]
+    return _sweep(game, terms)[0].tolist() if terms.gain > 0.0 else [0.0]
 
 
 def evaluate_offer(game: OneWayGame, offer: Offer, type_b: str) -> OfferEvaluation:
@@ -276,9 +270,8 @@ def optimal_offer(game: OneWayGame, type_b: str) -> OfferSearchResult:
     for terms in all_terms:
         if terms.gain <= 0.0:
             continue
-        g = _shares(terms)
-        kept = terms.gain - g * terms.gain
-        values.append(terms.outside.payoff + _acceptance_mass(game, terms, g) * kept)
+        g, mass = _sweep(game, terms)
+        values.append(terms.outside.payoff + mass * (terms.gain - g * terms.gain))
         shares.append(g)
         actions.append(np.full(len(g), terms.ia))
     if not values:
@@ -300,8 +293,8 @@ def simplified_offer(game: OneWayGame, type_b: str) -> OfferSearchResult:
     terms = _terms(game, action, type_b)
     gamma = 0.0
     if terms.gain > 0.0:
-        g = _shares(terms)
-        v = _acceptance_mass(game, terms, g) * (1.0 - g)
+        g, mass = _sweep(game, terms)
+        v = mass * (1.0 - g)
         # The sweep sums the prior in another order than acceptance_prob, so
         # its scores may differ in the last bits (a sum of n terms by at most
         # about n ulps). Shares that close to the best are rescored by the

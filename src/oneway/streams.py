@@ -74,8 +74,8 @@ def run_batches(total: int, make_batch: Callable[[], Callable[[int, int], T]]) -
     ``W = min(os.cpu_count(), batches)``; with one thread the batches run
     inline, without a pool. numpy releases the interpreter lock in the
     stream fills and elementwise ufuncs, which is where a batch spends most
-    of its time; its reductions (``np.sum``, ``np.max``) hold the lock. An exception in a batch is raised here once every thread has
-    stopped.
+    of its time; its reductions (``np.sum``, ``np.max``) hold the lock. An
+    exception in a batch is raised here once every thread has stopped.
     """
     sizes = batch_sizes(total)
     workers = min(os.cpu_count() or 1, len(sizes))

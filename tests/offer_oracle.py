@@ -26,6 +26,12 @@ every candidate share with one call of the package's evaluators each. They
 call the package's ``evaluate_offer``, ``acceptance_prob``, ``delta_a`` and
 ``delta_b`` (through ``package``), as the originals did, so an offer both
 searches pick comes with an identical evaluation.
+
+The sorted sweep as it stood before one sacrifice order per game:
+``_shares`` sorts each call's break-even shares and drops repeats, and
+``_acceptance_mass`` reads each share's accepting mass off its own sort of
+the sacrifices. Both take the package's ``_Terms`` of one (action, B type)
+and call its ``_minimal_shares``, as the originals did.
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ from oneway.single_offer import (
     OfferEvaluation,
     OfferSearchResult,
     OutsideOption,
+    _minimal_shares,
+    _Terms,
 )
 
 
@@ -324,6 +332,28 @@ def simplified_offer(game: OneWayGame, type_b: str) -> OfferSearchResult:
                 best_v, gamma = v, g
     offer = Offer(action, gamma)
     return OfferSearchResult(offer, package.evaluate_offer(game, offer, type_b), null_offer=False)
+
+
+def _shares(terms: _Terms) -> np.ndarray:
+    """Candidate shares, ascending: 0 plus every type's break-even share in
+    [0, 1]. Only meaningful for a positive gain."""
+    g = _minimal_shares(terms.sacrifice, terms.gain)
+    # np.unique's own rule for floats, sort then drop each value equal to its
+    # predecessor, without its check for masked arrays, which imports numpy.ma.
+    shares = np.concatenate(([0.0], g[g <= 1.0]))
+    shares.sort()
+    first = np.empty(shares.size, dtype=bool)
+    first[0] = True
+    np.not_equal(shares[1:], shares[:-1], out=first[1:])
+    return shares[first]
+
+
+def _acceptance_mass(game: OneWayGame, terms: _Terms, shares: np.ndarray) -> np.ndarray:
+    """Prior mass of the A types accepting each share, ``_settle``'s rule
+    (sacrifice at most share * gain) read off one sort of the sacrifices."""
+    order = np.argsort(terms.sacrifice, kind="stable")
+    mass = np.concatenate(([0.0], np.cumsum(game.prior_a[order])))
+    return mass[np.searchsorted(terms.sacrifice[order], shares * terms.gain, side="right")]
 
 
 def certification_probe(game: OneWayGame, type_b: str, schedule: Schedule) -> tuple[float, list[Schedule]]:

@@ -282,11 +282,27 @@ def test_mc_single_offer_deterministic():
     c = ow.mc_single_offer([sc], samples=70_000, seed=3)
     assert c[0].mean_sw != a[0].mean_sw
     assert ow.mc_poa([sc], samples=70_000, seed=2) == ow.mc_poa([sc], samples=70_000, seed=2)
-    # numpy counts draws in int64, as the schedule simulation does
-    for samples in (0, -1, 2**63, 2**64):
+    # every batch's folds are kept until the last has run, so the count is
+    # capped where 65,536 batches hold about 58 MB
+    for samples in (0, -1, 2**32 + 1, 2**63, 2**64):
         for estimator in (ow.mc_single_offer, ow.mc_poa):
-            with pytest.raises(ValueError, match=r"outside \[1, 2\*\*63\)"):
+            with pytest.raises(ValueError, match=r"outside \[1, 2\*\*32\]"):
                 estimator([sc], samples=samples, seed=1)
+
+
+def test_mc_estimators_accept_the_largest_count(monkeypatch):
+    """2**32 draws are accepted and handed to the batch driver whole; the
+    driver is stubbed out, as the draws themselves take over a minute."""
+    totals = []
+
+    def run_batches(total, make_batch):
+        totals.append(total)
+        return []
+
+    monkeypatch.setattr(streams, "run_batches", run_batches)
+    for estimator in (analytics.mc_single_offer, analytics.mc_poa):
+        assert estimator([ow.power_scenario(0.5)], samples=2**32, seed=1) == []
+    assert totals == [2**32, 2**32]
 
 
 def test_power_scenario_bound_holds_in_expectation():

@@ -357,14 +357,19 @@ def test_largest_seed_is_accepted(capsys):
             ["multi-offer", "INSTANCE", "--schedule", "SCHEDULE", "--samples", str(2**63)],
             f"samples {2**63} is outside [1, 2**63)",
         ),
-        (["examples", "--which", "1b", "--mc-samples", str(2**63)], f"samples {2**63} is outside [1, 2**63)"),
-        (["examples", "--which", "corollary", "--mc-samples", str(2**63)], f"samples {2**63} is outside [1, 2**63)"),
+        (["examples", "--which", "1b", "--mc-samples", str(2**63)], f"samples {2**63} is outside [1, 2**32]"),
+        (["examples", "--which", "corollary", "--mc-samples", str(2**63)], f"samples {2**63} is outside [1, 2**32]"),
+        (["examples", "--which", "1b", "--mc-samples", str(2**32 + 1)], f"samples {2**32 + 1} is outside [1, 2**32]"),
+        (
+            ["examples", "--which", "corollary", "--mc-samples", str(2**32 + 1)],
+            f"samples {2**32 + 1} is outside [1, 2**32]",
+        ),
     ],
 )
 def test_sample_flags_without_a_simulation_are_rejected(capsys, instance, schedule_file, argv, message):
     """A sample count that no simulation would use, or more draws than a
-    simulation counts in 64 bits, is an error, not a report without the
-    simulation or a traceback."""
+    simulation takes (2**63 - 1 for a schedule, 2**32 for a single offer),
+    is an error, not a report without the simulation or a traceback."""
     argv = [{"INSTANCE": instance, "SCHEDULE": schedule_file}.get(a, a) for a in argv]
     code, out, err = _run(capsys, argv)
     assert code == 1

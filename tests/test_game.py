@@ -96,7 +96,10 @@ def test_best_response_picks_max(g2):
     assert ow.best_response_B(g2, "a2", "u1") == "b1"
 
 
-TABLES = ("selfish_a", "selfish_payoff_a", "sacrifice_a", "reply_b", "nash_b", "fallback_b", "fallback_payoff_b")
+TABLES = (
+    "selfish_a", "selfish_payoff_a", "sacrifice_a", "sacrifice_order",
+    "reply_b", "nash_b", "fallback_b", "fallback_payoff_b",
+)
 
 
 def test_no_payment_tables_g2(g2):
@@ -105,6 +108,7 @@ def test_no_payment_tables_g2(g2):
     assert g2.selfish_a.tolist() == [0, 1]
     assert g2.selfish_payoff_a.tolist() == [2.0, 1.0]
     assert g2.sacrifice_a.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert g2.sacrifice_order.tolist() == [[0, 1], [1, 0]]
     assert g2.reply_b.tolist() == [[1, 0]]
     assert g2.nash_b.tolist() == [1]
     # declining a1 leaves t2 on a2, where both replies earn 0; declining a2
@@ -148,6 +152,8 @@ def test_no_payment_tables_break_ties_to_the_lowest_index():
         [[1.0, 3.0, 3.0], [2.0, 2.0, 0.0]], [[[1.0, 1.0], [0.0, 2.0], [2.0, 0.0]]],
     )
     assert game.selfish_a.tolist() == [1, 0]
+    # both types sacrifice 0 for a2: the sort keeps them in type order
+    assert game.sacrifice_order.tolist() == [[1, 0, 0], [0, 1, 1]]
     assert game.reply_b.tolist() == [[0, 1, 0]]
     # against the selfish map (a2, a1), b1 earns 0.5 in expectation and b2 1.5
     assert game.nash_b.tolist() == [1]

@@ -115,6 +115,36 @@ def test_load_game_rejects_uncoerced_prior_entries(tmp_path, g1, side, key, valu
     assert str(exc.value) == f"{path}: field '{side}[0].{key}': expected {expected}"
 
 
+# json reads an integer exactly, however long; float() of this one overflows.
+_HUGE = int("9" * 400)
+
+
+@pytest.mark.parametrize(
+    "side, where, field",
+    [("payoff_A", (0, 1), "payoff_A[0][1]"), ("payoff_B", (0, 1, 0), "payoff_B[0][1][0]"),
+     ("types_A", (0, "prob"), "types_A[0].prob")],
+    ids=["payoff-a", "payoff-b", "prob"],
+)
+def test_load_game_rejects_integers_beyond_the_float_range(tmp_path, g1, side, where, field):
+    data = ow.game_to_dict(g1)
+    node = data[side]
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = _HUGE
+    path = _write(tmp_path, "huge.json", data)
+    with pytest.raises(ow.InstanceFormatError) as exc:
+        ow.load_game(path)
+    assert str(exc.value) == f"{path}: field '{field}': expected a number within the float range"
+
+
+def test_load_game_reads_integers_as_floats(tmp_path, g1):
+    """Integer cells up to the float range load as the floats they round to."""
+    data = ow.game_to_dict(g1)
+    data["payoff_A"][0] = [2**1023, 3]
+    game = ow.load_game(_write(tmp_path, "ints.json", data))
+    assert game.payoff_a[0].tolist() == [2.0**1023, 3.0]
+
+
 def test_load_schedule_file(tmp_path):
     path = _write(tmp_path, "s.json",
                   {"action": "a1", "gammas": [0.2, 0.5], "probs": [1.0, 0.5]})
@@ -205,6 +235,20 @@ def test_load_bilateral_messages(tmp_path, side, block, message):
     with pytest.raises(ow.InstanceFormatError) as exc:
         ow.load_bilateral(path)
     assert str(exc.value) == f"{path}: {message}"
+
+
+def test_load_schedule_rejects_integers_beyond_the_float_range(tmp_path):
+    path = _write(tmp_path, "s.json", {**_SCHEDULE, "gammas": [0, _HUGE]})
+    with pytest.raises(ow.InstanceFormatError) as exc:
+        ow.load_schedule_file(path)
+    assert str(exc.value) == f"{path}: field 'gammas[1]': expected a number within the float range"
+
+
+def test_load_bilateral_rejects_integers_beyond_the_float_range(tmp_path):
+    path = _write(tmp_path, "b.json", {**_TRADE, "buyer": {"values": [-_HUGE], "probs": [1]}})
+    with pytest.raises(ow.InstanceFormatError) as exc:
+        ow.load_bilateral(path)
+    assert str(exc.value) == f"{path}: field 'buyer.values[0]': expected a number within the float range"
 
 
 def test_config_hash_is_order_insensitive():

@@ -11,7 +11,9 @@ It also keeps the per-candidate searches ``optimal_offer``,
 ``simplified_offer`` and ``gamma_candidates``. The sweep must pick the same
 offers with identical evaluations and list identical candidates, on
 ``random_suite`` and on games with many exact payoff ties; and relabelling
-A's types must not change the offers.
+A's types must not change the offers. The sweep's shares and masses must
+equal those of the per-call sorts it replaced, ``_shares`` and
+``_acceptance_mass``, bit for bit.
 """
 
 from __future__ import annotations
@@ -203,6 +205,32 @@ def test_offer_search_matches_oracle_on_tied_games():
     rng = np.random.default_rng(982)
     for _ in range(700):
         _assert_searches_match(_tied_game(rng))
+
+
+def test_sweep_matches_oracle_bit_for_bit():
+    """One sacrifice order per game gives the shares and accepting masses of
+    a sort per call (``oracle._shares`` and ``oracle._acceptance_mass``) bit
+    for bit, on ``random_suite`` and on tied games, where sacrifices and
+    shares tie and some A types have zero prior."""
+    from oneway.single_offer import _sweep, _terms
+
+    rng = np.random.default_rng(982)
+    games = [*_suite(1), *_suite(2), *(_tied_game(rng) for _ in range(700))]
+    sets = tied = 0
+    for game in games:
+        for action in game.actions_a:
+            for tb in game.types_b:
+                terms = _terms(game, action, tb)
+                if terms.gain <= 0.0:
+                    continue
+                shares, mass = _sweep(game, terms)
+                want = oracle._shares(terms)
+                assert shares.tobytes() == want.tobytes(), (action, tb)
+                assert mass.tobytes() == oracle._acceptance_mass(game, terms, want).tobytes(), (action, tb)
+                sets += 1
+                tied += np.unique(terms.sacrifice).size < terms.sacrifice.size
+    zero_prior = sum(bool(np.any(game.prior_a == 0.0)) for game in games)
+    assert sets > 3000 and tied > 1000 and zero_prior > 100  # 3,942, 1,897 and 445
 
 
 def _relabel_a_types(game, order) -> ow.OneWayGame:

@@ -436,10 +436,53 @@ def test_corollary_bound_is_the_theorem_bound_at_the_tuned_share(beta):
     assert np.all(grid**beta * (1.0 - grid) <= gamma_star**beta * (1.0 - gamma_star))
 
 
+# Sacrifices as multiples of the gain: zero, subnormal multiples and shares
+# up to 4, so that no quotient overflows.
+_RATIO = st.one_of(st.just(0.0), st.floats(0.0, 1e-300), st.floats(0.0, 4.0))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    ratios=st.lists(_RATIO, min_size=1, max_size=12),
+    gain=st.one_of(st.floats(5e-324, 1e-300), st.floats(1e-6, 1e6)),
+)
+@example(ratios=[0.0, 5e-324, 1e-300, 1.0], gain=1.0)
+@example(ratios=[0.0, 1e-300, 1.0, 3.0], gain=5e-324)
+@example(ratios=[1.0, 2.0, 3.0], gain=0.1)
+def test_minimal_shares_are_least_covering_and_rise_with_the_sacrifice(ratios, gain):
+    """``_sweep`` relies on this: each share is the least float g with
+    da <= g * db, so over sacrifices in ascending order (each one tied here)
+    the shares never fall."""
+    from oneway.single_offer import _minimal_shares
+
+    da = np.sort(np.array(ratios + ratios)) * gain
+    g = _minimal_shares(da, gain)
+    assert np.all(g[1:] >= g[:-1])
+    assert np.all(g * gain >= da)
+    assert np.all((g == 0.0) | (np.nextafter(g, -np.inf) * gain < da))
+
+
+def test_offer_search_settles_shares_of_a_subnormal_gain():
+    """A gain of 4 subnormal units rounds g * gain so coarsely that t1's
+    break-even share (sacrifice 3 units) lies just above 0.625, 2**50 ulps
+    below the quotient 0.75: far more than a walk down one ulp at a time
+    can take."""
+    game = ow.make_game(
+        ["a1", "a2"], ["b1"], [("t1", 0.5), ("t2", 0.5)], [("u1", 1.0)],
+        [[0.0, 1.5e-323], [1.0, 0.0]], [[[2e-323], [0.0]]],
+    )
+    share = math.nextafter(0.625, 1.0)
+    assert ow.gamma_candidates(game, "a1", "u1") == [0.0, share]
+    assert ow.acceptance_prob(game, ow.Offer("a1", share), "u1") == 1.0
+    assert ow.acceptance_prob(game, ow.Offer("a1", 0.625), "u1") == 0.5
+    assert ow.optimal_offer(game, "u1").offer == ow.Offer("a1", 0.0)
+
+
 def test_shares_equal_np_unique_bit_for_bit():
-    """``_shares`` sorts and drops repeats itself; on every candidate set of
-    a suite it returns np.unique's array, signed zeros included."""
-    from oneway.single_offer import _minimal_shares, _shares, _terms
+    """``_sweep`` keeps the last of each run of equal shares itself; on every
+    candidate set of a suite its shares are np.unique's array, signed zeros
+    included."""
+    from oneway.single_offer import _minimal_shares, _sweep, _terms
 
     sets = repeats = 0
     for game in ow.random_suite(50, 1):
@@ -451,7 +494,7 @@ def test_shares_equal_np_unique_bit_for_bit():
                 g = _minimal_shares(terms.sacrifice, terms.gain)
                 candidates = np.concatenate(([0.0], g[g <= 1.0]))
                 want = np.unique(candidates)
-                got = _shares(terms)
+                got, _ = _sweep(game, terms)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (action, tb)
                 sets += 1
                 repeats += want.size < candidates.size
