@@ -16,7 +16,7 @@ mean, the "aggregate" accounting of ``analytics``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # ---------------------------------------------------------------------------
 # Worked example: A defaults to a payoff of 100; the cooperative action costs
@@ -24,8 +24,7 @@ from dataclasses import dataclass
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     param: float
     threshold: float
     expected_welfare: float

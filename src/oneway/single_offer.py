@@ -44,7 +44,9 @@ class OutsideOption:
 
 @dataclass(frozen=True, eq=False)
 class OfferEvaluation:
-    """Prior expectations of an offer, or of a schedule, to one type of B.
+    """Prior expectations of an offer, or of a schedule, to one type of B:
+    ``acceptance_prob`` sums in ``sacrifice_order``, as the offer search
+    does, and the payoffs are numpy's pairwise sums, never a BLAS dot.
 
     ``expected_u_b`` is realised: a type that declines plays selfishly and B
     earns her actual reply to that play. ``planning_u_b`` is B's planning
@@ -125,9 +127,9 @@ class _Terms:
         (``_settle``), strikes the deal there with that step's ``reach``
         probability at its share of the gain, and otherwise plays selfishly.
 
-        Each expectation is numpy's own sum of the prior-weighted terms,
-        never a BLAS dot product, whose summation order (and so last bits)
-        depends on the BLAS thread count.
+        Acceptance sums ``prior_a * reach`` in ``sacrifice_order``, as ``_sweep``
+        does, bit for bit. Payoff expectations are numpy's pairwise sums, never
+        a BLAS dot, whose summation order depends on the BLAS thread count.
         """
         step, reach, transfer = _settle(self, thresholds, reach, shares)
         miss, ua_selfish = 1.0 - reach, game.selfish_payoff_a
@@ -138,7 +140,7 @@ class _Terms:
             return float(np.sum(game.prior_a * x))
 
         return OfferEvaluation(
-            acceptance_prob=expect(reach),
+            acceptance_prob=float(np.cumsum((game.prior_a * reach)[game.sacrifice_order[:, self.ia]])[-1]),
             delta_b=self.gain,
             outside=self.outside,
             expected_u_a=expect(reach * (ua_deal + transfer) + miss * ua_selfish),
@@ -171,19 +173,18 @@ def _terms(game: OneWayGame, action_a: str, type_b: str) -> _Terms:
 
 def _settle(terms: _Terms, thresholds, reach, shares) -> tuple[np.ndarray, ...]:
     """The acceptance rule: each type of A accepts at the first step whose
-    threshold times B's gain covers her sacrifice.
-
-    Returns, per A type, the accepting step (1-indexed, 0 for never), the
-    probability that step is reached and the transfer paid there (both 0
-    for types that never accept). A single offer (a, gamma) is the one-step
-    schedule: thresholds and shares (gamma,), reach (1.0,).
+    threshold times B's gain covers her sacrifice, found by one
+    ``searchsorted`` in the running maximum of those products. Returns, per A
+    type, the accepting step (1-indexed, 0 for never), the probability that
+    step is reached and the transfer paid there (both 0 for types that never
+    accept). A single offer (a, gamma) is the one-step schedule: thresholds
+    and shares (gamma,), reach (1.0,).
     """
-    shares = np.asarray(shares, dtype=np.float64)
-    covers = terms.sacrifice[:, None] <= np.asarray(thresholds, dtype=np.float64) * terms.gain
-    step = np.where(covers.any(axis=1), covers.argmax(axis=1) + 1, 0)
+    cover = np.maximum.accumulate(np.asarray(thresholds, dtype=np.float64) * terms.gain)
+    step = (np.searchsorted(cover, terms.sacrifice) + 1) % (cover.size + 1)  # past the end: 0
     accepted = step > 0
     reach_of = np.where(accepted, np.asarray(reach, dtype=np.float64)[step - 1], 0.0)
-    transfer = np.where(accepted, shares[step - 1] * terms.gain, 0.0)
+    transfer = np.where(accepted, np.asarray(shares, dtype=np.float64)[step - 1] * terms.gain, 0.0)
     return step, reach_of, transfer
 
 
@@ -205,8 +206,9 @@ def _minimal_shares(da: np.ndarray, db: float) -> np.ndarray:
     (or overpay) the type it is meant to capture. Each share steps up until
     it covers, then bisects down on its bit pattern, which orders
     nonnegative floats: the boundary lies within two ulps unless a subnormal
-    db rounds the product coarsely."""
-    g = da / db
+    db rounds the product coarsely; an overflowing quotient is the share inf."""
+    with np.errstate(over="ignore"):
+        g = da / db
     g[g < 0.0] = 0.0
     while (up := g * db < da).any():
         g[up] = np.nextafter(g[up], np.inf)
@@ -286,25 +288,15 @@ def optimal_offer(game: OneWayGame, type_b: str) -> OfferSearchResult:
 
 def simplified_offer(game: OneWayGame, type_b: str) -> OfferSearchResult:
     """Welfare-oriented recipe: fix the action B likes best, then pick the
-    share maximizing acceptance_prob * (1 - gamma). Ties go to the smaller
-    share; a non-positive gain forces gamma 0."""
+    first (smallest) share maximizing acceptance_prob * (1 - gamma), which
+    the sweep's masses give exactly; a non-positive gain forces gamma 0."""
     reply_value = np.max(game.payoff_b[game.type_b_index(type_b)], axis=1)
     action = game.actions_a[int(np.argmax(reply_value))]
     terms = _terms(game, action, type_b)
     gamma = 0.0
     if terms.gain > 0.0:
         g, mass = _sweep(game, terms)
-        v = mass * (1.0 - g)
-        # The sweep sums the prior in another order than acceptance_prob, so
-        # its scores may differ in the last bits (a sum of n terms by at most
-        # about n ulps). Shares that close to the best are rescored by the
-        # evaluator, which settles exact ties as acceptance_prob always has.
-        slack = 4.0 * (len(game.types_a) + 1) * np.finfo(np.float64).eps
-        near = g[v >= v.max() - slack].tolist()
-        if len(near) > 1:
-            scores = [terms.evaluate(game, (x,), (1.0,), (x,)).acceptance_prob * (1.0 - x) for x in near]
-            near = near[int(np.argmax(scores)):]
-        gamma = near[0]
+        gamma = float(g[np.argmax(mass * (1.0 - g))])
     offer = Offer(action, gamma)
     return OfferSearchResult(offer, evaluate_offer(game, offer, type_b), null_offer=False)
 

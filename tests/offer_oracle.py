@@ -32,6 +32,14 @@ The sorted sweep as it stood before one sacrifice order per game:
 ``_acceptance_mass`` reads each share's accepting mass off its own sort of
 the sacrifices. Both take the package's ``_Terms`` of one (action, B type)
 and call its ``_minimal_shares``, as the originals did.
+
+The acceptance rule and the simplified offer as they stood before
+acceptance in sacrifice order: ``covers_settle`` finds each A type's step
+in a bool table of A types by steps, and ``rescored_simplified_offer``
+rescores the sweep's near-best shares with ``_Terms.evaluate``, which summed
+the prior in type order when it was written. Only the names differ from the
+originals, ``_settle`` and ``simplified_offer``, and the latter reaches the
+package's ``_terms``, ``_sweep`` and ``evaluate_offer`` through ``package``.
 """
 
 from __future__ import annotations
@@ -354,6 +362,49 @@ def _acceptance_mass(game: OneWayGame, terms: _Terms, shares: np.ndarray) -> np.
     order = np.argsort(terms.sacrifice, kind="stable")
     mass = np.concatenate(([0.0], np.cumsum(game.prior_a[order])))
     return mass[np.searchsorted(terms.sacrifice[order], shares * terms.gain, side="right")]
+
+
+def covers_settle(terms: _Terms, thresholds, reach, shares) -> tuple[np.ndarray, ...]:
+    """The acceptance rule: each type of A accepts at the first step whose
+    threshold times B's gain covers her sacrifice.
+
+    Returns, per A type, the accepting step (1-indexed, 0 for never), the
+    probability that step is reached and the transfer paid there (both 0
+    for types that never accept). A single offer (a, gamma) is the one-step
+    schedule: thresholds and shares (gamma,), reach (1.0,).
+    """
+    shares = np.asarray(shares, dtype=np.float64)
+    covers = terms.sacrifice[:, None] <= np.asarray(thresholds, dtype=np.float64) * terms.gain
+    step = np.where(covers.any(axis=1), covers.argmax(axis=1) + 1, 0)
+    accepted = step > 0
+    reach_of = np.where(accepted, np.asarray(reach, dtype=np.float64)[step - 1], 0.0)
+    transfer = np.where(accepted, shares[step - 1] * terms.gain, 0.0)
+    return step, reach_of, transfer
+
+
+def rescored_simplified_offer(game: OneWayGame, type_b: str) -> OfferSearchResult:
+    """Welfare-oriented recipe: fix the action B likes best, then pick the
+    share maximizing acceptance_prob * (1 - gamma). Ties go to the smaller
+    share; a non-positive gain forces gamma 0."""
+    reply_value = np.max(game.payoff_b[game.type_b_index(type_b)], axis=1)
+    action = game.actions_a[int(np.argmax(reply_value))]
+    terms = package._terms(game, action, type_b)
+    gamma = 0.0
+    if terms.gain > 0.0:
+        g, mass = package._sweep(game, terms)
+        v = mass * (1.0 - g)
+        # The sweep sums the prior in another order than acceptance_prob, so
+        # its scores may differ in the last bits (a sum of n terms by at most
+        # about n ulps). Shares that close to the best are rescored by the
+        # evaluator, which settles exact ties as acceptance_prob always has.
+        slack = 4.0 * (len(game.types_a) + 1) * np.finfo(np.float64).eps
+        near = g[v >= v.max() - slack].tolist()
+        if len(near) > 1:
+            scores = [terms.evaluate(game, (x,), (1.0,), (x,)).acceptance_prob * (1.0 - x) for x in near]
+            near = near[int(np.argmax(scores)):]
+        gamma = near[0]
+    offer = Offer(action, gamma)
+    return OfferSearchResult(offer, package.evaluate_offer(game, offer, type_b), null_offer=False)
 
 
 def certification_probe(game: OneWayGame, type_b: str, schedule: Schedule) -> tuple[float, list[Schedule]]:

@@ -190,6 +190,38 @@ def test_single_offer_both_strategies(capsys, instance):
         assert float(r[12]) >= 1.0
 
 
+# B gains 5e-324 from a2 over her fallback; it costs t1 a sacrifice of 1.0.
+TINY_GAIN_GAME = {
+    "version": 1,
+    "actions_A": ["a1", "a2"],
+    "actions_B": ["b1"],
+    "types_A": [{"id": "t1", "prob": 1.0}],
+    "types_B": [{"id": "u1", "prob": 1.0}],
+    "payoff_A": [[1.0, 0.0]],
+    "payoff_B": [[[0.0], [5e-324]]],
+}
+
+
+@pytest.mark.parametrize(
+    ("argv", "column"),
+    [
+        (["single-offer"], "acceptance_prob"),
+        (["single-offer", "--offer-strategy", "simplified"], "acceptance_prob"),
+        (["multi-offer", "--optimize"], "value"),
+    ],
+    ids=["optimal", "simplified", "multi-offer"],
+)
+def test_offer_search_on_a_tiny_gain_writes_nothing_to_stderr(capsys, workdir, argv, column):
+    """t1's break-even share overflows to inf, which no offer reaches, so
+    nobody accepts and B earns nothing over her fallback, without a warning."""
+    path = workdir / "tiny_gain.json"
+    path.write_text(json.dumps(TINY_GAIN_GAME), encoding="utf-8")
+    code, out, err = _run(capsys, [argv[0], str(path), *argv[1:]])
+    assert (code, err) == (0, "")
+    _, columns, rows = _split_report(out)
+    assert rows[0][columns.index(column)] == "0.0"
+
+
 def test_single_offer_type_filter(capsys, instance):
     code, out, _ = _run(capsys, ["single-offer", instance, "--type-b", "u2"])
     assert code == 0

@@ -176,6 +176,27 @@ def test_closed_forms_run_without_numpy(argv, loads):
     )
 
 
+# The closed forms' records are named tuples, so these commands load neither
+# dataclasses nor inspect, which dataclasses imports.
+LEAN = [["examples", "--which", "2"], ["examples", "--which", "corollary"], ["sweep", "--param", "beta"]]
+
+
+@pytest.mark.parametrize("argv", LEAN, ids=[" ".join(a) for a in LEAN])
+def test_closed_forms_load_neither_dataclasses_nor_inspect(argv):
+    _child(
+        """
+        import contextlib, io, sys
+        from oneway import cli
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(sys.argv[1:]) == 0, sys.argv[1:]
+        loaded = sorted({"dataclasses", "inspect"} & set(sys.modules))
+        assert not loaded, loaded
+        """,
+        *argv,
+    )
+
+
 # The offer searches: they sort their candidate shares without np.unique,
 # whose check for masked arrays imports numpy.ma (about 15 ms).
 OFFER_SEARCHES = [

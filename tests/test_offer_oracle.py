@@ -13,7 +13,10 @@ offers with identical evaluations and list identical candidates, on
 ``random_suite`` and on games with many exact payoff ties; and relabelling
 A's types must not change the offers. The sweep's shares and masses must
 equal those of the per-call sorts it replaced, ``_shares`` and
-``_acceptance_mass``, bit for bit.
+``_acceptance_mass``, bit for bit. ``_settle`` must return the steps,
+reach and transfers of the bool table it replaced, ``covers_settle``, on any
+schedule, and ``simplified_offer`` the offers of its near-tie rescoring,
+``rescored_simplified_offer``.
 """
 
 from __future__ import annotations
@@ -292,3 +295,68 @@ def test_reply_to_selfish_play_matches_per_type_product(seed):
                 assert math.isclose(value, vals.max(), rel_tol=REL, abs_tol=0.0), (itb, ia)
                 cells += 1
     assert cells > 1500
+
+
+def _settles_alike(terms, thresholds, reach, shares) -> bool:
+    """``_settle`` and the bool-table rule it replaced return the same
+    steps, reach and transfers, dtypes and bits included."""
+    from oneway.single_offer import _settle
+
+    got = _settle(terms, thresholds, reach, shares)
+    want = oracle.covers_settle(terms, thresholds, reach, shares)
+    return all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_settle_matches_the_covers_table(seed):
+    """On every (action, B type) of the suite, a random schedule's steps
+    equal the table's, non-monotone thresholds included, and so do they
+    with B's gain set to zero and negated."""
+    from dataclasses import replace
+
+    from oneway.single_offer import _terms
+
+    rng = random.Random(seed)
+    non_monotone = non_positive = 0
+    for game in _search_suite(seed, 12):
+        for action in game.actions_a:
+            for tb in game.types_b:
+                schedule = _random_schedule(rng, game)
+                s = ow.s_values(schedule)[1:]
+                non_monotone += any(a > b for a, b in zip(s, s[1:]))
+                args = (s, ow.reach_probs(schedule), schedule.gammas)
+                terms = _terms(game, action, tb)
+                non_positive += terms.gain <= 0.0
+                for gain in (terms.gain, 0.0, -terms.gain):
+                    assert _settles_alike(replace(terms, gain=gain), *args), (action, tb, schedule, gain)
+    assert non_monotone > 150 and non_positive > 700  # 162-213 and 775-865 of 1,903-2,075
+
+
+@pytest.mark.parametrize("gain", [1.0, 0.0, -1.0])
+def test_settle_matches_the_covers_table_on_long_schedules(gain):
+    """10**5 steps of thresholds in random order, both signs, on 12 A types,
+    and the same thresholds sorted."""
+    from dataclasses import replace
+
+    from oneway.single_offer import _terms
+
+    game = ow.random_game(seed=5, n_types_a=12)
+    terms = replace(_terms(game, game.actions_a[0], game.types_b[0]), gain=gain)
+    rng = np.random.default_rng(7)
+    scale = float(np.max(game.sacrifice_a))
+    thresholds = rng.normal(0.0, scale, 10**5)
+    reach, shares = rng.random(10**5), rng.random(10**5)
+    assert _settles_alike(terms, thresholds, reach, shares)
+    assert _settles_alike(terms, np.sort(thresholds), reach, shares)
+
+
+def test_simplified_offer_matches_the_rescoring_oracle():
+    """The first best share of the sweep's exact masses is the share the
+    near-tie rescoring picked, on ``random_suite`` and on tied games."""
+    rng = np.random.default_rng(982)
+    games = [*(g for seed in (1, 2, 3) for g in _search_suite(seed, 12)), *(_tied_game(rng) for _ in range(300))]
+    for game in games:
+        for tb in game.types_b:
+            got, want = ow.simplified_offer(game, tb), oracle.rescored_simplified_offer(game, tb)
+            assert (got.offer, got.null_offer) == (want.offer, want.null_offer), tb
+            assert _same_evaluation(got.evaluation, want.evaluation), tb

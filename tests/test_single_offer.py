@@ -437,7 +437,7 @@ def test_corollary_bound_is_the_theorem_bound_at_the_tuned_share(beta):
 
 
 # Sacrifices as multiples of the gain: zero, subnormal multiples and shares
-# up to 4, so that no quotient overflows.
+# up to 4. A quotient that overflows has its own test below.
 _RATIO = st.one_of(st.just(0.0), st.floats(0.0, 1e-300), st.floats(0.0, 4.0))
 
 
@@ -460,6 +460,14 @@ def test_minimal_shares_are_least_covering_and_rise_with_the_sacrifice(ratios, g
     assert np.all(g[1:] >= g[:-1])
     assert np.all(g * gain >= da)
     assert np.all((g == 0.0) | (np.nextafter(g, -np.inf) * gain < da))
+
+
+def test_minimal_share_of_an_overflowing_quotient_is_inf():
+    """A sacrifice of 1.0 against a gain of 5e-324 has no finite covering
+    share: the quotient overflows to inf without a warning."""
+    from oneway.single_offer import _minimal_shares
+
+    assert _minimal_shares(np.array([1.0]), 5e-324).tolist() == [math.inf]
 
 
 def test_offer_search_settles_shares_of_a_subnormal_gain():
@@ -499,3 +507,61 @@ def test_shares_equal_np_unique_bit_for_bit():
                 sets += 1
                 repeats += want.size < candidates.size
     assert sets > 100 and repeats > 0  # 331 sets, 166 with a repeated share
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_evaluator_acceptance_is_the_sweep_mass_bit_for_bit(seed):
+    """A single offer's accepting types are a prefix of ``sacrifice_order``,
+    and the evaluator sums the prior in that order as the sweep does, so at
+    every candidate share of every positive gain the two masses are one
+    float."""
+    from oneway.single_offer import _sweep, _terms
+
+    shares = 0
+    for game in ow.random_suite(200, seed, max_types_a=12):
+        for action in game.actions_a:
+            for tb in game.types_b:
+                terms = _terms(game, action, tb)
+                if terms.gain <= 0.0:
+                    continue
+                g, mass = _sweep(game, terms)
+                got = [ow.evaluate_offer(game, ow.Offer(action, x), tb).acceptance_prob for x in g.tolist()]
+                assert got == mass.tolist(), (action, tb)
+                shares += g.size
+    assert shares > 2500  # 3,185, 3,009 and 2,861
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_simplified_share_is_the_first_best_of_the_evaluator(seed):
+    """The simplified offer's share is the first (smallest) candidate
+    maximizing acceptance_prob * (1 - gamma), each scored by the evaluator."""
+    paid = 0
+    for game in ow.random_suite(200, seed, max_types_a=12):
+        for tb in game.types_b:
+            offer = ow.simplified_offer(game, tb).offer
+            shares = ow.gamma_candidates(game, offer.action_a, tb)
+            scores = [ow.acceptance_prob(game, ow.Offer(offer.action_a, g), tb) * (1.0 - g) for g in shares]
+            assert offer.gamma == shares[int(np.argmax(scores))], tb
+            paid += offer.gamma > 0.0
+    assert paid > 200  # 266, 264 and 249
+
+
+def test_settle_holds_no_table_of_types_by_steps():
+    """On 200 A types and a 10**5-step schedule, ``_settle`` allocates far
+    less than one bool table of A types by steps (20 MB)."""
+    import tracemalloc
+
+    from oneway.single_offer import _settle, _terms
+
+    game = ow.random_game(seed=1, n_types_a=200)
+    terms = _terms(game, game.actions_a[0], game.types_b[0])
+    rng = np.random.default_rng(0)
+    thresholds, reach, shares = np.sort(rng.random(10**5)), rng.random(10**5), rng.random(10**5)
+    tracemalloc.start()
+    try:
+        step, _, _ = _settle(terms, thresholds, reach, shares)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert step.shape == (200,) and step.max() > 10**4
+    assert peak < 200 * 10**5, peak
