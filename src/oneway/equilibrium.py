@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import OneWayGame
+from .game import OneWayGame, _exact_sum
 
 
 @dataclass(frozen=True)
@@ -36,20 +36,20 @@ def _nash_tables(game: OneWayGame) -> tuple[NashOutcome, np.ndarray]:
     B types): ``pa[i, a*_i] + pb[k, a*_i, b*_k]``."""
     a_idx, b_idx = game.selfish_a, game.nash_b
     ub = game.payoff_b[np.arange(len(game.types_b)), a_idx[:, None], b_idx]
-    welfare = game.selfish_payoff_a[:, None] + ub
-    weight = game.prior_a[:, None] * game.prior_b[None, :]
+    with np.errstate(over="ignore"):
+        welfare = game.selfish_payoff_a[:, None] + ub
     outcome = NashOutcome(
         action_a={t: game.actions_a[i] for t, i in zip(game.types_a, a_idx)},
         action_b={t: game.actions_b[i] for t, i in zip(game.types_b, b_idx)},
-        expected_welfare=_running_sum(weight * welfare),
+        expected_welfare=_expectation(game, welfare),
     )
     return outcome, welfare
 
 
-def _running_sum(terms: np.ndarray) -> float:
-    """Sum in row-major order, one term at a time, as a loop accumulating
-    from 0.0 would (``np.sum`` adds pairwise and rounds differently)."""
-    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+def _expectation(game: OneWayGame, table: np.ndarray) -> float:
+    """A table's expectation over the type profiles of positive probability."""
+    weight = np.outer(game.prior_a, game.prior_b)
+    return _exact_sum(weight[weight > 0.0] * table[weight > 0.0])
 
 
 def nash_outcome(game: OneWayGame) -> NashOutcome:
@@ -58,7 +58,7 @@ def nash_outcome(game: OneWayGame) -> NashOutcome:
 
 def _ratio(opt, eq):
     """``opt / eq`` elementwise, with 0 / 0 read as 1 and x / 0 as ``inf``
-    (as is a quotient past the largest float)."""
+    (as is a quotient past the largest float); ``inf / inf`` stays ``nan``."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where(eq == 0.0, np.where(opt == 0.0, 1.0, np.inf), np.divide(opt, eq))
 
@@ -82,8 +82,10 @@ class PoAReport:
 def _optimal_table(game: OneWayGame) -> np.ndarray:
     """Optimal welfare per type profile (A types by B types): max over A's
     action of A's payoff plus B's best payoff for it, which equals the max
-    over the full action grid exactly (rounding is monotone)."""
-    return np.max(game.payoff_a[:, None, :] + np.max(game.payoff_b, axis=2)[None, :, :], axis=2)
+    over the full action grid exactly (rounding is monotone); ``inf`` past
+    the largest float."""
+    with np.errstate(over="ignore"):
+        return np.max(game.payoff_a[:, None, :] + np.max(game.payoff_b, axis=2)[None, :, :], axis=2)
 
 
 def poa_metrics(game: OneWayGame) -> PoAReport:
@@ -93,22 +95,19 @@ def poa_metrics(game: OneWayGame) -> PoAReport:
     read like the PoA where the denominator is 0, and the upper bound is
     (max_s u_A + max_s u_B) / max_s u_A (``inf`` where max_s u_A is 0).
     Zero-probability profiles appear in the tables but are excluded from the
-    expectations, which add the profiles one at a time in row-major order.
+    expectations, which are correctly rounded sums.
     """
     out, eq = _nash_tables(game)
     opt = _optimal_table(game)
     ua_best = game.selfish_payoff_a[:, None]
     ub_best = np.max(game.payoff_b, axis=(1, 2))[None, :]
-    weight = game.prior_a[:, None] * game.prior_b[None, :]
-    live = weight > 0.0
     per, lower = _ratio(opt, eq), _ratio(ub_best, eq)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         upper = np.where(ua_best == 0.0, np.inf, (ua_best + ub_best) / ua_best)
-        expectation = _running_sum((weight * per)[live])
-    ratio = _ratio(_running_sum((weight * opt)[live]), out.expected_welfare)
+    ratio = _ratio(_expectation(game, opt), out.expected_welfare)
     for table in (per, lower, upper):
         table.setflags(write=False)
-    return PoAReport(per, expectation, float(ratio), lower, upper)
+    return PoAReport(per, _expectation(game, per), float(ratio), lower, upper)
 
 
 def poa_report_rows(game: OneWayGame, report: PoAReport) -> dict[str, list]:

@@ -11,14 +11,18 @@ read-only per-game tables of no-payment play (A's selfish map, payoffs and
 sacrifices; B's best replies, her equilibrium reply and her fallback if A
 declines an action) as arrays in the game's own order, so that every layer
 reads one copy of that play. B's replies to A's selfish play all come from
-one rule, ``_selfish_reply``. Ties are always broken toward the lowest
-index, which makes every operation in the package deterministic.
+one rule, ``_selfish_reply``. Every prior-weighted sum over A's types is
+correctly rounded (``_exact_sum``, ``prefix_mass``), so no result depends on
+how a game lists A's types. Ties are always broken toward the lowest index,
+which makes every operation in the package deterministic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -130,6 +134,17 @@ class OneWayGame:
         return _frozen(np.argsort(self.sacrifice_a, axis=0, kind="stable"))
 
     @cached_property
+    def prefix_mass(self) -> np.ndarray:
+        """(A types + 1) by A actions: row k is the prior mass of the action's
+        first k types in ``sacrifice_order``, correctly rounded: the priors,
+        scaled to integers, are summed exactly and divided back once."""
+        ratios = [p.as_integer_ratio() for p in self.prior_a.tolist()]
+        scale = max(d for _, d in ratios)
+        units = [n * (scale // d) for n, d in ratios]
+        columns = [accumulate((units[i] for i in order), initial=0) for order in self.sacrifice_order.T.tolist()]
+        return _frozen(np.array([[s / scale for s in column] for column in columns]).T)
+
+    @cached_property
     def reply_b(self) -> np.ndarray:
         """B types by A actions: B's best reply index to the action."""
         return _frozen(np.argmax(self.payoff_b, axis=2))
@@ -148,8 +163,8 @@ class OneWayGame:
         mass, her best reply to the action itself."""
         replies, values = self.reply_b.copy(), np.max(self.payoff_b, axis=2)
         for ia, declines in enumerate(self.sacrifice_a.T > 0.0):
-            if (mass := float(np.sum(self.prior_a[declines]))) > 0.0:
-                replies[:, ia], values[:, ia] = _selfish_reply(self, np.where(declines, self.prior_a / mass, 0.0))
+            if (mass := _exact_sum(self.prior_a[declines])) > 0.0:
+                replies[:, ia], values[:, ia] = _selfish_reply(self, np.where(declines, self.prior_a, 0.0) / mass)
         return _frozen(replies), _frozen(values)
 
     fallback_b = property(lambda self: self._fallback[0], doc="B types by A actions: B's fallback reply index.")
@@ -159,14 +174,24 @@ class OneWayGame:
 def _selfish_reply(game: OneWayGame, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each B type's best reply (lowest index on ties) to A's selfish play
     under ``weights`` over A's types, and its value. B's payoff depends on
-    A's type only through her action, so the weights are summed per selfish
-    action (in type order), then the actions' payoff rows in index order."""
-    mix = np.bincount(game.selfish_a, weights, len(game.actions_a))
+    A's type only through her action, so the weights are summed, correctly
+    rounded, per selfish action, then the actions' payoff rows in index order."""
+    mix = [_exact_sum(weights[game.selfish_a == a]) for a in range(len(game.actions_a))]
     value = np.zeros((len(game.types_b), len(game.actions_b)))
     for a in np.flatnonzero(mix):
         value += mix[a] * game.payoff_b[:, a, :]
     reply = np.argmax(value, axis=1)
     return _frozen(reply), _frozen(value[np.arange(len(reply)), reply])
+
+
+def _exact_sum(terms) -> float:
+    """The correctly rounded sum of ``terms``, 0.0 if none. Every caller sums
+    terms of one sign, so a sum past the float range is that sign's infinity."""
+    terms = np.asarray(terms, dtype=np.float64)
+    try:
+        return math.fsum(memoryview(terms[terms != 0.0]))
+    except OverflowError:
+        return math.inf if terms.max() > 0.0 else -math.inf
 
 
 def _frozen(table: np.ndarray) -> np.ndarray:
@@ -229,8 +254,8 @@ def validate(game: OneWayGame) -> list[str]:
             continue
         if np.any(~np.isfinite(prior)) or np.any(prior < 0):
             errors.append(f"{label} has negative or non-finite entries")
-        elif n > 0 and abs(float(prior.sum()) - 1.0) > PRIOR_TOL:
-            errors.append(f"{label} sums to {float(prior.sum())!r}, expected 1 within {PRIOR_TOL}")
+        elif n > 0 and abs((total := _exact_sum(prior)) - 1.0) > PRIOR_TOL:
+            errors.append(f"{label} sums to {total!r}, expected 1 within {PRIOR_TOL}")
 
     shape_a = (len(game.types_a), len(game.actions_a))
     if game.payoff_a.shape != shape_a:

@@ -33,7 +33,7 @@ from operator import mul
 import numpy as np
 
 from . import streams
-from .game import OneWayGame
+from .game import OneWayGame, _exact_sum
 from .single_offer import (
     VALUE_TOL,
     Offer,
@@ -173,7 +173,7 @@ def simulate_schedule(
     if not 0 < samples < 1 << 63:
         raise ValueError(f"samples {samples} is outside [1, 2**63)")
     positive = np.flatnonzero(game.prior_a > 0.0)
-    prior = game.prior_a[positive] / np.sum(game.prior_a[positive])
+    prior = game.prior_a[positive] / _exact_sum(game.prior_a[positive])
     n_types = len(game.types_a)
     results = []
     for type_b in types_b:
@@ -199,20 +199,8 @@ def simulate_schedule(
         means = low + np.sum(c / samples * (table - low[:, None]), axis=1)
         m2 = np.sum(c * np.square(table - means[:, None]), axis=1)
         ci = Z99 * np.sqrt(m2 / samples / samples)
-        results.append(
-            SimulationResult(
-                samples=samples,
-                acceptance_rate=int(np.sum(accepted)) / samples,
-                mean_u_a=float(means[0]),
-                mean_u_b=float(means[1]),
-                mean_sw=float(means[2]),
-                mean_u_b_planning=float(means[3]),
-                ci_u_a=float(ci[0]),
-                ci_u_b=float(ci[1]),
-                ci_sw=float(ci[2]),
-                ci_u_b_planning=float(ci[3]),
-            )
-        )
+        # SimulationResult lists the four means, then their widths, in the table's order.
+        results.append(SimulationResult(samples, int(np.sum(accepted)) / samples, *means.tolist(), *ci.tolist()))
     return results
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .closed_form import theorem_bound
 from .equilibrium import _optimal_table, _ratio
-from .game import OneWayGame, StrategyProfile, _frozen
+from .game import OneWayGame, StrategyProfile, _exact_sum, _frozen
 
 VALUE_TOL = 1e-9
 
@@ -44,9 +44,8 @@ class OutsideOption:
 
 @dataclass(frozen=True, eq=False)
 class OfferEvaluation:
-    """Prior expectations of an offer, or of a schedule, to one type of B:
-    ``acceptance_prob`` sums in ``sacrifice_order``, as the offer search
-    does, and the payoffs are numpy's pairwise sums, never a BLAS dot.
+    """Prior expectations of an offer, or of a schedule, to one type of B,
+    each correctly rounded, so none depends on the order of A's types.
 
     ``expected_u_b`` is realised: a type that declines plays selfishly and B
     earns her actual reply to that play. ``planning_u_b`` is B's planning
@@ -126,29 +125,30 @@ class _Terms:
         """The schedule's evaluation: each type of A settles at its step
         (``_settle``), strikes the deal there with that step's ``reach``
         probability at its share of the gain, and otherwise plays selfishly.
-
-        Acceptance sums ``prior_a * reach`` in ``sacrifice_order``, as ``_sweep``
-        does, bit for bit. Payoff expectations are numpy's pairwise sums, never
-        a BLAS dot, whose summation order depends on the BLAS thread count.
-        """
+        Each expectation is a correctly rounded sum over A's types, in which
+        a branch counts only where its probability is positive, so a payoff
+        sum past the float range reads ``inf``, never ``nan``."""
         step, reach, transfer = _settle(self, thresholds, reach, shares)
         miss, ua_selfish = 1.0 - reach, game.selfish_payoff_a
         ua_deal = game.payoff_a[:, self.ia]
-        ub_deal = self.ub_accept - transfer
 
-        def expect(x: np.ndarray) -> float:
-            return float(np.sum(game.prior_a * x))
+        def weigh(p: np.ndarray, x) -> np.ndarray:
+            return np.multiply(p, x, out=np.zeros(p.shape), where=p > 0.0)
 
-        return OfferEvaluation(
-            acceptance_prob=float(np.cumsum((game.prior_a * reach)[game.sacrifice_order[:, self.ia]])[-1]),
-            delta_b=self.gain,
-            outside=self.outside,
-            expected_u_a=expect(reach * (ua_deal + transfer) + miss * ua_selfish),
-            expected_u_b=expect(reach * ub_deal + miss * self.ub_reject),
-            planning_u_b=self.outside.payoff + expect(reach * (self.gain - transfer)),
-            expected_sw=expect(reach * (ua_deal + self.ub_accept) + miss * (ua_selfish + self.ub_reject)),
-            step=_frozen(step),
-        )
+        def expect(deal, reject=0.0) -> float:
+            return _exact_sum(weigh(game.prior_a, weigh(reach, deal) + weigh(miss, reject)))
+
+        with np.errstate(over="ignore"):
+            return OfferEvaluation(
+                acceptance_prob=_exact_sum(game.prior_a * reach),
+                delta_b=self.gain,
+                outside=self.outside,
+                expected_u_a=expect(ua_deal + transfer, ua_selfish),
+                expected_u_b=expect(self.ub_accept - transfer, self.ub_reject),
+                planning_u_b=self.outside.payoff + expect(self.gain - transfer),
+                expected_sw=expect(ua_deal + self.ub_accept, ua_selfish + self.ub_reject),
+                step=_frozen(step),
+            )
 
     def realized(
         self, game: OneWayGame, ita: int, accepted: bool, transfer: float
@@ -228,12 +228,12 @@ def _sweep(game: OneWayGame, terms: _Terms) -> tuple[np.ndarray, np.ndarray]:
     rule). Only meaningful for a positive gain. The least covering share
     rises with the sacrifice, so in ``sacrifice_order``, after a share 0 of
     no mass, the shares come out sorted, and a share's accepting mass is the
-    prior's prefix sum at the end of its run of equal shares."""
-    order = game.sacrifice_order[:, terms.ia]
-    g = np.concatenate(([0.0], _minimal_shares(terms.sacrifice[order], terms.gain)))
-    g = g[: np.searchsorted(g, 1.0, side="right")]
+    game's ``prefix_mass`` at the end of its run of equal shares. A share
+    is at most 1 exactly when the sacrifice is at most the gain."""
+    da = terms.sacrifice[game.sacrifice_order[:, terms.ia]]
+    g = np.concatenate(([0.0], _minimal_shares(da[: np.searchsorted(da, terms.gain, side="right")], terms.gain)))
     last = np.flatnonzero(np.append(g[1:] != g[:-1], True))
-    return g[last], np.cumsum(np.concatenate(([0.0], game.prior_a[order])))[last]
+    return g[last], game.prefix_mass[last, terms.ia]
 
 
 def gamma_candidates(game: OneWayGame, action_a: str, type_b: str) -> list[float]:
@@ -361,8 +361,9 @@ def simplified_strategy_report(game: OneWayGame) -> dict[str, SimplifiedReport]:
         gamma = res.offer.gamma
         terms = _terms(game, res.offer.action_a, tb)
         accepted = _frozen(res.evaluation.step > 0)
-        deal = game.payoff_a[:, terms.ia] + terms.ub_accept
-        welfare = np.where(accepted, deal, game.selfish_payoff_a + terms.outside.payoff)
+        with np.errstate(over="ignore"):
+            deal = game.payoff_a[:, terms.ia] + terms.ub_accept
+            welfare = np.where(accepted, deal, game.selfish_payoff_a + terms.outside.payoff)
         optimal = optimal_table[:, itb]
         poa = _ratio(optimal, welfare)
         p = res.evaluation.acceptance_prob
@@ -375,7 +376,7 @@ def simplified_strategy_report(game: OneWayGame) -> dict[str, SimplifiedReport]:
             optimal=_frozen(optimal),
             poa=_frozen(poa),
             branch_bound=_frozen(np.where(accepted, *accept_reject_poa(gamma))),
-            expected_poa=float(np.sum(game.prior_a[live] * poa[live])),
+            expected_poa=_exact_sum(game.prior_a[live] * poa[live]),
             poa_bound=theorem_bound(gamma, p),
         )
     return reports

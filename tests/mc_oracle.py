@@ -40,6 +40,7 @@ as per-draw columns and folds them as ``simulate_schedule`` does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,7 +243,7 @@ def simulate_schedule_cells(
     _, reach, _ = _settle(terms, s_values(schedule)[1:], reach_probs(schedule), schedule.gammas)
     positive = np.flatnonzero(game.prior_a > 0.0)
     rng = streams.stream(seed, game.type_b_index(type_b))
-    drawn = rng.multinomial(samples, game.prior_a[positive] / np.sum(game.prior_a[positive]))
+    drawn = rng.multinomial(samples, game.prior_a[positive] / math.fsum(game.prior_a[positive]))
     accepted = rng.binomial(drawn, reach[positive])
     cells = np.column_stack((drawn - accepted, accepted)).ravel()
     types = np.repeat(np.repeat(positive, 2), cells)

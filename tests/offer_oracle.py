@@ -10,9 +10,9 @@ and the result types; so do ``s_values`` and ``reach_probs``. Only the
 imports differ from the originals: the schedule evaluators' function-local
 ``delta_b`` import is the module-level one here. The exception is
 ``outside_option``, which computes B's fallback by the package's
-documented rule (the restricted types' action mix, then the actions in
-index order) in plain Python loops, so that it matches the package bit for
-bit; the per-type weighted product it replaced is checked against the
+documented rule (the restricted types' action mix, each weight and their
+mass a correctly rounded sum, then the actions in index order) in plain
+Python loops and ``math.fsum``, so that it matches the package bit for bit; the per-type weighted product it replaced is checked against the
 package in ``test_offer_oracle.py``.
 
 The schedule optimizer's certification sweep as it stood before the exact
@@ -30,7 +30,8 @@ searches pick comes with an identical evaluation.
 The sorted sweep as it stood before one sacrifice order per game:
 ``_shares`` sorts each call's break-even shares and drops repeats, and
 ``_acceptance_mass`` reads each share's accepting mass off its own sort of
-the sacrifices. Both take the package's ``_Terms`` of one (action, B type)
+the sacrifices, as ``math.fsum`` of each prefix of the sorted prior, since
+the package's masses became correctly rounded. Both take the package's ``_Terms`` of one (action, B type)
 and call its ``_minimal_shares``, as the originals did.
 
 The acceptance rule and the simplified offer as they stood before
@@ -81,18 +82,19 @@ def delta_a(game: OneWayGame, action_a: str) -> np.ndarray:
 def outside_option(game: OneWayGame, action_a: str, type_b: str) -> OutsideOption:
     restricted = restricted_types(game, action_a)
     idx = [game.type_a_index(t) for t in restricted]
-    mass = float(np.sum(game.prior_a[idx])) if idx else 0.0
+    mass = math.fsum(game.prior_a[idx])
     itb = game.type_b_index(type_b)
     if not idx or mass <= 0.0:
         ab = best_response_B(game, action_a, type_b)
         return OutsideOption(ab, float(game.u_b((action_a, ab), type_b)))
-    # B's payoff depends on A's type only through her action: accumulate
-    # each restricted type's renormalised prior on her selfish action in
-    # type order, then sum the actions' payoff rows in index order.
+    # B's payoff depends on A's type only through her action: sum the
+    # restricted types' renormalised priors per selfish action, correctly
+    # rounded, then the actions' payoff rows in index order.
     nash_actions = np.argmax(game.payoff_a, axis=1)
-    mix = [0.0] * len(game.actions_a)
+    weights: list[list[float]] = [[] for _ in game.actions_a]
     for i in idx:
-        mix[int(nash_actions[i])] += float(game.prior_a[i]) / mass
+        weights[int(nash_actions[i])].append(float(game.prior_a[i]) / mass)
+    mix = [math.fsum(w) for w in weights]
     vals = [0.0] * len(game.actions_b)
     for a, weight in enumerate(mix):
         for m in range(len(vals)):
@@ -358,9 +360,11 @@ def _shares(terms: _Terms) -> np.ndarray:
 
 def _acceptance_mass(game: OneWayGame, terms: _Terms, shares: np.ndarray) -> np.ndarray:
     """Prior mass of the A types accepting each share, ``_settle``'s rule
-    (sacrifice at most share * gain) read off one sort of the sacrifices."""
+    (sacrifice at most share * gain) read off one sort of the sacrifices,
+    each mass a correctly rounded sum (``math.fsum``) of its prefix."""
     order = np.argsort(terms.sacrifice, kind="stable")
-    mass = np.concatenate(([0.0], np.cumsum(game.prior_a[order])))
+    prior = game.prior_a[order].tolist()
+    mass = np.array([math.fsum(prior[:k]) for k in range(len(prior) + 1)])
     return mass[np.searchsorted(terms.sacrifice[order], shares * terms.gain, side="right")]
 
 

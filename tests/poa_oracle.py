@@ -2,8 +2,9 @@
 stood before the broadcast tables, kept verbatim as a test-only oracle.
 
 ``nash_outcome`` and ``poa_metrics`` loop over type profiles and call
-``social_welfare`` and ``optimal_welfare`` once per profile, accumulating
-the expectations one profile at a time in row-major order. The equilibrium
+``social_welfare`` and ``optimal_welfare`` once per profile, collecting
+each expectation's terms and summing them by ``math.fsum``, since the
+package's expectations became correctly rounded. The equilibrium
 maps come from this module's own loops, ``nash_action_A`` and
 ``nash_action_B``, so that they check the game's selfish and reply tables
 rather than read them.
@@ -16,6 +17,7 @@ conventions.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -73,12 +75,12 @@ def poa_of_type(game: OneWayGame, types: TypeProfile | tuple[str, str]) -> float
 def nash_outcome(game: OneWayGame) -> NashOutcome:
     action_a = {t: nash_action_A(game, t) for t in game.types_a}
     action_b = {t: nash_action_B(game, t) for t in game.types_b}
-    total = 0.0
+    terms = []
     for ta, fa in zip(game.types_a, game.prior_a):
         for tb, fb in zip(game.types_b, game.prior_b):
             w = social_welfare(game, (action_a[ta], action_b[tb]), (ta, tb))
-            total += float(fa) * float(fb) * w
-    return NashOutcome(action_a=action_a, action_b=action_b, expected_welfare=total)
+            terms.append(float(fa) * float(fb) * w)
+    return NashOutcome(action_a=action_a, action_b=action_b, expected_welfare=math.fsum(terms))
 
 
 def poa_metrics(game: OneWayGame) -> PoAReport:
@@ -93,8 +95,8 @@ def poa_metrics(game: OneWayGame) -> PoAReport:
     lower: dict[TypeProfile, float] = {}
     upper: dict[TypeProfile, float] = {}
     infinite: list[TypeProfile] = []
-    expectation = 0.0
-    opt_mean = 0.0
+    expectation = []
+    opt_mean = []
     for ita, ta in enumerate(game.types_a):
         fa = float(game.prior_a[ita])
         ua_best = float(np.max(game.payoff_a[ita]))
@@ -113,8 +115,9 @@ def poa_metrics(game: OneWayGame) -> PoAReport:
             if not np.isfinite(per[key]):
                 infinite.append(key)
             if fa * fb > 0.0:
-                expectation += fa * fb * per[key]
-                opt_mean += fa * fb * opt_w
+                expectation.append(fa * fb * per[key])
+                opt_mean.append(fa * fb * opt_w)
+    expectation, opt_mean = math.fsum(expectation), math.fsum(opt_mean)
     ratio = (
         1.0
         if (opt_mean == 0.0 and out.expected_welfare == 0.0)

@@ -231,7 +231,7 @@ def _enumerated_poa(game):
                 besti, bestv = ib, v
         nash_b.append(besti)
     per = {}
-    bayes = 0.0
+    terms = []
     for ita, ta in enumerate(game.types_a):
         fa = float(game.prior_a[ita])
         for itb, tb in enumerate(game.types_b):
@@ -251,8 +251,8 @@ def _enumerated_poa(game):
                 poa = opt / eq
             per[(ta, tb)] = poa
             if fa * fb > 0.0:
-                bayes += fa * fb * poa
-    return per, bayes
+                terms.append(fa * fb * poa)
+    return per, math.fsum(terms)
 
 
 def test_optimizer_and_metrics_match_brute_force():

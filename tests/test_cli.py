@@ -222,6 +222,45 @@ def test_offer_search_on_a_tiny_gain_writes_nothing_to_stderr(capsys, workdir, a
     assert rows[0][columns.index(column)] == "0.0"
 
 
+# Every type accepts a1 at share 0, and A's plus B's payoff passes the
+# largest float on every profile.
+OVERFLOW_GAME = {
+    "version": 1,
+    "actions_A": ["a1", "a2"],
+    "actions_B": ["b1", "b2"],
+    "types_A": [{"id": "t1", "prob": 0.5}, {"id": "t2", "prob": 0.5}],
+    "types_B": [{"id": "u1", "prob": 1.0}],
+    "payoff_A": [[1.5e308, 1e308], [1.6e308, 0.0]],
+    "payoff_B": [[[1.7e308, 0.0], [1.7e308, 1.7e308]]],
+}
+
+
+@pytest.mark.parametrize(
+    ("argv", "column", "want"),
+    [
+        (["single-offer"], "expected_welfare", "inf"),
+        (["single-offer", "--offer-strategy", "simplified"], "expected_welfare", "inf"),
+        (["multi-offer", "--schedule"], "expected_welfare", "inf"),
+        (["multi-offer", "--optimize"], "value", "1.7e+308"),
+        (["nash"], "value", "inf"),
+        (["poa"], "poa", "nan"),
+    ],
+    ids=["optimal", "simplified", "schedule", "optimize", "nash", "poa"],
+)
+def test_welfare_past_the_float_range_reads_inf(capsys, workdir, schedule_file, argv, column, want):
+    """A branch of probability 0 adds nothing, even where its payoffs sum
+    past the largest float, so the last row's expected welfare is ``inf``
+    rather than ``nan``, with nothing on stderr. In ``poa`` both welfare
+    tables are ``inf``, and ``inf / inf`` stays ``nan``."""
+    path = workdir / "overflow.json"
+    path.write_text(json.dumps(OVERFLOW_GAME), encoding="utf-8")
+    extra = [schedule_file] if argv[-1] == "--schedule" else []
+    code, out, err = _run(capsys, [argv[0], str(path), *argv[1:], *extra])
+    assert (code, err) == (0, "")
+    _, columns, rows = _split_report(out)
+    assert rows[-1][columns.index(column)] == want
+
+
 def test_single_offer_type_filter(capsys, instance):
     code, out, _ = _run(capsys, ["single-offer", instance, "--type-b", "u2"])
     assert code == 0

@@ -131,7 +131,7 @@ def _brute_poa(game):
                 best, arg = v, sb
         nash_b[tb] = arg
     per = {}
-    expectation = 0.0
+    terms = []
     for ta, fa in zip(game.types_a, game.prior_a):
         for tb, fb in zip(game.types_b, game.prior_b):
             eq = game.u_a(nash_a[ta], ta) + game.u_b((nash_a[ta], nash_b[tb]), tb)
@@ -147,8 +147,8 @@ def _brute_poa(game):
                 ratio = opt / eq
             per[(ta, tb)] = ratio
             if float(fa) * float(fb) > 0.0:
-                expectation += float(fa) * float(fb) * ratio
-    return per, expectation
+                terms.append(float(fa) * float(fb) * ratio)
+    return per, math.fsum(terms)
 
 
 @pytest.mark.parametrize("seed", range(20))

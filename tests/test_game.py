@@ -1,10 +1,15 @@
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oneway as ow
+from oneway.game import _exact_sum
 
 
 def test_make_game_basic_lookups(g1):
@@ -97,7 +102,7 @@ def test_best_response_picks_max(g2):
 
 
 TABLES = (
-    "selfish_a", "selfish_payoff_a", "sacrifice_a", "sacrifice_order",
+    "selfish_a", "selfish_payoff_a", "sacrifice_a", "sacrifice_order", "prefix_mass",
     "reply_b", "nash_b", "fallback_b", "fallback_payoff_b",
 )
 
@@ -202,3 +207,129 @@ def test_game_arrays_are_float64(g1):
     assert g1.payoff_a.dtype == np.float64
     assert g1.payoff_b.dtype == np.float64
     assert g1.prior_a.dtype == np.float64
+
+
+def _rounded(terms) -> float:
+    """The exact sum of ``terms``, rounded once (``Fraction`` to float)."""
+    return float(sum(map(Fraction, terms), Fraction(0)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    terms=st.lists(
+        st.one_of(st.floats(0.0, 1e-300), st.floats(0.0, 1e300), st.sampled_from([5e-324, 1e-310, 0.1, 1e300])),
+        max_size=30,
+    ),
+    negate=st.booleans(),
+)
+def test_exact_sum_is_correctly_rounded(terms, negate):
+    """Subnormal and huge terms alike: the sum is rounded once, whatever the
+    order, and an empty sum is 0.0."""
+    terms = [-t for t in terms] if negate else terms
+    want = _rounded(terms)
+    assert _exact_sum(np.array(terms)) == want
+    assert _exact_sum(np.array(terms[::-1])) == want
+
+
+def test_exact_sum_edges():
+    assert _exact_sum(np.array([])) == 0.0
+    assert _exact_sum([5e-324] * 3) == 1.5e-323 == _rounded([5e-324] * 3)
+    assert _exact_sum([1e308, 5e307, 1e-300]) == _rounded([1e308, 5e307, 1e-300])
+    # 0.1 * 10 sums to 0.9999999999999999 one term at a time
+    assert _exact_sum([0.1] * 10) == 1.0
+    # a partial sum past the float range is the terms' infinity, not an error
+    assert _exact_sum([1.7e308, 1.7e308]) == math.inf
+    assert _exact_sum([0.0, -1.7e308, -1.7e308]) == -math.inf
+    assert _exact_sum([math.inf, 1.0]) == math.inf
+
+
+@st.composite
+def _priors(draw, n):
+    """``n`` unequal priors, some zero and some tiny, that sum to about 1."""
+    weights = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-12, 1.0), st.sampled_from([5e-324, 1e-300])), min_size=n, max_size=n,
+    )))
+    weights[draw(st.integers(0, n - 1))] += 1.0
+    return weights / weights.sum()
+
+
+def _with_prior(game, prior_a, order=None) -> ow.OneWayGame:
+    """``game`` with A's prior replaced and, given ``order``, A's types
+    listed in that order."""
+    order = np.arange(len(game.types_a)) if order is None else np.asarray(order)
+    return ow.OneWayGame(
+        actions_a=game.actions_a,
+        actions_b=game.actions_b,
+        types_a=tuple(game.types_a[i] for i in order),
+        types_b=game.types_b,
+        prior_a=np.asarray(prior_a)[order],
+        prior_b=game.prior_b,
+        payoff_a=game.payoff_a[order],
+        payoff_b=game.payoff_b,
+    )
+
+
+@st.composite
+def _unequal_games(draw):
+    """A random game of 2-12 A types, with unequal priors and often tied
+    payoffs (rounded to integers on some draws), and a relabelling of A's
+    types."""
+    n = draw(st.integers(2, 12))
+    game = ow.random_game(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        n_actions_a=draw(st.integers(2, 4)),
+        n_actions_b=draw(st.integers(1, 3)),
+        n_types_a=n,
+        n_types_b=draw(st.integers(1, 3)),
+    )
+    if draw(st.booleans()):
+        game = ow.OneWayGame(game.actions_a, game.actions_b, game.types_a, game.types_b, game.prior_a,
+                             game.prior_b, np.round(game.payoff_a / 3.0), np.round(game.payoff_b / 3.0))
+    return _with_prior(game, draw(_priors(n))), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_unequal_games())
+def test_prefix_mass_is_fsum_of_every_prefix(case):
+    game, _ = case
+    table = game.prefix_mass
+    assert table.shape == (len(game.types_a) + 1, len(game.actions_a))
+    for ia, order in enumerate(game.sacrifice_order.T):
+        prior = game.prior_a[order].tolist()
+        assert table[:, ia].tolist() == [math.fsum(prior[:k]) for k in range(len(prior) + 1)]
+
+
+EVALUATION = ("acceptance_prob", "delta_b", "outside", "expected_u_a", "expected_u_b", "planning_u_b", "expected_sw")
+
+
+def _same_evaluation(got, want, order) -> None:
+    for field in EVALUATION:
+        assert getattr(got, field) == getattr(want, field), field
+    assert np.array_equal(got.step, want.step[order])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_unequal_games())
+def test_results_invariant_under_relabelling_a_types(case):
+    """Every prior-weighted sum over A's types is correctly rounded, so
+    listing A's types in another order moves no bit of any offer, evaluation,
+    fallback, equilibrium or PoA value, with unequal priors."""
+    game, order = case
+    relabelled = _with_prior(game, game.prior_a, order)
+    assert np.array_equal(relabelled.fallback_b, game.fallback_b)
+    assert np.array_equal(relabelled.fallback_payoff_b, game.fallback_payoff_b)
+    for tb in game.types_b:
+        for search in (ow.optimal_offer, ow.simplified_offer):
+            got, want = search(relabelled, tb), search(game, tb)
+            assert (got.offer, got.null_offer) == (want.offer, want.null_offer), tb
+            _same_evaluation(got.evaluation, want.evaluation, order)
+        for action in game.actions_a:
+            schedule = ow.Schedule(action, (0.1, 0.4, 0.9), (1.0, 0.5, 0.3))
+            _same_evaluation(ow.expected_outcome(relabelled, schedule, tb), ow.expected_outcome(game, schedule, tb), order)
+    got, want = ow.nash_outcome(relabelled), ow.nash_outcome(game)
+    assert (got.action_a, got.action_b, got.expected_welfare) == (want.action_a, want.action_b, want.expected_welfare)
+    got, want = ow.poa_metrics(relabelled), ow.poa_metrics(game)
+    assert (got.bayes_nash_poa, got.welfare_ratio_poa) == (want.bayes_nash_poa, want.welfare_ratio_poa)
+    assert np.array_equal(got.per_type_poa, want.per_type_poa[order])
+    got, want = ow.simplified_strategy_report(relabelled), ow.simplified_strategy_report(game)
+    assert [r.expected_poa for r in got.values()] == [r.expected_poa for r in want.values()]

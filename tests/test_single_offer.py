@@ -180,6 +180,19 @@ def test_simplified_strategy_report_g1(g1):
         assert not table.flags.writeable
 
 
+def test_simplified_strategy_report_past_the_float_range():
+    """Every type accepts a1 at share 0, and each deal's welfare passes the
+    largest float: it reads ``inf`` without a warning, and ``inf / inf``
+    stays ``nan``."""
+    game = ow.make_game(
+        ["a1", "a2"], ["b1", "b2"], [("t1", 0.5), ("t2", 0.5)], [("u1", 1.0)],
+        [[1.5e308, 1e308], [1.6e308, 0.0]], [[[1.7e308, 0.0], [1.7e308, 1.7e308]]],
+    )
+    rep = ow.simplified_strategy_report(game)["u1"]
+    assert rep.welfare.tolist() == rep.optimal.tolist() == [math.inf, math.inf]
+    assert np.isnan(rep.poa).all() and math.isnan(rep.expected_poa)
+
+
 # -- invariants on random instances ----------------------------------------
 
 def _random_games(count, **kwargs):
