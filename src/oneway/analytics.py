@@ -14,8 +14,8 @@ sacrifices, for the payoffs and welfare, and ``mc_poa`` the declined
 draws' forgone gains, for the per-draw price of anarchy. A draw of the
 other group adds only a constant, so a batch draws no run of it: it draws
 its group's size from the group's binomial law, then only that group's
-sacrifices, folds them by ``_group_moments`` and merges the result with
-the other group by ``_two_groups``.
+sacrifices, and folds them by ``_group_moments``; ``streams.interval``
+pools every batch's group with the other group, a constant (``_pooled``).
 
 Accounting note. The closed-form welfare curves book every accepting type's
 sacrifice at the population mean ("aggregate" accounting), so
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .streams import Z99
+from .streams import Z99  # noqa: F401  re-exported for callers of analytics
 
 
 @dataclass(frozen=True)
@@ -158,19 +158,13 @@ def example1b_scenario(x: float) -> SingleOfferScenario:
     )
 
 
-def power_scenario(beta: float, delta_b: float = 1.0) -> SingleOfferScenario:
-    """Power-law sacrifices with the tuned share beta / (beta + 1).
-
-    The default payoff equals the stake, so a sacrifice never exceeds what A
-    already has; that keeps the per-outcome inefficiency bounds in force.
-    """
-    return SingleOfferScenario(
-        delta_a_spec=ContinuousSpec.power(beta, delta_b),
-        delta_b=float(delta_b),
-        a_default=float(delta_b),
-        b_outside=0.0,
-        gamma=beta / (beta + 1.0),
-    )
+def power_scenario(beta: float) -> SingleOfferScenario:
+    """The corollary's scenario: sacrifices with F(x) = x^beta on [0, 1], a
+    stake and a default payoff of 1 (so a sacrifice never exceeds what A
+    already has, which keeps the per-outcome inefficiency bounds in force),
+    and the tuned share beta / (beta + 1)."""
+    spec = ContinuousSpec.power(beta, 1.0)
+    return SingleOfferScenario(spec, delta_b=1.0, a_default=1.0, b_outside=0.0, gamma=beta / (beta + 1.0))
 
 
 @dataclass(frozen=True)
@@ -206,13 +200,12 @@ def mc_single_offer(scenarios: Sequence[SingleOfferScenario], samples: int, seed
 
     The three payoffs are constant on declined draws and fall one for one
     with the sacrifice on accepted ones, so a batch keeps for them only the
-    accepted sacrifices' group moments; their means and intervals follow
-    from those by the two-group merge (``_MCTerms.payoffs``). poa_vs_ex_ante
+    accepted sacrifices' group moments (``_MCTerms.payoffs``). poa_vs_ex_ante
     divides the aggregate optimum by mean welfare, which is what the
     closed-form curves report.
     """
     terms, folds = _simulate(scenarios, samples, seed, _fold_accepted)
-    return [t.payoffs(samples, _merge(f)) for t, f in zip(terms, folds)]
+    return [t.payoffs(samples, f) for t, f in zip(terms, folds)]
 
 
 def mc_poa(scenarios: Sequence[SingleOfferScenario], samples: int, seed: int) -> list[MCPoAResult]:
@@ -310,22 +303,13 @@ def _fold_declined(
     return (*_group_moments(gain), top)
 
 
-def _merge(folds) -> streams.Moments:
-    """One group's moments over every batch, merged in batch order from
-    each batch's leading (count, mean, centred second moment)."""
-    moments = streams.Moments()
-    for count, mean, m2, *_ in folds:
-        moments.merge(count, mean, m2)
-    return moments
-
-
-def _two_groups(n: int, k: int, rest: float, gap: float, within: float) -> tuple[float, float]:
-    """Mean and 99 percent half-width of n draws: n - k equal to ``rest``,
-    and k lying ``gap`` above it on average with centred second moment
-    ``within`` among themselves. The merge adds gap^2 k (n - k) / n."""
-    # gap * (gap * k (n - k) / n), not gap**2 * (...): when every draw lands
-    # in one group the factor is 0 even if gap**2 overflows.
-    return rest + k / n * gap, Z99 * math.sqrt(within + gap * (gap * (k * (n - k) / n))) / n
+def _pooled(rest: float, samples: int, counts: np.ndarray, gaps, within) -> tuple[float, float]:
+    """Mean and 99 percent half-width of ``samples`` draws: batch i's
+    ``counts[i]`` draws lie ``gaps[i]`` above ``rest`` with centred second
+    moment ``within[i]`` (a scalar stands for all), and the others equal it."""
+    gaps, within = (np.append(np.broadcast_to(x, counts.shape), 0.0) for x in (gaps, within))
+    mean, half_width = streams.interval(np.append(counts, samples - np.sum(counts)), gaps, within)
+    return rest + mean, half_width
 
 
 class _MCTerms:
@@ -342,41 +326,29 @@ class _MCTerms:
         self.b_outside = scenario.b_outside
         self.base = scenario.a_default + scenario.b_outside
 
-    def payoffs(self, samples: int, accepted: streams.Moments) -> MCResult:
-        """The result from the accepted sacrifices' moments.
-
-        Each payoff takes one value on the declined draws and that value
-        plus a gap on the accepted ones, less the sacrifice's deviation from
-        its accepted mean where the payoff moves with the sacrifice
-        (``_two_groups``). The gaps T - mu, delta_b - T and delta_b - mu
-        carry no payoff offset, so none cancels at large payoffs.
-        """
-        n, k, mu, m2 = samples, accepted.count, accepted.mean, accepted.m2
+    def payoffs(self, samples: int, folds) -> MCResult:
+        """The result from the accepted sacrifices' batch moments. Each
+        payoff lies a gap above its declined value: T - mu, delta_b - T and
+        delta_b - mu, which carry no payoff offset (``_pooled``)."""
+        k, mu, m2 = map(np.array, list(zip(*folds))[:3])
         t = self.transfer
-        mean_u_a, ci_u_a = _two_groups(n, k, self.a_default, t - mu, m2)
-        mean_u_b, ci_u_b = _two_groups(n, k, self.b_outside, self.delta_b - t, 0.0)
-        mean_sw, ci_sw = _two_groups(n, k, self.base, self.delta_b - mu, m2)
-        ex_ante_opt = max(self.base, self.base - self.spec.mean() + self.delta_b)
-        return MCResult(
-            samples=samples,
-            acceptance_rate=k / samples,
-            mean_u_a=mean_u_a,
-            mean_u_b=mean_u_b,
-            mean_sw=mean_sw,
-            ci_u_a=ci_u_a,
-            ci_u_b=ci_u_b,
-            ci_sw=ci_sw,
-            poa_vs_ex_ante=ex_ante_opt / mean_sw,
+        means, widths = zip(
+            _pooled(self.a_default, samples, k, t - mu, m2),
+            _pooled(self.b_outside, samples, k, self.delta_b - t, 0.0),
+            _pooled(self.base, samples, k, self.delta_b - mu, m2),
         )
+        ex_ante_opt = max(self.base, self.base - self.spec.mean() + self.delta_b)
+        # MCResult lists the means of u_a, u_b and welfare, then their widths.
+        return MCResult(samples, int(np.sum(k)) / samples, *means, *widths, ex_ante_opt / means[2])
 
     def poa(self, samples: int, folds) -> MCPoAResult:
         """The result from the declined draws' gains: PoA - 1 is gain / base
         on a declined draw and 0 on an accepted one."""
-        declined = _merge(folds)
-        gain, ci_gain = _two_groups(samples, declined.count, 0.0, declined.mean, declined.m2)
+        k, mu, m2 = map(np.array, list(zip(*folds))[:3])
+        gain, ci_gain = _pooled(0.0, samples, k, mu, m2)
         return MCPoAResult(
             samples=samples,
-            acceptance_rate=(samples - declined.count) / samples,
+            acceptance_rate=(samples - int(np.sum(k))) / samples,
             mean_poa=1.0 + gain / self.base,
             ci_poa=ci_gain / self.base,
             max_poa=1.0 + max(top for *_, top in folds) / self.base,

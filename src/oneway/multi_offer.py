@@ -43,7 +43,6 @@ from .single_offer import (
     delta_a,  # noqa: F401  unused here; perfbench's tracer and self-test wrap this binding
     optimal_offer,
 )
-from .streams import Z99
 
 
 def schedule_errors(gammas: tuple[float, ...], probs: tuple[float, ...]) -> list[str]:
@@ -157,14 +156,14 @@ def simulate_schedule(
     (matching expected_utility_B).
 
     A draw's payoffs depend only on its A type and whether it accepts, so
-    they are read off tables with two cells per type (index 2 * type +
-    accepted), and how many draws land in each cell is a sufficient
-    statistic, drawn here directly: the A types' counts are
+    they are read off tables with two cells per type of positive prior
+    (declined, accepted), and how many draws land in each cell is a
+    sufficient statistic, drawn here directly: the A types' counts are
     Multinomial(samples, prior) over the types of positive prior, and each
     type's accepted count is Binomial(count, R), R being the probability
     that the step the type accepts at is reached (0 if it never accepts).
-    The four tables' means and centred second moments follow from the
-    counts, so the work does not grow with ``samples``. B type k of the game
+    Each cell is a group of equal draws for ``streams.interval``, so the
+    work does not grow with ``samples``. B type k of the game
     draws from ``streams.stream(seed, k)``, so its result is the same
     whether it is simulated alone or with others.
     """
@@ -174,7 +173,6 @@ def simulate_schedule(
         raise ValueError(f"samples {samples} is outside [1, 2**63)")
     positive = np.flatnonzero(game.prior_a > 0.0)
     prior = game.prior_a[positive] / _exact_sum(game.prior_a[positive])
-    n_types = len(game.types_a)
     results = []
     for type_b in types_b:
         terms = _terms(game, schedule.action_a, type_b)
@@ -182,25 +180,17 @@ def simulate_schedule(
         rng = streams.stream(seed, game.type_b_index(type_b))
         drawn = rng.multinomial(samples, prior)
         accepted = rng.binomial(drawn, reach[positive])
-        c = np.zeros((n_types, 2), dtype=np.int64)
-        c[positive] = np.column_stack((drawn - accepted, accepted))
-        c = c.ravel()
         pb_deal = terms.ub_accept - transfer
-        pa_cell = np.column_stack((game.selfish_payoff_a, game.payoff_a[:, terms.ia] + transfer)).ravel()
-        pb_cell = np.column_stack((terms.ub_reject, pb_deal)).ravel()
-        plan_cell = np.column_stack((np.full(n_types, terms.outside.payoff), pb_deal)).ravel()
-        # u_a, u_b, welfare and B's planning view over the drawn cells, each
-        # the smallest value plus a weighted sum of the gaps above it (so a
-        # table constant on the drawn cells has exactly that mean and a zero
-        # width) and a centred second moment around it.
-        table = np.stack((pa_cell, pb_cell, pa_cell + pb_cell, plan_cell))[:, c > 0]
-        c = c[c > 0]
-        low = np.min(table, axis=1)
-        means = low + np.sum(c / samples * (table - low[:, None]), axis=1)
-        m2 = np.sum(c * np.square(table - means[:, None]), axis=1)
-        ci = Z99 * np.sqrt(m2 / samples / samples)
-        # SimulationResult lists the four means, then their widths, in the table's order.
-        results.append(SimulationResult(samples, int(np.sum(accepted)) / samples, *means.tolist(), *ci.tolist()))
+        pb_cell = np.column_stack((terms.ub_reject, pb_deal))
+        plan_cell = np.column_stack((np.full_like(pb_deal, terms.outside.payoff), pb_deal))
+        # u_a, u_b, welfare and B's planning view; A's payoff with the
+        # transfer, and welfare, are inf where they pass the float range.
+        with np.errstate(over="ignore"):
+            pa_cell = np.column_stack((game.selfish_payoff_a, game.payoff_a[:, terms.ia] + transfer))
+            table = np.stack((pa_cell, pb_cell, pa_cell + pb_cell, plan_cell))[:, positive].reshape(4, -1)
+        c = np.column_stack((drawn - accepted, accepted)).ravel()
+        means, ci = zip(*(streams.interval(c, row, 0.0) for row in table))
+        results.append(SimulationResult(samples, int(np.sum(accepted)) / samples, *means, *ci))
     return results
 
 

@@ -10,9 +10,9 @@ and returns their results in batch order. (Generated instances draw from a
 Philox key of their own, in ``generate``, so that the games a seed names
 stay fixed whatever the Monte Carlo streams become.) Each batch reduces
 what it drew to sufficient statistics: a count, a mean and a centred second
-moment of one group of draws, which ``Moments.merge`` folds in batch
-order. Results are therefore bit-identical for a fixed seed on any number
-of cores.
+moment of one group of draws, which ``interval`` pools with the other
+groups into a mean and a 99 percent half-width. Its sums are correctly
+rounded, so results are bit-identical for a fixed seed on any number of cores.
 
 A batch's draws depend only on ``(seed, index)``, so a simulation that
 reopens a batch's stream draws the same values again: each scenario of a
@@ -27,6 +27,7 @@ cell counts from stream ``index``, the B type's index in its game.
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -95,39 +96,42 @@ def run_batches(total: int, make_batch: Callable[[], Callable[[int, int], T]]) -
     return results
 
 
-class Moments:
-    """Count, mean and centred second moment of one column, folded in one
-    batch at a time.
+def interval(counts, means, within) -> tuple[float, float]:
+    """Mean and 99 percent half-width of the draws of several groups, each
+    given as its count, mean and centred second moment (one ``within`` may
+    stand for all); groups with no draws are dropped.
 
-    Each batch is centred on its own mean and merged with the update of
-    Chan, Golub & LeVeque (1979). Raw sums of squares would cancel
-    catastrophically once the values sit far from zero (at a payoff offset
-    of 1e8 they report a zero-width interval); centred moments do not. The
-    fold keeps means rather than sums, so it stays finite wherever the
-    values do: n times a mean near the largest float would overflow. The
-    update is not associative in floating point, so batches are merged in
-    batch order whichever thread computed them.
+    The mean is the smallest group mean plus a ``math.fsum`` of each group's
+    share times its gap above it; the second moment, a ``math.fsum`` of the
+    groups' own and of each count times its squared gap from the mean. A gap
+    between equal values is 0, infinities included. Gaps carry no offset
+    common to the draws, so the width stays right far from zero and the
+    mean finite wherever the draws are, in any order of the groups.
     """
+    counts, means, within = np.broadcast_arrays(counts, np.asarray(means, dtype=float), within)
+    drawn = counts > 0
+    counts, means, within = counts[drawn], means[drawn], within[drawn]
+    n = int(np.sum(counts))
+    shares = counts / n
+    low = float(np.min(means))
+    mean = low + _fsum(shares * _gaps(means, low))
+    if math.isfinite(mean):
+        # Gaps above ``low`` round at the scale of the means' range; one
+        # more step from ``mean`` rounds at the scale of their spread.
+        mean += _fsum(shares * _gaps(means, mean))
+    with np.errstate(over="ignore"):
+        m2 = _fsum(np.append(within, counts * np.square(_gaps(means, mean))))
+    return mean, Z99 * math.sqrt(m2) / n
 
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
 
-    def merge(self, size: int, mean: float, m2: float) -> None:
-        """Fold in one batch of ``size`` values, given as its mean and
-        centred second moment. An empty batch changes nothing."""
-        if not size:
-            return
-        total = self.count + size
-        mean, m2 = float(mean), float(m2)
-        delta = mean - self.mean
-        if self.count:
-            m2 += delta * delta * (self.count * size / total)
-        # Step from the larger side, as the step's rounding scales with it.
-        if size > self.count:
-            self.mean = mean - delta * (self.count / total)
-        else:
-            self.mean += delta * (size / total)
-        self.count = total
-        self.m2 += m2
+def _gaps(values: np.ndarray, base: float) -> np.ndarray:
+    """``values - base``, 0 where the two are equal (so inf - inf is 0)."""
+    return np.subtract(values, base, out=np.zeros(values.shape), where=values != base)
+
+
+def _fsum(terms: np.ndarray) -> float:
+    """``math.fsum`` of float64 ``terms``; inf where it passes the float range."""
+    try:
+        return math.fsum(memoryview(terms))
+    except OverflowError:
+        return math.inf

@@ -244,14 +244,18 @@ OVERFLOW_GAME = {
         (["multi-offer", "--optimize"], "value", "1.7e+308"),
         (["nash"], "value", "inf"),
         (["poa"], "poa", "nan"),
+        (["multi-offer", "--samples", "100", "--schedule"], "sim_welfare", "inf"),
+        (["multi-offer", "--samples", "100", "--schedule"], "sim_welfare_ci99", "0.0"),
     ],
-    ids=["optimal", "simplified", "schedule", "optimize", "nash", "poa"],
+    ids=["optimal", "simplified", "schedule", "optimize", "nash", "poa", "sim-welfare", "sim-welfare-ci"],
 )
 def test_welfare_past_the_float_range_reads_inf(capsys, workdir, schedule_file, argv, column, want):
     """A branch of probability 0 adds nothing, even where its payoffs sum
     past the largest float, so the last row's expected welfare is ``inf``
     rather than ``nan``, with nothing on stderr. In ``poa`` both welfare
-    tables are ``inf``, and ``inf / inf`` stays ``nan``."""
+    tables are ``inf``, and ``inf / inf`` stays ``nan``. Every drawn cell of
+    the schedule's simulated welfare is ``inf``, so it reads ``inf`` with a
+    width of 0.0."""
     path = workdir / "overflow.json"
     path.write_text(json.dumps(OVERFLOW_GAME), encoding="utf-8")
     extra = [schedule_file] if argv[-1] == "--schedule" else []

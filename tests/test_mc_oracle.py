@@ -214,7 +214,7 @@ def test_two_group_moments_match_a_two_pass_reference(
     a_default, b_outside, power, low, width, beta, reach, gamma, samples, seed
 ):
     """u_a, u_b and welfare (``mc_single_offer``), and PoA (``mc_poa``),
-    each from the two-group merge, against ``math.fsum`` two-pass moments
+    each pooled by ``streams.interval``, against ``math.fsum`` two-pass moments
     of the package's own draws laid out as per-draw columns
     (``single_offer_cell_columns``, aggregate and exact accounting), with
     PoA from ``_poa_column``."""

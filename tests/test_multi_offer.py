@@ -252,6 +252,18 @@ def test_simulation_ci_survives_large_payoff_offset():
         assert getattr(far, field) == pytest.approx(getattr(near, field), rel=1e-6), field
 
 
+def test_simulation_past_the_float_range_reads_inf():
+    """On type t2, A's payoff plus the transfer passes the largest float, and
+    so does the welfare: u_a and welfare read inf with an infinite width,
+    and nothing warns (the tests turn warnings into errors)."""
+    game = ow.make_game(
+        ["a1", "a2"], ["b1", "b2"], [("t1", 0.5), ("t2", 0.5)], [("u1", 1.0)],
+        np.array([[1.0, 2.0], [1.6e308, 0.0]]), np.array([[[1.7e308, 0.0], [1.0, 3.0]]]),
+    )
+    (sim,) = ow.simulate_schedule(game, sched([0.2, 0.5], [1.0, 0.5]), ["u1"], samples=1000, seed=1)
+    assert (sim.mean_u_a, sim.ci_u_a, sim.mean_sw, sim.ci_sw) == (math.inf,) * 4
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**16), data=st.data())
 def test_monotone_schedule_never_beats_the_best_single_offer(seed, data):

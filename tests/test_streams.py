@@ -72,31 +72,34 @@ def test_batch_sizes():
         streams.batch_sizes(-1)
 
 
-# Worst errors of ``Moments`` against the two-pass ``math.fsum`` reference,
-# measured with the fold of means over 600 random splits of up to 4 x 70,000
-# values: 7.9e-16 of |mean| + standard error for the means (offset 0), and
-# 1.2e-10 relative for the standard errors (offset 1e8; 3.0e-16 at offset
-# 0). The fold of sums it replaced gave 6.1e-16 and 2.0e-9 over 3,400
-# splits. The tolerances sit a few times above those. The measurement
-# covers splits whose batches mostly hold many values; 1,500 random splits
-# of the shape drawn here (1 to 6 batches of 1 to 3,000 values) gave at
-# most 6.3e-10 at offset 1e8. It does not cover splits of few values at
-# offset 1e8, where each merge's difference of two batch means carries an
-# ulp of 1e8 (about 1.5e-8) against a spread of 1. Over random splits of 2
-# to 6 batches, the standard error's worst relative error was 4.1e-8 for 2
-# to 9 values in all (3,000 splits), 1.1e-8 for 30 to 49 (3,000), 8.2e-9
-# for 50 to 99 (33,000) and 6.5e-9 for 100 to 199 (33,000): the region
-# above SE_TOL ends near 50 values. So at offset 1e8 the splits drawn for
-# SE_TOL hold at least SCOPE_VALUES values, and a strict xfail runs splits
-# below it.
+# Worst errors of ``interval`` against the two-pass ``math.fsum`` reference,
+# over 600 random splits of up to 4 x 70,000 values: 6.0e-16 of |mean| +
+# standard error for the means (offset 0), and 6.8e-11 relative for the
+# standard errors (offset 1e8; 4.3e-16 at offset 0). On the same splits the
+# ordered merge of Chan, Golub & LeVeque that it replaced gave 6.0e-16 and
+# 8.0e-11; the fold of sums before that gave 6.1e-16 and 2.0e-9 over 3,400
+# splits. Without its second step from the pooled mean, ``interval``'s
+# mean reached 3.2e-15, above MEAN_TOL, where a small batch's mean lies far
+# from the others. The tolerances sit a few times above those. The
+# measurement covers splits whose batches mostly hold many values; 1,500
+# random splits of the shape drawn here (1 to 6 batches of 1 to 3,000
+# values) gave at most 6.7e-10 at offset 1e8. It does not cover splits of
+# few values at offset 1e8, where each batch mean carries an ulp of 1e8
+# (about 1.5e-8) against a spread of 1. Over random splits of 2 to 6
+# batches, 3,000 each, the standard error's worst relative error was
+# 3.5e-8 for 2 to 9 values in all, 8.1e-9 for 30 to 49, 5.8e-9 for 50 to
+# 99 and 4.1e-9 for 100 to 199 (the ordered merge: 6.1e-7, 8.1e-9, 6.1e-9
+# and 4.2e-9): the region above SE_TOL lies below 50 values. So at offset
+# 1e8 the splits drawn for SE_TOL hold at least SCOPE_VALUES values, and a
+# strict xfail runs splits below it.
 MEAN_TOL = 2e-15
 SE_TOL = 1e-8
 SCOPE_VALUES = 100
 
 
 class _RawMoments:
-    """The fold ``Moments`` replaced: raw sums and sums of squares, here
-    rebuilt from each batch's centred statistics."""
+    """The fold centred moments replaced: raw sums and sums of squares, here
+    rebuilt from each batch's centred statistics and merged in order."""
 
     def __init__(self) -> None:
         self.count = 0
@@ -107,13 +110,14 @@ class _RawMoments:
         self.sum += size * mean
         self.squares += m2 + size * mean * mean
 
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count
-
-    @property
-    def m2(self) -> float:
-        return self.squares - self.sum * self.mean
+    @classmethod
+    def interval(cls, counts, means, within) -> tuple[float, float]:
+        """``streams.interval``'s result from the raw sums."""
+        raw = cls()
+        for group in zip(counts, means, within):
+            raw.merge(*group)
+        mean = raw.sum / raw.count
+        return mean, streams.Z99 * np.sqrt(raw.squares - raw.sum * mean) / raw.count
 
 
 def _data(batches: list[int], seed: int, offset: float) -> np.ndarray:
@@ -121,15 +125,15 @@ def _data(batches: list[int], seed: int, offset: float) -> np.ndarray:
     return offset + np.random.default_rng(seed).standard_normal((2, sum(batches))) * [[1.0], [100.0]]
 
 
-def _check_fold(fold, batches: list[int], seed: int, offset: float) -> None:
-    """Fold each column of ``_data`` on its own, each batch reduced by the
-    simulators' group fold and merged as the simulators do, and compare with a two-pass ``math.fsum`` reference."""
+def _check_fold(pool, batches: list[int], seed: int, offset: float) -> None:
+    """Pool each column of ``_data`` on its own, each batch reduced by the
+    simulators' group fold and the batches pooled by ``pool`` (``interval``
+    or a stand-in), and compare with a two-pass ``math.fsum`` reference."""
     for column in _data(batches, seed, offset):
         values = column.tolist()
-        moments = fold()
-        for batch in np.split(column.copy(), np.cumsum(batches)[:-1]):
-            moments.merge(*analytics._group_moments(batch))
-        mean, se = moments.mean, np.sqrt(moments.m2 / moments.count / moments.count)
+        groups = [analytics._group_moments(b) for b in np.split(column.copy(), np.cumsum(batches)[:-1])]
+        mean, half_width = pool(*zip(*groups))
+        se = half_width / streams.Z99
         ref_mean = math.fsum(values) / len(values)
         ref_se = math.sqrt(math.fsum((v - ref_mean) ** 2 for v in values) / len(values) / len(values))
         assert abs(mean - ref_mean) <= MEAN_TOL * (abs(ref_mean) + ref_se)
@@ -153,34 +157,50 @@ def _splits(offset: float) -> list[tuple[list[int], int]]:
 
 @pytest.mark.parametrize("offset", [0.0, 1e8])
 def test_moments_match_two_pass_reference(offset):
-    _check_fold(streams.Moments, [3, 2_500], 0, offset)  # a small batch, then a larger one
+    _check_fold(streams.interval, [3, 2_500], 0, offset)  # a small batch, then a larger one
+    _check_fold(streams.interval, [131, 68_299, 10_642], 3_823_366_323, offset)  # a small batch's mean far off
     for batches, seed in _splits(offset):
-        _check_fold(streams.Moments, batches, seed, offset)
+        _check_fold(streams.interval, batches, seed, offset)
 
 
 def test_moments_mean_after_a_one_value_leading_batch():
-    """A merge moves the mean by a share of the difference of the two
-    means, and that step rounds relative to its own size. Stepping from the
-    one-value batch to the larger one would move nearly the whole
-    difference, as wide as the data's spread, and put this mean 4.5e-15 of
-    |mean| + standard error off, above MEAN_TOL; stepping from the larger
-    side moves 1/1402 of it. ``mc_single_offer`` merges its accepted draws'
-    batches, which hold one value when acceptance is rare."""
-    _check_fold(streams.Moments, [1, 1401], 1, 0.0)
+    """A batch of one value next to a batch of 1,401: the two means lie as
+    far apart as the data's spread. An ordered merge that steps from the
+    one-value batch to the larger one moves the mean by nearly that whole
+    difference and put it 4.5e-15 of |mean| + standard error off, above
+    MEAN_TOL. ``interval`` sums each batch's share times its gap correctly
+    rounded, so each term rounds relative to its own size.
+    ``mc_single_offer`` pools its accepted draws' batches, which hold one
+    value when acceptance is rare."""
+    _check_fold(streams.interval, [1, 1401], 1, 0.0)
+
+
+@pytest.mark.parametrize("value", [0.1, -3e300, 1.7e308, math.inf, -math.inf])
+def test_interval_of_equal_empty_and_overflowing_groups(value):
+    """Groups that share one mean give exactly that mean and a width of
+    0.0, infinities included, and groups with no draws are ignored: an
+    empty group with a NaN mean and moment changes nothing. A second moment
+    past the float range gives an infinite width."""
+    assert streams.interval([3, 2**40, 1], [value] * 3, 0.0) == (value, 0.0)
+    nan = math.nan
+    assert streams.interval([3, 0, 2**40, 1], [value, nan, value, value], [0.0, nan, 0.0, 0.0]) == (value, 0.0)
+    pooled = streams.interval([2, 5], [1.0, 3.0], [0.5, 4.0])
+    assert streams.interval([2, 0, 5], [1.0, -7.0, 3.0], [0.5, 9.0, 4.0]) == pooled
+    assert streams.interval([1, 1], [-1e154, 1e154], 0.0) == (0.0, math.inf)
 
 
 @pytest.mark.xfail(strict=True, reason="batch means at offset 1e8 carry an ulp of 1e8 against a spread of 1")
 def test_moments_standard_error_below_the_scope_at_a_large_offset():
     """Splits the SE_TOL measurement does not cover, from the corner below
     SCOPE_VALUES where the error is largest: 150 splits of 2 to 6 batches of
-    one or two values at offset 1e8. Each merge's difference of means
-    carries an ulp of 1e8 (about 1.5e-8) against a spread of 1. Of 2,000
-    such splits, 1.6% put the standard error above SE_TOL; of these 150,
-    the 21st (batches [2, 2]) does."""
+    one or two values at offset 1e8. Each batch mean carries an ulp of 1e8
+    (about 1.5e-8) against a spread of 1. Of 2,000 such splits, 1.2% put
+    the standard error above SE_TOL (1.6% with the ordered merge that
+    ``interval`` replaced); of these 150, the 21st (batches [2, 2]) does."""
     rng = np.random.default_rng(1)
     for _ in range(150):
         batches = rng.integers(1, 3, size=rng.integers(2, 7)).tolist()
-        _check_fold(streams.Moments, batches, int(rng.integers(2**32)), 1e8)
+        _check_fold(streams.interval, batches, int(rng.integers(2**32)), 1e8)
 
 
 def test_run_batches_keeps_batch_order_and_one_factory_per_lane(monkeypatch):
@@ -211,9 +231,9 @@ def test_run_batches_keeps_batch_order_and_one_factory_per_lane(monkeypatch):
 
 
 def test_raw_sum_of_squares_fold_fails_the_moments_check():
-    _check_fold(_RawMoments, [3, 2_500], 0, 0.0)
+    _check_fold(_RawMoments.interval, [3, 2_500], 0, 0.0)
     with pytest.raises(AssertionError):
-        _check_fold(_RawMoments, [3, 2_500], 0, 1e8)
+        _check_fold(_RawMoments.interval, [3, 2_500], 0, 1e8)
 
 
 def test_generated_games_are_valid_and_reproducible():
