@@ -9,13 +9,14 @@ numpy, so the commands that print only closed forms never load it; this
 module holds the scenarios as distributions and a vectorized simulator that
 samples them directly, and only ``--mc-samples`` runs it. The simulator has
 one estimator per estimand, each folding only what it reports on a shared
-batch driver (``_simulate``): ``mc_single_offer`` the accepted draws'
-sacrifices, for the payoffs and welfare, and ``mc_poa`` the declined
-draws' forgone gains, for the per-draw price of anarchy. A draw of the
-other group adds only a constant, so a batch draws no run of it: it draws
-its group's size from the group's binomial law, then only that group's
-sacrifices, and folds them by ``_group_moments``; ``streams.interval``
-pools every batch's group with the other group, a constant (``_pooled``).
+batch driver (``_simulate``, which runs the batches in order on the calling
+thread): ``mc_single_offer`` the accepted draws' sacrifices, for the
+payoffs and welfare, and ``mc_poa`` the declined draws' forgone gains, for
+the per-draw price of anarchy. A draw of the other group adds only a
+constant, so a batch draws no run of it: it draws its group's size from the
+group's binomial law, then only that group's sacrifices, and folds them by
+``_group_moments``; ``streams.interval`` pools every batch's group with the
+other group, a constant (``_pooled``).
 
 Accounting note. The closed-form welfare curves book every accepting type's
 sacrifice at the population mean ("aggregate" accounting), so
@@ -235,11 +236,10 @@ def _simulate(scenarios: Sequence[SingleOfferScenario], samples: int, seed: int,
     a call reopens the batch's stream, so its result is the same whether it
     is simulated alone or with others.
 
-    Batches run on ``os.cpu_count()`` threads (``streams.run_batches``).
-    Each thread owns one float column of one batch, which every fold fills
-    and overwrites in turn. Every batch's folds are kept until all have
-    run, so ``samples`` is capped at 2**32: 65,536 batches, whose folds
-    take about 58 MB for four scenarios.
+    Batches run in order on the calling thread, in one float column of one
+    batch, which every fold fills and overwrites in turn. Every batch's
+    folds are kept until all have run, so ``samples`` is capped at 2**32:
+    65,536 batches, whose folds take about 58 MB for four scenarios.
     """
     if isinstance(scenarios, SingleOfferScenario):
         raise TypeError("scenarios must be a sequence of SingleOfferScenario, not one scenario")
@@ -249,15 +249,12 @@ def _simulate(scenarios: Sequence[SingleOfferScenario], samples: int, seed: int,
     if not terms:
         return terms, []
 
-    def make_batch():
-        column = np.empty(min(samples, streams.BATCH_SIZE))
-
-        def batch(index: int, size: int):
-            return [fold(t, streams.stream(seed, index), size, column) for t in terms]
-
-        return batch
-
-    return terms, list(zip(*streams.run_batches(samples, make_batch)))
+    column = np.empty(min(samples, streams.BATCH_SIZE))
+    batches = [
+        [fold(t, streams.stream(seed, i), size, column) for t in terms]
+        for i, size in enumerate(streams.batch_sizes(samples))
+    ]
+    return terms, list(zip(*batches))
 
 
 def _draw_group(rng: np.random.Generator, size: int, p: float, column: np.ndarray) -> np.ndarray:

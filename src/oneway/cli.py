@@ -17,12 +17,11 @@ import math
 import os
 import sys
 
-# A command's only parallel work runs on the package's own thread pools (the
-# Monte Carlo batches and the trade sweep). An OpenBLAS pool (numpy's, and
-# scipy's once an LP is solved) would add a thread per CPU that spins for no
-# work, so BLAS runs on one thread unless the user sets either variable. This
-# must precede the first numpy import, which is why ``import oneway`` loads
-# nothing eagerly.
+# A command's only parallel work runs on the package's own thread pool (the
+# trade sweep). An OpenBLAS pool (numpy's, and scipy's once an LP is solved)
+# would add a thread per CPU that spins for no work, so BLAS runs on one
+# thread unless the user sets either variable. This must precede the first
+# numpy import, which is why ``import oneway`` loads nothing eagerly.
 if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
@@ -34,9 +33,10 @@ def _lazy(name: str):
     is returned as it is.
 
     On Python 3.10 and 3.11 a lazy module is not safe to load from two
-    threads at once, so every first touch stays on the main thread: each
-    handler reads its module's function before that function starts a pool,
-    and a module's own ``from .x import y`` lines load ``x`` while it loads.
+    threads at once, so every first touch stays on the main thread: the
+    trade sweep's handler reads ``bilateral``'s function before that
+    function starts its pool, and a module's own ``from .x import y`` lines
+    load ``x`` while it loads.
     """
     fullname = f"{__package__}.{name}"
     if fullname in sys.modules:

@@ -4,34 +4,25 @@ Every Monte Carlo batch draws from its own PCG64DXSM generator, seeded by
 the ``index``-th child that numpy's ``SeedSequence`` spawns from the master
 seed: numpy's documented scheme for independent parallel streams, and a
 generator that fills doubles more than twice as fast as Philox. Distinct
-indices give independent streams, so the batches of a Monte Carlo run need
-no shared state: ``run_batches`` runs them on ``os.cpu_count()`` threads
-and returns their results in batch order. (Generated instances draw from a
-Philox key of their own, in ``generate``, so that the games a seed names
-stay fixed whatever the Monte Carlo streams become.) Each batch reduces
-what it drew to sufficient statistics: a count, a mean and a centred second
-moment of one group of draws, which ``interval`` pools with the other
-groups into a mean and a 99 percent half-width. Its sums are correctly
-rounded, so results are bit-identical for a fixed seed on any number of cores.
+indices give independent streams, so a batch's draws depend only on
+``(seed, index)`` and on no batch run before it. (Generated instances draw
+from a Philox key of their own, in ``generate``, so that the games a seed
+names stay fixed whatever the Monte Carlo streams become.) Each batch
+reduces what it drew to sufficient statistics: a count, a mean and a
+centred second moment of one group of draws, which ``interval`` pools with
+the other groups into a mean and a 99 percent half-width. Its sums are
+correctly rounded, so results are bit-identical for a fixed seed.
 
-A batch's draws depend only on ``(seed, index)``, so a simulation that
-reopens a batch's stream draws the same values again: each scenario of a
-single-offer call (``analytics.mc_single_offer`` and ``analytics.mc_poa``)
-reopens it, and so gets the same result alone or with others.
-``make_batch`` builds the buffers one thread owns for all its batches: a
-single-offer estimator keeps one float column and no mask, because it
-draws only the group of runs it folds, the group's size first.
-``multi_offer.simulate_schedule`` runs no batches: it draws each B type's
-cell counts from stream ``index``, the B type's index in its game.
+A simulation that reopens a batch's stream draws the same values again:
+each scenario of a single-offer call (``analytics.mc_single_offer`` and
+``analytics.mc_poa``) reopens it, and so gets the same result alone or with
+others. ``multi_offer.simulate_schedule`` runs no batches: it draws each B
+type's cell counts from stream ``index``, the B type's index in its game.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
-from typing import TypeVar
 
 import numpy as np
 
@@ -41,8 +32,6 @@ BATCH_SIZE = 1 << 16
 # 99.5th percentile of the standard normal: half-width multiplier for a
 # two-sided 99 percent confidence interval.
 Z99 = 2.5758293035489004
-
-T = TypeVar("T")
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
@@ -64,36 +53,6 @@ def batch_sizes(total: int) -> list[int]:
     if total % BATCH_SIZE:
         out.append(total % BATCH_SIZE)
     return out
-
-
-def run_batches(total: int, make_batch: Callable[[], Callable[[int, int], T]]) -> list[T]:
-    """Results of ``batch(index, size)`` over ``batch_sizes(total)``, in batch
-    order.
-
-    ``make_batch()`` builds one thread's batch function, so each thread owns
-    the buffers it closes over. Batch ``i`` runs on thread ``i mod W``, with
-    ``W = min(os.cpu_count(), batches)``; with one thread the batches run
-    inline, without a pool. numpy releases the interpreter lock in the
-    stream fills and elementwise ufuncs, which is where a batch spends most
-    of its time; its reductions (``np.sum``, ``np.max``) hold the lock. An
-    exception in a batch is raised here once every thread has stopped.
-    """
-    sizes = batch_sizes(total)
-    workers = min(os.cpu_count() or 1, len(sizes))
-    if workers <= 1:
-        batch = make_batch()
-        return [batch(i, size) for i, size in enumerate(sizes)]
-
-    def lane(first: int) -> list[T]:
-        batch = make_batch()
-        return [batch(i, sizes[i]) for i in range(first, len(sizes), workers)]
-
-    results: list = [None] * len(sizes)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        lanes = [pool.submit(lane, w) for w in range(workers)]
-        for w, future in enumerate(lanes):
-            results[w::workers] = future.result()
-    return results
 
 
 def interval(counts, means, within) -> tuple[float, float]:

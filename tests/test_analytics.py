@@ -291,15 +291,16 @@ def test_mc_single_offer_deterministic():
 
 
 def test_mc_estimators_accept_the_largest_count(monkeypatch):
-    """2**32 draws are accepted and handed to the batch driver whole; the
-    driver is stubbed out, as the draws themselves take over a minute."""
+    """2**32 draws are accepted and handed to the batch split whole; the
+    split is stubbed to give no batches, as the draws themselves take over
+    a minute."""
     totals = []
 
-    def run_batches(total, make_batch):
+    def batch_sizes(total):
         totals.append(total)
         return []
 
-    monkeypatch.setattr(streams, "run_batches", run_batches)
+    monkeypatch.setattr(streams, "batch_sizes", batch_sizes)
     for estimator in (analytics.mc_single_offer, analytics.mc_poa):
         assert estimator([ow.power_scenario(0.5)], samples=2**32, seed=1) == []
     assert totals == [2**32, 2**32]

@@ -16,8 +16,9 @@ standard library alone, so ``examples`` without ``--mc-samples`` and
 ``sweep`` never load numpy. A module has run iff
 ``type(sys.modules[name]) is types.ModuleType``: ``type()`` does not trigger
 a lazy load, where reading an attribute would. The tests pin the modules
-each subcommand runs, and that a command whose thread pool starts on
-lazily loaded modules prints what it prints after eager imports.
+each subcommand runs, that ``ms-check``, the one command with a thread
+pool, prints after lazy loads what it prints after eager imports, and that
+the commands that run ``streams`` load no thread pool at all.
 
 ``scipy.optimize`` is most of the package's import time, and only the
 bilateral-trade LPs use it, through ``bilateral.linprog``, which imports it
@@ -221,6 +222,33 @@ def test_offer_search_leaves_numpy_ma_unloaded(inputs, argv):
     )
 
 
+# The commands that run ``streams``: their batches run on the calling thread,
+# so they load no thread pool, nor the logging that concurrent.futures
+# imports. (numpy itself imports threading; ms-check's sweep pool loads both.)
+STREAM_COMMANDS = [
+    ["examples", "--which", "corollary", "--mc-samples", "100"],
+    ["examples", "--which", "1b", "--mc-samples", "100"],
+    ["multi-offer", "{d}/small.json", "--schedule", "{d}/sched.json", "--samples", "100"],
+    ["multi-offer", "{d}/small.json", "--optimize"],
+]
+
+
+@pytest.mark.parametrize("argv", STREAM_COMMANDS, ids=[" ".join(a).replace("{d}/", "") for a in STREAM_COMMANDS])
+def test_stream_commands_load_no_thread_pool(inputs, argv):
+    _child(
+        """
+        import contextlib, io, sys
+        from oneway import cli
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(sys.argv[1:]) == 0, sys.argv[1:]
+        loaded = sorted({"concurrent.futures", "logging"} & set(sys.modules))
+        assert not loaded, loaded
+        """,
+        *(a.format(d=inputs) for a in argv),
+    )
+
+
 EAGER = (
     "analytics",
     "bilateral",
@@ -241,9 +269,10 @@ EAGER = (
     ids=["corollary-mc", "ms-check"],
 )
 def test_first_touch_gives_the_eager_report(argv):
-    """The command's thread pool starts on modules that the command itself
-    loaded, and its report equals the one printed after every module was
-    imported before ``oneway.cli``."""
+    """The command's report equals the one printed after every module was
+    imported before ``oneway.cli``. Only ``ms-check`` starts a thread pool,
+    on modules that the command itself loaded; the Monte Carlo command
+    stays as a lazily loaded command with many batches."""
 
     def report(imports: str, ran_before: list[str]) -> str:
         return _child(

@@ -21,9 +21,9 @@ exactly one batch, one batch plus one draw and several batches with a
 ragged tail. Every scenario of a call reopens each batch's stream, and
 must get the package's own result for it alone. The per-draw loop shares
 no draws with the package; it is the reference in distribution, through
-the coverage tests in ``test_analytics``. The batches run on worker
-threads, and the results must be ``repr``-equal to the package's own on
-one thread under several ``os.cpu_count()`` values.
+the coverage tests in ``test_analytics``. The batches run in order on the
+calling thread, and the same-draws comparisons pin that order: a batch
+folded out of place would fold another batch's stream.
 
 A schedule simulation draws each B type's (A type, accepted) cell counts
 from their law in place of the draws, so it shares no draws with the
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 import sys
 import tracemalloc
 
@@ -416,36 +415,7 @@ def test_schedules_no_type_accepts_read_exact_zeros(samples):
     assert checked >= 10
 
 
-THREAD_SAMPLES = (1, streams.BATCH_SIZE, streams.BATCH_SIZE + 1, 200_001)
-
-
-def _every_result(samples: int) -> list:
-    names = sorted(SCENARIOS)
-    out = []
-    for run in ESTIMATORS:
-        out += run([SCENARIOS[n] for n in names], samples, 7)
-    for game, schedule in CASES:
-        out += ow.simulate_schedule(game, schedule, game.types_b, samples, 7)
-    return out
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3, 8, None])
-def test_results_do_not_depend_on_the_thread_count(monkeypatch, cpus):
-    """Batches run on ``os.cpu_count()`` threads and single offers fold
-    their statistics in batch order (schedules draw on the calling thread),
-    so every field is ``repr``-equal to a run on one thread, including runs
-    with fewer batches than threads and a ragged last batch."""
-    for samples in THREAD_SAMPLES:
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        want = _every_result(samples)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        got = _every_result(samples)
-        assert [repr(r) for r in got] == [repr(r) for r in want], (cpus, samples)
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 8])
-def test_a_failing_batch_reaches_the_caller(monkeypatch, cpus):
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+def test_a_failing_batch_reaches_the_caller(monkeypatch):
     make_stream = streams.stream
 
     def stream(seed, index=0):
@@ -519,14 +489,13 @@ COLUMN = 8 * streams.BATCH_SIZE  # bytes in one float column of a full batch
 SLACK = COLUMN // 4
 
 
-def test_memory_budget_per_thread(monkeypatch):
-    """On one thread, either estimator holds one float column and no mask,
-    whatever the number of scenarios: each scenario of a batch draws only
-    its group's uniforms into that column, and maps them to sacrifices (and
-    gains) and folds them in place, so a second column would break the
-    budget. A schedule call draws its cell counts directly and holds no
-    batch column at all, however many B types it runs."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+def test_memory_budget():
+    """Either estimator holds one float column and no mask, whatever the
+    number of scenarios: each scenario of a batch draws only its group's
+    uniforms into that column, and maps them to sacrifices (and gains) and
+    folds them in place, so a second column would break the budget. A
+    schedule call draws its cell counts directly and holds no batch column
+    at all, however many B types it runs."""
     samples = 3 * streams.BATCH_SIZE
     four = [SCENARIOS[f"power-{b}"] for b in (0.25, 0.5, 0.75, 1.0)]
     for run in ESTIMATORS:

@@ -1,7 +1,5 @@
 import hashlib
 import math
-import os
-import threading
 
 import numpy as np
 import pytest
@@ -201,33 +199,6 @@ def test_moments_standard_error_below_the_scope_at_a_large_offset():
     for _ in range(150):
         batches = rng.integers(1, 3, size=rng.integers(2, 7)).tolist()
         _check_fold(streams.interval, batches, int(rng.integers(2**32)), 1e8)
-
-
-def test_run_batches_keeps_batch_order_and_one_factory_per_lane(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    made, ran = [], {}
-
-    def make_batch():
-        lane = object()
-        made.append(threading.get_ident())
-
-        def batch(index, size):
-            ran[index] = lane
-            return index, size
-
-        return batch
-
-    total = 7 * streams.BATCH_SIZE + 5
-    assert streams.run_batches(total, make_batch) == list(enumerate(streams.batch_sizes(total)))
-    assert len(made) == 3 and threading.get_ident() not in made
-    assert len(set(ran.values())) == 3
-    for index, lane in ran.items():  # batch i in the lane of batch i mod 3
-        assert lane is ran[index % 3]
-
-    made.clear()
-    assert streams.run_batches(5, make_batch) == [(0, 5)]  # one batch runs inline
-    assert made == [threading.get_ident()]
-    assert streams.run_batches(0, make_batch) == []
 
 
 def test_raw_sum_of_squares_fold_fails_the_moments_check():
