@@ -415,18 +415,23 @@ def test_schedules_no_type_accepts_read_exact_zeros(samples):
     assert checked >= 10
 
 
-def test_a_failing_batch_reaches_the_caller(monkeypatch):
+@pytest.mark.parametrize("failing", [1, 2, 8])
+def test_a_failing_batch_reaches_the_caller(monkeypatch, failing):
+    """Batch ``i`` draws from stream ``i``; the failing batch is neither the
+    first nor the last (a ragged one follows it), so the error must stop
+    the in-order run in its middle and reach the caller unchanged."""
     make_stream = streams.stream
+    samples = (failing + 1) * streams.BATCH_SIZE + 1
 
     def stream(seed, index=0):
-        if index == 2:
-            raise RuntimeError("batch 2 failed")
+        if index == failing:
+            raise RuntimeError(f"batch {index} failed")
         return make_stream(seed, index)
 
     monkeypatch.setattr(streams, "stream", stream)
     for estimator in ESTIMATORS:
-        with pytest.raises(RuntimeError, match="batch 2 failed"):
-            estimator([SCENARIOS["1b-x100"]], 200_001, 1)
+        with pytest.raises(RuntimeError, match=f"batch {failing} failed"):
+            estimator([SCENARIOS["1b-x100"]], samples, 1)
 
 
 def test_a_failing_stream_reaches_the_caller(monkeypatch):
