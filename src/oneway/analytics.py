@@ -6,8 +6,10 @@ for the cooperative action is drawn from a density, and the interesting
 quantities (equilibrium welfare, the optimal share, the price of anarchy
 curve) have closed forms. Those live in ``closed_form``, which imports no
 numpy, so the commands that print only closed forms never load it; this
-module holds the scenarios as distributions and a vectorized simulator that
-samples them directly, and only ``--mc-samples`` runs it. The simulator has
+module holds the scenarios, whose sacrifices all follow one power law on
+[low, high] (``ContinuousSpec``; the uniform law is its beta = 1 case), and
+a vectorized simulator that samples them directly, and only
+``--mc-samples`` runs it. The simulator has
 one estimator per estimand, each folding only what it reports on a shared
 batch driver (``_simulate``, which runs the batches in order on the calling
 thread): ``mc_single_offer`` the accepted draws' sacrifices, for the
@@ -44,52 +46,33 @@ from .streams import Z99  # noqa: F401  re-exported for callers of analytics
 
 @dataclass(frozen=True)
 class ContinuousSpec:
-    """A one-parameter family of sacrifice distributions on [low, high].
+    """A's sacrifice law: F(x) = ((x - low) / (high - low))^beta on
+    [low, high], the uniform law at beta = 1. Every parameter is finite,
+    with high > low and beta > 0."""
 
-    kind "uniform": flat on [low, high].
-    kind "power": F(x) = (x / high)^beta on [0, high] (low is ignored, 0).
-    No other kind exists, and every parameter must be finite.
-    """
-
-    kind: str
     low: float
     high: float
     beta: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("uniform", "power"):
-            raise ValueError(f"kind must be 'uniform' or 'power', got {self.kind!r}")
         _check_finite(self, "low", "high", "beta")
-        if self.kind == "uniform" and not self.high > self.low:
-            raise ValueError("uniform spec needs high > low")
-        if self.kind == "power" and not (self.beta > 0.0 and self.high > 0.0):
-            raise ValueError("power spec needs beta > 0 and scale > 0")
+        if not (self.high > self.low and self.beta > 0.0):
+            raise ValueError(f"spec needs high > low and beta > 0, got {self!r}")
 
     @classmethod
     def uniform(cls, low: float, high: float) -> "ContinuousSpec":
-        return cls("uniform", float(low), float(high))
+        return cls(float(low), float(high))
 
     @classmethod
     def power(cls, beta: float, scale: float) -> "ContinuousSpec":
-        return cls("power", 0.0, float(scale), float(beta))
+        return cls(0.0, float(scale), float(beta))
 
     def mean(self) -> float:
-        if self.kind == "uniform":
-            return 0.5 * (self.low + self.high)
-        return self.high * self.beta / (self.beta + 1.0)
+        # In this order low = 0 gives high * beta / (beta + 1) exactly.
+        return self.low + (self.high - self.low) * self.beta / (self.beta + 1.0)
 
     def cdf(self, x: float) -> float:
-        if self.kind == "uniform":
-            if x <= self.low:
-                return 0.0
-            if x >= self.high:
-                return 1.0
-            return (x - self.low) / (self.high - self.low)
-        if x <= 0.0:
-            return 0.0
-        if x >= self.high:
-            return 1.0
-        return (x / self.high) ** self.beta
+        return min(max(0.0, (x - self.low) / (self.high - self.low)), 1.0) ** self.beta
 
     def ppf(self, q, out: np.ndarray | None = None):
         """Inverse CDF, vectorized over q in [0, 1].
@@ -99,12 +82,9 @@ class ContinuousSpec:
         """
         if out is None:
             out = np.empty(np.shape(q))
-        if self.kind == "uniform":
-            np.multiply(q, self.high - self.low, out=out)
-            out += self.low
-        else:
-            np.power(q, 1.0 / self.beta, out=out)
-            out *= self.high
+        np.power(q, 1.0 / self.beta, out=out)
+        out *= self.high - self.low
+        out += self.low
         return out[()] if out.ndim == 0 else out
 
 

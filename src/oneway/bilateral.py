@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .equilibrium import _optimal_table
-from .game import PRIOR_TOL, OneWayGame, _selfish_reply, make_game
+from .game import PRIOR_TOL, OneWayGame, _exact_sum, _selfish_reply, make_game
 
 MARGIN_TOL = 1e-7
 CERT_TOL = 1e-7
@@ -69,8 +69,8 @@ def _canonical_side(values: Sequence[float], probs: Sequence[float], side: str):
     for p in ps:
         if not math.isfinite(p) or p < 0.0:
             raise ValueError(f"{side}: probabilities must be finite and non-negative, got {p!r}")
-    if abs(sum(ps) - 1.0) > PRIOR_TOL:
-        raise ValueError(f"{side}: probabilities sum to {sum(ps)!r}, expected 1")
+    if abs((total := _exact_sum(ps)) - 1.0) > PRIOR_TOL:
+        raise ValueError(f"{side}: probabilities sum to {total!r}, expected 1")
     order = sorted(range(len(vals)), key=lambda i: vals[i])
     return tuple(vals[i] for i in order), tuple(ps[i] for i in order)
 

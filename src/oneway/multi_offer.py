@@ -94,7 +94,7 @@ class Schedule:
 
 
 def s_values(schedule: Schedule) -> tuple[float, ...]:
-    """Effective thresholds (S_0, S_1, ..., S_n) with S_0 = 0 by convention.
+    """Effective thresholds (S_1, ..., S_n), one per step.
 
     Interior steps discount the next offer by its continuation probability;
     the last step has nothing after it, so S_n is gamma_n itself. Interior
@@ -103,7 +103,7 @@ def s_values(schedule: Schedule) -> tuple[float, ...]:
     """
     g, p = schedule.gammas, schedule.probs
     interior = [(g[i - 1] - p[i] * g[i]) / (1.0 - p[i]) for i in range(1, schedule.n)]
-    return (0.0, *interior, g[-1])
+    return (*interior, g[-1])
 
 
 def reach_probs(schedule: Schedule) -> tuple[float, ...]:
@@ -116,7 +116,7 @@ def expected_outcome(game: OneWayGame, schedule: Schedule, type_b: str) -> Offer
     view in ``planning_u_b``. Both are reported so simulations can be
     checked against the estimand they actually sample."""
     terms = _terms(game, schedule.action_a, type_b)
-    return terms.evaluate(game, s_values(schedule)[1:], reach_probs(schedule), schedule.gammas)
+    return terms.evaluate(game, s_values(schedule), reach_probs(schedule), schedule.gammas)
 
 
 def expected_utility_B(game: OneWayGame, schedule: Schedule, type_b: str) -> float:
@@ -176,7 +176,7 @@ def simulate_schedule(
     results = []
     for type_b in types_b:
         terms = _terms(game, schedule.action_a, type_b)
-        _, reach, transfer = _settle(terms, s_values(schedule)[1:], reach_probs(schedule), schedule.gammas)
+        _, reach, transfer = _settle(terms, s_values(schedule), reach_probs(schedule), schedule.gammas)
         rng = streams.stream(seed, game.type_b_index(type_b))
         drawn = rng.multinomial(samples, prior)
         accepted = rng.binomial(drawn, reach[positive])

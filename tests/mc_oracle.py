@@ -5,7 +5,8 @@ batches were written into reused buffers: every batch draws both uniforms
 with ``rng.uniform(size=...)`` and builds every payoff as a per-draw column
 from fresh temporaries. ``Moments`` is the moment fold of the same version,
 which kept sums and allocated its centring scratch on every ``add``, and
-``ppf`` is the inverse CDF of the same version, out of place. Two changes
+``ppf`` is the inverse CDF of the same version, out of place, with its
+two laws' formulas chosen by the spec's parameters. Two changes
 from the original: ``ppf(spec, q)`` for ``spec.ppf(q)``, and the single-offer
 batch body moved into ``single_offer_columns``, which also serves the per-draw
 columns to property tests, and whose payoff columns and fold are shared with
@@ -54,10 +55,15 @@ from oneway.streams import Z99
 
 
 def ppf(spec: ContinuousSpec, q):
+    """The uniform law's formula where beta = 1, else the power law's on
+    [0, high]; where both apply they agree bit for bit. The oracles draw
+    from no other law."""
     q = np.asarray(q, dtype=np.float64)
-    if spec.kind == "uniform":
+    if spec.beta == 1.0:
         return spec.low + q * (spec.high - spec.low)
-    return spec.high * q ** (1.0 / spec.beta)
+    if spec.low == 0.0:
+        return spec.high * q ** (1.0 / spec.beta)
+    raise ValueError(f"no oracle formula for beta {spec.beta!r} on [{spec.low!r}, {spec.high!r}]")
 
 
 class Moments:
@@ -216,7 +222,7 @@ def simulate_schedule(
     if samples <= 0:
         raise ValueError("samples must be positive")
     terms = _terms(game, schedule.action_a, type_b)
-    _, reach, _ = _settle(terms, s_values(schedule)[1:], reach_probs(schedule), schedule.gammas)
+    _, reach, _ = _settle(terms, s_values(schedule), reach_probs(schedule), schedule.gammas)
     n_types = len(game.types_a)
     cdf = np.cumsum(game.prior_a)
 
@@ -240,7 +246,7 @@ def simulate_schedule_cells(
     in type order and folded batch by batch as ``simulate_schedule`` folds
     its draws."""
     terms = _terms(game, schedule.action_a, type_b)
-    _, reach, _ = _settle(terms, s_values(schedule)[1:], reach_probs(schedule), schedule.gammas)
+    _, reach, _ = _settle(terms, s_values(schedule), reach_probs(schedule), schedule.gammas)
     positive = np.flatnonzero(game.prior_a > 0.0)
     rng = streams.stream(seed, game.type_b_index(type_b))
     drawn = rng.multinomial(samples, game.prior_a[positive] / math.fsum(game.prior_a[positive]))
@@ -257,7 +263,7 @@ def _fold_draws(game: OneWayGame, schedule: Schedule, type_b: str, samples: int,
     """Each batch of (A type, accepted) draws as per-draw payoff columns,
     folded into ``Moments``."""
     terms = _terms(game, schedule.action_a, type_b)
-    _, _, transfer = _settle(terms, s_values(schedule)[1:], reach_probs(schedule), schedule.gammas)
+    _, _, transfer = _settle(terms, s_values(schedule), reach_probs(schedule), schedule.gammas)
     ua_deal = game.payoff_a[:, terms.ia]
     moments = Moments(4)  # u_a, u_b, sw, u_b planning view
     accepted_total = 0

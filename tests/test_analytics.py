@@ -3,6 +3,8 @@ import math
 import mc_oracle as oracle
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oneway as ow
 from interval_coverage import COVERAGE_SEEDS, ORACLE_SEEDS, miss_limit
@@ -38,10 +40,90 @@ def test_continuous_spec_power():
         ow.ContinuousSpec.power(1.0, -2.0)
 
 
-@pytest.mark.parametrize("kind", ["normal", "Uniform", ""])
-def test_continuous_spec_rejects_unknown_kinds(kind):
-    with pytest.raises(ValueError, match="kind must be 'uniform' or 'power'"):
-        ow.ContinuousSpec(kind, 0.0, 2.0)
+def test_continuous_spec_shifted_power_law():
+    """One law on [low, high]: F(x) = ((x - low) / (high - low))^beta."""
+    spec = ow.ContinuousSpec(2.0, 6.0, 0.5)
+    assert spec.mean() == 2.0 + 4.0 / 3.0
+    assert spec.cdf(1.0) == 0.0
+    assert spec.cdf(3.0) == 0.5
+    assert spec.cdf(7.0) == 1.0
+    assert spec.ppf(0.5) == 3.0
+    assert spec.ppf(np.array([0.0, 1.0])).tolist() == [2.0, 6.0]
+    for bad in ((1.0, 1.0, 1.0), (0.0, 1.0, 0.0), (0.0, 1.0, -1.0)):
+        with pytest.raises(ValueError, match="spec needs"):
+            ow.ContinuousSpec(*bad)
+
+
+# The uniform and power laws' own formulas, as the spec kept them when each
+# was a separate kind: the one law must reproduce them bit for bit.
+def _uniform_ppf(low, high, q):
+    return np.multiply(q, high - low) + low
+
+
+def _power_ppf(beta, scale, q):
+    return np.power(q, 1.0 / beta) * scale
+
+
+def _uniform_cdf(low, high, x):
+    if x <= low:
+        return 0.0
+    if x >= high:
+        return 1.0
+    return (x - low) / (high - low)
+
+
+def _power_cdf(beta, scale, x):
+    if x <= 0.0:
+        return 0.0
+    if x >= scale:
+        return 1.0
+    return (x / scale) ** beta
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+_QS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40).map(np.array)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(low=st.floats(-1e6, 1e6), width=st.floats(1e-3, 1e6), q=_QS)
+def test_uniform_ppf_is_the_uniform_formula(low, width, q):
+    high = low + width
+    spec = ow.ContinuousSpec.uniform(low, high)
+    assert _bits(spec.ppf(q)) == _bits(_uniform_ppf(low, high, q))
+    assert _bits(spec.ppf(q[0])) == _bits(_uniform_ppf(low, high, np.asarray(q[0])))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(beta=st.one_of(st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.floats(1e-2, 1e2)),
+       scale=st.floats(1e-3, 1e6), q=_QS)
+def test_power_ppf_is_the_power_formula(beta, scale, q):
+    spec = ow.ContinuousSpec.power(beta, scale)
+    assert _bits(spec.ppf(q)) == _bits(_power_ppf(beta, scale, q))
+    assert _bits(spec.ppf(q[0])) == _bits(_power_ppf(beta, scale, np.asarray(q[0])))
+    out = q.copy()
+    assert spec.ppf(out, out=out) is out
+    assert _bits(out) == _bits(_power_ppf(beta, scale, q))
+
+
+# The scenarios the command line builds: example 1b's and the corollary's.
+_CLI_SPECS = [
+    (ow.ContinuousSpec.uniform(0.0, 100.0), lambda x: _uniform_cdf(0.0, 100.0, x), 50.0),
+    *(
+        (ow.ContinuousSpec.power(b, 1.0), lambda x, b=b: _power_cdf(b, 1.0, x), 1.0 * b / (b + 1.0))
+        for b in (0.25, 0.5, 0.75, 1.0)
+    ),
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(x=st.one_of(st.floats(-1.0, 101.0), st.floats(allow_nan=False), st.sampled_from([-0.0, 0.0, 1.0, 100.0])))
+def test_cli_spec_cdf_and_mean_are_the_kinds_formulas(x):
+    for spec, cdf, mean in _CLI_SPECS:
+        assert _bits(spec.cdf(x)) == _bits(cdf(x))
+        assert _bits(spec.mean()) == _bits(mean)
 
 
 def test_spec_sampling_matches_cdf():
@@ -216,7 +298,8 @@ def test_example_scenarios():
     ps = ow.power_scenario(1.0)
     assert ps.gamma == 0.5
     assert ps.a_default == 1.0
-    assert ps.delta_a_spec.kind == "power"
+    assert (ps.delta_a_spec.low, ps.delta_a_spec.high, ps.delta_a_spec.beta) == (0.0, 1.0, 1.0)
+    assert ow.power_scenario(0.25).delta_a_spec.beta == 0.25
 
 
 def test_scenario_game_structure():

@@ -5,6 +5,7 @@ import pytest
 
 import oneway as ow
 import trade_oracle
+from oneway import bilateral
 
 
 def test_instance_canonicalization():
@@ -35,6 +36,51 @@ def test_uniform_grid_instance():
     assert inst2.seller_values == (12.5, 37.5, 62.5, 87.5)
     with pytest.raises(ValueError):
         ow.uniform_grid_instance(0)
+    # 1 / k summed one term at a time falls 1.9e-12 short of 1 at this size
+    big = ow.uniform_grid_instance(100_000)
+    assert len(big.seller_values) == len(big.buyer_probs) == 100_000
+
+
+def _prior_accepted(make, probs) -> bool:
+    try:
+        make(probs)
+    except ValueError as err:
+        assert "sum" in str(err)
+        return False
+    return True
+
+
+def _trade_side(probs):
+    return ow.BilateralTradeInstance(range(len(probs)), probs, [0.5], [1.0])
+
+
+def _game_prior(probs):
+    return ow.make_game(
+        actions_a=["a1"],
+        actions_b=["b1"],
+        types_a=[(f"t{i}", p) for i, p in enumerate(probs)],
+        types_b=[("u1", 1.0)],
+        payoff_a=[[0.0]] * len(probs),
+        payoff_b=[[[0.0]]],
+    )
+
+
+@pytest.mark.parametrize(
+    "probs, accepted",
+    [
+        ([0.1] * 10, True),
+        ([1e-5] * 100_000, True),
+        # one term at a time, the tiny terms vanish: short by 2e-12, or exactly 1
+        ([1.0 - 2e-12] + [5e-17] * 40_000, True),
+        ([1.0] + [1e-16] * 20_000, False),
+        ([0.5, 0.5 + 2e-12], False),
+    ],
+    ids=["tenths", "1e-5", "absorbed-short", "absorbed-over", "over"],
+)
+def test_trade_side_and_game_prior_check_their_sums_alike(probs, accepted):
+    """Both checks take the correctly rounded sum, with the same tolerance."""
+    assert _prior_accepted(_trade_side, probs) is accepted
+    assert _prior_accepted(_game_prior, probs) is accepted
 
 
 def test_efficient_allocation_strict():
@@ -299,3 +345,27 @@ def test_one_way_audit_rejects_indices_out_of_range(name, value):
     n = len(game.actions_a if name == "action_a" else game.actions_b)
     with pytest.raises(ValueError, match=rf"{name} must hold action indices in \[0, {n}\)"):
         ow.check_one_way_properties(game, dataclasses.replace(om, **{name: table}))
+
+
+def test_feasibility_row_makes_two_solves_per_instance(monkeypatch):
+    """One feasibility LP and one subsidy LP per grid, whatever the verdict:
+    an infeasible verdict's certificate is checked without another solve."""
+    solves = []
+    solve = bilateral.linprog
+
+    def counted(*args, **kwargs):
+        solves.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(bilateral, "linprog", counted)
+    seen = {}
+    for k in (2, 5, 6, 7, 30):
+        before = len(solves)
+        seen[k] = (bilateral.feasibility_row(ow.uniform_grid_instance(k), k).verdict, len(solves) - before)
+    assert seen == {
+        2: ("feasible", 2),
+        5: ("marginal", 2),
+        6: ("infeasible", 2),
+        7: ("infeasible", 2),
+        30: ("infeasible", 2),
+    }

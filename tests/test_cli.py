@@ -369,7 +369,9 @@ def test_ms_check_refine_too_large(capsys, refine):
     assert err == f"error: --refine {refine} is above 200 values per side\n"
 
 
-@pytest.mark.parametrize("sellers, buyers", [(201, 3), (2, 201)])
+# 100,000 probabilities of 1e-5 sum to 1 - 1.9e-12 one term at a time, and
+# to exactly 1 when correctly rounded, so the instance loads.
+@pytest.mark.parametrize("sellers, buyers", [(201, 3), (2, 201), (100_000, 100_000)])
 def test_ms_check_instance_too_large(capsys, tmp_path, sellers, buyers):
     path = tmp_path / "big.json"
     path.write_text(

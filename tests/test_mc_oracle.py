@@ -329,7 +329,7 @@ def _schedule_scale(game: ow.OneWayGame, schedule: ow.Schedule, type_b: str) -> 
     B's, realised or planned."""
     terms = ow.single_offer._terms(game, schedule.action_a, type_b)
     _, _, transfer = ow.single_offer._settle(
-        terms, ow.s_values(schedule)[1:], ow.reach_probs(schedule), schedule.gammas
+        terms, ow.s_values(schedule), ow.reach_probs(schedule), schedule.gammas
     )
     a = np.abs(np.concatenate((game.selfish_payoff_a, game.payoff_a[:, terms.ia] + transfer)))
     b = np.abs(np.concatenate((terms.ub_reject, terms.ub_accept - transfer, [terms.outside.payoff])))

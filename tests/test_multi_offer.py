@@ -31,14 +31,14 @@ def test_schedule_validation():
 
 def test_s_values():
     s = ow.s_values(sched([0.3, 0.5], [1.0, 0.5]))
-    assert s[0] == 0.0
-    assert s[1] == pytest.approx(0.1, abs=1e-12)
-    assert s[2] == 0.5
+    assert len(s) == 2
+    assert s[0] == pytest.approx(0.1, abs=1e-12)
+    assert s[1] == 0.5
     # an attractive second offer pushes the first threshold negative
     s2 = ow.s_values(sched([0.2, 0.5], [1.0, 0.5]))
-    assert s2[1] < 0.0
-    # one step: thresholds collapse to (0, gamma)
-    assert ow.s_values(sched([0.4], [1.0])) == (0.0, 0.4)
+    assert s2[0] < 0.0
+    # one step: its threshold is its share
+    assert ow.s_values(sched([0.4], [1.0])) == (0.4,)
 
 
 def test_reach_probs():
@@ -217,7 +217,7 @@ def test_optimize_schedule_certified_on_random_games():
                 probe_slack, neighbours = certification_probe(game, tb, opt.schedule)
                 assert probe_slack <= opt.certification_slack, (seed, tb, n)
                 for cand in (opt.schedule, *neighbours):
-                    s = ow.s_values(cand)[1:]
+                    s = ow.s_values(cand)
                     assert all(a <= b for a, b in zip(s, s[1:])), (seed, tb, n, cand)
     # the exact certificate costs one evaluation, so ten thousand steps stay cheap
     opt = ow.optimize_schedule(ow.random_game(1), "u1", 10_000)
@@ -281,7 +281,7 @@ def test_monotone_schedule_never_beats_the_best_single_offer(seed, data):
     gammas = sorted(shares)
     probs = data.draw(st.lists(st.floats(0.0, 0.95), min_size=len(gammas) - 1, max_size=len(gammas) - 1))
     schedule = ow.Schedule(action, gammas, (1.0, *probs))
-    thresholds = ow.s_values(schedule)[1:]
+    thresholds = ow.s_values(schedule)
     assume(all(a <= b for a, b in zip(thresholds, thresholds[1:])))
     best = ow.optimal_offer(game, tb).evaluation.planning_u_b
     value = ow.expected_utility_B(game, schedule, tb)
