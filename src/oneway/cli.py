@@ -4,8 +4,10 @@ Every subcommand prints one deterministic report: a small comment header
 (tool version, subcommand, seed, canonical config and its hash, and the
 content hashes of the instance and the schedule read, if any) followed by
 a table of named columns as CSV. Identical invocations produce identical bytes. Exit codes: 0 on
-success, 1 when an input fails validation or a computation cannot proceed,
-2 for usage errors.
+success, 2 for what argparse rejects (an unknown flag, a missing argument,
+a value of the wrong type), and 1 for every other error: an input that fails
+validation, a flag the selected mode does not read, or a computation that
+cannot proceed.
 """
 
 from __future__ import annotations
@@ -71,7 +73,11 @@ MAX_POINTS = 10**6  # the most points a --from/--to/--step range, and the most s
 MAX_TRADE_VALUES = 200  # ms-check's most values a side: its LP has 2k(k - 1) + 2k dense rows (245 MB at 200)
 
 
-def _frange(start: float, stop: float, step: float) -> list[float]:
+def _frange(args: argparse.Namespace, start: float, stop: float, step: float) -> tuple[list[float], dict]:
+    """The points of ``--from``, ``--to`` and ``--step``, each defaulting to
+    the value given here, and the range as report config entries."""
+    given = (args.start, args.stop, args.step)
+    start, stop, step = (d if v is None else v for v, d in zip(given, (start, stop, step)))
     if not all(map(math.isfinite, (start, stop, step))):
         raise ValueError("--from, --to and --step must be finite")
     if step <= 0.0:
@@ -82,36 +88,25 @@ def _frange(start: float, stop: float, step: float) -> list[float]:
     if not span + 1e-9 < MAX_POINTS:
         raise ValueError(f"--from, --to and --step give more than {MAX_POINTS} points")
     count = int(math.floor(span + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
+    return [start + i * step for i in range(count)], {"from": start, "to": stop, "step": step}
 
 
 def _emit(
-    args: argparse.Namespace,
-    subcommand: str,
-    config: dict,
-    table: dict[str, list],
-    instance=None,
-    schedule=None,
-) -> None:
-    """Write the report of named columns; ``instance`` and ``schedule`` (the
-    parsed ``(action, gammas, probs)``), when given, are hashed into its
-    header."""
+    args: argparse.Namespace, subcommand: str, config: dict, table: dict[str, list], instance=None, schedule=None
+) -> int:
+    """Write the report of named columns and return the exit code, 0;
+    ``instance`` and ``schedule`` (the parsed ``(action, gammas, probs)``),
+    when given, are hashed into its header."""
     digests = (
         None if instance is None else io.input_hash(instance),
         None if schedule is None else io.schedule_hash(*schedule),
     )
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             io.write_report(fh, subcommand, config, table, *digests)
     else:
         io.write_report(sys.stdout, subcommand, config, table, *digests)
-
-
-def _error(message: str) -> int:
-    """Report an invalid combination of arguments; the exit code is 1."""
-    print(f"error: {message}", file=sys.stderr)
-    return 1
+    return 0
 
 
 def _types_b(game, requested: str | None) -> list[str]:
@@ -144,16 +139,14 @@ def cmd_nash(args: argparse.Namespace) -> int:
         ],
     }
     config = {"instance": args.instance, "tolerance": TOL_DEFAULT}
-    _emit(args, "nash", config, table, game)
-    return 0
+    return _emit(args, "nash", config, table, game)
 
 
 def cmd_poa(args: argparse.Namespace) -> int:
     game = io.load_game(args.instance)
     report = equilibrium.poa_metrics(game)
     config = {"instance": args.instance, "tolerance": TOL_DEFAULT}
-    _emit(args, "poa", config, equilibrium.poa_report_rows(game, report), game)
-    return 0
+    return _emit(args, "poa", config, equilibrium.poa_report_rows(game, report), game)
 
 
 def cmd_single_offer(args: argparse.Namespace) -> int:
@@ -187,21 +180,20 @@ def cmd_single_offer(args: argparse.Namespace) -> int:
         "type_b": args.type_b or "all",
         "tolerance": TOL_DEFAULT,
     }
-    _emit(args, "single-offer", config, table, game)
-    return 0
+    return _emit(args, "single-offer", config, table, game)
 
 
 def cmd_multi_offer(args: argparse.Namespace) -> int:
     if args.samples < 0:
-        return _error("--samples must be non-negative")
+        raise ValueError("--samples must be non-negative")
     if args.optimize and args.samples:
-        return _error("--samples applies to --schedule only")
+        raise ValueError("--samples applies to --schedule only")
     if args.optimize and args.seed is not None:
-        return _error("--seed applies to --schedule only")
+        raise ValueError("--seed applies to --schedule only")
     if args.schedule is not None and args.n is not None:
-        return _error("--n applies to --optimize only")
+        raise ValueError("--n applies to --optimize only")
     if args.n is not None and args.n > MAX_POINTS:
-        return _error(f"--n {args.n} is above {MAX_POINTS} steps")
+        raise ValueError(f"--n {args.n} is above {MAX_POINTS} steps")
     game = io.load_game(args.instance)
     types = _types_b(game, args.type_b)
     if args.optimize:
@@ -228,8 +220,7 @@ def cmd_multi_offer(args: argparse.Namespace) -> int:
             "type_b": args.type_b or "all",
             "tolerance": TOL_DEFAULT,
         }
-        _emit(args, "multi-offer", config, table, game)
-        return 0
+        return _emit(args, "multi-offer", config, table, game)
     seed = SEED_DEFAULT if args.seed is None else args.seed
     parsed = io.load_schedule_file(args.schedule)
     schedule = multi_offer.Schedule(*parsed)
@@ -263,8 +254,7 @@ def cmd_multi_offer(args: argparse.Namespace) -> int:
         "type_b": args.type_b or "all",
         "tolerance": TOL_DEFAULT,
     }
-    _emit(args, "multi-offer", config, table, game, parsed)
-    return 0
+    return _emit(args, "multi-offer", config, table, game, parsed)
 
 
 def _emit_ms(args: argparse.Namespace, config: dict, rows, instance=None) -> int:
@@ -283,29 +273,22 @@ def _emit_ms(args: argparse.Namespace, config: dict, rows, instance=None) -> int
         "certificate_ok": column("certificate_ok"),
         "certificate_residual": column("certificate_residual"),
     }
-    _emit(args, "ms-check", config, table, instance)
-    return 0
+    return _emit(args, "ms-check", config, table, instance)
 
 
 def cmd_ms_check(args: argparse.Namespace) -> int:
     if args.instance:
         inst = io.load_bilateral(args.instance)
         if max(len(inst.seller_values), len(inst.buyer_values)) > MAX_TRADE_VALUES:
-            return _error(f"{args.instance} has more than {MAX_TRADE_VALUES} values on a side")
+            raise ValueError(f"{args.instance} has more than {MAX_TRADE_VALUES} values on a side")
         config = {"instance": args.instance, "tolerance": bilateral.MARGIN_TOL}
         return _emit_ms(args, config, [bilateral.feasibility_row(inst)], inst)
     if args.refine < 2:
-        return _error("--refine must be at least 2")
+        raise ValueError("--refine must be at least 2")
     if args.refine > MAX_TRADE_VALUES:
-        return _error(f"--refine {args.refine} is above {MAX_TRADE_VALUES} values per side")
+        raise ValueError(f"--refine {args.refine} is above {MAX_TRADE_VALUES} values per side")
     config = {"refine": args.refine, "tolerance": bilateral.MARGIN_TOL}
     return _emit_ms(args, config, bilateral.refinement_sweep(range(2, args.refine + 1)))
-
-
-def _range(args: argparse.Namespace, start: float, stop: float, step: float) -> tuple:
-    """``--from``, ``--to`` and ``--step``, each defaulting to the given value."""
-    given = (args.start, args.stop, args.step)
-    return tuple(d if v is None else v for v, d in zip(given, (start, stop, step)))
 
 
 def _curve(name: str, params: list[float], point) -> dict[str, list]:
@@ -330,95 +313,84 @@ def _bounds(betas: list[float]) -> dict[str, list]:
     }
 
 
-def _examples_misuse(args: argparse.Namespace) -> str | None:
-    """Why the flags given do not fit the selected example, if they do not:
+# The two uniform worked examples, one closed form at scale 100 and at scale
+# 1: the parameter each reads, its default and its default sweep range.
+_EXAMPLES = {"1b": ("x", 100.0, (0.0, 400.0, 1.0)), "2": ("mu1", 1.0, (0.0, 4.0, 0.01))}
+
+
+def _check_examples(args: argparse.Namespace) -> None:
+    """Raise ValueError if the flags given do not fit the selected example:
     each flag must be one that the mode reads."""
     which, sweep = args.which, args.sweep
     ranged = [f for f, v in (("--from", args.start), ("--to", args.stop), ("--step", args.step)) if v is not None]
     draws = which == "corollary" or (which == "1b" and not sweep)
     if args.mc_samples < 0:
-        return "--mc-samples must be non-negative"
+        raise ValueError("--mc-samples must be non-negative")
     if args.mc_samples and not draws:
-        return "--mc-samples applies to --which corollary and to --which 1b without --sweep"
+        raise ValueError("--mc-samples applies to --which corollary and to --which 1b without --sweep")
     if args.seed is not None and not draws:
-        return "--seed applies to --which corollary and to --which 1b without --sweep"
-    if args.x is not None and (which != "1b" or sweep):
-        return "--x applies to --which 1b without --sweep"
-    if args.mu1 is not None and (which != "2" or sweep):
-        return "--mu1 applies to --which 2 without --sweep"
+        raise ValueError("--seed applies to --which corollary and to --which 1b without --sweep")
+    for example, (name, _, _) in _EXAMPLES.items():
+        if getattr(args, name) is not None and (which != example or sweep):
+            raise ValueError(f"--{name} applies to --which {example} without --sweep")
     if args.beta is not None and which != "corollary":
-        return "--beta applies to --which corollary"
+        raise ValueError("--beta applies to --which corollary")
     if which == "corollary" and (sweep or ranged):
-        return f"{'--sweep' if sweep else ranged[0]} does not apply to --which corollary"
+        raise ValueError(f"{'--sweep' if sweep else ranged[0]} does not apply to --which corollary")
     if ranged and not sweep:
-        return f"{ranged[0]} applies to --sweep only"
-    return None
+        raise ValueError(f"{ranged[0]} applies to --sweep only")
 
 
 def cmd_examples(args: argparse.Namespace) -> int:
     which = args.which
-    misuse = _examples_misuse(args)
-    if misuse:
-        return _error(misuse)
+    _check_examples(args)
     seed = SEED_DEFAULT if args.seed is None else args.seed
-    if which == "1b":
-        if args.sweep:
-            start, stop, step = _range(args, 0.0, 400.0, 1.0)
-            xs = _frange(start, stop, step)
-            config = {"which": "1b", "sweep": True, "from": start, "to": stop, "step": step}
-        else:
-            xs = [100.0 if args.x is None else args.x]
-            config = {
-                "which": "1b", "sweep": False, "x": xs[0],
-                "mc_samples": args.mc_samples, "seed": seed,
-            }
-        table = _curve("x", xs, closed_form.example1b)
-        table["no_payment_poa"] = [closed_form.example1b_no_payment_poa(x) for x in xs]
+    if which == "corollary":
+        betas = [args.beta] if args.beta is not None else [0.25, 0.5, 0.75, 1.0]
+        table = _bounds(betas)
         if args.mc_samples > 0:
-            (mc,) = analytics.mc_single_offer([analytics.example1b_scenario(xs[0])], args.mc_samples, seed)
+            scenarios = [analytics.power_scenario(beta) for beta in betas]
+            mcs = analytics.mc_poa(scenarios, args.mc_samples, seed)
+            table |= {
+                "mc_mean_poa": [mc.mean_poa for mc in mcs],
+                "mc_poa_ci99": [mc.ci_poa for mc in mcs],
+                "mc_max_poa": [mc.max_poa for mc in mcs],
+                "mc_acceptance": [mc.acceptance_rate for mc in mcs],
+            }
+        config = {
+            "which": "corollary",
+            "beta": args.beta if args.beta is not None else "defaults",
+            "mc_samples": args.mc_samples,
+            "seed": seed,
+        }
+        return _emit(args, "examples", config, table)
+    name, default, default_range = _EXAMPLES[which]
+    if args.sweep:
+        params, range_config = _frange(args, *default_range)
+        config = {"which": which, "sweep": True, **range_config}
+    else:
+        given = getattr(args, name)
+        params = [default if given is None else given]
+        config = {"which": which, "sweep": False, name: params[0]}
+    table = _curve(name, params, closed_form.example1b if which == "1b" else closed_form.example2)
+    if which == "1b":
+        table["no_payment_poa"] = [closed_form.example1b_no_payment_poa(x) for x in params]
+        if not args.sweep:
+            config |= {"mc_samples": args.mc_samples, "seed": seed}
+        if args.mc_samples > 0:
+            (mc,) = analytics.mc_single_offer([analytics.example1b_scenario(params[0])], args.mc_samples, seed)
             table |= {
                 "mc_welfare": [mc.mean_sw],
                 "mc_welfare_ci99": [mc.ci_sw],
                 "mc_poa": [mc.poa_vs_ex_ante],
                 "mc_acceptance": [mc.acceptance_rate],
             }
-        _emit(args, "examples", config, table)
-        return 0
-    if which == "2":
-        if args.sweep:
-            start, stop, step = _range(args, 0.0, 4.0, 0.01)
-            mus = _frange(start, stop, step)
-            config = {"which": "2", "sweep": True, "from": start, "to": stop, "step": step}
-        else:
-            mus = [1.0 if args.mu1 is None else args.mu1]
-            config = {"which": "2", "sweep": False, "mu1": mus[0]}
-        table = _curve("mu1", mus, closed_form.example2)
+    else:
         mu_star, poa_max = closed_form.example2_poa_max()
         peak = {"mu1": "poa_max_closed_form", "threshold": mu_star, "poa": poa_max}
-        for name, column in table.items():  # the closed-form peak as a last row
-            column.append(peak.get(name, ""))
-        _emit(args, "examples", config, table)
-        return 0
-    # corollary
-    betas = [args.beta] if args.beta is not None else [0.25, 0.5, 0.75, 1.0]
-    table = _bounds(betas)
-    if args.mc_samples > 0:
-        scenarios = [analytics.power_scenario(beta) for beta in betas]
-        mcs = analytics.mc_poa(scenarios, args.mc_samples, seed)
-        table |= {
-            "mc_mean_poa": [mc.mean_poa for mc in mcs],
-            "mc_poa_ci99": [mc.ci_poa for mc in mcs],
-            "mc_max_poa": [mc.max_poa for mc in mcs],
-            "mc_acceptance": [mc.acceptance_rate for mc in mcs],
-        }
-    config = {
-        "which": "corollary",
-        "beta": args.beta if args.beta is not None else "defaults",
-        "mc_samples": args.mc_samples,
-        "seed": seed,
-    }
-    _emit(args, "examples", config, table)
-    return 0
+        for column_name, column in table.items():  # the closed-form peak as a last row
+            column.append(peak.get(column_name, ""))
+    return _emit(args, "examples", config, table)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -439,11 +411,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    start, stop, step = _range(args, 0.1, 2.0, 0.05)
-    table = _bounds(_frange(start, stop, step))
-    config = {"param": args.param, "from": start, "to": stop, "step": step}
-    _emit(args, "sweep", config, table)
-    return 0
+    betas, range_config = _frange(args, 0.1, 2.0, 0.05)
+    config = {"param": args.param, **range_config}
+    return _emit(args, "sweep", config, _bounds(betas))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,64 +422,60 @@ def build_parser() -> argparse.ArgumentParser:
         description="Analyze one-way games: equilibria, inefficiency, bargaining mechanisms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    with_out = []
 
-    p = sub.add_parser("validate", help="check an instance file")
-    p.add_argument("instance")
-    p.set_defaults(func=cmd_validate)
+    def command(name: str, func, help: str, instance: bool = True, out: bool = True) -> argparse.ArgumentParser:
+        """The subparser of a subcommand that runs ``func``, with a positional
+        instance file unless ``instance`` is false. ``--out``, unless ``out``
+        is false, is added last, so that usage and help list it after the
+        subcommand's own flags."""
+        p = sub.add_parser(name, help=help)
+        if instance:
+            p.add_argument("instance")
+        if out:
+            with_out.append(p)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("nash", help="no-payment equilibrium play and welfare")
-    p.add_argument("instance")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_nash)
+    def ranged(p: argparse.ArgumentParser) -> None:
+        """``--from``, ``--to`` and ``--step``; see ``_frange``."""
+        p.add_argument("--from", dest="start", type=float)
+        p.add_argument("--to", dest="stop", type=float)
+        p.add_argument("--step", type=float)
 
-    p = sub.add_parser("poa", help="price-of-anarchy metrics per type profile")
-    p.add_argument("instance")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_poa)
+    command("validate", cmd_validate, "check an instance file", out=False)
+    command("nash", cmd_nash, "no-payment equilibrium play and welfare")
+    command("poa", cmd_poa, "price-of-anarchy metrics per type profile")
 
-    p = sub.add_parser("single-offer", help="compute single-offer strategies")
-    p.add_argument("instance")
-    p.add_argument("--type-b", default=None, help="restrict to one B type")
-    p.add_argument(
-        "--offer-strategy", choices=["optimal", "simplified"], default="optimal"
-    )
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_single_offer)
+    p = command("single-offer", cmd_single_offer, "compute single-offer strategies")
+    p.add_argument("--type-b", help="restrict to one B type")
+    p.add_argument("--offer-strategy", choices=["optimal", "simplified"], default="optimal")
 
-    p = sub.add_parser("multi-offer", help="optimize or evaluate offer schedules")
-    p.add_argument("instance")
+    p = command("multi-offer", cmd_multi_offer, "optimize or evaluate offer schedules")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--optimize", action="store_true")
-    group.add_argument("--schedule", metavar="FILE", default=None)
-    p.add_argument("--n", type=int, default=None, help="steps for --optimize (default 2)")
-    p.add_argument("--type-b", default=None)
+    group.add_argument("--schedule", metavar="FILE")
+    p.add_argument("--n", type=int, help="steps for --optimize (default 2)")
+    p.add_argument("--type-b")
     p.add_argument("--samples", type=int, default=0, help="simulate with this many draws")
-    p.add_argument("--seed", type=int, default=None, help="for --samples (default 42)")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_multi_offer)
+    p.add_argument("--seed", type=int, help="for --samples (default 42)")
 
-    p = sub.add_parser("ms-check", help="trade feasibility and minimum subsidy")
+    p = command("ms-check", cmd_ms_check, "trade feasibility and minimum subsidy", instance=False)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--instance", default=None, help="bilateral trade JSON file")
-    group.add_argument("--refine", type=int, default=None, metavar="K", help="sweep grids 2..K")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_ms_check)
+    group.add_argument("--instance", help="bilateral trade JSON file")
+    group.add_argument("--refine", type=int, metavar="K", help="sweep grids 2..K")
 
-    p = sub.add_parser("examples", help="worked examples, closed forms and MC checks")
+    p = command("examples", cmd_examples, "worked examples, closed forms and MC checks", instance=False)
     p.add_argument("--which", choices=["1b", "2", "corollary"], required=True)
     p.add_argument("--sweep", action="store_true")
-    p.add_argument("--x", type=float, default=None, help="B's stake for --which 1b (default 100)")
-    p.add_argument("--mu1", type=float, default=None, help="B's stake for --which 2 (default 1)")
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--from", dest="start", type=float, default=None)
-    p.add_argument("--to", dest="stop", type=float, default=None)
-    p.add_argument("--step", type=float, default=None)
+    p.add_argument("--x", type=float, help="B's stake for --which 1b (default 100)")
+    p.add_argument("--mu1", type=float, help="B's stake for --which 2 (default 1)")
+    p.add_argument("--beta", type=float)
+    ranged(p)
     p.add_argument("--mc-samples", type=int, default=0)
-    p.add_argument("--seed", type=int, default=None, help="for --mc-samples (default 42)")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_examples)
+    p.add_argument("--seed", type=int, help="for --mc-samples (default 42)")
 
-    p = sub.add_parser("gen", help="generate a random instance")
+    p = command("gen", cmd_gen, "generate a random instance", instance=False)
     p.add_argument("--seed", type=int, default=SEED_DEFAULT)
     p.add_argument("--actions-a", type=int, default=3)
     p.add_argument("--actions-b", type=int, default=2)
@@ -517,39 +483,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--types-b", type=int, default=2)
     p.add_argument("--a-scale", type=float, default=10.0)
     p.add_argument("--b-scale", type=float, default=10.0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("sweep", help="parameter sweeps as CSV")
+    p = command("sweep", cmd_sweep, "parameter sweeps as CSV", instance=False)
     p.add_argument("--param", choices=["beta"], required=True)
-    p.add_argument("--from", dest="start", type=float, default=None)
-    p.add_argument("--to", dest="stop", type=float, default=None)
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_sweep)
+    ranged(p)
 
+    for p in with_out:
+        p.add_argument("--out")
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         if exc.code is None:
             return 0
         return exc.code if isinstance(exc.code, int) else 2
-    # An instance's Philox key holds the seed in one 64-bit word (``generate``)
-    # and the Monte Carlo streams keep its range (``streams.stream``).
-    # Checked here, so that modes which draw nothing reject it too.
-    seed = getattr(args, "seed", None)
-    if seed is not None and not 0 <= seed < 1 << 64:
-        return _error(f"seed {seed} is outside [0, 2**64)")
     try:
+        # An instance's Philox key holds the seed in one 64-bit word
+        # (``generate``) and the Monte Carlo streams keep its range
+        # (``streams.stream``). Checked here, so that modes which draw
+        # nothing reject it too.
+        seed = getattr(args, "seed", None)
+        if seed is not None and not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed {seed} is outside [0, 2**64)")
         return args.func(args)
-    except io.InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         # str() of a KeyError is the repr of its message, quotes and all.
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

@@ -61,8 +61,12 @@ def _load_json(path: str) -> dict:
             data = json.load(fh)
     except FileNotFoundError:
         raise InstanceFormatError(path, "<file>", "an existing file") from None
+    except UnicodeDecodeError:
+        raise InstanceFormatError(path, "<file>", "UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(path, "<file>", f"valid JSON ({exc.msg} at line {exc.lineno})") from None
+    except RecursionError:
+        raise InstanceFormatError(path, "<file>", "valid JSON (nested too deeply)") from None
     if not isinstance(data, dict):
         raise InstanceFormatError(path, "<file>", "a JSON object")
     return data

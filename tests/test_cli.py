@@ -5,6 +5,7 @@ exactly what a shell user sees: exit codes, report bytes, error messages.
 """
 
 import json
+import re
 
 import pytest
 
@@ -16,6 +17,22 @@ def _run(capsys, argv):
     code = cli.run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# The rejection tests below name each case, in its test id, by its error
+# message; these cases are named by a phrase of it, and here is the whole
+# message, which their stderr must give byte for byte.
+_WHOLE_MESSAGE = {
+    "--mc-samples applies to": "--mc-samples applies to --which corollary and to --which 1b without --sweep",
+    "--x applies to": "--x applies to --which 1b without --sweep",
+    "--mu1 applies to": "--mu1 applies to --which 2 without --sweep",
+    "--beta applies to": "--beta applies to --which corollary",
+    "--seed applies to": "--seed applies to --which corollary and to --which 1b without --sweep",
+    "x must be finite": "x must be finite and non-negative, got inf",
+    "mu1 must be finite": "mu1 must be finite and non-negative, got nan",
+    "must be finite": "--from, --to and --step must be finite",
+    "more than 1000000 points": "--from, --to and --step give more than 1000000 points",
+}
 
 
 def _split_report(text):
@@ -89,6 +106,66 @@ def test_validate_missing_file(capsys):
 def test_no_subcommand_is_usage_error(capsys):
     code, out, err = _run(capsys, [])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "content,expected",
+    [(b"\xff\xfe{}", "UTF-8 text"), (b"[" * 100_000 + b"]" * 100_000, "valid JSON (nested too deeply)")],
+    ids=["not-utf-8", "nested-too-deeply"],
+)
+@pytest.mark.parametrize(
+    "argv,prefix",
+    [
+        (["validate", "FILE"], "invalid"),
+        (["nash", "FILE"], "error"),
+        (["multi-offer", "INSTANCE", "--schedule", "FILE"], "error"),
+        (["ms-check", "--instance", "FILE"], "error"),
+    ],
+    ids=["validate", "nash", "multi-offer", "ms-check"],
+)
+def test_unparsable_files_get_the_one_line_diagnostic(capsys, tmp_path, instance, content, expected, argv, prefix):
+    """A game, schedule or trade file that is not UTF-8 text, or whose JSON
+    is nested too deeply for the parser, is an invalid file named in one
+    line, as a file that is not JSON is."""
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    argv = [{"INSTANCE": instance, "FILE": str(path)}.get(a, a) for a in argv]
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"{prefix}: {path}: field '<file>': expected {expected}\n"
+
+
+# The flags each subcommand reads, as its --help lists them.
+_FLAGS = {
+    "validate": [],
+    "nash": ["--out"],
+    "poa": ["--out"],
+    "single-offer": ["--type-b", "--offer-strategy", "--out"],
+    "multi-offer": ["--optimize", "--schedule", "--n", "--type-b", "--samples", "--seed", "--out"],
+    "ms-check": ["--instance", "--refine", "--out"],
+    "examples": [
+        "--which", "--sweep", "--x", "--mu1", "--beta", "--from", "--to", "--step", "--mc-samples", "--seed", "--out",
+    ],
+    "gen": ["--seed", "--actions-a", "--actions-b", "--types-a", "--types-b", "--a-scale", "--b-scale", "--out"],
+    "sweep": ["--param", "--from", "--to", "--step", "--out"],
+}
+
+
+@pytest.mark.parametrize("command", [None, *_FLAGS])
+def test_help_lists_the_flags_each_command_reads(capsys, command):
+    """``oneway --help`` names every subcommand, and each subcommand's
+    --help lists exactly the flags it reads, and exits 0."""
+    code, out, err = _run(capsys, ["--help"] if command is None else [command, "--help"])
+    assert code == 0
+    assert err == ""
+    flags = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", out))
+    if command is None:
+        assert flags == {"--help"}
+        assert all(name in out for name in _FLAGS)
+    else:
+        assert out.startswith(f"usage: oneway {command} ")
+        assert flags == {"--help", *_FLAGS[command]}
 
 
 def test_gen_stdout_matches_file(capsys, workdir, instance):
@@ -428,7 +505,7 @@ def test_largest_seed_is_accepted(capsys):
         (["examples", "--which", "1b", "--sweep", "--mc-samples", "1000"], "--mc-samples applies to"),
         (["examples", "--which", "1b", "--mc-samples", "-1"], "--mc-samples must be non-negative"),
         (["examples", "--which", "corollary", "--mc-samples", "-5"], "--mc-samples must be non-negative"),
-        (["multi-offer", "INSTANCE", "--optimize", "--samples", "1000"], "--samples applies to --schedule"),
+        (["multi-offer", "INSTANCE", "--optimize", "--samples", "1000"], "--samples applies to --schedule only"),
         (["multi-offer", "INSTANCE", "--schedule", "SCHEDULE", "--samples", "-1"], "--samples must be non-negative"),
         (
             ["multi-offer", "INSTANCE", "--schedule", "SCHEDULE", "--samples", str(2**63)],
@@ -451,7 +528,7 @@ def test_sample_flags_without_a_simulation_are_rejected(capsys, instance, schedu
     code, out, err = _run(capsys, argv)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: ") and message in err
+    assert err == f"error: {_WHOLE_MESSAGE.get(message, message)}\n"
 
 
 @pytest.mark.parametrize(
@@ -474,7 +551,10 @@ def test_sample_flags_without_a_simulation_are_rejected(capsys, instance, schedu
         (["examples", "--which", "2", "--to", "3"], "--to applies to --sweep only"),
         (["examples", "--which", "1b", "--x", "50", "--step", "5"], "--step applies to --sweep only"),
         (["multi-offer", "INSTANCE", "--schedule", "SCHEDULE", "--n", "7"], "--n applies to --optimize only"),
-        (["examples", "--which", "2", "--seed", "5"], "--seed applies to --which corollary and to --which 1b"),
+        (
+            ["examples", "--which", "2", "--seed", "5"],
+            "--seed applies to --which corollary and to --which 1b without --sweep",
+        ),
         (["examples", "--which", "2", "--sweep", "--seed", "5"], "--seed applies to"),
         (["examples", "--which", "1b", "--sweep", "--seed", "5"], "--seed applies to"),
         (["multi-offer", "INSTANCE", "--optimize", "--seed", "5"], "--seed applies to --schedule only"),
@@ -487,7 +567,7 @@ def test_flags_the_mode_does_not_read_are_rejected(capsys, instance, schedule_fi
     code, out, err = _run(capsys, argv)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: ") and message in err
+    assert err == f"error: {_WHOLE_MESSAGE.get(message, message)}\n"
 
 
 @pytest.mark.parametrize(
@@ -523,7 +603,7 @@ def test_omitted_flags_report_their_defaults(capsys, instance, schedule_file, im
         (["examples", "--which", "2", "--mu1", "inf"], "mu1 must be finite and non-negative, got inf"),
         (["examples", "--which", "2", "--mu1", "nan"], "mu1 must be finite"),
         (["examples", "--which", "corollary", "--beta", "nan"], "beta must be positive and finite, got nan"),
-        (["examples", "--which", "corollary", "--beta", "inf"], "beta must be positive and finite"),
+        (["examples", "--which", "corollary", "--beta", "inf"], "beta must be positive and finite, got inf"),
         (["examples", "--which", "1b", "--sweep", "--from", "5", "--to", "1"], "--to 1.0 is below --from 5.0"),
         (["examples", "--which", "2", "--sweep", "--to", "nan"], "--from, --to and --step must be finite"),
         (["examples", "--which", "2", "--sweep", "--from=-inf"], "must be finite"),
@@ -546,7 +626,7 @@ def test_non_finite_and_reversed_numbers_are_rejected(capsys, instance, argv, me
     code, out, err = _run(capsys, argv)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: ") and message in err
+    assert err == f"error: {_WHOLE_MESSAGE.get(message, message)}\n"
 
 
 def test_examples_1b_point_with_mc(capsys):
