@@ -41,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .streams import Z99  # noqa: F401  re-exported for callers of analytics
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,8 @@ def _load_json(path: str) -> dict:
             data = json.load(fh)
     except FileNotFoundError:
         raise InstanceFormatError(path, "<file>", "an existing file") from None
+    except IsADirectoryError:
+        raise InstanceFormatError(path, "<file>", "a file, not a directory") from None
     except UnicodeDecodeError:
         raise InstanceFormatError(path, "<file>", "UTF-8 text") from None
     except json.JSONDecodeError as exc:

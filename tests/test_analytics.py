@@ -504,10 +504,6 @@ def test_mc_single_offer_intervals_cover_the_exact_payoffs():
         assert max(misses.values()) < miss_limit(len(seeds) * len(scenarios)), (simulate.__name__, misses)
 
 
-def test_z99_reexport():
-    assert analytics.Z99 == ow.Z99
-
-
 def test_mc_ci_survives_large_payoff_offset():
     # Shifting A's default payoff moves u_A and welfare by a constant, so
     # their interval widths must not change; raw sums of squares at 1e8

@@ -8,6 +8,7 @@ import json
 import re
 
 import pytest
+from battery import FILES
 
 import oneway.io as owio
 from oneway import cli
@@ -59,25 +60,14 @@ def instance(workdir):
 @pytest.fixture(scope="module")
 def schedule_file(workdir):
     path = workdir / "schedule.json"
-    path.write_text(
-        json.dumps({"action": "a1", "gammas": [0.3, 0.5], "probs": [1.0, 0.5]}),
-        encoding="utf-8",
-    )
+    path.write_text(json.dumps(FILES["cli/schedule.json"]), encoding="utf-8")
     return str(path)
 
 
 @pytest.fixture(scope="module")
 def trade_file(workdir):
     path = workdir / "trade.json"
-    path.write_text(
-        json.dumps(
-            {
-                "seller": {"values": [0.25], "probs": [1.0]},
-                "buyer": {"values": [0.75], "probs": [1.0]},
-            }
-        ),
-        encoding="utf-8",
-    )
+    path.write_text(json.dumps(FILES["cli/trade.json"]), encoding="utf-8")
     return str(path)
 
 
@@ -110,8 +100,12 @@ def test_no_subcommand_is_usage_error(capsys):
 
 @pytest.mark.parametrize(
     "content,expected",
-    [(b"\xff\xfe{}", "UTF-8 text"), (b"[" * 100_000 + b"]" * 100_000, "valid JSON (nested too deeply)")],
-    ids=["not-utf-8", "nested-too-deeply"],
+    [
+        (b"\xff\xfe{}", "UTF-8 text"),
+        (b"[" * 100_000 + b"]" * 100_000, "valid JSON (nested too deeply)"),
+        (None, "a file, not a directory"),
+    ],
+    ids=["not-utf-8", "nested-too-deeply", "directory"],
 )
 @pytest.mark.parametrize(
     "argv,prefix",
@@ -124,11 +118,15 @@ def test_no_subcommand_is_usage_error(capsys):
     ids=["validate", "nash", "multi-offer", "ms-check"],
 )
 def test_unparsable_files_get_the_one_line_diagnostic(capsys, tmp_path, instance, content, expected, argv, prefix):
-    """A game, schedule or trade file that is not UTF-8 text, or whose JSON
-    is nested too deeply for the parser, is an invalid file named in one
-    line, as a file that is not JSON is."""
+    """A game, schedule or trade file that is not UTF-8 text, whose JSON is
+    nested too deeply for the parser, or that is a directory (``content``
+    None), is an invalid file named in one line, as a file that is not JSON
+    is."""
     path = tmp_path / "input.json"
-    path.write_bytes(content)
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
     argv = [{"INSTANCE": instance, "FILE": str(path)}.get(a, a) for a in argv]
     code, out, err = _run(capsys, argv)
     assert code == 1
@@ -267,18 +265,6 @@ def test_single_offer_both_strategies(capsys, instance):
         assert float(r[12]) >= 1.0
 
 
-# B gains 5e-324 from a2 over her fallback; it costs t1 a sacrifice of 1.0.
-TINY_GAIN_GAME = {
-    "version": 1,
-    "actions_A": ["a1", "a2"],
-    "actions_B": ["b1"],
-    "types_A": [{"id": "t1", "prob": 1.0}],
-    "types_B": [{"id": "u1", "prob": 1.0}],
-    "payoff_A": [[1.0, 0.0]],
-    "payoff_B": [[[0.0], [5e-324]]],
-}
-
-
 @pytest.mark.parametrize(
     ("argv", "column"),
     [
@@ -292,24 +278,11 @@ def test_offer_search_on_a_tiny_gain_writes_nothing_to_stderr(capsys, workdir, a
     """t1's break-even share overflows to inf, which no offer reaches, so
     nobody accepts and B earns nothing over her fallback, without a warning."""
     path = workdir / "tiny_gain.json"
-    path.write_text(json.dumps(TINY_GAIN_GAME), encoding="utf-8")
+    path.write_text(json.dumps(FILES["tiny.json"]), encoding="utf-8")
     code, out, err = _run(capsys, [argv[0], str(path), *argv[1:]])
     assert (code, err) == (0, "")
     _, columns, rows = _split_report(out)
     assert rows[0][columns.index(column)] == "0.0"
-
-
-# Every type accepts a1 at share 0, and A's plus B's payoff passes the
-# largest float on every profile.
-OVERFLOW_GAME = {
-    "version": 1,
-    "actions_A": ["a1", "a2"],
-    "actions_B": ["b1", "b2"],
-    "types_A": [{"id": "t1", "prob": 0.5}, {"id": "t2", "prob": 0.5}],
-    "types_B": [{"id": "u1", "prob": 1.0}],
-    "payoff_A": [[1.5e308, 1e308], [1.6e308, 0.0]],
-    "payoff_B": [[[1.7e308, 0.0], [1.7e308, 1.7e308]]],
-}
 
 
 @pytest.mark.parametrize(
@@ -334,7 +307,7 @@ def test_welfare_past_the_float_range_reads_inf(capsys, workdir, schedule_file, 
     the schedule's simulated welfare is ``inf``, so it reads ``inf`` with a
     width of 0.0."""
     path = workdir / "overflow.json"
-    path.write_text(json.dumps(OVERFLOW_GAME), encoding="utf-8")
+    path.write_text(json.dumps(FILES["overflow.json"]), encoding="utf-8")
     extra = [schedule_file] if argv[-1] == "--schedule" else []
     code, out, err = _run(capsys, [argv[0], str(path), *argv[1:], *extra])
     assert (code, err) == (0, "")
@@ -681,27 +654,6 @@ def test_sweep_row_counts(capsys, argv, expected_rows):
     assert code == 0
     _, _, rows = _split_report(out)
     assert len(rows) == expected_rows
-
-
-def test_reports_rerun_byte_identical(capsys, instance, schedule_file, trade_file):
-    invocations = [
-        ["nash", instance],
-        ["poa", instance],
-        ["single-offer", instance],
-        ["single-offer", instance, "--offer-strategy", "simplified"],
-        ["multi-offer", instance, "--optimize", "--n", "3"],
-        ["multi-offer", instance, "--schedule", schedule_file, "--samples", "300"],
-        ["ms-check", "--instance", trade_file],
-        ["ms-check", "--refine", "4"],
-        ["examples", "--which", "1b", "--x", "100", "--mc-samples", "500"],
-        ["examples", "--which", "corollary", "--beta", "0.5", "--mc-samples", "300"],
-        ["sweep", "--param", "beta", "--from", "0.5", "--to", "1.0", "--step", "0.25"],
-    ]
-    for argv in invocations:
-        code1, out1, _ = _run(capsys, argv)
-        code2, out2, _ = _run(capsys, argv)
-        assert code1 == code2 == 0, argv
-        assert out1 == out2, argv
 
 
 def test_report_header_hash_matches_config(capsys, instance):

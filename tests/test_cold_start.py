@@ -5,8 +5,8 @@ scipy: each exported name is imported on first use (PEP 562). That leaves
 ``oneway.cli`` free to set its BLAS default before numpy loads: unless the
 user sets ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``, the CLI sets
 ``OPENBLAS_NUM_THREADS=1``, so no idle OpenBLAS pool spins beside a
-single-threaded command. Library users never get that default, and an
-offer report reads the same under one BLAS thread and two.
+single-threaded command. Library users never get that default; that every
+report reads the same under one BLAS thread and two is ``battery.py``'s check.
 
 ``import oneway.cli`` runs only ``cli`` and ``io``, and so loads no numpy.
 It registers the package's other modules in ``sys.modules`` lazily, so each
@@ -364,25 +364,6 @@ def test_user_blas_setting_is_kept(var):
         """,
         blas={var: "2"},
     )
-
-
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS splits no product on one CPU")
-def test_offer_report_ignores_the_blas_thread_count(tmp_path):
-    """The offer evaluator sums its expectations with numpy's own reduction.
-    A BLAS dot product over 20,000 A types is split across the OpenBLAS
-    threads, which moves the last bits of the report's expectations."""
-    from oneway import generate, io
-
-    io.save_game(generate.random_game(seed=42, n_types_a=20_000), str(tmp_path / "big.json"))
-    code = """
-        import sys
-        from oneway import cli
-
-        assert cli.run(sys.argv[1:]) == 0
-        """
-    argv = ("single-offer", str(tmp_path / "big.json"))
-    one, two = (_child(code, *argv, blas={"OPENBLAS_NUM_THREADS": n}) for n in ("1", "2"))
-    assert one and one == two
 
 
 @pytest.mark.parametrize("module", ["oneway", "oneway.cli"])
